@@ -50,13 +50,11 @@ from .system import (
     McsTable,
     Mode,
     Scenario,
-    ThroughputRecord,
     UeGrid,
     capacity_bps,
     cdf,
     default_scenario,
     dli_power_dbm,
     run_drop,
-    schedule_ue,
     ue_throughput,
 )

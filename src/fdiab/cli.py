@@ -57,18 +57,6 @@ REDUCTION_COLUMNS = (
     "holdout_residual_dbm",
 )
 
-THROUGHPUT_COLUMNS = (
-    "mode",
-    "ue_id",
-    "serving_cell",
-    "beam",
-    "access_snr_db",
-    "access_sinr_db",
-    "backhaul_sinr_db",
-    "dli_power_dbm",
-    "throughput_bps",
-)
-
 CDF_COLUMNS = ("mode", "throughput_bps", "cdf")
 
 COMPARE_COLUMNS = (
@@ -96,6 +84,9 @@ class RunConfig:
     overrides: tuple
 
 
+CSV_CHUNK_ROWS = 8192
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -106,12 +97,33 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, columns, rows):
+def _fmt_column(values):
+    """_fmt over one column: a list, or a numpy array in which NaN marks an
+    absent value (an empty cell, as None)."""
+    if not isinstance(values, np.ndarray):
+        return [_fmt(v) for v in values]
+    if values.dtype.kind == "f":
+        return ["" if v != v else format(v, ".12g") for v in values.tolist()]
+    if values.dtype.kind in "iuU":  # where _fmt is str
+        return list(map(str, values.tolist()))
+    return [_fmt(v) for v in values.tolist()]
+
+
+def _write_columns(path, columns):
+    """CSV from a dict of equal-length columns, in the dict's order. Rows are
+    formatted CSV_CHUNK_ROWS at a time, so the cell strings of a whole table
+    never exist at once."""
+    n_rows = len(next(iter(columns.values())))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = (values[lo : lo + CSV_CHUNK_ROWS] for values in columns.values())
+            writer.writerows(zip(*map(_fmt_column, chunk)))
+
+
+def _write_csv(path, columns, rows):
+    _write_columns(path, {c: [row[c] for row in rows] for c in columns})
 
 
 def _write_sidecar(out_dir, cfg, resolved_scenario, outputs):
@@ -200,33 +212,19 @@ def cmd_link_sim(cfg):
 
 def cmd_system_sim(cfg, modes=ALL_MODES):
     scenario, data = _load_with_overrides(cfg)
-    records = run_drop(scenario, cfg.seed, modes=modes)
-    rows = [
-        {
-            "mode": r.mode,
-            "ue_id": r.ue_id,
-            "serving_cell": r.serving_cell,
-            "beam": r.beam,
-            "access_snr_db": r.access_snr_db,
-            "access_sinr_db": r.access_sinr_db,
-            "backhaul_sinr_db": r.backhaul_sinr_db,
-            "dli_power_dbm": r.dli_power_dbm,
-            "throughput_bps": r.throughput_bps,
-        }
-        for r in records
-    ]
-    cdf_rows = []
+    cols = run_drop(scenario, cfg.seed, modes=modes)
+    cdf_cols = {c: [] for c in CDF_COLUMNS}
     for mode in modes:
         mode = Mode(mode)
-        values = [r.throughput_bps for r in records if r.mode == mode.value]
-        v, p = cdf(values)
-        cdf_rows.extend(
-            {"mode": mode.value, "throughput_bps": float(tv), "cdf": float(tp)}
-            for tv, tp in zip(v, p)
-        )
+        v, p = cdf(cols["throughput_bps"][cols["mode"] == mode.value])
+        cdf_cols["mode"] += [mode.value] * v.size
+        cdf_cols["throughput_bps"] += v.tolist()
+        cdf_cols["cdf"] += p.tolist()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "throughput.csv"), THROUGHPUT_COLUMNS, rows)
-    _write_csv(os.path.join(cfg.output_dir, "cdf.csv"), CDF_COLUMNS, cdf_rows)
+    _write_columns(os.path.join(cfg.output_dir, "throughput.csv"), cols)
+    _write_columns(
+        os.path.join(cfg.output_dir, "cdf.csv"), {c: np.array(v) for c, v in cdf_cols.items()}
+    )
     _write_sidecar(cfg.output_dir, cfg, data, ["throughput.csv", "cdf.csv"])
     return 0
 

@@ -5,6 +5,7 @@ rejected so that CLI overrides cannot silently miss their target.
 """
 
 import json
+import math
 from dataclasses import asdict
 
 from .geometry import AntennaPattern, ReflectorConfig
@@ -27,10 +28,17 @@ def _check_keys(d, allowed, path):
         _fail(f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0], "unknown key")
 
 
+def _is_number(v):
+    """A finite JSON number; bools, NaN and infinities are not."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+
+
 def _number(d, key, default, path, lo=None, hi=None, strict_lo=False):
     v = d.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _fail(f"{path}{key}", f"expected a number, got {v!r}")
+    if not _is_number(v):
+        _fail(f"{path}{key}", f"expected a finite number, got {v!r}")
     v = float(v)
     if lo is not None and (v <= lo if strict_lo else v < lo):
         _fail(f"{path}{key}", f"must be {'>' if strict_lo else '>='} {lo}, got {v}")
@@ -44,9 +52,9 @@ def _position(d, key, default, path):
     if (
         not isinstance(v, (list, tuple))
         or len(v) != 3
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
+        or not all(_is_number(c) for c in v)
     ):
-        _fail(f"{path}{key}", f"expected [x, y, z] numbers, got {v!r}")
+        _fail(f"{path}{key}", f"expected [x, y, z] finite numbers, got {v!r}")
     return tuple(float(c) for c in v)
 
 
@@ -94,8 +102,8 @@ def _sector_az(d, path):
     v = d.get("sector_center_az_deg")
     if v is None:
         return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _fail(f"{path}.sector_center_az_deg", f"expected a number or null, got {v!r}")
+    if not _is_number(v):
+        _fail(f"{path}.sector_center_az_deg", f"expected a finite number or null, got {v!r}")
     return float(v)
 
 
@@ -120,8 +128,8 @@ def _iab_node(d, path):
     if "position" not in d:
         _fail(f"{path}.position", "required")
     res = d.get("residual_si_dbm")
-    if res is not None and (not isinstance(res, (int, float)) or isinstance(res, bool)):
-        _fail(f"{path}.residual_si_dbm", f"expected a number or null, got {res!r}")
+    if res is not None and not _is_number(res):
+        _fail(f"{path}.residual_si_dbm", f"expected a finite number or null, got {res!r}")
     return IabNode(
         position=_position(d, "position", None, f"{path}."),
         antenna_separation_m=_number(
@@ -139,10 +147,10 @@ def _range_pair(d, key, default, path):
     if (
         not isinstance(v, (list, tuple))
         or len(v) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
+        or not all(_is_number(c) for c in v)
         or not v[0] < v[1]
     ):
-        _fail(f"{path}{key}", f"expected [lo, hi] with lo < hi, got {v!r}")
+        _fail(f"{path}{key}", f"expected finite [lo, hi] with lo < hi, got {v!r}")
     return (float(v[0]), float(v[1]))
 
 

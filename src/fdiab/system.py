@@ -25,6 +25,7 @@ class Mode(str, Enum):
 
 
 ALL_MODES = tuple(Mode)
+FD_MODES = (Mode.IDEAL_FD, Mode.FD_FULL, Mode.FD_PROP_ONLY)
 
 # Access codebook geometry: a 120 degree azimuth sector split eight ways and
 # a 30 degree elevation span split two ways, 16 beams total.
@@ -97,18 +98,18 @@ DEFAULT_MCS = McsTable(
 
 
 def capacity_bps(sinr_db, bandwidth_hz, mcs):
-    """Bandwidth times the efficiency of the best MCS whose threshold is met.
+    """Bandwidth times the efficiency of the best MCS whose threshold is met,
+    elementwise; a float for scalar input.
 
     Thresholds are closed lower bounds; below the lowest one the UE is in
     outage and gets zero.
     """
-    if np.isnan(sinr_db):
+    sinr = np.asarray(sinr_db, float)
+    if np.isnan(sinr).any():
         raise ValueError("sinr_db must not be NaN")
-    t = np.asarray(mcs.thresholds_db)
-    i = int(np.searchsorted(t, sinr_db, side="right")) - 1
-    if i < 0:
-        return 0.0
-    return float(bandwidth_hz * mcs.efficiencies_bps_hz[i])
+    eff = np.concatenate(([0.0], mcs.efficiencies_bps_hz))  # eff[0]: outage
+    out = bandwidth_hz * eff[np.searchsorted(mcs.thresholds_db, sinr, side="right")]
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -224,41 +225,53 @@ def default_scenario():
     )
 
 
-@dataclass(frozen=True)
-class ThroughputRecord:
-    ue_id: int
-    serving_cell: int  # 0 is the donor
-    beam: int
-    access_snr_db: float
-    access_sinr_db: float
-    backhaul_sinr_db: float | None  # None for fibered/donor-served
-    dli_power_dbm: float | None
-    throughput_bps: float
-    mode: str
-
-
 # ---------------------------------------------------------------------------
-# Scheduling and link arithmetic
+# Scheduling and link arithmetic, on per-UE columns
+#
+# Each value must round exactly as the per-UE formula it stands for, so that
+# throughput.csv keeps its bytes: dot products are one BLAS ddot per row, as
+# np.dot on that row, and dBm levels reach watts through libm's pow, as a
+# Python float does.
 # ---------------------------------------------------------------------------
 
 
-def _lin_sum_dbm(*levels_dbm):
-    """Power sum in dBm, ignoring -inf entries."""
-    total = sum(dbm_to_watt(v) for v in levels_dbm if v != -np.inf)
-    return float(watt_to_dbm(total))
+def _rowdot(a, b):
+    """Dot product over the last axis, one BLAS ddot per row."""
+    a = np.asarray(a, float)[..., np.newaxis, :]
+    b = np.asarray(b, float)[..., :, np.newaxis]
+    return np.matmul(a, b)[..., 0, 0]
 
 
-def _access_shadow_db(scenario, seed, cell_idx, ue_id):
+def _lin_sum_dbm(floor_dbm, levels_dbm):
+    """Power sum of the noise floor and each level, in dBm; -inf adds nothing.
+
+    The levels are converted one by one: numpy's SIMD power rounds some of
+    them differently from libm in the last bit.
+    """
+    levels = np.asarray(levels_dbm, float)
+    watts = [10.0 ** ((v - 30.0) / 10.0) for v in levels.ravel().tolist()]
+    return watt_to_dbm(dbm_to_watt(floor_dbm) + np.reshape(watts, levels.shape))
+
+
+def _access_shadows_db(scenario, seed, n_cells, n_ue):
+    """Log-normal shadowing of every (cell, UE) access path, indexed [cell, ue].
+
+    Each value is one draw from its own (cell, ue) substream, so it does not
+    depend on the grid size or on which other paths were drawn.
+    """
     if scenario.access_shadow_sigma_db == 0.0:
-        return 0.0
-    rng = substream(seed, "access-shadow", cell_idx, ue_id)
-    return float(scenario.access_shadow_sigma_db * rng.standard_normal())
+        return np.zeros((n_cells, n_ue))
+    z = [
+        [substream(seed, "access-shadow", ci, u).standard_normal() for u in range(n_ue)]
+        for ci in range(n_cells)
+    ]
+    return scenario.access_shadow_sigma_db * np.reshape(z, (n_cells, n_ue))
 
 
 def _beam_rx_dbm(cell, beam_dir, los_rows, freq_hz, shadows):
-    """Shared row-wise rx-power expression for the scalar and vectorized
-    schedulers. Spelled out per component (no BLAS reductions) so that the
-    floats are bit-identical whether one UE or the whole grid is evaluated.
+    """Rx power of one cell beam at each UE, for line-of-sight rows los_rows.
+
+    Spelled out per component, not through BLAS, which fixes its rounding.
 
     Shadowing is a property of the cell-UE path, shared by all beams of the
     cell, so a uniform Tx power shift can never change the argmax decision.
@@ -272,61 +285,37 @@ def _beam_rx_dbm(cell, beam_dir, los_rows, freq_hz, shadows):
     return cell.tx_power_dbm + gain + UE_GAIN_DBI - fspl_db(dist, freq_hz) - shadows
 
 
-def access_rx_power_dbm(scenario, seed, cell_idx, cell, beam_dir, ue_pos, ue_id):
-    """Rx power of one candidate (cell, beam) at one UE, shadowing included."""
-    los = (np.asarray(ue_pos, float) - np.asarray(cell.position, float))[np.newaxis, :]
-    shadow = np.array([_access_shadow_db(scenario, seed, cell_idx, ue_id)])
-    out = _beam_rx_dbm(
-        cell, np.asarray(beam_dir, float), los, scenario.carrier_freq_hz, shadow
-    )
-    return float(out[0])
-
-
-def schedule_ue(scenario, seed, ue_pos, ue_id, codebooks):
-    """Max-SNR association: best (cell, beam) pair, ties to the lowest indices."""
-    best = (-np.inf, 0, 0)
-    cells = scenario.cells()
-    for ci, cell in enumerate(cells):
-        dirs = codebooks[ci].directions()
-        for bi in range(dirs.shape[0]):
-            rx = access_rx_power_dbm(scenario, seed, ci, cell, dirs[bi], ue_pos, ue_id)
-            if rx > best[0]:
-                best = (rx, ci, bi)
-    return best[1], best[2], best[0]
-
-
 def schedule_drop(scenario, seed):
-    """Vectorized max-SNR scheduling for the whole UE grid.
+    """Max-SNR association of the whole UE grid; ties go to the lowest
+    (cell, beam) pair.
 
-    Returns (serving_cell, beam, access_rx_dbm) arrays; identical to calling
-    schedule_ue per UE because every shadow draw comes from its own
-    (cell, ue) substream.
+    Returns (serving_cell, beam, access_rx_dbm, codebooks, shadow_db): the
+    first three per UE, the codebook of each cell, and the shadowing of every
+    (cell, UE) path, which the DLI reuses for the donor's paths.
     """
     ues = scenario.ue_grid.positions()
     n_ue = ues.shape[0]
     cells = scenario.cells()
     codebooks = [build_codebook(c.pattern, scenario.sector_center_az(c)) for c in cells]
+    shadows = _access_shadows_db(scenario, seed, len(cells), n_ue)
     if n_ue == 0:
         empty = np.array([], dtype=int)
-        return empty, empty, np.array([]), codebooks
+        return empty, empty, np.array([]), codebooks, shadows
 
     rx = np.full((len(cells), N_BEAMS_AZ * N_BEAMS_EL, n_ue), -np.inf)
     for ci, cell in enumerate(cells):
         los = ues - np.asarray(cell.position, float)
-        shadows = np.array(
-            [_access_shadow_db(scenario, seed, ci, u) for u in range(n_ue)]
-        )
         dirs = codebooks[ci].directions()
         for bi in range(dirs.shape[0]):
             rx[ci, bi] = _beam_rx_dbm(
-                cell, dirs[bi], los, scenario.carrier_freq_hz, shadows
+                cell, dirs[bi], los, scenario.carrier_freq_hz, shadows[ci]
             )
 
     flat = rx.reshape(len(cells) * N_BEAMS_AZ * N_BEAMS_EL, n_ue)
     pick = np.argmax(flat, axis=0)  # first max: lowest (cell, beam) wins ties
     serving = pick // (N_BEAMS_AZ * N_BEAMS_EL)
     beam = pick % (N_BEAMS_AZ * N_BEAMS_EL)
-    return serving, beam, flat[pick, np.arange(n_ue)], codebooks
+    return serving, beam, flat[pick, np.arange(n_ue)], codebooks, shadows
 
 
 def backhaul_rx_power_dbm(scenario, node):
@@ -342,30 +331,26 @@ def backhaul_rx_power_dbm(scenario, node):
     )
 
 
-def dli_power_dbm(scenario, seed, node, ue_pos, ue_id):
-    """Donor backhaul transmission received directly by a relayed UE.
+def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
+    """Donor backhaul transmission received directly by relayed UEs.
 
-    The donor beam stays fixed on the serving node's MT; the UE picks up its
-    off-boresight leakage over the same shadowed path as the donor's access
-    link to that UE.
+    The donor beam stays fixed on the serving node's MT at mt_pos; the UE at
+    ue_pos picks up its off-boresight leakage over the same shadowed path as
+    the donor's access link to that UE (shadow_db). Positions are (..., 3)
+    arrays, one row per UE; a single UE gives a float.
     """
     donor = scenario.donor
     donor_pos = np.asarray(donor.position, float)
-    beam_dir = np.asarray(node.mt_position(), float) - donor_pos
+    beam_dir = np.asarray(mt_pos, float) - donor_pos
     los = np.asarray(ue_pos, float) - donor_pos
-    dist = float(np.linalg.norm(los))
+    dist = np.sqrt(_rowdot(los, los))
     cosang = np.clip(
-        np.dot(beam_dir, los) / (np.linalg.norm(beam_dir) * dist), -1.0, 1.0
+        _rowdot(beam_dir, los) / (np.sqrt(_rowdot(beam_dir, beam_dir)) * dist), -1.0, 1.0
     )
-    gain = donor.pattern.gain_dbi(float(np.degrees(np.arccos(cosang))))
-    shadow = _access_shadow_db(scenario, seed, 0, ue_id)
-    return (
-        donor.tx_power_dbm
-        + gain
-        + UE_GAIN_DBI
-        - fspl_db(dist, scenario.carrier_freq_hz)
-        - shadow
-    )
+    gain = donor.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
+    path_loss = fspl_db(dist, scenario.carrier_freq_hz)
+    out = donor.tx_power_dbm + gain + UE_GAIN_DBI - path_loss - shadow_db
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dir, beam_idx):
@@ -394,7 +379,8 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dir, beam_i
 
 
 def residual_si_dbm(scenario, mode, node, prop_residual_dbm):
-    """Residual SI power entering the backhaul SINR for one node and mode."""
+    """Residual SI power entering the backhaul SINR for one node and mode,
+    elementwise over the node's propagation-only residuals."""
     floor = scenario.noise.floor_dbm
     if mode in (Mode.HD, Mode.FIBERED, Mode.IDEAL_FD):
         return -np.inf
@@ -405,7 +391,7 @@ def residual_si_dbm(scenario, mode, node, prop_residual_dbm):
             return node.residual_si_dbm
         # Full chain lands the residual near the floor; it can never exceed
         # what propagation alone already achieved.
-        return min(prop_residual_dbm, floor + scenario.full_sic_margin_db)
+        return np.minimum(prop_residual_dbm, floor + scenario.full_sic_margin_db)
     raise ValueError(f"unknown mode {mode}")
 
 
@@ -419,37 +405,42 @@ def ue_throughput(
     scenario,
     mcs=DEFAULT_MCS,
 ):
-    """Downlink throughput of one UE under one configuration.
+    """Downlink throughput of each UE under one configuration.
 
-    Donor-served and fibered UEs get their plain access capacity. Relayed FD
-    UEs are bottlenecked by min(access with DLI, backhaul with residual SI).
-    Relayed HD UEs time-share the two hops, optimal split, charged the guard
-    overhead: (1-g) * Ca*Cb / (Ca+Cb).
+    Every argument after mode is a per-UE array or a scalar. Returns
+    (throughput_bps, access_sinr_db, backhaul_sinr_db), floats for scalar
+    input. Donor-served and fibered UEs get their plain access capacity and
+    a NaN backhaul SINR. Relayed FD UEs are bottlenecked by min(access with
+    DLI, backhaul with residual SI). Relayed HD UEs time-share the two hops,
+    optimal split, charged the guard overhead: (1-g) * Ca*Cb / (Ca+Cb).
     """
+    mode = Mode(mode)
     floor = scenario.noise.floor_dbm
     bw = scenario.bandwidth_hz
-    access_snr = access_rx_dbm - floor
+    relayed = np.asarray(relayed, bool) & (mode != Mode.FIBERED)
+    access_rx = np.asarray(access_rx_dbm, float)
+    backhaul_rx = np.asarray(backhaul_rx_dbm, float)
+    access_snr = access_rx - floor
 
-    if mode == Mode.FIBERED or not relayed:
-        thr = capacity_bps(access_snr, bw, mcs)
-        return thr, access_snr, None
+    if mode in FD_MODES:
+        # DLI degrades the access link, residual SI the backhaul link.
+        access_sinr = np.where(relayed, access_rx - _lin_sum_dbm(floor, dli_dbm), access_snr)
+        backhaul_sinr = backhaul_rx - _lin_sum_dbm(floor, residual_si_dbm_value)
+    else:
+        access_sinr = access_snr
+        backhaul_sinr = backhaul_rx - floor
+    backhaul_sinr = np.where(relayed, backhaul_sinr, np.nan)
 
+    ca = capacity_bps(access_sinr, bw, mcs)
+    cb = capacity_bps(np.where(relayed, backhaul_sinr, np.inf), bw, mcs)
     if mode == Mode.HD:
-        backhaul_sinr = backhaul_rx_dbm - floor
-        ca = capacity_bps(access_snr, bw, mcs)
-        cb = capacity_bps(backhaul_sinr, bw, mcs)
-        thr = 0.0
-        if ca > 0.0 and cb > 0.0:
-            thr = (1.0 - scenario.guard_overhead) * ca * cb / (ca + cb)
-        return thr, access_snr, backhaul_sinr
-
-    # FD modes: DLI degrades the access link, residual SI the backhaul link.
-    access_sinr = access_rx_dbm - _lin_sum_dbm(floor, dli_dbm)
-    backhaul_sinr = backhaul_rx_dbm - _lin_sum_dbm(floor, residual_si_dbm_value)
-    thr = min(
-        capacity_bps(access_sinr, bw, mcs), capacity_bps(backhaul_sinr, bw, mcs)
-    )
-    return thr, access_sinr, backhaul_sinr
+        with np.errstate(invalid="ignore"):  # 0/0 where both hops are in outage
+            split = (1.0 - scenario.guard_overhead) * ca * cb / (ca + cb)
+        relayed_thr = np.where((ca > 0.0) & (cb > 0.0), split, 0.0)
+    else:
+        relayed_thr = np.minimum(ca, cb)
+    thr = np.where(relayed, relayed_thr, ca)
+    return tuple(float(x) if np.ndim(x) == 0 else x for x in (thr, access_sinr, backhaul_sinr))
 
 
 def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
@@ -458,62 +449,63 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
     Scheduling is max-SNR and mode-independent, so per-UE serving decisions
     are shared across the mode comparison, as in the reference topology.
     Deterministic per (scenario, seed).
-    """
-    ues = scenario.ue_grid.positions()
-    serving, beam, access_rx, codebooks = schedule_drop(scenario, seed)
-    n_ue = ues.shape[0]
 
-    backhaul_rx = {}
-    prop_residual = {}
-    for ni, node in enumerate(scenario.iab_nodes):
-        backhaul_rx[ni] = backhaul_rx_power_dbm(scenario, node)
+    Returns the columns of throughput.csv, in its order, as numpy arrays:
+    one row per (mode, UE), in the order of `modes` and by ue_id within a
+    mode; serving_cell 0 is the donor. NaN marks a value that does not
+    apply: the backhaul SINR of donor-served and fibered rows, and the DLI
+    of those and of HD rows.
+    """
+    modes = [Mode(m) for m in modes]
+    serving, beam, access_rx, codebooks, shadows = schedule_drop(scenario, seed)
+    n_ue = serving.size
+    relayed = serving > 0
+    nodes = scenario.iab_nodes
+
+    # Per-cell tables, indexed by serving cell; the donor has no backhaul.
+    mt = np.array([scenario.donor.position] + [n.mt_position() for n in nodes])
+    backhaul_rx = np.full(len(codebooks), np.nan)
+    prop_residual = np.full((len(codebooks), N_BEAMS_AZ * N_BEAMS_EL), np.nan)
+    for ni, node in enumerate(nodes):
+        backhaul_rx[ni + 1] = backhaul_rx_power_dbm(scenario, node)
         dirs = codebooks[ni + 1].directions()
-        prop_residual[ni] = [
+        prop_residual[ni + 1] = [
             propagation_residual_si_dbm(scenario, seed, ni, node, dirs[bi], bi)
             for bi in range(dirs.shape[0])
         ]
 
-    records = []
-    for mode in modes:
-        mode = Mode(mode)
-        for u in range(n_ue):
-            ci = int(serving[u])
-            bi = int(beam[u])
-            relayed = ci > 0
-            floor = scenario.noise.floor_dbm
-            if relayed:
-                node = scenario.iab_nodes[ci - 1]
-                dli = dli_power_dbm(scenario, seed, node, ues[u], u)
-                res_si = residual_si_dbm(
-                    scenario, mode, node, prop_residual[ci - 1][bi]
-                )
-                bh_rx = backhaul_rx[ci - 1]
-            else:
-                dli, res_si, bh_rx = None, -np.inf, None
-            thr, access_sinr, backhaul_sinr = ue_throughput(
-                mode,
-                relayed,
-                float(access_rx[u]),
-                bh_rx,
-                dli if (dli is not None and mode not in (Mode.HD, Mode.FIBERED)) else -np.inf,
-                res_si,
-                scenario,
-                mcs,
-            )
-            records.append(
-                ThroughputRecord(
-                    ue_id=u,
-                    serving_cell=ci,
-                    beam=bi,
-                    access_snr_db=float(access_rx[u]) - floor,
-                    access_sinr_db=access_sinr,
-                    backhaul_sinr_db=backhaul_sinr,
-                    dli_power_dbm=dli if (relayed and mode not in (Mode.HD, Mode.FIBERED)) else None,
-                    throughput_bps=thr,
-                    mode=mode.value,
-                )
-            )
-    return records
+    ues = scenario.ue_grid.positions()
+    dli = np.full(n_ue, np.nan)
+    dli[relayed] = dli_power_dbm(
+        scenario, mt[serving[relayed]], ues[relayed], shadows[0, relayed]
+    )
+
+    n_rows = len(modes) * n_ue
+    cols = {
+        "mode": np.repeat([m.value for m in modes], n_ue),
+        "ue_id": np.tile(np.arange(n_ue), len(modes)),
+        "serving_cell": np.tile(serving, len(modes)),
+        "beam": np.tile(beam, len(modes)),
+        "access_snr_db": np.tile(access_rx - scenario.noise.floor_dbm, len(modes)),
+        "access_sinr_db": np.empty(n_rows),
+        "backhaul_sinr_db": np.empty(n_rows),
+        "dli_power_dbm": np.empty(n_rows),
+        "throughput_bps": np.empty(n_rows),
+    }
+    for k, mode in enumerate(modes):
+        residual = np.full(prop_residual.shape, np.nan)
+        for ni, node in enumerate(nodes):
+            residual[ni + 1] = residual_si_dbm(scenario, mode, node, prop_residual[ni + 1])
+        rows = slice(k * n_ue, (k + 1) * n_ue)
+        thr, access_sinr, backhaul_sinr = ue_throughput(
+            mode, relayed, access_rx, backhaul_rx[serving], dli,
+            residual[serving, beam], scenario, mcs,
+        )
+        cols["throughput_bps"][rows] = thr
+        cols["access_sinr_db"][rows] = access_sinr
+        cols["backhaul_sinr_db"][rows] = backhaul_sinr
+        cols["dli_power_dbm"][rows] = dli if mode in FD_MODES else np.nan
+    return cols
 
 
 def cdf(values):

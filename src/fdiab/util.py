@@ -1,18 +1,11 @@
 """Shared helpers: dB conversions and deterministic RNG substreams."""
 
+import functools
 import hashlib
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-def db_to_lin(db):
-    return 10.0 ** (np.asarray(db) / 10.0)
-
-
-def lin_to_db(x):
-    return 10.0 * np.log10(x)
 
 
 def dbm_to_watt(dbm):
@@ -32,6 +25,13 @@ def mean_power_dbm(samples):
     return float(watt_to_dbm(mean_power_watt(samples)))
 
 
+@functools.lru_cache(maxsize=256)
+def _str_token_to_int(token):
+    # Substream paths reuse a handful of names ("access-shadow", "si", ...),
+    # so each is hashed once per process.
+    return int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+
+
 def _token_to_int(token):
     if isinstance(token, (bool, np.bool_)):
         return int(token)
@@ -40,7 +40,7 @@ def _token_to_int(token):
     if isinstance(token, (float, np.floating)):
         return int(np.float64(token).view(np.uint64))
     if isinstance(token, str):
-        return int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+        return _str_token_to_int(token)
     raise TypeError(f"unsupported substream token: {token!r}")
 
 

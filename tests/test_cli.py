@@ -163,3 +163,19 @@ class TestExitCodes:
              "--out", str(tmp_path / "o"), "--set", "iab_nodes.*.antenna_separation_m=-1"]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("bandwidth_hz=NaN", "bandwidth_hz"),
+            ("donor.tx_power_dbm=Infinity", "donor.tx_power_dbm"),
+        ],
+    )
+    def test_non_finite_override_is_1(self, scenario_path, tmp_path, capsys, override, field):
+        rc = main(
+            ["system-sim", "--scenario", scenario_path, "--seed", "1",
+             "--out", str(tmp_path / "o"), "--set", override] + SMALL
+        )
+        assert rc == 1
+        assert f"fdiab: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

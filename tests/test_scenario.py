@@ -105,3 +105,21 @@ def test_reflectors_null_disables():
     data = scenario_to_dict(default_scenario())
     data["reflectors"] = None
     assert scenario_from_dict(data).reflectors is None
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("bandwidth_hz=NaN", "bandwidth_hz"),
+        ("donor.tx_power_dbm=Infinity", "donor.tx_power_dbm"),
+        ("iab_nodes.1.antenna_separation_m=Infinity", r"iab_nodes\[1\].antenna_separation_m"),
+        ("iab_nodes.0.residual_si_dbm=-Infinity", r"iab_nodes\[0\].residual_si_dbm"),
+        ("donor.sector_center_az_deg=NaN", "donor.sector_center_az_deg"),
+        ("donor.position=[0, 0, NaN]", "donor.position"),
+        ("ue_grid.x_range=[-Infinity, 0]", "ue_grid.x_range"),
+    ],
+)
+def test_non_finite_numbers_rejected_with_field_path(override, field):
+    data = apply_overrides(scenario_to_dict(default_scenario()), [override])
+    with pytest.raises(ScenarioError, match=rf"^{field}: expected .*finite"):
+        scenario_from_dict(data)

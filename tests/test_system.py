@@ -1,10 +1,12 @@
-import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdiab.geometry import AntennaPattern
+from fdiab.geometry import AntennaPattern, fspl_db
 from fdiab.system import (
     ALL_MODES,
     DEFAULT_MCS,
@@ -18,12 +20,14 @@ from fdiab.system import (
     capacity_bps,
     cdf,
     default_scenario,
+    direction_from_angles,
     dli_power_dbm,
+    propagation_residual_si_dbm,
     run_drop,
     schedule_drop,
-    schedule_ue,
     ue_throughput,
 )
+from fdiab.util import substream
 
 BW = 120e6
 
@@ -36,6 +40,102 @@ def small_scenario(separation=1.0, **kwargs):
     return dataclasses.replace(
         base, iab_nodes=nodes, ue_grid=UeGrid(nx=9, ny=9), **kwargs
     )
+
+
+def one_ue_grid(pos):
+    """A 1x1 grid whose only UE sits at pos."""
+    x, y, z = (float(c) for c in pos)
+    return UeGrid(nx=1, ny=1, x_range=(x, x), y_range=(y, y), height_m=z)
+
+
+def per_mode(cols, field):
+    """{mode value: column of field over ue_id} for a run_drop result."""
+    return {m: cols[field][cols["mode"] == m] for m in np.unique(cols["mode"])}
+
+
+def columns_equal(a, b):
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k], equal_nan=a[k].dtype.kind == "f") for k in a
+    )
+
+
+# Plain per-UE formulas, one UE and one (cell, beam) at a time, in Python
+# floats and np.dot: the reference that the columnar scheduler and drop must
+# reproduce bit for bit.
+
+
+def reference_rx_dbm(sc, seed, ci, beam_dir, ue, u):
+    cell = sc.cells()[ci]
+    shadow = 0.0
+    if sc.access_shadow_sigma_db != 0.0:
+        z = substream(seed, "access-shadow", ci, u).standard_normal()
+        shadow = float(sc.access_shadow_sigma_db * z)
+    lx, ly, lz = (float(c) for c in np.asarray(ue) - np.asarray(cell.position))
+    dx, dy, dz = (float(c) for c in beam_dir)
+    dist = math.sqrt(lx * lx + ly * ly + lz * lz)
+    dnorm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    cosang = min(max((lx * dx + ly * dy + lz * dz) / (dnorm * dist), -1.0), 1.0)
+    gain = cell.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
+    return cell.tx_power_dbm + gain + 0.0 - fspl_db(dist, sc.carrier_freq_hz) - shadow
+
+
+def reference_dli_dbm(sc, seed, node, ue, u):
+    donor = sc.donor
+    donor_pos = np.asarray(donor.position, float)
+    beam_dir = np.asarray(node.mt_position(), float) - donor_pos
+    los = np.asarray(ue, float) - donor_pos
+    dist = float(np.linalg.norm(los))
+    cosang = np.clip(np.dot(beam_dir, los) / (np.linalg.norm(beam_dir) * dist), -1.0, 1.0)
+    gain = donor.pattern.gain_dbi(float(np.degrees(np.arccos(cosang))))
+    z = substream(seed, "access-shadow", 0, u).standard_normal()
+    shadow = float(sc.access_shadow_sigma_db * z)
+    return donor.tx_power_dbm + gain + 0.0 - fspl_db(dist, sc.carrier_freq_hz) - shadow
+
+
+def reference_lin_sum_dbm(*levels_dbm):
+    total = sum(10.0 ** ((v - 30.0) / 10.0) for v in levels_dbm if v != -np.inf)
+    return float(10.0 * np.log10(total) + 30.0)
+
+
+def reference_capacity(sinr_db, sc):
+    assert not math.isnan(sinr_db)
+    i = int(np.searchsorted(DEFAULT_MCS.thresholds_db, sinr_db, side="right")) - 1
+    return 0.0 if i < 0 else sc.bandwidth_hz * DEFAULT_MCS.efficiencies_bps_hz[i]
+
+
+def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
+    """(access_sinr, backhaul_sinr, dli, throughput) of one UE; None where
+    a value does not apply."""
+    floor = sc.noise.floor_dbm
+    snr = access_rx - floor
+    if ci == 0 or mode == Mode.FIBERED:
+        return snr, None, None, reference_capacity(snr, sc)
+    node = sc.iab_nodes[ci - 1]
+    donor_pos = np.asarray(sc.donor.position)
+    hop = float(np.linalg.norm(np.asarray(node.mt_position()) - donor_pos))
+    backhaul_rx = (
+        sc.donor.tx_power_dbm
+        + sc.donor.pattern.boresight_gain_dbi
+        + node.pattern.boresight_gain_dbi
+        - fspl_db(hop, sc.carrier_freq_hz)
+    )
+    if mode == Mode.HD:
+        b_sinr = backhaul_rx - floor
+        ca, cb = reference_capacity(snr, sc), reference_capacity(b_sinr, sc)
+        thr = (1.0 - sc.guard_overhead) * ca * cb / (ca + cb) if ca > 0.0 and cb > 0.0 else 0.0
+        return snr, b_sinr, None, thr
+    dli = reference_dli_dbm(sc, seed, node, ue, u)
+    beam_dir = build_codebook(node.pattern, sc.sector_center_az(node)).directions()[bi]
+    prop = propagation_residual_si_dbm(sc, seed, ci - 1, node, beam_dir, bi)
+    residual = {
+        Mode.IDEAL_FD: -np.inf,
+        Mode.FD_FULL: min(prop, floor + sc.full_sic_margin_db),
+        Mode.FD_PROP_ONLY: prop,
+    }[mode]
+    a_sinr = access_rx - reference_lin_sum_dbm(floor, dli)
+    b_sinr = backhaul_rx - reference_lin_sum_dbm(floor, residual)
+    thr = min(reference_capacity(a_sinr, sc), reference_capacity(b_sinr, sc))
+    return a_sinr, b_sinr, dli, thr
 
 
 class TestMcs:
@@ -58,6 +158,13 @@ class TestMcs:
         below = capacity_bps(t - 1e-9, BW, DEFAULT_MCS)
         assert at == BW * DEFAULT_MCS.efficiencies_bps_hz[3]
         assert below == BW * DEFAULT_MCS.efficiencies_bps_hz[2]
+
+    def test_array_input_and_nan_rejection(self):
+        sinr = np.array([-10.0, DEFAULT_MCS.thresholds_db[3], np.inf])
+        out = capacity_bps(sinr, BW, DEFAULT_MCS)
+        assert out.tolist() == [0.0, BW * DEFAULT_MCS.efficiencies_bps_hz[3], BW * 5.5547]
+        with pytest.raises(ValueError, match="NaN"):
+            capacity_bps(np.array([0.0, np.nan]), BW, DEFAULT_MCS)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -95,11 +202,11 @@ class TestScheduling:
         cb = build_codebook(sc.donor.pattern, 0.0)
         # place a UE exactly on the boresight ray of beam (az 7.5, el -7.5)
         target = cb.beams.index((7.5, -7.5))
-        from fdiab.system import direction_from_angles
-
         ue = np.array([0.0, 0.0, 100.0]) + 300.0 * direction_from_angles(7.5, -7.5)
-        ci, bi, _ = schedule_ue(sc, 0, ue, 0, [cb])
-        assert (ci, bi) == (0, target)
+        serving, beam, _, _, _ = schedule_drop(
+            dataclasses.replace(sc, ue_grid=one_ue_grid(ue)), 0
+        )
+        assert (serving[0], beam[0]) == (0, target)
 
     def test_tie_breaks_to_lowest_indices(self):
         # co-sited identical cells yield bit-identical SNR for every beam;
@@ -109,23 +216,21 @@ class TestScheduling:
         sc = Scenario(
             donor=donor,
             iab_nodes=(node,),
-            ue_grid=UeGrid(nx=1, ny=1, x_range=(0.0, 1.0), y_range=(0.0, 1.0), height_m=50.0),
+            ue_grid=one_ue_grid((50.0, 0.0, 40.0)),
             access_shadow_sigma_db=0.0,
         )
-        ue = np.array([50.0, 0.0, 40.0])
-        cbs = [build_codebook(donor.pattern, 0.0), build_codebook(node.pattern, 0.0)]
-        ci, bi, snr = schedule_ue(sc, 0, ue, 0, cbs)
-        assert ci == 0  # cell 1 offers exactly the same SNR but loses the tie
-        serving, beam, _, _ = schedule_drop(
-            dataclasses.replace(sc, ue_grid=UeGrid(nx=1, ny=1, x_range=(50.0, 51.0),
-                                                   y_range=(0.0, 1.0), height_m=40.0)),
-            0,
-        )
-        assert serving[0] == 0
+        serving, beam, rx, codebooks, _ = schedule_drop(sc, 0)
+        ue = sc.ue_grid.positions()[0]
+        per_cell = [
+            max(reference_rx_dbm(sc, 0, ci, d, ue, 0) for d in cb.directions())
+            for ci, cb in enumerate(codebooks)
+        ]
+        assert per_cell[0] == per_cell[1] == rx[0]
+        assert serving[0] == 0  # cell 1 offers exactly the same SNR but loses the tie
 
     def test_uniform_power_shift_keeps_decisions(self):
         sc = small_scenario()
-        serving, beam, _, _ = schedule_drop(sc, 3)
+        serving, beam, _, _, _ = schedule_drop(sc, 3)
         shifted = dataclasses.replace(
             sc,
             donor=dataclasses.replace(sc.donor, tx_power_dbm=sc.donor.tx_power_dbm + 7.0),
@@ -134,18 +239,25 @@ class TestScheduling:
                 for n in sc.iab_nodes
             ),
         )
-        serving2, beam2, _, _ = schedule_drop(shifted, 3)
+        serving2, beam2, _, _, _ = schedule_drop(shifted, 3)
         assert np.array_equal(serving, serving2)
         assert np.array_equal(beam, beam2)
 
     def test_vectorized_matches_scalar(self):
         sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=4, ny=3))
-        serving, beam, rx, codebooks = schedule_drop(sc, 9)
+        serving, beam, rx, codebooks, shadows = schedule_drop(sc, 9)
         ues = sc.ue_grid.positions()
         for u in range(ues.shape[0]):
-            ci, bi, rxi = schedule_ue(sc, 9, ues[u], u, codebooks)
-            assert (ci, bi) == (serving[u], beam[u])
-            assert rxi == rx[u]
+            best = (-np.inf, 0, 0)
+            for ci, cb in enumerate(codebooks):
+                for bi, d in enumerate(cb.directions()):
+                    rxi = reference_rx_dbm(sc, 9, ci, d, ues[u], u)
+                    if rxi > best[0]:
+                        best = (rxi, ci, bi)
+            assert best == (rx[u], serving[u], beam[u])
+            for ci in range(len(codebooks)):
+                z = substream(9, "access-shadow", ci, u).standard_normal()
+                assert shadows[ci, u] == sc.access_shadow_sigma_db * z
 
 
 class TestDli:
@@ -164,9 +276,7 @@ class TestDli:
         sc, node = self.donor_node_pair()
         mt = np.asarray(node.mt_position())
         ue_on_ray = np.asarray(sc.donor.position) + 1.5 * (mt - np.asarray(sc.donor.position))
-        dli = dli_power_dbm(sc, 0, node, ue_on_ray, 0)
-        from fdiab.geometry import fspl_db
-
+        dli = dli_power_dbm(sc, node.mt_position(), ue_on_ray, 0.0)
         dist = np.linalg.norm(ue_on_ray - np.asarray(sc.donor.position))
         expected = 43.0 + 20.0 - fspl_db(float(dist), sc.carrier_freq_hz)
         assert dli == pytest.approx(expected, abs=1e-9)
@@ -174,20 +284,17 @@ class TestDli:
     def test_ue_at_right_angle_sees_sidelobe_floor(self):
         sc, node = self.donor_node_pair()
         ue = np.asarray(sc.donor.position) + np.array([0.0, 300.0, 0.0])
-        dli = dli_power_dbm(sc, 0, node, ue, 0)
-        from fdiab.geometry import fspl_db
-
+        dli = dli_power_dbm(sc, node.mt_position(), ue, 0.0)
         expected = 43.0 - 10.0 - fspl_db(300.0, sc.carrier_freq_hz)
         assert dli == pytest.approx(expected, abs=1e-6)
 
     def test_hd_mode_excludes_dli(self):
         sc = small_scenario()
-        records = run_drop(sc, 1, modes=(Mode.HD,))
-        assert all(r.dli_power_dbm is None for r in records)
-        relayed = [r for r in records if r.serving_cell > 0]
-        assert relayed and all(
-            r.access_sinr_db == pytest.approx(r.access_snr_db) for r in relayed
-        )
+        cols = run_drop(sc, 1, modes=(Mode.HD,))
+        assert np.isnan(cols["dli_power_dbm"]).all()
+        relayed = cols["serving_cell"] > 0
+        assert relayed.any()
+        assert np.array_equal(cols["access_sinr_db"][relayed], cols["access_snr_db"][relayed])
 
 
 class TestUeThroughput:
@@ -243,77 +350,98 @@ class TestUeThroughput:
 class TestRunDrop:
     def test_deterministic(self):
         sc = small_scenario()
-        assert run_drop(sc, 4) == run_drop(sc, 4)
-        assert run_drop(sc, 4) != run_drop(sc, 5)
+        assert columns_equal(run_drop(sc, 4), run_drop(sc, 4))
+        assert not columns_equal(run_drop(sc, 4), run_drop(sc, 5))
 
     def test_record_count_and_modes(self):
         sc = small_scenario()
-        records = run_drop(sc, 1)
-        assert len(records) == 81 * len(ALL_MODES)
-        assert {r.mode for r in records} == {m.value for m in ALL_MODES}
+        cols = run_drop(sc, 1)
+        assert {len(c) for c in cols.values()} == {81 * len(ALL_MODES)}
+        # mode-major, ue_id-minor
+        assert cols["mode"].tolist() == [m.value for m in ALL_MODES for _ in range(81)]
+        assert cols["ue_id"].tolist() == list(range(81)) * len(ALL_MODES)
 
     def test_empty_ue_set(self):
         sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=0, ny=0))
-        assert run_drop(sc, 1) == []
+        cols = run_drop(sc, 1)
+        assert cols.keys() == run_drop(small_scenario(), 1).keys()
+        assert all(len(c) == 0 for c in cols.values())
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_matches_per_ue_reference(self, seed):
+        sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=4, ny=3))
+        cols = run_drop(sc, seed)
+        serving, beam, access_rx, _, _ = schedule_drop(sc, seed)
+        ues = sc.ue_grid.positions()
+        assert (serving > 0).any() and (serving == 0).any()
+        fields = ("access_sinr_db", "backhaul_sinr_db", "dli_power_dbm", "throughput_bps")
+        for k, mode in enumerate(ALL_MODES):
+            for u in range(ues.shape[0]):
+                row = k * ues.shape[0] + u
+                expected = reference_row(
+                    sc, seed, mode, int(serving[u]), int(beam[u]), float(access_rx[u]), ues[u], u
+                )
+                got = [None if np.isnan(cols[f][row]) else cols[f][row] for f in fields]
+                assert got == list(expected), (mode, u)
 
     def test_dominance_orderings(self):
         for seed in (0, 1):
-            thr = collections.defaultdict(dict)
-            extras = {}
             sc = small_scenario()
-            for r in run_drop(sc, seed):
-                thr[r.ue_id][r.mode] = r.throughput_bps
-                if r.mode == Mode.IDEAL_FD.value:
-                    extras[r.ue_id] = (r.access_snr_db, r.access_sinr_db)
-            for u, d in thr.items():
-                assert d["fibered"] >= d["ideal_fd"] - 1e-9
-                assert d["ideal_fd"] >= d["fd_full"] - 1e-9
-                assert d["fd_full"] >= d["fd_prop_only"] - 1e-9
-                # IdealFD >= HD except where the DLI knocked the access link
-                # down an MCS step (the Fig. 5 DLI performance loss).
-                if d["ideal_fd"] < d["hd"] - 1e-9:
-                    snr, sinr = extras[u]
-                    c_clean = capacity_bps(snr, sc.bandwidth_hz, DEFAULT_MCS)
-                    c_dli = capacity_bps(sinr, sc.bandwidth_hz, DEFAULT_MCS)
-                    assert c_dli < c_clean
+            cols = run_drop(sc, seed)
+            d = per_mode(cols, "throughput_bps")
+            assert np.all(d["fibered"] >= d["ideal_fd"])
+            assert np.all(d["ideal_fd"] >= d["fd_full"])
+            assert np.all(d["fd_full"] >= d["fd_prop_only"])
+            # IdealFD >= HD except where the DLI knocked the access link
+            # down an MCS step (the Fig. 5 DLI performance loss).
+            loss = d["ideal_fd"] < d["hd"] - 1e-9
+            ideal = cols["mode"] == Mode.IDEAL_FD.value
+            c_clean = capacity_bps(cols["access_snr_db"][ideal][loss], sc.bandwidth_hz, DEFAULT_MCS)
+            c_dli = capacity_bps(cols["access_sinr_db"][ideal][loss], sc.bandwidth_hz, DEFAULT_MCS)
+            assert np.all(c_dli < c_clean)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        separation=st.floats(0.05, 3.0),
+        nx=st.integers(1, 6),
+        ny=st.integers(1, 6),
+    )
+    def test_mode_ordering_property(self, seed, separation, nx, ny):
+        sc = dataclasses.replace(small_scenario(separation), ue_grid=UeGrid(nx=nx, ny=ny))
+        d = per_mode(run_drop(sc, seed), "throughput_bps")
+        assert np.all(d["fibered"] >= d["ideal_fd"])
+        assert np.all(d["ideal_fd"] >= d["fd_full"])
+        assert np.all(d["fd_full"] >= d["fd_prop_only"])
 
     def test_dli_gap_exists(self):
         # some relayed UEs with DLI above the floor lose throughput vs fibered
         sc = small_scenario()
-        floor = sc.noise.floor_dbm
-        by_ue = collections.defaultdict(dict)
-        for r in run_drop(sc, 2):
-            by_ue[r.ue_id][r.mode] = r
-        strong_dli = [
-            u
-            for u, d in by_ue.items()
-            if d["ideal_fd"].dli_power_dbm is not None
-            and d["ideal_fd"].dli_power_dbm > floor
-        ]
-        assert strong_dli  # DLI-exposed UEs exist in the default layout
-        gap = [
-            u
-            for u in strong_dli
-            if by_ue[u]["fibered"].throughput_bps > by_ue[u]["ideal_fd"].throughput_bps
-        ]
-        assert gap  # and the DLI gap shows for at least some of them
+        cols = run_drop(sc, 2)
+        thr = per_mode(cols, "throughput_bps")
+        dli = per_mode(cols, "dli_power_dbm")["ideal_fd"]
+        strong_dli = dli > sc.noise.floor_dbm  # False where NaN (not relayed)
+        assert strong_dli.any()  # DLI-exposed UEs exist in the default layout
+        # and the DLI gap shows for at least some of them
+        assert (thr["fibered"][strong_dli] > thr["ideal_fd"][strong_dli]).any()
 
     def test_hd_beats_prop_only_at_small_separation(self):
         sc = small_scenario(separation=0.1)
         hd, prop = [], []
         for seed in range(3):
-            for r in run_drop(sc, seed, modes=(Mode.HD, Mode.FD_PROP_ONLY)):
-                (hd if r.mode == "hd" else prop).append(r.throughput_bps)
+            d = per_mode(run_drop(sc, seed, modes=(Mode.HD, Mode.FD_PROP_ONLY)), "throughput_bps")
+            hd.extend(d["hd"])
+            prop.extend(d["fd_prop_only"])
         assert np.median(hd) > np.median(prop)
 
     def test_relayed_throughput_bounded_by_each_link(self):
         sc = small_scenario()
-        for r in run_drop(sc, 3, modes=(Mode.FD_PROP_ONLY,)):
-            if r.serving_cell > 0:
-                ca = capacity_bps(r.access_sinr_db, sc.bandwidth_hz, DEFAULT_MCS)
-                cb = capacity_bps(r.backhaul_sinr_db, sc.bandwidth_hz, DEFAULT_MCS)
-                assert r.throughput_bps <= ca + 1e-9
-                assert r.throughput_bps <= cb + 1e-9
+        cols = run_drop(sc, 3, modes=(Mode.FD_PROP_ONLY,))
+        relayed = cols["serving_cell"] > 0
+        ca = capacity_bps(cols["access_sinr_db"][relayed], sc.bandwidth_hz, DEFAULT_MCS)
+        cb = capacity_bps(cols["backhaul_sinr_db"][relayed], sc.bandwidth_hz, DEFAULT_MCS)
+        assert np.all(cols["throughput_bps"][relayed] <= ca + 1e-9)
+        assert np.all(cols["throughput_bps"][relayed] <= cb + 1e-9)
 
 
 class TestCdf:
