@@ -9,7 +9,8 @@ Commands
 Every run writes a run.json sidecar with the fully resolved configuration,
 seed and tool version; outputs are byte-identical for identical
 (scenario, seed, version), timestamp aside. FDIAB_THREADS caps sweep
-parallelism. Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+parallelism (an integer >= 1, further capped by the number of grid cells and
+of CPUs). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 """
 
 import argparse
@@ -267,7 +268,18 @@ def _sweep_cell(payload):
     return cell_idx, rows
 
 
+def sweep_workers(env_value, n_cells, cpu_count):
+    """Worker processes for a sweep of n_cells cells: the FDIAB_THREADS value
+    (unset or empty means 1), capped by the cell and CPU counts."""
+    text = (env_value or "").strip() or "1"
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"FDIAB_THREADS must be an integer >= 1, got {env_value!r}")
+    return min(int(text), n_cells, cpu_count or 1)
+
+
 def cmd_sweep(cfg, grid_specs, drops):
+    if drops < 1:
+        raise ValueError(f"--drops must be >= 1, got {drops}")
     with open(cfg.scenario_path) as fh:
         base = json.load(fh)
     base = apply_overrides(base, cfg.overrides)
@@ -279,9 +291,9 @@ def cmd_sweep(cfg, grid_specs, drops):
         (ci, base, assignment, cfg.seed, drops) for ci, assignment in enumerate(cells)
     ]
 
-    threads = int(os.environ.get("FDIAB_THREADS", "1") or "1")
-    if threads > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = sweep_workers(os.environ.get("FDIAB_THREADS"), len(payloads), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:
         results = [_sweep_cell(p) for p in payloads]
@@ -317,6 +329,17 @@ def cmd_compare_prototype(cfg):
     return 0
 
 
+def _parse_modes(spec):
+    """--modes value -> tuple of Mode; an empty or repeating selection is an error."""
+    modes = [Mode(m.strip()) for m in spec.split(",") if m.strip()]
+    if not modes:
+        raise ValueError(f"--modes {spec!r} selects no mode")
+    repeated = sorted({m.value for m in modes if modes.count(m) > 1})
+    if repeated:
+        raise ValueError(f"--modes {spec!r} repeats {', '.join(repeated)}")
+    return tuple(modes)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fdiab",
@@ -328,7 +351,7 @@ def build_parser():
         if scenario_required:
             p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument(
-            "--seed", type=int, required=seed_required, help="64-bit experiment seed"
+            "--seed", type=int, required=seed_required, help="experiment seed in [0, 2**64)"
         )
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
@@ -379,11 +402,12 @@ def main(argv=None):
         overrides=tuple(args.overrides),
     )
     try:
+        if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2**64), got {cfg.seed}")
         if args.command == "link-sim":
             return cmd_link_sim(cfg)
         if args.command == "system-sim":
-            modes = tuple(Mode(m.strip()) for m in args.modes.split(",") if m.strip())
-            return cmd_system_sim(cfg, modes=modes)
+            return cmd_system_sim(cfg, modes=_parse_modes(args.modes))
         if args.command == "sweep":
             return cmd_sweep(cfg, args.grid, args.drops)
         if args.command == "compare-prototype":

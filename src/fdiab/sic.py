@@ -149,25 +149,84 @@ class HammersteinModel:
             raise ValueError("coeffs must be (n_orders, memory_len)")
 
 
-def hammerstein_basis(tx, orders, memory_len, alignment, idx):
-    """Design matrix with columns psi_p(n - m + alignment) for each branch tap.
+def _branch_signals(tx, orders, memory_len, alignment, idx):
+    """Branch signals psi_p(n) = x(n) * |x(n)|^(p-1), one row per order.
 
-    psi_p(n) = x(n) * |x(n)|^(p-1). idx selects the target samples; every
-    shifted index must stay inside the stream.
+    Raises if a tap of some idx sample, n - m + alignment for m in
+    [0, memory_len), falls outside the stream.
     """
     x = np.asarray(tx, dtype=complex)
     idx = np.asarray(idx)
+    if idx.min() < 0 or idx.max() >= x.size:
+        raise ValueError("idx selects samples outside the stream")
     lo = idx.min() - (memory_len - 1 - alignment)
     hi = idx.max() + alignment
     if lo < 0 or hi >= x.size:
         raise ValueError("tap window leaves the sample stream; shrink idx or alignment")
-    cols = []
     env = np.abs(x)
-    for p in orders:
-        psi = x * env ** (p - 1)
-        for m in range(memory_len):
-            cols.append(psi[idx - (m - alignment)])
+    return np.stack([x * env ** (p - 1) for p in orders])
+
+
+def hammerstein_basis(tx, orders, memory_len, alignment, idx):
+    """Design matrix with columns psi_p(n - m + alignment) for each branch tap.
+
+    psi_p(n) = x(n) * |x(n)|^(p-1). idx selects the target samples; every
+    shifted index must stay inside the stream. This is the reference
+    definition of the canceller's regression: fit_hammerstein and
+    apply_digital_sic never form this matrix, they work from the branch
+    signals, and tests check them against it.
+    """
+    psi = _branch_signals(tx, orders, memory_len, alignment, idx)
+    idx = np.asarray(idx)
+    cols = [branch[idx - (m - alignment)] for branch in psi for m in range(memory_len)]
     return np.stack(cols, axis=1)
+
+
+def _normal_equations(psi, rx, memory_len, alignment, idx):
+    """B^H B and B^H rx[idx] for B = hammerstein_basis, without forming B.
+
+    Row i of B holds psi_p(k_i - m) with k_i = idx_i + alignment, so every
+    entry is a lagged correlation of two branch signals. The first tap row
+    of the Gram, G[(p,0),(q,l)], and the right-hand side are summed over
+    k = k_i directly, one lag at a time, with each sample weighted by how
+    often it occurs in idx. The other entries follow along each diagonal:
+    shifting both taps by one shifts every ascending run of idx back one
+    sample, so G[(p,m+1),(q,l+1)] = G[(p,m),(q,l)] plus the product of the
+    samples each run gains at its start, minus those it loses at its end.
+    """
+    n_br, mem = psi.shape[0], memory_len
+    k = idx + alignment
+    k0, k1 = k.min(), k.max() + 1
+    weight = np.bincount(k - k0, minlength=k1 - k0)
+    lhs = np.conj(
+        np.vstack([psi[:, k0:k1], rx[None, k0 - alignment : k1 - alignment]]) * weight
+    ).T
+    # corr[l, q, j] = sum_k psi_q(k - l) conj(w(k) [psi_j(k) | rx(k - alignment)])
+    corr = np.stack([psi[:, k0 - l : k1 - l] @ lhs for l in range(mem)])
+    rhs = np.conj(corr[:, :, n_br]).T.reshape(-1)
+    first = corr[:, :, :n_br]
+
+    gram = np.empty((n_br, mem, n_br, mem), dtype=complex)
+    gram[:, 0] = first.transpose(2, 1, 0)
+    gram[:, :, :, 0] = np.conj(first).transpose(1, 0, 2)
+    breaks = np.flatnonzero(np.diff(idx) != 1)
+    starts = np.append(idx[0], idx[breaks + 1]) + alignment - 1
+    ends = np.append(idx[breaks], idx[-1]) + alignment
+    lags = np.arange(mem - 1)
+    gained = psi[:, starts[:, None] - lags].transpose(1, 0, 2).reshape(starts.size, -1)
+    lost = psi[:, ends[:, None] - lags].transpose(1, 0, 2).reshape(ends.size, -1)
+    edge = (gained.conj().T @ gained - lost.conj().T @ lost).reshape(
+        n_br, mem - 1, n_br, mem - 1
+    )
+    for m in range(1, mem):
+        gram[:, m, :, 1:] = gram[:, m - 1, :, :-1] + edge[:, m - 1]
+    return gram.reshape(n_br * mem, n_br * mem), rhs
+
+
+def _predict(psi, coeffs, alignment, idx):
+    """B @ coeffs for B = hammerstein_basis: each branch through its FIR."""
+    fir = sum(np.convolve(branch, c) for branch, c in zip(psi, coeffs))
+    return fir[np.asarray(idx) + alignment]
 
 
 def default_fit_indices(n_samples, memory_len, alignment):
@@ -220,9 +279,10 @@ def fit_hammerstein(
             "expect overfitting",
             RuntimeWarning,
         )
-    basis = hammerstein_basis(tx, orders, memory_len, alignment, idx)
+    idx = np.asarray(idx)
+    psi = _branch_signals(tx, orders, memory_len, alignment, idx)
     target = rx[idx]
-    gram = basis.conj().T @ basis
+    gram, rhs = _normal_equations(psi, rx, memory_len, alignment, idx)
     eps = ridge * float(np.trace(gram).real) / gram.shape[0]
     gram_r = gram + eps * np.eye(gram.shape[0])
     cond = np.linalg.cond(gram_r)
@@ -232,12 +292,12 @@ def fit_hammerstein(
             "coefficients may be unstable",
             RuntimeWarning,
         )
-    coeffs = np.linalg.solve(gram_r, basis.conj().T @ target)
-    resid = target - basis @ coeffs
+    coeffs = np.linalg.solve(gram_r, rhs).reshape(len(orders), memory_len)
+    resid = target - _predict(psi, coeffs, alignment, idx)
     return HammersteinModel(
         orders=tuple(orders),
         memory_len=memory_len,
-        coeffs=coeffs.reshape(len(orders), memory_len),
+        coeffs=coeffs,
         alignment=alignment,
         ridge=eps,
         training_residual_power=float(np.mean(np.abs(resid) ** 2)),
@@ -253,8 +313,8 @@ def apply_digital_sic(tx_baseband, rx_after_adc, model, idx=None):
         raise ValueError("tx and rx must have the same length")
     if idx is None:
         idx = default_fit_indices(tx.size, model.memory_len, model.alignment)
-    basis = hammerstein_basis(tx, model.orders, model.memory_len, model.alignment, idx)
-    return rx[idx] - basis @ model.coeffs.reshape(-1)
+    psi = _branch_signals(tx, model.orders, model.memory_len, model.alignment, idx)
+    return rx[idx] - _predict(psi, model.coeffs, model.alignment, idx)
 
 
 # ---------------------------------------------------------------------------

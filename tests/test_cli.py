@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fdiab.cli import main
+from fdiab.cli import main, sweep_workers
 from fdiab.scenario import save_scenario, scenario_to_dict
 from fdiab.system import default_scenario
 
@@ -178,4 +178,84 @@ class TestExitCodes:
         )
         assert rc == 1
         assert f"fdiab: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize("modes", ["", ",", " , "])
+    def test_empty_mode_selection_is_1(self, scenario_path, tmp_path, capsys, modes):
+        rc = main(
+            ["system-sim", "--scenario", scenario_path, "--seed", "3",
+             "--out", str(tmp_path / "o"), "--modes", modes] + SMALL
+        )
+        assert rc == 1
+        assert "selects no mode" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_mode_is_1(self, scenario_path, tmp_path, capsys):
+        rc = main(
+            ["system-sim", "--scenario", scenario_path, "--seed", "3",
+             "--out", str(tmp_path / "o"), "--modes", "hd,fibered,hd"] + SMALL
+        )
+        assert rc == 1
+        assert "repeats hd" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("drops", ["0", "-3"])
+    def test_drops_below_one_is_1(self, scenario_path, tmp_path, capsys, drops):
+        rc = main(
+            ["sweep", "--scenario", scenario_path, "--seed", "5",
+             "--out", str(tmp_path / "o"), "--drops", drops]
+        )
+        assert rc == 1
+        assert "--drops must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_u64_is_1(self, scenario_path, tmp_path, capsys, seed):
+        rc = main(
+            ["link-sim", "--scenario", scenario_path, "--seed", str(seed),
+             "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        assert "--seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_bounds_are_inclusive_exclusive(self, scenario_path, tmp_path):
+        # -1 used to alias 2**64 - 1; the top of the range itself still runs.
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / str(seed)
+            assert main(
+                ["link-sim", "--scenario", scenario_path, "--seed", str(seed), "--out", str(out)]
+            ) == 0
+        assert read(tmp_path / "0" / "reduction.csv") != read(
+            tmp_path / str(2**64 - 1) / "reduction.csv"
+        )
+
+    @pytest.mark.parametrize(
+        "value, cells, cpus, expected",
+        [
+            (None, 3, 2, 1),
+            ("", 3, 2, 1),
+            ("1", 3, 2, 1),
+            (" 2 ", 3, 4, 2),
+            ("4", 3, 8, 3),
+            ("64", 10, 2, 2),
+            ("2", 1, 4, 1),
+            ("3", 3, None, 1),
+        ],
+    )
+    def test_sweep_workers_clamp(self, value, cells, cpus, expected):
+        assert sweep_workers(value, cells, cpus) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_sweep_workers_rejects_by_name(self, value):
+        with pytest.raises(ValueError, match="FDIAB_THREADS"):
+            sweep_workers(value, 3, 2)
+
+    def test_bad_threads_env_is_1(self, scenario_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FDIAB_THREADS", "two")
+        rc = main(["sweep", "--scenario", scenario_path, "--seed", "5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "FDIAB_THREADS must be an integer >= 1, got 'two'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

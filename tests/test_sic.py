@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdiab.geometry import ChannelImpulseResponse, SiGeometry
 from fdiab.ofdm import OfdmConfig, build_frame
@@ -9,6 +13,7 @@ from fdiab.sic import (
     apply_analog_canceller,
     apply_digital_sic,
     default_canceller_delays,
+    default_fit_indices,
     fit_hammerstein,
     hammerstein_basis,
     ofdm_valid_indices,
@@ -293,6 +298,89 @@ class TestHammerstein:
             fit_hammerstein(x, x, orders=(), memory_len=2, idx=idx)
 
 
+def explicit_fit(x, y, orders, memory_len, alignment, ridge, idx):
+    """The normal equations of the explicit design matrix, solved as written."""
+    basis = hammerstein_basis(x, orders, memory_len, alignment, idx)
+    gram = basis.conj().T @ basis
+    eps = ridge * np.trace(gram).real / gram.shape[0]
+    coeffs = np.linalg.solve(gram + eps * np.eye(gram.shape[0]), basis.conj().T @ y[idx])
+    resid = y[idx] - basis @ coeffs
+    return basis, coeffs.reshape(len(orders), memory_len), eps, np.mean(np.abs(resid) ** 2)
+
+
+def irregular_indices(n_samples, seed):
+    """Runs of 1 to 60 samples in random order, some reversed (so each of
+    their samples is a run of one), plus a few repeated samples."""
+    rng = substream(seed, "irregular-idx")
+    runs = []
+    for length in (1, 1, 1, 2, 3, 7, 19, 60, 60, 1, 33):
+        start = int(rng.integers(40, n_samples - 40 - length))
+        run = np.arange(start, start + length)
+        runs.append(run[::-1] if rng.random() < 0.3 else run)
+    idx = np.concatenate([runs[i] for i in rng.permutation(len(runs))])
+    return np.concatenate([idx, idx[rng.integers(0, idx.size, 4)]])
+
+
+# (memory_len, alignment) pairs from 1 tap to the chain's 20, alignment
+# from 0 to memory_len - 1.
+TAP_WINDOWS = ((1, 0), (2, 0), (2, 1), (5, 2), (8, 7), (20, 0), (20, 8), (20, 19))
+
+
+class TestStructuredFitMatchesExplicitBasis:
+    """fit_hammerstein and apply_digital_sic never build the design matrix;
+    they must agree with its explicit normal equations."""
+
+    @pytest.fixture(scope="class")
+    def signals(self):
+        from fdiab.ofdm import apply_channel
+
+        rng = substream(30, "hstruct")
+        x = build_frame(CFG, 3, rng, 0).samples
+        d = x + 0.05 * x * np.abs(x) ** 2 - 0.01 * x * np.abs(x) ** 4
+        y = apply_channel(d, integer_delay_cir(1, 0.8 + 0.3j), CFG) + 1e-3 * (
+            rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+        )
+        return x, y
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8])
+    @pytest.mark.parametrize("orders", [(1,), (1, 3), (1, 3, 5)])
+    @pytest.mark.parametrize("kind", ["one-run", "per-symbol", "irregular"])
+    def test_matches_explicit_normal_equations(self, signals, kind, orders, ridge):
+        x, y = signals
+        for memory_len, alignment in TAP_WINDOWS:
+            if kind == "one-run":
+                idx = default_fit_indices(x.size, memory_len, alignment)
+            elif kind == "per-symbol":
+                idx = ofdm_valid_indices(CFG, x.size, alignment)
+            else:
+                idx = irregular_indices(x.size, memory_len * 100 + alignment)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # short irregular blocks
+                model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, idx)
+            basis, coeffs, eps, resid_power = explicit_fit(
+                x, y, orders, memory_len, alignment, ridge, idx
+            )
+            scale = np.abs(coeffs).max()
+            np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-8, atol=1e-8 * scale)
+            assert model.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
+            assert model.training_residual_power == pytest.approx(resid_power, rel=1e-9)
+            prediction = y[idx] - apply_digital_sic(x, y, model, idx=idx)
+            explicit = basis @ model.coeffs.reshape(-1)
+            np.testing.assert_allclose(
+                prediction, explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max()
+            )
+
+    def test_window_and_index_checks(self, signals):
+        x, y = signals
+        with pytest.raises(ValueError, match="tap window"):
+            fit_hammerstein(x, y, memory_len=4, alignment=0, idx=np.arange(2, 500))
+        with pytest.raises(ValueError, match="tap window"):
+            fit_hammerstein(x, y, memory_len=4, alignment=2, idx=np.arange(100, x.size - 1))
+        model = fit_hammerstein(x, y, memory_len=4, idx=np.arange(100, 600))
+        with pytest.raises(ValueError, match="outside the stream"):
+            apply_digital_sic(x, y, model, idx=np.array([-1, 50]))
+
+
 class TestRunLinkChain:
     def test_deterministic(self):
         p = LinkChainParams(geometry=SiGeometry(1.0))
@@ -348,3 +436,14 @@ class TestRunLinkChain:
             sups[d] = r.per_domain_db[0]
             assert abs(r.after_digital_dbm - r.noise_floor_dbm) < 6.0
         assert sups[2.0] > sups[1.0] > sups[0.1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), separation=st.floats(0.1, 3.0))
+def test_chain_property(seed, separation):
+    params = LinkChainParams(geometry=SiGeometry(separation))
+    report = run_link_chain(params, seed)
+    report.validate()
+    if not report.analog_applied:
+        assert report.per_domain_db[1] == 0.0
+    assert run_link_chain(params, seed) == report
