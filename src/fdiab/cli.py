@@ -16,6 +16,7 @@ of CPUs). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 import argparse
 import csv
 import datetime
+import io
 import itertools
 import json
 import os
@@ -32,7 +33,6 @@ from .rf import NoiseModel
 from .scenario import (
     ScenarioError,
     apply_overrides,
-    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -98,29 +98,68 @@ def _fmt(value):
     return str(value)
 
 
-def _fmt_column(values):
-    """_fmt over one column: a list, or a numpy array in which NaN marks an
-    absent value (an empty cell, as None)."""
-    if not isinstance(values, np.ndarray):
-        return [_fmt(v) for v in values]
-    if values.dtype.kind == "f":
-        return ["" if v != v else format(v, ".12g") for v in values.tolist()]
-    if values.dtype.kind in "iuU":  # where _fmt is str
-        return list(map(str, values.tolist()))
-    return [_fmt(v) for v in values.tolist()]
+def _csv_cell(text):
+    """text as the csv module writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _distinct(keys):
+    """(sorted distinct values of keys, int32 index of each key's value).
+
+    A string column is reduced to the first key of each run of equal keys
+    before np.unique sorts it: sorting a whole <U12 mode column copies it.
+    """
+    if keys.dtype.kind != "U":
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        return uniq, inverse.astype(np.int32)
+    run_starts = np.ones(keys.size, bool)
+    run_starts[1:] = keys[1:] != keys[:-1]
+    heads = np.flatnonzero(run_starts)
+    uniq, inverse = np.unique(keys[heads], return_inverse=True)
+    return uniq, np.repeat(inverse.astype(np.int32), np.diff(np.append(heads, keys.size)))
+
+
+def _column_cells(values):
+    """One column as (object array of its distinct cell strings, int32 index
+    of each row's cell).
+
+    A list is formatted value by value with _fmt. A numpy array has each
+    distinct value formatted once; floats are keyed on their bit pattern, so
+    -0.0 stays "-0", and NaN marks an absent value (an empty cell, as None).
+    """
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind == "f":
+        bits, index = _distinct(np.ascontiguousarray(values, np.float64).view(np.uint64))
+        cells = ["" if v != v else format(v, ".12g") for v in bits.view(np.float64).tolist()]
+    elif kind in ("i", "u", "b", "U"):
+        uniq, index = _distinct(values)
+        fmt = {"b": _fmt, "U": _csv_cell}.get(kind, str)
+        cells = [fmt(v) for v in uniq.tolist()]
+    else:
+        table = {}
+        values = values.tolist() if kind is not None else values
+        index = np.array([table.setdefault(_fmt(v), len(table)) for v in values], np.int32)
+        cells = [_csv_cell(c) for c in table]
+    return np.array(cells, dtype=object), index
 
 
 def _write_columns(path, columns):
-    """CSV from a dict of equal-length columns, in the dict's order. Rows are
-    formatted CSV_CHUNK_ROWS at a time, so the cell strings of a whole table
-    never exist at once."""
-    n_rows = len(next(iter(columns.values())))
+    """CSV from a dict of equal-length columns, in the dict's order, with the
+    bytes csv.writer(lineterminator="\n") would write. Rows are joined
+    CSV_CHUNK_ROWS at a time, so the row strings of a whole table never exist
+    at once."""
+    table = [_column_cells(values) for values in columns.values()]
+    if len(table) == 1:  # a lone empty field is written quoted
+        table[0][0][table[0][0] == ""] = '""'
+    n_rows = len(table[0][1])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        csv.writer(fh, lineterminator="\n").writerow(columns)
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = (values[lo : lo + CSV_CHUNK_ROWS] for values in columns.values())
-            writer.writerows(zip(*map(_fmt_column, chunk)))
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            chunk = [distinct[index[rows]].tolist() for distinct, index in table]
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def _write_csv(path, columns, rows):
@@ -145,10 +184,10 @@ def _write_sidecar(out_dir, cfg, resolved_scenario, outputs):
 
 
 def _load_with_overrides(cfg):
+    """(scenario dict with cfg's overrides applied, the validated Scenario)."""
     with open(cfg.scenario_path) as fh:
-        data = json.load(fh)
-    data = apply_overrides(data, cfg.overrides)
-    return scenario_from_dict(data), data
+        data = apply_overrides(json.load(fh), cfg.overrides)
+    return data, scenario_from_dict(data)
 
 
 def chain_params_for_node(scenario, node):
@@ -197,7 +236,7 @@ def _reduction_row(node_idx, node, seed, report):
 
 
 def cmd_link_sim(cfg):
-    scenario, data = _load_with_overrides(cfg)
+    _, scenario = _load_with_overrides(cfg)
     rows = []
     for ni, node in enumerate(scenario.iab_nodes):
         params = chain_params_for_node(scenario, node)
@@ -207,26 +246,27 @@ def cmd_link_sim(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "reduction.csv")
     _write_csv(out, REDUCTION_COLUMNS, rows)
-    _write_sidecar(cfg.output_dir, cfg, data, ["reduction.csv"])
+    _write_sidecar(cfg.output_dir, cfg, scenario_to_dict(scenario), ["reduction.csv"])
     return 0
 
 
 def cmd_system_sim(cfg, modes=ALL_MODES):
-    scenario, data = _load_with_overrides(cfg)
+    _, scenario = _load_with_overrides(cfg)
     cols = run_drop(scenario, cfg.seed, modes=modes)
-    cdf_cols = {c: [] for c in CDF_COLUMNS}
-    for mode in modes:
-        mode = Mode(mode)
-        v, p = cdf(cols["throughput_bps"][cols["mode"] == mode.value])
-        cdf_cols["mode"] += [mode.value] * v.size
-        cdf_cols["throughput_bps"] += v.tolist()
-        cdf_cols["cdf"] += p.tolist()
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_columns(os.path.join(cfg.output_dir, "throughput.csv"), cols)
-    _write_columns(
-        os.path.join(cfg.output_dir, "cdf.csv"), {c: np.array(v) for c, v in cdf_cols.items()}
+    modes = [Mode(m).value for m in modes]
+    curves = [cdf(cols["throughput_bps"][cols["mode"] == m]) for m in modes]
+    del cols  # lowers the peak RSS: cdf.csv is written without the drop alive
+    cdf_cols = (
+        np.repeat(modes, [v.size for v, _ in curves]),
+        np.concatenate([v for v, _ in curves]),
+        np.concatenate([p for _, p in curves]),
     )
-    _write_sidecar(cfg.output_dir, cfg, data, ["throughput.csv", "cdf.csv"])
+    _write_columns(os.path.join(cfg.output_dir, "cdf.csv"), dict(zip(CDF_COLUMNS, cdf_cols)))
+    _write_sidecar(
+        cfg.output_dir, cfg, scenario_to_dict(scenario), ["throughput.csv", "cdf.csv"]
+    )
     return 0
 
 
@@ -280,10 +320,7 @@ def sweep_workers(env_value, n_cells, cpu_count):
 def cmd_sweep(cfg, grid_specs, drops):
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
-    with open(cfg.scenario_path) as fh:
-        base = json.load(fh)
-    base = apply_overrides(base, cfg.overrides)
-    scenario_from_dict(base)  # validate before fanning out
+    base, scenario = _load_with_overrides(cfg)  # validates before fanning out
     grid = _parse_grid(grid_specs)
     keys = [k for k, _ in grid]
     cells = list(itertools.product(*[[(k, v) for v in vals] for k, vals in grid]))
@@ -303,7 +340,7 @@ def cmd_sweep(cfg, grid_specs, drops):
     rows = [row for _, cell_rows in results for row in cell_rows]
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.output_dir, "sweep.csv"), columns, rows)
-    _write_sidecar(cfg.output_dir, cfg, base, ["sweep.csv"])
+    _write_sidecar(cfg.output_dir, cfg, scenario_to_dict(scenario), ["sweep.csv"])
     return 0
 
 

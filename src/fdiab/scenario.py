@@ -300,7 +300,8 @@ def apply_overrides(data, overrides):
 
     Keys are dotted paths into the JSON structure; list elements are indexed
     numerically and '*' addresses every element. Values parse as JSON with a
-    bare-string fallback. Unknown paths are rejected.
+    bare-string fallback. Unknown paths, and a '*' that matches no element,
+    are rejected.
     """
     for item in overrides:
         if "=" not in item:
@@ -318,6 +319,8 @@ def _set_path(node, parts, value, full_key):
     head, rest = parts[0], parts[1:]
     if isinstance(node, list):
         if head == "*":
+            if not node:
+                raise ScenarioError(f"override {full_key!r}: '*' matches no list element")
             targets = range(len(node))
         else:
             try:

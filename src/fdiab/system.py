@@ -256,15 +256,14 @@ def _lin_sum_dbm(floor_dbm, levels_dbm):
 def _access_shadows_db(scenario, seed, n_cells, n_ue):
     """Log-normal shadowing of every (cell, UE) access path, indexed [cell, ue].
 
-    Each value is one draw from its own (cell, ue) substream, so it does not
-    depend on the grid size or on which other paths were drawn.
+    Each cell draws one stream, substream(seed, "access-shadow", cell), and
+    UE u takes draw u. A value thus depends only on (seed, cell, ue_id): the
+    draws fill in order, so a smaller grid reads a prefix of the same stream,
+    and no cell's stream depends on another's.
     """
     if scenario.access_shadow_sigma_db == 0.0:
         return np.zeros((n_cells, n_ue))
-    z = [
-        [substream(seed, "access-shadow", ci, u).standard_normal() for u in range(n_ue)]
-        for ci in range(n_cells)
-    ]
+    z = [substream(seed, "access-shadow", ci).standard_normal(n_ue) for ci in range(n_cells)]
     return scenario.access_shadow_sigma_db * np.reshape(z, (n_cells, n_ue))
 
 
@@ -510,7 +509,7 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
 
 def cdf(values):
     """Empirical CDF points (sorted value, P(X <= value))."""
-    v = np.sort(np.asarray(list(values), dtype=float))
+    v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         return np.array([]), np.array([])
     p = np.arange(1, v.size + 1) / v.size

@@ -49,7 +49,11 @@ def substream(seed, *tokens):
 
     Identical (seed, tokens) always yield the same stream no matter how many
     other substreams were consumed before, which is what makes parallel and
-    sequential evaluation bit-identical.
+    sequential evaluation bit-identical. An integer root seed must lie in
+    [0, 2**64): tokens are reduced to 64 bits, which would alias -1 with
+    2**64 - 1 and 2**64 with 0.
     """
+    if isinstance(seed, (int, np.integer)) and not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     entropy = [_token_to_int(seed)] + [_token_to_int(t) for t in tokens]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -1,12 +1,18 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdiab.cli import main, sweep_workers
-from fdiab.scenario import save_scenario, scenario_to_dict
+from fdiab.cli import _write_columns, main, sweep_workers
+from fdiab.scenario import apply_overrides, save_scenario, scenario_from_dict, scenario_to_dict
 from fdiab.system import default_scenario
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.json")
@@ -83,6 +89,32 @@ class TestSystemSim:
         assert rc == 0
         body = read(out / "cdf.csv").decode()
         assert "fd_full" not in body and "hd" in body
+
+
+class TestSidecar:
+    MINIMAL = {"donor": {"position": [0.0, 0.0, 100.0]}}
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("link-sim", []),
+            ("system-sim", ["--modes", "hd"]),
+            ("sweep", ["--grid", "noise_figure_db=3"]),
+        ],
+    )
+    def test_resolved_scenario_round_trips(self, tmp_path, command, extra):
+        path = tmp_path / "min.json"
+        path.write_text(json.dumps(self.MINIMAL))
+        overrides = ["--set", "ue_grid.nx=3", "--set", "ue_grid.ny=2"]
+        outs = [tmp_path / name for name in ("a", "b")]
+        for out in outs:
+            argv = [command, "--scenario", str(path), "--seed", "4", "--out", str(out)]
+            assert main(argv + overrides + extra) == 0
+        side = sidecar_without_timestamp(outs[0] / "run.json")
+        assert side == sidecar_without_timestamp(outs[1] / "run.json")
+        run_scenario = scenario_from_dict(apply_overrides(dict(self.MINIMAL), overrides[1::2]))
+        assert scenario_from_dict(side["resolved_scenario"]) == run_scenario
+        assert side["resolved_scenario"] == scenario_to_dict(run_scenario)
 
 
 class TestSweep:
@@ -201,6 +233,17 @@ class TestArgumentBounds:
         assert "repeats hd" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_wildcard_override_matching_nothing_is_1(self, tmp_path, capsys):
+        path = tmp_path / "min.json"
+        path.write_text(json.dumps({"donor": {"position": [0, 0, 100]}}))
+        rc = main(
+            ["link-sim", "--scenario", str(path), "--seed", "1", "--out", str(tmp_path / "o"),
+             "--set", "iab_nodes.*.tx_power_dbm=30"]
+        )
+        assert rc == 1
+        assert "'iab_nodes.*.tx_power_dbm'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("drops", ["0", "-3"])
     def test_drops_below_one_is_1(self, scenario_path, tmp_path, capsys, drops):
         rc = main(
@@ -259,3 +302,80 @@ class TestArgumentBounds:
         assert rc == 1
         assert "FDIAB_THREADS must be an integer >= 1, got 'two'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# csv.writer over the formatting rule of each column kind: the reference that
+# _write_columns must reproduce byte for byte.
+
+
+def reference_cells(values):
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return ["" if np.isnan(v) else format(float(v), ".12g") for v in values]
+    if isinstance(values, np.ndarray):
+        return [str(v) for v in values.tolist()]
+    out = []
+    for v in values:
+        if v is None:
+            out.append("")
+        elif isinstance(v, bool):
+            out.append("true" if v else "false")
+        elif isinstance(v, float):
+            out.append(format(v, ".12g"))
+        else:
+            out.append(str(v))
+    return out
+
+
+def reference_csv(columns):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*map(reference_cells, columns.values())))
+    return buf.getvalue().encode()
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310,
+    1e300, -1e-300, 1e12, 123456789012.5, 0.1,
+]
+FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
+TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n-0.')), max_size=6)
+LIST_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**15), 10**15), FLOATS, TEXT
+)
+COLUMN_KINDS = {
+    "float": (FLOATS, float),
+    "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "str": (TEXT, str),
+    "list": (LIST_VALUES, None),  # kept a list: mixed None/bool/int/float/str
+}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 25))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        elements, dtype = COLUMN_KINDS[kind]
+        values = draw(st.lists(elements, min_size=n, max_size=n))
+        columns[f"c{i}"] = values if dtype is None else np.array(values, dtype=dtype)
+    return columns
+
+
+class TestWriteColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=tables())
+    def test_matches_csv_writer(self, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            _write_columns(path, columns)
+            assert read(path) == reference_csv(columns)
+
+    def test_runs_of_strings_and_repeated_floats(self, tmp_path):
+        columns = {
+            "mode": np.repeat(["hd", "fibered", "hd"], [3, 2, 4]),
+            "x": np.tile([1.5, -0.0, np.nan], 3),
+        }
+        _write_columns(tmp_path / "t.csv", columns)
+        assert read(tmp_path / "t.csv") == reference_csv(columns)

@@ -101,6 +101,16 @@ def test_bad_override_forms():
         apply_overrides(data, ["iab_nodes.first.tx_power_dbm=40"])
 
 
+@pytest.mark.parametrize("nodes", [None, []], ids=["missing", "empty"])
+def test_wildcard_matching_nothing_rejected(nodes):
+    data = {"donor": {"position": [0, 0, 100]}}
+    if nodes is not None:
+        data["iab_nodes"] = nodes
+    key = "iab_nodes.*.tx_power_dbm"
+    with pytest.raises(ScenarioError, match=r"'iab_nodes\.\*\.tx_power_dbm'.*matches no"):
+        apply_overrides(data, [f"{key}=30"])
+
+
 def test_reflectors_null_disables():
     data = scenario_to_dict(default_scenario())
     data["reflectors"] = None

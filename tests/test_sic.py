@@ -387,6 +387,14 @@ class TestRunLinkChain:
         assert run_link_chain(p, 5) == run_link_chain(p, 5)
         assert run_link_chain(p, 5) != run_link_chain(p, 6)
 
+    def test_seed_outside_u64_rejected(self):
+        # A 64-bit mask used to alias -1 with 2**64 - 1 and 2**64 with 0.
+        p = LinkChainParams(geometry=SiGeometry(1.0))
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                run_link_chain(p, seed)
+        assert run_link_chain(p, 0) != run_link_chain(p, 2**64 - 1)
+
     def test_default_separations_skip_analog(self):
         for d in (1.0, 2.0):
             r = run_link_chain(LinkChainParams(geometry=SiGeometry(d)), 11)

@@ -68,7 +68,7 @@ def reference_rx_dbm(sc, seed, ci, beam_dir, ue, u):
     cell = sc.cells()[ci]
     shadow = 0.0
     if sc.access_shadow_sigma_db != 0.0:
-        z = substream(seed, "access-shadow", ci, u).standard_normal()
+        z = substream(seed, "access-shadow", ci).standard_normal(u + 1)[u]
         shadow = float(sc.access_shadow_sigma_db * z)
     lx, ly, lz = (float(c) for c in np.asarray(ue) - np.asarray(cell.position))
     dx, dy, dz = (float(c) for c in beam_dir)
@@ -87,7 +87,7 @@ def reference_dli_dbm(sc, seed, node, ue, u):
     dist = float(np.linalg.norm(los))
     cosang = np.clip(np.dot(beam_dir, los) / (np.linalg.norm(beam_dir) * dist), -1.0, 1.0)
     gain = donor.pattern.gain_dbi(float(np.degrees(np.arccos(cosang))))
-    z = substream(seed, "access-shadow", 0, u).standard_normal()
+    z = substream(seed, "access-shadow", 0).standard_normal(u + 1)[u]
     shadow = float(sc.access_shadow_sigma_db * z)
     return donor.tx_power_dbm + gain + 0.0 - fspl_db(dist, sc.carrier_freq_hz) - shadow
 
@@ -256,8 +256,31 @@ class TestScheduling:
                         best = (rxi, ci, bi)
             assert best == (rx[u], serving[u], beam[u])
             for ci in range(len(codebooks)):
-                z = substream(9, "access-shadow", ci, u).standard_normal()
+                z = substream(9, "access-shadow", ci).standard_normal(u + 1)[u]
                 assert shadows[ci, u] == sc.access_shadow_sigma_db * z
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 40), extra=st.integers(1, 40))
+    def test_shadow_depends_only_on_seed_cell_and_ue(self, seed, n, extra):
+        sc = small_scenario()
+
+        def shadows(scenario, n_ue):
+            grid = UeGrid(nx=n_ue, ny=1)
+            return schedule_drop(dataclasses.replace(scenario, ue_grid=grid), seed)[4]
+
+        base = shadows(sc, n)
+        assert base.shape == (3, n)
+        assert np.array_equal(shadows(sc, n + extra)[:, :n], base)
+        fewer_cells = dataclasses.replace(sc, iab_nodes=sc.iab_nodes[:1])
+        assert np.array_equal(shadows(fewer_cells, n), base[:2])
+
+    def test_seed_outside_u64_rejected(self):
+        sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=3, ny=2))
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                run_drop(sc, seed)
+        low, high = run_drop(sc, 0), run_drop(sc, 2**64 - 1)
+        assert not np.array_equal(low["access_snr_db"], high["access_snr_db"])
 
 
 class TestDli:
