@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,6 +329,10 @@ def cmd_sweep(cfg, grid_specs, drops):
 
     workers = sweep_workers(os.environ.get("FDIAB_THREADS"), len(payloads), os.cpu_count())
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which every other run
+        # would pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:

@@ -23,7 +23,7 @@ from .ofdm import (
     estimate_channel_ls,
 )
 from .rf import AdcModel, NoiseModel, PaModel, adc_quantize, fits_gray_zone, pa_apply, thermal_noise
-from .util import dbm_to_watt, mean_power_dbm, substream, watt_to_dbm
+from .util import SPEED_OF_LIGHT, dbm_to_watt, mean_power_dbm, substream, watt_to_dbm
 
 # Fixed canceller delays used in the reference configurations; for other
 # separations the delays bracket the direct-path delay the same way.
@@ -357,6 +357,18 @@ class LinkChainParams:
             raise ValueError("analog_mode must be auto, on or off")
         if self.input_backoff_db < 0.0:
             raise ValueError("input_backoff_db must be >= 0")
+        if self.reflectors is not None:
+            # The chain applies the SI channel per OFDM symbol, circularly, so a
+            # tap past the CP would wrap around the symbol instead of leaking
+            # into the next one.
+            latest = self.geometry.antenna_separation_m / SPEED_OF_LIGHT + max(
+                self.reflectors.delay_offset_range_s
+            )
+            if latest >= self.ofdm.cp_duration_s:
+                raise ValueError(
+                    f"reflectors.delay_offset_range_s lets SI taps arrive up to {latest:.4g} s "
+                    f"after transmission, past the {self.ofdm.cp_duration_s:.4g} s cyclic prefix"
+                )
 
     def delays(self):
         if self.canceller_delays_s is not None:

@@ -11,9 +11,18 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, si_channel
+from .geometry import (
+    AntennaPattern,
+    ReflectorConfig,
+    angle_between_deg,
+    direct_si_path,
+    fspl_db,
+    rowdot,
+    si_taps,
+    tap_power,
+)
 from .rf import NoiseModel
-from .util import dbm_to_watt, substream, watt_to_dbm
+from .util import dbm_to_watt, pow10, substream, watt_to_dbm
 
 
 class Mode(str, Enum):
@@ -230,27 +239,15 @@ def default_scenario():
 #
 # Each value must round exactly as the per-UE formula it stands for, so that
 # throughput.csv keeps its bytes: dot products are one BLAS ddot per row, as
-# np.dot on that row, and dBm levels reach watts through libm's pow, as a
-# Python float does.
+# np.dot on that row, and dBm levels reach watts through libm's pow (pow10),
+# as a Python float does.
 # ---------------------------------------------------------------------------
 
 
-def _rowdot(a, b):
-    """Dot product over the last axis, one BLAS ddot per row."""
-    a = np.asarray(a, float)[..., np.newaxis, :]
-    b = np.asarray(b, float)[..., :, np.newaxis]
-    return np.matmul(a, b)[..., 0, 0]
-
-
 def _lin_sum_dbm(floor_dbm, levels_dbm):
-    """Power sum of the noise floor and each level, in dBm; -inf adds nothing.
-
-    The levels are converted one by one: numpy's SIMD power rounds some of
-    them differently from libm in the last bit.
-    """
-    levels = np.asarray(levels_dbm, float)
-    watts = [10.0 ** ((v - 30.0) / 10.0) for v in levels.ravel().tolist()]
-    return watt_to_dbm(dbm_to_watt(floor_dbm) + np.reshape(watts, levels.shape))
+    """Power sum of the noise floor and each level, in dBm; -inf adds nothing."""
+    levels_w = pow10((np.asarray(levels_dbm, float) - 30.0) / 10.0)
+    return watt_to_dbm(dbm_to_watt(floor_dbm) + levels_w)
 
 
 def _access_shadows_db(scenario, seed, n_cells, n_ue):
@@ -267,54 +264,43 @@ def _access_shadows_db(scenario, seed, n_cells, n_ue):
     return scenario.access_shadow_sigma_db * np.reshape(z, (n_cells, n_ue))
 
 
-def _beam_rx_dbm(cell, beam_dir, los_rows, freq_hz, shadows):
-    """Rx power of one cell beam at each UE, for line-of-sight rows los_rows.
-
-    Spelled out per component, not through BLAS, which fixes its rounding.
-
-    Shadowing is a property of the cell-UE path, shared by all beams of the
-    cell, so a uniform Tx power shift can never change the argmax decision.
-    """
-    lx, ly, lz = los_rows[:, 0], los_rows[:, 1], los_rows[:, 2]
-    dx, dy, dz = float(beam_dir[0]), float(beam_dir[1]), float(beam_dir[2])
-    dist = np.sqrt(lx * lx + ly * ly + lz * lz)
-    dnorm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    cosang = np.clip((lx * dx + ly * dy + lz * dz) / (dnorm * dist), -1.0, 1.0)
-    gain = cell.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
-    return cell.tx_power_dbm + gain + UE_GAIN_DBI - fspl_db(dist, freq_hz) - shadows
-
-
 def schedule_drop(scenario, seed):
     """Max-SNR association of the whole UE grid; ties go to the lowest
     (cell, beam) pair.
 
-    Returns (serving_cell, beam, access_rx_dbm, codebooks, shadow_db): the
-    first three per UE, the codebook of each cell, and the shadowing of every
-    (cell, UE) path, which the DLI reuses for the donor's paths.
+    Returns (serving_cell, beam, access_rx_dbm, beam_dirs, shadow_db): the
+    first three per UE, the codebook directions beam_dirs[cell, beam], and
+    the shadowing of every (cell, UE) path, which the DLI reuses for the
+    donor's paths.
+
+    Shadowing is a property of the cell-UE path, shared by all beams of the
+    cell, so a uniform Tx power shift can never change the argmax decision.
     """
     ues = scenario.ue_grid.positions()
     n_ue = ues.shape[0]
     cells = scenario.cells()
-    codebooks = [build_codebook(c.pattern, scenario.sector_center_az(c)) for c in cells]
+    freq = scenario.carrier_freq_hz
+    beam_dirs = np.stack(
+        [build_codebook(c.pattern, scenario.sector_center_az(c)).directions() for c in cells]
+    )
     shadows = _access_shadows_db(scenario, seed, len(cells), n_ue)
-    if n_ue == 0:
-        empty = np.array([], dtype=int)
-        return empty, empty, np.array([]), codebooks, shadows
 
-    rx = np.full((len(cells), N_BEAMS_AZ * N_BEAMS_EL, n_ue), -np.inf)
+    # rx[cell, beam, ue], one (beam, UE) broadcast per cell, spelled out per
+    # component rather than through BLAS, which fixes its rounding.
+    rx = np.empty((len(cells), N_BEAMS_AZ * N_BEAMS_EL, n_ue))
     for ci, cell in enumerate(cells):
-        los = ues - np.asarray(cell.position, float)
-        dirs = codebooks[ci].directions()
-        for bi in range(dirs.shape[0]):
-            rx[ci, bi] = _beam_rx_dbm(
-                cell, dirs[bi], los, scenario.carrier_freq_hz, shadows[ci]
-            )
+        lx, ly, lz = (ues - np.asarray(cell.position, float)).T
+        dx, dy, dz = beam_dirs[ci].T[..., np.newaxis]
+        dist = np.sqrt(lx * lx + ly * ly + lz * lz)
+        dnorm = np.sqrt(dx * dx + dy * dy + dz * dz)
+        cosang = np.clip((lx * dx + ly * dy + lz * dz) / (dnorm * dist), -1.0, 1.0)
+        gain = cell.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
+        rx[ci] = cell.tx_power_dbm + gain + UE_GAIN_DBI - fspl_db(dist, freq) - shadows[ci]
 
     flat = rx.reshape(len(cells) * N_BEAMS_AZ * N_BEAMS_EL, n_ue)
     pick = np.argmax(flat, axis=0)  # first max: lowest (cell, beam) wins ties
-    serving = pick // (N_BEAMS_AZ * N_BEAMS_EL)
-    beam = pick % (N_BEAMS_AZ * N_BEAMS_EL)
-    return serving, beam, flat[pick, np.arange(n_ue)], codebooks, shadows
+    serving, beam = np.divmod(pick, N_BEAMS_AZ * N_BEAMS_EL)
+    return serving, beam, flat[pick, np.arange(n_ue)], beam_dirs, shadows
 
 
 def backhaul_rx_power_dbm(scenario, node):
@@ -342,39 +328,33 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
     donor_pos = np.asarray(donor.position, float)
     beam_dir = np.asarray(mt_pos, float) - donor_pos
     los = np.asarray(ue_pos, float) - donor_pos
-    dist = np.sqrt(_rowdot(los, los))
-    cosang = np.clip(
-        _rowdot(beam_dir, los) / (np.sqrt(_rowdot(beam_dir, beam_dir)) * dist), -1.0, 1.0
-    )
-    gain = donor.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
-    path_loss = fspl_db(dist, scenario.carrier_freq_hz)
+    gain = donor.pattern.gain_dbi(angle_between_deg(beam_dir, los))
+    path_loss = fspl_db(np.sqrt(rowdot(los, los)), scenario.carrier_freq_hz)
     out = donor.tx_power_dbm + gain + UE_GAIN_DBI - path_loss - shadow_db
     return float(out) if np.ndim(out) == 0 else out
 
 
-def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dir, beam_idx):
-    """Residual SI after propagation-domain suppression only, for one access beam.
+def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs, beam_idx):
+    """Residual SI after propagation-domain suppression only, elementwise over
+    access beams: beam_dirs is (..., 3), beam_idx (...); one beam gives a float.
 
-    The reflected-tap realization is redrawn per scheduled beam (the SI seen
-    at the MT varies with the DU beam); the MT keeps pointing at the donor.
+    The reflected taps are redrawn per beam (the SI seen at the MT varies with
+    the DU beam), from substream(seed, "si", node_idx, beam_idx); the MT keeps
+    pointing at the donor.
     """
-    mt_to_donor = np.asarray(scenario.donor.position, float) - np.asarray(
-        node.mt_position(), float
+    mt_to_donor = np.asarray(scenario.donor.position, float) - np.asarray(node.mt_position())
+    freq = scenario.carrier_freq_hz
+    delay, amp = direct_si_path(
+        node.antenna_separation_m, beam_dirs, mt_to_donor / np.linalg.norm(mt_to_donor),
+        node.pattern, node.pattern, 0.0, freq,
     )
-    geom = SiGeometry(
-        antenna_separation_m=node.antenna_separation_m,
-        tx_orientation=tuple(beam_dir),
-        rx_orientation=tuple(mt_to_donor / np.linalg.norm(mt_to_donor)),
-    )
-    cir = si_channel(
-        geom,
-        node.pattern,
-        node.pattern,
-        scenario.reflectors,
-        seed=substream(seed, "si", node_idx, beam_idx).integers(2**63),
-        carrier_freq_hz=scenario.carrier_freq_hz,
-    )
-    return node.tx_power_dbm + cir.total_gain_db()
+    amp, beam_idx = np.broadcast_arrays(amp, beam_idx)
+    power = []
+    for a, bi in zip(amp.ravel().tolist(), beam_idx.ravel().tolist()):
+        si_seed = substream(seed, "si", node_idx, bi).integers(2**63)
+        power.append(tap_power(si_taps(delay, a, scenario.reflectors, si_seed, freq)[1]))
+    out = node.tx_power_dbm + 10.0 * np.log10(np.reshape(power, amp.shape))
+    return float(out) if out.ndim == 0 else out
 
 
 def residual_si_dbm(scenario, mode, node, prop_residual_dbm):
@@ -456,22 +436,20 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
     of those and of HD rows.
     """
     modes = [Mode(m) for m in modes]
-    serving, beam, access_rx, codebooks, shadows = schedule_drop(scenario, seed)
+    serving, beam, access_rx, beam_dirs, shadows = schedule_drop(scenario, seed)
     n_ue = serving.size
     relayed = serving > 0
     nodes = scenario.iab_nodes
 
     # Per-cell tables, indexed by serving cell; the donor has no backhaul.
     mt = np.array([scenario.donor.position] + [n.mt_position() for n in nodes])
-    backhaul_rx = np.full(len(codebooks), np.nan)
-    prop_residual = np.full((len(codebooks), N_BEAMS_AZ * N_BEAMS_EL), np.nan)
+    backhaul_rx = np.full(len(beam_dirs), np.nan)
+    prop_residual = np.full(beam_dirs.shape[:2], np.nan)
     for ni, node in enumerate(nodes):
         backhaul_rx[ni + 1] = backhaul_rx_power_dbm(scenario, node)
-        dirs = codebooks[ni + 1].directions()
-        prop_residual[ni + 1] = [
-            propagation_residual_si_dbm(scenario, seed, ni, node, dirs[bi], bi)
-            for bi in range(dirs.shape[0])
-        ]
+        prop_residual[ni + 1] = propagation_residual_si_dbm(
+            scenario, seed, ni, node, beam_dirs[ni + 1], np.arange(len(beam_dirs[ni + 1]))
+        )
 
     ues = scenario.ue_grid.positions()
     dli = np.full(n_ue, np.nan)

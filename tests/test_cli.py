@@ -196,6 +196,26 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("upper", ["2e-6", "9e-6"])
+    def test_reflections_past_cp_is_1_for_link_sim(
+        self, scenario_path, tmp_path, capsys, upper
+    ):
+        override = ["--set", f"reflectors.delay_offset_range_s=[1e-9,{upper}]"]
+        rc = main(
+            ["link-sim", "--scenario", scenario_path, "--seed", "1",
+             "--out", str(tmp_path / "o")] + override
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "reflectors.delay_offset_range_s" in err and "cyclic prefix" in err
+        assert not (tmp_path / "o").exists()
+        # system-sim uses only the total SI power, so late taps are fine there.
+        rc = main(
+            ["system-sim", "--scenario", scenario_path, "--seed", "1",
+             "--out", str(tmp_path / "s")] + override + SMALL
+        )
+        assert rc == 0
+
     @pytest.mark.parametrize(
         "override, field",
         [

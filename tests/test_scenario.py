@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdiab.geometry import AntennaPattern, ReflectorConfig
 from fdiab.scenario import (
     ScenarioError,
     apply_overrides,
@@ -10,7 +13,7 @@ from fdiab.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from fdiab.system import default_scenario
+from fdiab.system import Donor, IabNode, Scenario, UeGrid, default_scenario
 
 
 def test_minimal_file_gets_defaults(tmp_path):
@@ -59,6 +62,80 @@ def test_round_trip_shipped_scenario(tmp_path):
     assert load_scenario(path) == sc
     # and a second hop through the dict form
     assert scenario_from_dict(scenario_to_dict(sc)) == sc
+
+
+finite = st.floats(-1e6, 1e6)
+positive = st.floats(1e-6, 1e12)
+non_negative = st.floats(0.0, 1e6)
+
+
+def ordered_pair(values):
+    return st.tuples(values, values).filter(lambda t: t[0] != t[1]).map(lambda t: tuple(sorted(t)))
+
+
+patterns = st.builds(
+    lambda floor, above, width, pol: AntennaPattern(floor + above, width, floor, pol),
+    finite,
+    st.floats(1e-3, 100.0),
+    positive,
+    st.sampled_from(["V", "H"]),
+)
+positions = st.tuples(finite, finite, finite)
+azimuths = st.none() | finite
+
+scenarios = st.builds(
+    Scenario,
+    donor=st.builds(
+        Donor,
+        position=positions,
+        tx_power_dbm=finite,
+        pattern=patterns,
+        sector_center_az_deg=azimuths,
+    ),
+    iab_nodes=st.lists(
+        st.builds(
+            IabNode,
+            position=positions,
+            antenna_separation_m=positive,
+            tx_power_dbm=finite,
+            pattern=patterns,
+            sector_center_az_deg=azimuths,
+            residual_si_dbm=st.none() | finite,
+        ),
+        max_size=3,
+    ).map(tuple),
+    ue_grid=st.builds(
+        UeGrid,
+        nx=st.integers(0, 50),
+        ny=st.integers(0, 50),
+        x_range=ordered_pair(finite),
+        y_range=ordered_pair(finite),
+        height_m=non_negative,
+    ),
+    bandwidth_hz=positive,
+    noise_figure_db=non_negative,
+    carrier_freq_hz=positive,
+    guard_overhead=st.floats(0.0, 1.0, exclude_max=True),
+    access_shadow_sigma_db=non_negative,
+    full_sic_margin_db=finite,
+    reflectors=st.none()
+    | st.integers(0, 8).flatmap(
+        lambda lo: st.builds(
+            ReflectorConfig,
+            min_taps=st.just(lo),
+            max_taps=st.integers(lo, 12),
+            delay_offset_range_s=ordered_pair(st.floats(1e-12, 1e-5)),
+            rel_power_range_db=ordered_pair(finite),
+        )
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sc=scenarios)
+def test_round_trip_generated_scenarios(sc):
+    assert scenario_from_dict(scenario_to_dict(sc)) == sc
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc)))) == sc
 
 
 def test_shipped_default_scenario_file():

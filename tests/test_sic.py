@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab.geometry import ChannelImpulseResponse, SiGeometry
+from fdiab.geometry import ChannelImpulseResponse, ReflectorConfig, SiGeometry
 from fdiab.ofdm import OfdmConfig, build_frame
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
@@ -22,7 +22,7 @@ from fdiab.sic import (
     two_tap_residual_power,
     TwoTapConfig,
 )
-from fdiab.util import substream
+from fdiab.util import SPEED_OF_LIGHT, substream
 
 CFG = OfdmConfig()
 FREQS = CFG.subcarrier_freqs_hz()
@@ -394,6 +394,18 @@ class TestRunLinkChain:
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
                 run_link_chain(p, seed)
         assert run_link_chain(p, 0) != run_link_chain(p, 2**64 - 1)
+
+    def test_reflections_past_cp_rejected(self):
+        # Taps past the CP used to wrap around the symbol: after_digital_dbm
+        # read about -64 dBm at [1e-9, 2e-6] where about -90 is right.
+        message = r"reflectors\.delay_offset_range_s .* cyclic prefix"
+        for hi in (2e-6, 9e-6, CFG.cp_duration_s):
+            refl = ReflectorConfig(delay_offset_range_s=(1e-9, hi))
+            with pytest.raises(ValueError, match=message):
+                LinkChainParams(geometry=SiGeometry(1.0), reflectors=refl)
+        room = CFG.cp_duration_s - 1.0 / SPEED_OF_LIGHT
+        inside = ReflectorConfig(min_taps=6, delay_offset_range_s=(0.9 * room, 0.99 * room))
+        run_link_chain(LinkChainParams(geometry=SiGeometry(1.0), reflectors=inside), 3)
 
     def test_default_separations_skip_analog(self):
         for d in (1.0, 2.0):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab.geometry import AntennaPattern, fspl_db
+from fdiab.geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, si_channel
 from fdiab.system import (
     ALL_MODES,
     DEFAULT_MCS,
@@ -27,7 +27,7 @@ from fdiab.system import (
     schedule_drop,
     ue_throughput,
 )
-from fdiab.util import substream
+from fdiab.util import SPEED_OF_LIGHT, substream
 
 BW = 120e6
 
@@ -62,6 +62,11 @@ def columns_equal(a, b):
 # Plain per-UE formulas, one UE and one (cell, beam) at a time, in Python
 # floats and np.dot: the reference that the columnar scheduler and drop must
 # reproduce bit for bit.
+
+
+def reference_directions(sc, ci):
+    cell = sc.cells()[ci]
+    return build_codebook(cell.pattern, sc.sector_center_az(cell)).directions()
 
 
 def reference_rx_dbm(sc, seed, ci, beam_dir, ue, u):
@@ -103,6 +108,43 @@ def reference_capacity(sinr_db, sc):
     return 0.0 if i < 0 else sc.bandwidth_hz * DEFAULT_MCS.efficiencies_bps_hz[i]
 
 
+def reference_residual_dbm(sc, seed, ni, node, beam_dir, bi):
+    """Propagation-only residual SI of one (node, beam), the SI model written
+    out per beam: np.dot angles, Python's pow, the reflection draws in their
+    order, tap powers summed one by one in tap order."""
+    f = sc.carrier_freq_hz
+    d = node.antenna_separation_m
+    mt_to_donor = np.asarray(sc.donor.position, float) - np.asarray(node.mt_position(), float)
+
+    def off_boresight_deg(u, axis):
+        u = np.asarray(u, float)
+        c = np.clip(np.dot(u, axis) / (np.linalg.norm(u) * np.linalg.norm(axis)), -1.0, 1.0)
+        return float(np.degrees(np.arccos(c)))
+
+    amp_db = (
+        -fspl_db(d, f)
+        + node.pattern.gain_dbi(off_boresight_deg(beam_dir, (0.0, 0.0, -1.0)))
+        + node.pattern.gain_dbi(
+            off_boresight_deg(mt_to_donor / np.linalg.norm(mt_to_donor), (0.0, 0.0, 1.0))
+        )
+    )
+    amp = 10.0 ** (amp_db / 20.0)
+    gains = [amp * np.exp(-2j * np.pi * f * (d / SPEED_OF_LIGHT))]
+    refl = sc.reflectors
+    if refl is not None:
+        rng = substream(substream(seed, "si", ni, bi).integers(2**63), "si-reflections")
+        k = int(rng.integers(refl.min_taps, refl.max_taps + 1))
+        if k > 0:
+            rng.uniform(*refl.delay_offset_range_s, size=k)  # delays carry no power
+            rel_db = rng.uniform(*refl.rel_power_range_db, size=k)
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
+            gains.extend(amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases))
+    power = 0.0
+    for p in (np.abs(gains) ** 2).tolist():  # numpy's |g|, as on a tap array
+        power += p
+    return node.tx_power_dbm + float(10.0 * np.log10(power))
+
+
 def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
     """(access_sinr, backhaul_sinr, dli, throughput) of one UE; None where
     a value does not apply."""
@@ -125,7 +167,7 @@ def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
         thr = (1.0 - sc.guard_overhead) * ca * cb / (ca + cb) if ca > 0.0 and cb > 0.0 else 0.0
         return snr, b_sinr, None, thr
     dli = reference_dli_dbm(sc, seed, node, ue, u)
-    beam_dir = build_codebook(node.pattern, sc.sector_center_az(node)).directions()[bi]
+    beam_dir = reference_directions(sc, ci)[bi]
     prop = propagation_residual_si_dbm(sc, seed, ci - 1, node, beam_dir, bi)
     residual = {
         Mode.IDEAL_FD: -np.inf,
@@ -219,11 +261,11 @@ class TestScheduling:
             ue_grid=one_ue_grid((50.0, 0.0, 40.0)),
             access_shadow_sigma_db=0.0,
         )
-        serving, beam, rx, codebooks, _ = schedule_drop(sc, 0)
+        serving, beam, rx, _, _ = schedule_drop(sc, 0)
         ue = sc.ue_grid.positions()[0]
         per_cell = [
-            max(reference_rx_dbm(sc, 0, ci, d, ue, 0) for d in cb.directions())
-            for ci, cb in enumerate(codebooks)
+            max(reference_rx_dbm(sc, 0, ci, d, ue, 0) for d in reference_directions(sc, ci))
+            for ci in range(2)
         ]
         assert per_cell[0] == per_cell[1] == rx[0]
         assert serving[0] == 0  # cell 1 offers exactly the same SNR but loses the tie
@@ -245,17 +287,20 @@ class TestScheduling:
 
     def test_vectorized_matches_scalar(self):
         sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=4, ny=3))
-        serving, beam, rx, codebooks, shadows = schedule_drop(sc, 9)
+        serving, beam, rx, beam_dirs, shadows = schedule_drop(sc, 9)
+        n_cells = len(sc.cells())
+        for ci in range(n_cells):
+            assert np.array_equal(beam_dirs[ci], reference_directions(sc, ci))
         ues = sc.ue_grid.positions()
         for u in range(ues.shape[0]):
             best = (-np.inf, 0, 0)
-            for ci, cb in enumerate(codebooks):
-                for bi, d in enumerate(cb.directions()):
+            for ci in range(n_cells):
+                for bi, d in enumerate(reference_directions(sc, ci)):
                     rxi = reference_rx_dbm(sc, 9, ci, d, ues[u], u)
                     if rxi > best[0]:
                         best = (rxi, ci, bi)
             assert best == (rx[u], serving[u], beam[u])
-            for ci in range(len(codebooks)):
+            for ci in range(n_cells):
                 z = substream(9, "access-shadow", ci).standard_normal(u + 1)[u]
                 assert shadows[ci, u] == sc.access_shadow_sigma_db * z
 
@@ -281,6 +326,47 @@ class TestScheduling:
                 run_drop(sc, seed)
         low, high = run_drop(sc, 0), run_drop(sc, 2**64 - 1)
         assert not np.array_equal(low["access_snr_db"], high["access_snr_db"])
+
+
+class TestPropagationResidual:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        separation=st.floats(0.05, 3.0),
+        reflectors=st.sampled_from(
+            [None, ReflectorConfig(max_taps=0), ReflectorConfig(min_taps=6, max_taps=6)]
+        ),
+    )
+    def test_matches_si_channel_per_beam(self, seed, separation, reflectors):
+        sc = small_scenario(separation, reflectors=reflectors)
+        for ni, node in enumerate(sc.iab_nodes):
+            dirs = reference_directions(sc, ni + 1)
+            got = propagation_residual_si_dbm(sc, seed, ni, node, dirs, np.arange(len(dirs)))
+            assert got.shape == (16,)
+            stacked = propagation_residual_si_dbm(
+                sc, seed, ni, node, dirs.reshape(2, 8, 3), np.arange(16).reshape(2, 8)
+            )
+            assert np.array_equal(stacked, got.reshape(2, 8))
+            mt_to_donor = np.asarray(sc.donor.position) - np.asarray(node.mt_position())
+            for bi, beam_dir in enumerate(dirs):
+                geom = SiGeometry(
+                    separation,
+                    tx_orientation=tuple(beam_dir),
+                    rx_orientation=tuple(mt_to_donor / np.linalg.norm(mt_to_donor)),
+                )
+                cir = si_channel(
+                    geom,
+                    node.pattern,
+                    node.pattern,
+                    reflectors,
+                    seed=substream(seed, "si", ni, bi).integers(2**63),
+                    carrier_freq_hz=sc.carrier_freq_hz,
+                )
+                expected = node.tx_power_dbm + cir.total_gain_db()
+                assert expected == reference_residual_dbm(sc, seed, ni, node, beam_dir, bi)
+                assert got[bi] == expected
+                one = propagation_residual_si_dbm(sc, seed, ni, node, beam_dir, bi)
+                assert isinstance(one, float) and one == expected
 
 
 class TestDli:
