@@ -4,18 +4,19 @@ Everything here is a pure function of its inputs and a seed, so channel
 realizations are bit-reproducible and safe to evaluate concurrently.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, pow10, substream
+from .util import SPEED_OF_LIGHT, substream
 
 
 def fspl_db(distance_m, freq_hz):
     """Friis free-space path loss 20*log10(4*pi*d*f/c) in dB."""
     d = np.asarray(distance_m, dtype=float)
     f = np.asarray(freq_hz, dtype=float)
-    if np.any(d <= 0.0) or np.any(f <= 0.0):
+    if (d <= 0.0).any() or (f <= 0.0).any():
         raise ValueError("fspl_db requires distance_m > 0 and freq_hz > 0")
     out = 20.0 * np.log10(4.0 * np.pi * d * f / SPEED_OF_LIGHT)
     return float(out) if out.ndim == 0 else out
@@ -66,10 +67,12 @@ def rowdot(a, b):
 def angle_between_deg(u, v):
     """Angle in degrees between direction vectors, elementwise over the rows
     of (..., 3) arrays; a float for two vectors."""
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
     norms = np.sqrt(rowdot(u, u)) * np.sqrt(rowdot(v, v))
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise ValueError("direction vectors must be nonzero")
-    out = np.degrees(np.arccos(np.clip(rowdot(u, v) / norms, -1.0, 1.0)))
+    out = np.degrees(np.arccos(np.minimum(np.maximum(rowdot(u, v) / norms, -1.0), 1.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -128,8 +131,8 @@ class ChannelImpulseResponse:
     def __post_init__(self):
         if len(self.taps) == 0:
             raise ValueError("channel needs at least one tap")
-        delays = np.array([t[0] for t in self.taps], dtype=float)
-        if delays[0] < 0.0 or np.any(np.diff(delays) <= 0.0):
+        delays = [float(t[0]) for t in self.taps]
+        if delays[0] < 0.0 or any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("tap delays must be non-negative and strictly increasing")
         if self.total_power() <= 0.0:
             raise ValueError("channel must carry nonzero power")
@@ -143,7 +146,13 @@ class ChannelImpulseResponse:
         return np.array([t[1] for t in self.taps], dtype=complex)
 
     def total_power(self):
-        return tap_power([t[1] for t in self.taps])
+        return self._power
+
+    @functools.cached_property
+    def _power(self):
+        # Summed once per channel: the constructor's check needs it, and a
+        # system drop reads it once per beam through total_gain_db.
+        return float(np.sum(np.abs([t[1] for t in self.taps]) ** 2))
 
     def total_gain_db(self):
         """Tx-to-Rx power gain over all taps; negation is the SI suppression."""
@@ -171,58 +180,42 @@ class LinkBudget:
     tx_power_dbm: float
 
 
-def direct_si_path(separation_m, tx_dirs, rx_dirs, tx_pat, rx_pat, xpol_db, carrier_freq_hz):
-    """(delay_s, amplitude) of the direct DU-to-MT SI path: Friis loss,
-    cross-polarization isolation xpol_db and both off-boresight antenna gains
-    along the mast axis. Orientations are direction vectors or (..., 3)
-    arrays of them; the amplitude is elementwise over their rows, a float for
-    one pair.
+def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz=28e9):
+    """SI channel impulse response for one DU/MT pair.
+
+    Tap 0 is the direct path at delay d/c with amplitude set by Friis loss,
+    cross-polarization isolation and both off-boresight antenna gains along
+    the mast axis. With reflector_cfg set, seeded random reflection taps are
+    appended. Identical (inputs, seed) give bit-identical output.
     """
+    d = geom.antenna_separation_m
+    direct_delay = d / SPEED_OF_LIGHT
     # Off-boresight angles toward the other antenna: DU looks down the mast
     # (-z), MT looks up (+z).
-    amp_db = (
-        -fspl_db(separation_m, carrier_freq_hz)
-        - xpol_db
-        + antenna_gain_dbi(tx_pat, angle_between_deg(tx_dirs, (0.0, 0.0, -1.0)))
-        + antenna_gain_dbi(rx_pat, angle_between_deg(rx_dirs, (0.0, 0.0, 1.0)))
+    theta_tx, theta_rx = angle_between_deg(
+        (geom.tx_orientation, geom.rx_orientation), ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
     )
-    return separation_m / SPEED_OF_LIGHT, pow10(amp_db / 20.0)
+    amp_db = (
+        -fspl_db(d, carrier_freq_hz)
+        - geom.cross_pol_isolation_db
+        + antenna_gain_dbi(tx_pat, theta_tx)
+        + antenna_gain_dbi(rx_pat, theta_rx)
+    )
+    direct_amp = 10.0 ** (amp_db / 20.0)
+    direct_gain = direct_amp * np.exp(-2j * np.pi * carrier_freq_hz * direct_delay)
+    taps = [(direct_delay, complex(direct_gain))]
 
-
-def si_taps(direct_delay, direct_amp, reflector_cfg, seed, carrier_freq_hz):
-    """(delays_s, complex gains) of one SI realization, as lists in tap order.
-
-    Tap 0 is the direct path. With reflector_cfg set, seeded random
-    reflection taps from substream(seed, "si-reflections") follow it.
-    """
-    delays = [direct_delay]
-    gains = [complex(direct_amp * np.exp(-2j * np.pi * carrier_freq_hz * direct_delay))]
     if reflector_cfg is not None:
         rng = substream(seed, "si-reflections")
         k = int(rng.integers(reflector_cfg.min_taps, reflector_cfg.max_taps + 1))
         if k > 0:
             lo, hi = reflector_cfg.delay_offset_range_s
-            delays += np.sort(direct_delay + rng.uniform(lo, hi, size=k)).tolist()
+            delays = np.sort(direct_delay + rng.uniform(lo, hi, size=k))
             rel_db = rng.uniform(*reflector_cfg.rel_power_range_db, size=k)
             phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-            gains += (direct_amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases)).tolist()
-    return delays, gains
+            gains = direct_amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases)
+            taps.extend(zip(delays.tolist(), gains.tolist()))
 
-
-def tap_power(gains):
-    """Total power of complex tap gains."""
-    return float(np.sum(np.abs(gains) ** 2))
-
-
-def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz=28e9):
-    """SI channel impulse response for one DU/MT pair: the direct path at
-    delay d/c, then, with reflector_cfg set, seeded random reflection taps.
-    Identical (inputs, seed) give bit-identical output."""
-    delay, amp = direct_si_path(
-        geom.antenna_separation_m, geom.tx_orientation, geom.rx_orientation,
-        tx_pat, rx_pat, geom.cross_pol_isolation_db, carrier_freq_hz,
-    )
-    taps = zip(*si_taps(delay, amp, reflector_cfg, seed, carrier_freq_hz))
     return ChannelImpulseResponse(taps=tuple(taps), carrier_freq_hz=carrier_freq_hz)
 
 

@@ -14,15 +14,14 @@ import numpy as np
 from .geometry import (
     AntennaPattern,
     ReflectorConfig,
+    SiGeometry,
     angle_between_deg,
-    direct_si_path,
     fspl_db,
     rowdot,
-    si_taps,
-    tap_power,
+    si_channel,
 )
 from .rf import NoiseModel
-from .util import dbm_to_watt, pow10, substream, watt_to_dbm
+from .util import dbm_to_watt, substream, watt_to_dbm
 
 
 class Mode(str, Enum):
@@ -48,9 +47,11 @@ UE_GAIN_DBI = 0.0  # uniform dipole, isotropic in azimuth
 
 
 def direction_from_angles(az_deg, el_deg):
+    """Unit pointing vector from azimuth and elevation in degrees,
+    elementwise: (..., 3) for arrays of angles."""
     az = np.radians(az_deg)
     el = np.radians(el_deg)
-    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ class Codebook:
             raise ValueError(f"codebook must hold exactly {N_BEAMS_AZ * N_BEAMS_EL} beams")
 
     def directions(self):
-        return np.stack([direction_from_angles(az, el) for az, el in self.beams])
+        az, el = np.array(self.beams).T
+        return direction_from_angles(az, el)
 
 
 def build_codebook(pattern, sector_center_az_deg):
@@ -239,15 +241,20 @@ def default_scenario():
 #
 # Each value must round exactly as the per-UE formula it stands for, so that
 # throughput.csv keeps its bytes: dot products are one BLAS ddot per row, as
-# np.dot on that row, and dBm levels reach watts through libm's pow (pow10),
-# as a Python float does.
+# np.dot on that row, and dBm levels reach watts through libm's pow, as a
+# Python float does.
 # ---------------------------------------------------------------------------
 
 
 def _lin_sum_dbm(floor_dbm, levels_dbm):
-    """Power sum of the noise floor and each level, in dBm; -inf adds nothing."""
-    levels_w = pow10((np.asarray(levels_dbm, float) - 30.0) / 10.0)
-    return watt_to_dbm(dbm_to_watt(floor_dbm) + levels_w)
+    """Power sum of the noise floor and each level, in dBm; -inf adds nothing.
+
+    The levels are converted one by one: numpy's SIMD power rounds some of
+    them differently from libm in the last bit.
+    """
+    exponents = (np.asarray(levels_dbm, float) - 30.0) / 10.0
+    watts = [10.0 ** x for x in exponents.ravel().tolist()]
+    return watt_to_dbm(dbm_to_watt(floor_dbm) + np.reshape(watts, exponents.shape))
 
 
 def _access_shadows_db(scenario, seed, n_cells, n_ue):
@@ -335,26 +342,28 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
 
 
 def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs, beam_idx):
-    """Residual SI after propagation-domain suppression only, elementwise over
-    access beams: beam_dirs is (..., 3), beam_idx (...); one beam gives a float.
+    """Residual SI after propagation-domain suppression only, per access beam:
+    beam_dirs (n, 3) with indices beam_idx (n,), or one beam (3,) with a
+    scalar index, which gives a float.
 
     The reflected taps are redrawn per beam (the SI seen at the MT varies with
     the DU beam), from substream(seed, "si", node_idx, beam_idx); the MT keeps
     pointing at the donor.
     """
     mt_to_donor = np.asarray(scenario.donor.position, float) - np.asarray(node.mt_position())
-    freq = scenario.carrier_freq_hz
-    delay, amp = direct_si_path(
-        node.antenna_separation_m, beam_dirs, mt_to_donor / np.linalg.norm(mt_to_donor),
-        node.pattern, node.pattern, 0.0, freq,
-    )
-    amp, beam_idx = np.broadcast_arrays(amp, beam_idx)
-    power = []
-    for a, bi in zip(amp.ravel().tolist(), beam_idx.ravel().tolist()):
-        si_seed = substream(seed, "si", node_idx, bi).integers(2**63)
-        power.append(tap_power(si_taps(delay, a, scenario.reflectors, si_seed, freq)[1]))
-    out = node.tx_power_dbm + 10.0 * np.log10(np.reshape(power, amp.shape))
-    return float(out) if out.ndim == 0 else out
+    rx_dir = tuple(mt_to_donor / np.linalg.norm(mt_to_donor))
+    out = []
+    for beam_dir, bi in zip(np.atleast_2d(beam_dirs).tolist(), np.atleast_1d(beam_idx).tolist()):
+        cir = si_channel(
+            SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir),
+            node.pattern,
+            node.pattern,
+            scenario.reflectors,
+            seed=substream(seed, "si", node_idx, bi).integers(2**63),
+            carrier_freq_hz=scenario.carrier_freq_hz,
+        )
+        out.append(node.tx_power_dbm + cir.total_gain_db())
+    return out[0] if np.ndim(beam_idx) == 0 else np.array(out)
 
 
 def residual_si_dbm(scenario, mode, node, prop_residual_dbm):

@@ -16,15 +16,6 @@ def watt_to_dbm(watt):
     return 10.0 * np.log10(watt) + 30.0
 
 
-def pow10(x):
-    """10 ** x elementwise through libm's pow, as for a Python float; a float
-    for scalar input. numpy's SIMD power rounds some values differently in
-    the last bit."""
-    x = np.asarray(x, float)
-    out = np.reshape([10.0 ** v for v in x.ravel().tolist()], x.shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def mean_power_watt(samples):
     return float(np.mean(np.abs(samples) ** 2))
 
