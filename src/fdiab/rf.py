@@ -55,11 +55,14 @@ class PaModel:
 
 def pa_apply(samples, pa):
     """Rapp AM/AM: y = G*x / (1 + (|G*x|/Asat)^(2p))^(1/(2p))."""
-    x = np.asarray(samples, dtype=complex)
-    p = pa.rapp_smoothness
-    driven = pa.gain_lin * x
-    env = np.abs(driven) / pa.saturation_amplitude
-    return driven / (1.0 + env ** (2.0 * p)) ** (1.0 / (2.0 * p))
+    driven = pa.gain_lin * np.asarray(samples, dtype=complex)
+    env = np.abs(driven)
+    env /= pa.saturation_amplitude
+    env **= 2.0 * pa.rapp_smoothness
+    env += 1.0
+    env **= 1.0 / (2.0 * pa.rapp_smoothness)
+    driven /= env
+    return driven
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,15 @@ def adc_quantize(samples, adc, scale=None):
         )
     step = adc.step
     top = adc.full_scale_amplitude - step / 2.0
-
-    def rail(v):
-        q = step * (np.floor(v / step) + 0.5)
-        return np.clip(q, -top, top)
-
     u = x * scale
-    return (rail(u.real) + 1j * rail(u.imag)) / scale, scale
+    rails = u.view(np.float64)  # I and Q interleaved, quantized in place
+    rails /= step
+    np.floor(rails, out=rails)
+    rails += 0.5
+    rails *= step
+    np.clip(rails, -top, top, out=rails)
+    u /= scale
+    return u, scale
 
 
 @dataclass(frozen=True)
@@ -137,10 +142,11 @@ def noise_floor_dbm(noise):
 
 def thermal_noise(n_samples, noise, rng):
     """Complex AWGN whose mean power equals the model's noise floor."""
-    sigma2 = dbm_to_watt(noise.floor_dbm)
-    return np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
-    )
+    z = np.empty(n_samples, dtype=complex)
+    z.real = rng.standard_normal(n_samples)
+    z.imag = rng.standard_normal(n_samples)
+    z *= np.sqrt(dbm_to_watt(noise.floor_dbm) / 2.0)
+    return z
 
 
 def required_si_reduction_db(tx_power_dbm, rx_floor_dbm):

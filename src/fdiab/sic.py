@@ -9,7 +9,7 @@ total.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,17 +136,23 @@ class HammersteinModel:
     training_power: float = 0.0
 
     def __post_init__(self):
-        # Odd orders only (baseband-relevant distortion); the model tops out
-        # at the fifth order, lower-order subsets serve as baselines.
-        if (
-            len(self.orders) == 0
-            or max(self.orders) > 5
-            or any(p % 2 == 0 or p < 1 for p in self.orders)
-            or any(a >= b for a, b in zip(self.orders, self.orders[1:]))
-        ):
-            raise ValueError("orders must be increasing odd integers capped at 5")
+        _check_structure(self.orders, self.memory_len)
         if self.coeffs.shape != (len(self.orders), self.memory_len):
             raise ValueError("coeffs must be (n_orders, memory_len)")
+
+
+def _check_structure(orders, memory_len):
+    # Odd orders only (baseband-relevant distortion); the model tops out at
+    # the fifth order, lower-order subsets serve as baselines.
+    if (
+        len(orders) == 0
+        or max(orders) > 5
+        or any(p % 2 == 0 or p < 1 for p in orders)
+        or any(a >= b for a, b in zip(orders, orders[1:]))
+    ):
+        raise ValueError("orders must be increasing odd integers capped at 5")
+    if memory_len < 1:
+        raise ValueError(f"memory_len must be >= 1, got {memory_len}")
 
 
 def _branch_signals(tx, orders, memory_len, alignment, idx):
@@ -164,7 +170,10 @@ def _branch_signals(tx, orders, memory_len, alignment, idx):
     if lo < 0 or hi >= x.size:
         raise ValueError("tap window leaves the sample stream; shrink idx or alignment")
     env = np.abs(x)
-    return np.stack([x * env ** (p - 1) for p in orders])
+    psi = np.empty((len(orders), x.size), dtype=complex)
+    for row, p in zip(psi, orders):
+        np.multiply(x, env ** (p - 1), out=row)
+    return psi
 
 
 def hammerstein_basis(tx, orders, memory_len, alignment, idx):
@@ -195,14 +204,18 @@ def _normal_equations(psi, rx, memory_len, alignment, idx):
     samples each run gains at its start, minus those it loses at its end.
     """
     n_br, mem = psi.shape[0], memory_len
-    k = idx + alignment
-    k0, k1 = k.min(), k.max() + 1
-    weight = np.bincount(k - k0, minlength=k1 - k0)
-    lhs = np.conj(
-        np.vstack([psi[:, k0:k1], rx[None, k0 - alignment : k1 - alignment]]) * weight
-    ).T
+    k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
+    weight = np.bincount(idx)[k0 - alignment :]
+    lhs = np.empty((n_br + 1, k1 - k0), dtype=complex)
+    np.multiply(psi[:, k0:k1], weight, out=lhs[:n_br])
+    np.multiply(rx[k0 - alignment : k1 - alignment], weight, out=lhs[n_br])
+    np.conjugate(lhs, out=lhs)
     # corr[l, q, j] = sum_k psi_q(k - l) conj(w(k) [psi_j(k) | rx(k - alignment)])
-    corr = np.stack([psi[:, k0 - l : k1 - l] @ lhs for l in range(mem)])
+    # One (n_br + 1, K) @ (K,) product per branch and lag keeps lhs in cache.
+    corr = np.empty((mem, n_br, n_br + 1), dtype=complex)
+    for q in range(n_br):
+        for l in range(mem):
+            np.matmul(lhs, psi[q, k0 - l : k1 - l], out=corr[l, q])
     rhs = np.conj(corr[:, :, n_br]).T.reshape(-1)
     first = corr[:, :, :n_br]
 
@@ -223,10 +236,16 @@ def _normal_equations(psi, rx, memory_len, alignment, idx):
     return gram.reshape(n_br * mem, n_br * mem), rhs
 
 
-def _predict(psi, coeffs, alignment, idx):
-    """B @ coeffs for B = hammerstein_basis: each branch through its FIR."""
-    fir = sum(np.convolve(branch, c) for branch, c in zip(psi, coeffs))
-    return fir[np.asarray(idx) + alignment]
+def _residual(psi, rx, coeffs, alignment, idx):
+    """rx[idx] - B @ coeffs for B = hammerstein_basis, tap by tap over the span idx keeps."""
+    idx = np.asarray(idx)
+    k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
+    fir = psi[:, k0:k1].T @ coeffs[:, 0]
+    tap = np.empty_like(fir)
+    for m in range(1, coeffs.shape[1]):
+        fir += np.matmul(psi[:, k0 - m : k1 - m].T, coeffs[:, m], out=tap)
+    np.subtract(rx[k0 - alignment : k1 - alignment], fir, out=fir)
+    return fir[idx - (k0 - alignment)]
 
 
 def default_fit_indices(n_samples, memory_len, alignment):
@@ -268,6 +287,7 @@ def fit_hammerstein(
         raise ValueError("tx and rx must have the same length")
     if idx is None:
         idx = default_fit_indices(tx.size, memory_len, alignment)
+    _check_structure(orders, memory_len)
     n_unknowns = len(orders) * memory_len
     if len(idx) < n_unknowns:
         raise ValueError(
@@ -281,7 +301,6 @@ def fit_hammerstein(
         )
     idx = np.asarray(idx)
     psi = _branch_signals(tx, orders, memory_len, alignment, idx)
-    target = rx[idx]
     gram, rhs = _normal_equations(psi, rx, memory_len, alignment, idx)
     eps = ridge * float(np.trace(gram).real) / gram.shape[0]
     gram_r = gram + eps * np.eye(gram.shape[0])
@@ -293,7 +312,8 @@ def fit_hammerstein(
             RuntimeWarning,
         )
     coeffs = np.linalg.solve(gram_r, rhs).reshape(len(orders), memory_len)
-    resid = target - _predict(psi, coeffs, alignment, idx)
+    resid = _residual(psi, rx, coeffs, alignment, idx)
+    target = rx[idx]
     return HammersteinModel(
         orders=tuple(orders),
         memory_len=memory_len,
@@ -314,7 +334,7 @@ def apply_digital_sic(tx_baseband, rx_after_adc, model, idx=None):
     if idx is None:
         idx = default_fit_indices(tx.size, model.memory_len, model.alignment)
     psi = _branch_signals(tx, model.orders, model.memory_len, model.alignment, idx)
-    return rx[idx] - _predict(psi, model.coeffs, model.alignment, idx)
+    return _residual(psi, rx, model.coeffs, model.alignment, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +377,16 @@ class LinkChainParams:
             raise ValueError("analog_mode must be auto, on or off")
         if self.input_backoff_db < 0.0:
             raise ValueError("input_backoff_db must be >= 0")
+        # The analog stage is tuned from the pilots: with none, every power is NaN.
+        for name, low, high in (
+            ("n_pilot_symbols", 0 if self.analog_mode == "off" else 1, np.inf),
+            ("n_holdout_symbols", 1, np.inf),
+            ("hammerstein_memory", 1, np.inf),
+            ("hammerstein_alignment", 0, self.hammerstein_memory - 1),
+            ("ridge", 0.0, np.inf),
+        ):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}], got {getattr(self, name)}")
         if self.reflectors is not None:
             # The chain applies the SI channel per OFDM symbol, circularly, so a
             # tap past the CP would wrap around the symbol instead of leaking
@@ -402,6 +432,10 @@ class ReductionReport:
         return self.tx_power_dbm - self.after_digital_dbm
 
     def validate(self, tol_db=0.01, monotone_eps_db=0.02):
+        # Every comparison below is false for NaN, so it would pass them all.
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} is not finite: {getattr(self, f.name)}")
         if abs(sum(self.per_domain_db) - self.total_reduction_db()) > tol_db:
             raise ValueError("per-domain contributions do not sum to the total")
         chain = (
@@ -417,14 +451,12 @@ class ReductionReport:
 
 
 def _run_frame(params, cir, amp, n_symbols, n_pilots, frame_rng, noise_rng):
-    frame = build_frame(params.ofdm, n_symbols, frame_rng, n_pilots)
-    tx = frame.samples * amp
+    tx = build_frame(params.ofdm, n_symbols, frame_rng, n_pilots).samples
+    tx *= amp
     pa_out = pa_apply(tx, params.pa)
-    if cir is None:
-        si = np.zeros_like(pa_out)
-    else:
-        si = apply_channel(pa_out, cir, params.ofdm)
-    rx = si + thermal_noise(si.size, params.noise, noise_rng)
+    rx = thermal_noise(pa_out.size, params.noise, noise_rng)
+    if cir is not None:
+        rx += apply_channel(pa_out, cir, params.ofdm)
     return tx, pa_out, rx
 
 
@@ -435,7 +467,7 @@ def run_link_chain(params, seed):
     pilot-based estimate of the SI channel between the PA output and the MT;
     the digital stage is fit on the same calibration frame that the reported
     stage powers are measured on, with a separate holdout frame recorded for
-    the generalization check.
+    the generalization check, built once the fit is done to bound the peak.
     """
     cfg = params.ofdm
     floor_dbm = params.noise.floor_dbm
@@ -456,13 +488,8 @@ def run_link_chain(params, seed):
         params, cir, amp, n_train, params.n_pilot_symbols,
         substream(seed, "frame-train"), substream(seed, "noise-train"),
     )
-    tx_h, pa_out_h, rx_h = _run_frame(
-        params, cir, amp, params.n_holdout_symbols, 0,
-        substream(seed, "frame-holdout"), substream(seed, "noise-holdout"),
-    )
 
     idx = ofdm_valid_indices(cfg, tx.size, params.hammerstein_alignment)
-    idx_h = ofdm_valid_indices(cfg, tx_h.size, params.hammerstein_alignment)
     tx_power_dbm = mean_power_dbm(pa_out[idx])
     after_prop_dbm = mean_power_dbm(rx[idx])
 
@@ -472,25 +499,21 @@ def run_link_chain(params, seed):
         and (not pre_gray_ok or after_prop_dbm - floor_dbm > params.analog_engage_margin_db)
     )
 
+    after_analog_dbm = after_prop_dbm
     if engage:
         n_pil = params.n_pilot_symbols
         h_hat = estimate_channel_ls(
             demodulate(rx, cfg)[:n_pil], demodulate(pa_out, cfg)[:n_pil]
         )
         two_tap = tune_two_tap(h_hat, params.delays(), cfg)
-        rx_analog = apply_analog_canceller(pa_out, rx, two_tap, cfg)
-        rx_analog_h = apply_analog_canceller(pa_out_h, rx_h, two_tap, cfg)
-        after_analog_dbm = mean_power_dbm(rx_analog[idx])
-    else:
-        rx_analog, rx_analog_h = rx, rx_h
-        after_analog_dbm = after_prop_dbm
+        rx = apply_analog_canceller(pa_out, rx, two_tap, cfg)
+        after_analog_dbm = mean_power_dbm(rx[idx])
 
     gray_ok = fits_gray_zone(after_analog_dbm, floor_dbm, params.adc.effective_range_db)
     digital_saturated = not gray_ok
 
-    rx_adc, agc_scale = adc_quantize(rx_analog, params.adc)
-    rx_adc_h, _ = adc_quantize(rx_analog_h, params.adc, scale=agc_scale)
-
+    rx_adc, agc_scale = adc_quantize(rx, params.adc)
+    del pa_out, rx  # lowers the peak memory of the fit, which needs neither
     model = fit_hammerstein(
         tx,
         rx_adc,
@@ -501,6 +524,16 @@ def run_link_chain(params, seed):
         idx=idx,
     )
     after_digital_dbm = float(watt_to_dbm(model.training_residual_power))
+    del tx, rx_adc
+
+    tx_h, pa_out_h, rx_h = _run_frame(
+        params, cir, amp, params.n_holdout_symbols, 0,
+        substream(seed, "frame-holdout"), substream(seed, "noise-holdout"),
+    )
+    if engage:
+        rx_h = apply_analog_canceller(pa_out_h, rx_h, two_tap, cfg)
+    rx_adc_h, _ = adc_quantize(rx_h, params.adc, scale=agc_scale)
+    idx_h = ofdm_valid_indices(cfg, tx_h.size, params.hammerstein_alignment)
     resid_h = apply_digital_sic(tx_h, rx_adc_h, model, idx=idx_h)
     holdout_dbm = mean_power_dbm(resid_h)
 

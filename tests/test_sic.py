@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from fdiab.ofdm import OfdmConfig, build_frame
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
     LinkChainParams,
+    ReductionReport,
     apply_analog_canceller,
     apply_digital_sic,
     default_canceller_delays,
@@ -449,6 +452,20 @@ class TestRunLinkChain:
         r = run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 21)
         assert abs(r.holdout_residual_dbm - r.after_digital_dbm) < 1.0
 
+    def test_peak_memory_of_one_chain(self):
+        # At 0.1 m the analog stage engages, the chain's largest path. Only
+        # one frame's streams are alive at a time.
+        params = LinkChainParams(geometry=SiGeometry(0.1))
+        run_link_chain(params, 3)
+        tracemalloc.start()
+        try:
+            report = run_link_chain(params, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.analog_applied
+        assert peak <= 6.0e6
+
     def test_fig4_structure_single_seed(self):
         sups = {}
         for d in (2.0, 1.0, 0.1):
@@ -467,3 +484,87 @@ def test_chain_property(seed, separation):
     if not report.analog_applied:
         assert report.per_domain_db[1] == 0.0
     assert run_link_chain(params, seed) == report
+
+
+class TestLinkChainParamsBounds:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_pilot_symbols", 0),
+            ("n_pilot_symbols", -1),
+            ("n_holdout_symbols", 0),
+            ("hammerstein_memory", 0),
+            ("hammerstein_alignment", -1),
+            ("hammerstein_alignment", 20),
+            ("hammerstein_alignment", 30),
+            ("ridge", -1.0),
+            ("ridge", float("nan")),
+        ],
+    )
+    def test_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LinkChainParams(geometry=SiGeometry(0.1), **{field: value})
+
+    def test_pilots_only_needed_when_analog_can_engage(self):
+        for mode in ("auto", "on"):
+            with pytest.raises(ValueError, match="n_pilot_symbols"):
+                LinkChainParams(geometry=SiGeometry(0.1), analog_mode=mode, n_pilot_symbols=0)
+        with pytest.raises(ValueError, match="n_pilot_symbols"):
+            LinkChainParams(geometry=SiGeometry(0.1), analog_mode="off", n_pilot_symbols=-1)
+        params = LinkChainParams(geometry=SiGeometry(1.0), analog_mode="off", n_pilot_symbols=0)
+        run_link_chain(params, 3)
+
+    def test_bounds_are_inclusive(self):
+        params = LinkChainParams(
+            geometry=SiGeometry(1.0),
+            n_holdout_symbols=1,
+            hammerstein_memory=4,
+            hammerstein_alignment=3,
+            ridge=0.0,
+        )
+        run_link_chain(params, 3)
+        LinkChainParams(geometry=SiGeometry(1.0), hammerstein_memory=1, hammerstein_alignment=0)
+
+
+class TestReportValidation:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "tx_power_dbm",
+            "after_propagation_dbm",
+            "after_analog_dbm",
+            "after_digital_dbm",
+            "holdout_residual_dbm",
+            "noise_floor_dbm",
+            "antenna_separation_m",
+        ],
+    )
+    def test_non_finite_value_rejected(self, report, field, bad):
+        with pytest.raises(ValueError, match=rf"{field} is not finite"):
+            dataclasses.replace(report, **{field: bad}).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("domain", [0, 1, 2])
+    def test_non_finite_domain_rejected(self, report, domain, bad):
+        per_domain = list(report.per_domain_db)
+        per_domain[domain] = bad
+        with pytest.raises(ValueError, match="per_domain_db is not finite"):
+            dataclasses.replace(report, per_domain_db=tuple(per_domain)).validate()
+
+    def test_all_nan_report_rejected(self, report):
+        nan = float("nan")
+        fields = {f.name: nan for f in dataclasses.fields(ReductionReport)}
+        fields.update(
+            per_domain_db=(nan, nan, nan),
+            analog_applied=True,
+            gray_zone_ok=False,
+            digital_saturated=False,
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            ReductionReport(**fields).validate()
+        assert report.validate() is report
