@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel
 from .ofdm import (
@@ -191,37 +192,45 @@ def hammerstein_basis(tx, orders, memory_len, alignment, idx):
     return np.stack(cols, axis=1)
 
 
-def _normal_equations(psi, rx, memory_len, alignment, idx):
+def _cp_blocks(tx, idx, memory_len, alignment):
+    """(start, spacing, n_blocks, n) if idx is n_blocks runs of one length, each
+    run and the `alignment` samples after it a block of n samples, and the
+    samples a tap reaches before a block lie past the previous one and equal
+    its tail bit for bit (a CP), so every tap is a circular shift; else None."""
+    n_blocks = np.count_nonzero(np.diff(idx) != 1) + 1
+    run = idx.size // n_blocks
+    if n_blocks < 2 or idx.size % n_blocks:
+        return None
+    start, spacing = idx[0], idx[run] - idx[0]
+    n, reach = run + alignment, memory_len - 1 - alignment
+    runs = (start + spacing * np.arange(n_blocks))[:, None] + np.arange(run)
+    if n < memory_len or n + max(reach, 0) > spacing or not np.array_equal(idx, runs.ravel()):
+        return None
+    cp = runs[:, :1] + np.arange(-reach, 0)
+    return (start, spacing, n_blocks, n) if np.array_equal(tx[cp], tx[cp + n]) else None
+
+
+def _blocks(a, start, spacing, n_blocks, n):
+    """View of a's last axis as n_blocks rows of n samples, spacing apart from start."""
+    s = a.strides[-1]
+    return as_strided(a[..., start:], a.shape[:-1] + (n_blocks, n), a.strides[:-1] + (spacing * s, s))
+
+
+def _normal_equations(psi, rx, memory_len, alignment, idx, blocks=None):
     """B^H B and B^H rx[idx] for B = hammerstein_basis, without forming B.
 
     Row i of B holds psi_p(k_i - m) with k_i = idx_i + alignment, so every
     entry is a lagged correlation of two branch signals. The first tap row
     of the Gram, G[(p,0),(q,l)], and the right-hand side are summed over
     k = k_i directly, one lag at a time, with each sample weighted by how
-    often it occurs in idx. The other entries follow along each diagonal:
-    shifting both taps by one shifts every ascending run of idx back one
-    sample, so G[(p,m+1),(q,l+1)] = G[(p,m),(q,l)] plus the product of the
-    samples each run gains at its start, minus those it loses at its end.
+    often it occurs in idx; given blocks from _cp_blocks, per block in the
+    frequency domain, leaving the blocks' spectra in psi. The other entries
+    follow along each diagonal: shifting both taps by one shifts every
+    ascending run of idx back one sample, so G[(p,m+1),(q,l+1)] =
+    G[(p,m),(q,l)] plus the product of the samples each run gains at its
+    start, minus those it loses at its end.
     """
     n_br, mem = psi.shape[0], memory_len
-    k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
-    weight = np.bincount(idx)[k0 - alignment :]
-    lhs = np.empty((n_br + 1, k1 - k0), dtype=complex)
-    np.multiply(psi[:, k0:k1], weight, out=lhs[:n_br])
-    np.multiply(rx[k0 - alignment : k1 - alignment], weight, out=lhs[n_br])
-    np.conjugate(lhs, out=lhs)
-    # corr[l, q, j] = sum_k psi_q(k - l) conj(w(k) [psi_j(k) | rx(k - alignment)])
-    # One (n_br + 1, K) @ (K,) product per branch and lag keeps lhs in cache.
-    corr = np.empty((mem, n_br, n_br + 1), dtype=complex)
-    for q in range(n_br):
-        for l in range(mem):
-            np.matmul(lhs, psi[q, k0 - l : k1 - l], out=corr[l, q])
-    rhs = np.conj(corr[:, :, n_br]).T.reshape(-1)
-    first = corr[:, :, :n_br]
-
-    gram = np.empty((n_br, mem, n_br, mem), dtype=complex)
-    gram[:, 0] = first.transpose(2, 1, 0)
-    gram[:, :, :, 0] = np.conj(first).transpose(1, 0, 2)
     breaks = np.flatnonzero(np.diff(idx) != 1)
     starts = np.append(idx[0], idx[breaks + 1]) + alignment - 1
     ends = np.append(idx[breaks], idx[-1]) + alignment
@@ -231,14 +240,56 @@ def _normal_equations(psi, rx, memory_len, alignment, idx):
     edge = (gained.conj().T @ gained - lost.conj().T @ lost).reshape(
         n_br, mem - 1, n_br, mem - 1
     )
+    if blocks is not None:
+        # Tap l of block s, sample u, reads P_q(s, (u - l) mod n). Summed over
+        # all u, corr[l, q, j] is one transform of sum_s P^_q conj(P^_j | R^),
+        # less the u < alignment the fit skips; rx enters with those zeroed.
+        start, spacing, n_blocks, n = blocks
+        shifts = (np.arange(alignment) - np.arange(mem)[:, None]) % n  # (u - l) mod n
+        heads = psi[:, (start + spacing * np.arange(n_blocks))[:, None, None] + shifts]
+        skipped = np.tensordot(heads, heads[:, :, 0].conj(), axes=([1, 3], [1, 2]))
+        rx_hat = np.zeros((n_blocks, n), dtype=complex)
+        rx_hat[:, alignment:] = _blocks(rx, start, spacing, n_blocks, n - alignment)
+        np.fft.fft(rx_hat, out=rx_hat)
+        spectra = np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
+        cross = np.empty((n_br, n_br + 1, n), dtype=complex)
+        np.vecdot(spectra[None], spectra[:, None], axis=-2, out=cross[:, :n_br])
+        np.vecdot(rx_hat, spectra, axis=-2, out=cross[:, n_br])
+        corr = np.fft.fft(cross, norm="forward", out=cross)[..., :mem].transpose(2, 0, 1)
+        corr[..., :n_br] -= skipped.transpose(1, 0, 2)
+    else:
+        k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
+        weight = np.bincount(idx)[k0 - alignment :]
+        lhs = np.empty((n_br + 1, k1 - k0), dtype=complex)
+        np.multiply(psi[:, k0:k1], weight, out=lhs[:n_br])
+        np.multiply(rx[k0 - alignment : k1 - alignment], weight, out=lhs[n_br])
+        np.conjugate(lhs, out=lhs)
+        # corr[l, q, j] = sum_k psi_q(k - l) conj(w(k) [psi_j(k) | rx(k - alignment)])
+        # One (n_br + 1, K) @ (K,) product per branch and lag keeps lhs in cache.
+        corr = np.empty((mem, n_br, n_br + 1), dtype=complex)
+        for q in range(n_br):
+            for l in range(mem):
+                np.matmul(lhs, psi[q, k0 - l : k1 - l], out=corr[l, q])
+    rhs = np.conj(corr[:, :, n_br]).T.reshape(-1)
+    first = corr[:, :, :n_br]
+
+    gram = np.empty((n_br, mem, n_br, mem), dtype=complex)
+    gram[:, 0] = first.transpose(2, 1, 0)
+    gram[:, :, :, 0] = np.conj(first).transpose(1, 0, 2)
     for m in range(1, mem):
         gram[:, m, :, 1:] = gram[:, m - 1, :, :-1] + edge[:, m - 1]
     return gram.reshape(n_br * mem, n_br * mem), rhs
 
 
-def _residual(psi, rx, coeffs, alignment, idx):
-    """rx[idx] - B @ coeffs for B = hammerstein_basis, tap by tap over the span idx keeps."""
-    idx = np.asarray(idx)
+def _residual(psi, rx, coeffs, alignment, idx, blocks=None):
+    """rx[idx] - B @ coeffs for B = hammerstein_basis, tap by tap over the span idx
+    keeps; given blocks, as one circular convolution per block over psi's spectra."""
+    if blocks is not None:
+        start, spacing, n_blocks, n = blocks
+        fir = np.einsum("qsf,qf->sf", _blocks(psi, *blocks), np.fft.fft(coeffs, n))
+        resid = np.fft.ifft(fir, out=fir)[:, alignment:]
+        np.subtract(_blocks(rx, start, spacing, n_blocks, n - alignment), resid, out=resid)
+        return resid.ravel()
     k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
     fir = psi[:, k0:k1].T @ coeffs[:, 0]
     tap = np.empty_like(fir)
@@ -301,10 +352,12 @@ def fit_hammerstein(
         )
     idx = np.asarray(idx)
     psi = _branch_signals(tx, orders, memory_len, alignment, idx)
-    gram, rhs = _normal_equations(psi, rx, memory_len, alignment, idx)
+    blocks = _cp_blocks(tx, idx, memory_len, alignment)
+    gram, rhs = _normal_equations(psi, rx, memory_len, alignment, idx, blocks)
     eps = ridge * float(np.trace(gram).real) / gram.shape[0]
     gram_r = gram + eps * np.eye(gram.shape[0])
-    cond = np.linalg.cond(gram_r)
+    eig = np.abs(np.linalg.eigvalsh(gram_r))  # gram_r is Hermitian: cond = |lambda| max / min
+    cond = eig.max() / eig.min()
     if cond > 1e12:
         warnings.warn(
             f"hammerstein basis badly conditioned (cond {cond:.2e}); "
@@ -312,8 +365,7 @@ def fit_hammerstein(
             RuntimeWarning,
         )
     coeffs = np.linalg.solve(gram_r, rhs).reshape(len(orders), memory_len)
-    resid = _residual(psi, rx, coeffs, alignment, idx)
-    target = rx[idx]
+    resid = _residual(psi, rx, coeffs, alignment, idx, blocks)
     return HammersteinModel(
         orders=tuple(orders),
         memory_len=memory_len,
@@ -321,7 +373,7 @@ def fit_hammerstein(
         alignment=alignment,
         ridge=eps,
         training_residual_power=float(np.mean(np.abs(resid) ** 2)),
-        training_power=float(np.mean(np.abs(target) ** 2)),
+        training_power=float(np.mean(np.abs(rx[idx]) ** 2)),
     )
 
 
@@ -333,8 +385,12 @@ def apply_digital_sic(tx_baseband, rx_after_adc, model, idx=None):
         raise ValueError("tx and rx must have the same length")
     if idx is None:
         idx = default_fit_indices(tx.size, model.memory_len, model.alignment)
+    idx = np.asarray(idx)
     psi = _branch_signals(tx, model.orders, model.memory_len, model.alignment, idx)
-    return _residual(psi, rx, model.coeffs, model.alignment, idx)
+    blocks = _cp_blocks(tx, idx, model.memory_len, model.alignment)
+    if blocks is not None:
+        np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
+    return _residual(psi, rx, model.coeffs, model.alignment, idx, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +431,15 @@ class LinkChainParams:
     def __post_init__(self):
         if self.analog_mode not in ("auto", "on", "off"):
             raise ValueError("analog_mode must be auto, on or off")
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.input_backoff_db < 0.0:
             raise ValueError("input_backoff_db must be >= 0")
         # The analog stage is tuned from the pilots: with none, every power is NaN.
         for name, low, high in (
             ("n_pilot_symbols", 0 if self.analog_mode == "off" else 1, np.inf),
+            ("n_data_symbols", 0, np.inf),
             ("n_holdout_symbols", 1, np.inf),
             ("hammerstein_memory", 1, np.inf),
             ("hammerstein_alignment", 0, self.hammerstein_memory - 1),

@@ -11,6 +11,7 @@ from fdiab.geometry import ChannelImpulseResponse, ReflectorConfig, SiGeometry
 from fdiab.ofdm import OfdmConfig, build_frame
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
+    _cp_blocks,
     LinkChainParams,
     ReductionReport,
     apply_analog_canceller,
@@ -329,21 +330,44 @@ def irregular_indices(n_samples, seed):
 TAP_WINDOWS = ((1, 0), (2, 0), (2, 1), (5, 2), (8, 7), (20, 0), (20, 8), (20, 19))
 
 
+def ofdm_signals(seed, n_symbols):
+    """An OFDM frame and its distorted, delayed, noisy echo."""
+    from fdiab.ofdm import apply_channel
+
+    rng = substream(seed, "hstruct")
+    x = build_frame(CFG, n_symbols, rng, 0).samples
+    d = x + 0.05 * x * np.abs(x) ** 2 - 0.01 * x * np.abs(x) ** 4
+    y = apply_channel(d, integer_delay_cir(1, 0.8 + 0.3j), CFG) + 1e-3 * (
+        rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    )
+    return x, y
+
+
+def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # short irregular blocks
+        model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, idx)
+    basis, coeffs, eps, resid_power = explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
+    scale = np.abs(coeffs).max()
+    np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-8, atol=1e-8 * scale)
+    assert model.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
+    assert model.training_residual_power == pytest.approx(resid_power, rel=1e-9)
+    prediction = y[idx] - apply_digital_sic(x, y, model, idx=idx)
+    explicit = basis @ model.coeffs.reshape(-1)
+    np.testing.assert_allclose(
+        prediction, explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max()
+    )
+
+
 class TestStructuredFitMatchesExplicitBasis:
     """fit_hammerstein and apply_digital_sic never build the design matrix;
-    they must agree with its explicit normal equations."""
+    they must agree with its explicit normal equations. Per-symbol indices on
+    an OFDM frame take the per-symbol frequency-domain route, every other
+    input the time-domain one."""
 
     @pytest.fixture(scope="class")
     def signals(self):
-        from fdiab.ofdm import apply_channel
-
-        rng = substream(30, "hstruct")
-        x = build_frame(CFG, 3, rng, 0).samples
-        d = x + 0.05 * x * np.abs(x) ** 2 - 0.01 * x * np.abs(x) ** 4
-        y = apply_channel(d, integer_delay_cir(1, 0.8 + 0.3j), CFG) + 1e-3 * (
-            rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-        )
-        return x, y
+        return ofdm_signals(30, 3)
 
     @pytest.mark.parametrize("ridge", [0.0, 1e-8])
     @pytest.mark.parametrize("orders", [(1,), (1, 3), (1, 3, 5)])
@@ -357,21 +381,28 @@ class TestStructuredFitMatchesExplicitBasis:
                 idx = ofdm_valid_indices(CFG, x.size, alignment)
             else:
                 idx = irregular_indices(x.size, memory_len * 100 + alignment)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # short irregular blocks
-                model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, idx)
-            basis, coeffs, eps, resid_power = explicit_fit(
-                x, y, orders, memory_len, alignment, ridge, idx
-            )
-            scale = np.abs(coeffs).max()
-            np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-8, atol=1e-8 * scale)
-            assert model.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
-            assert model.training_residual_power == pytest.approx(resid_power, rel=1e-9)
-            prediction = y[idx] - apply_digital_sic(x, y, model, idx=idx)
-            explicit = basis @ model.coeffs.reshape(-1)
-            np.testing.assert_allclose(
-                prediction, explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max()
-            )
+            circular = _cp_blocks(x, idx, memory_len, alignment) is not None
+            assert circular == (kind == "per-symbol")
+            assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
+
+    @pytest.mark.parametrize(
+        "case, circular",
+        [("taps past the CP", False), ("CP sample a tap reads", False), ("CP sample no tap reads", True)],
+    )
+    def test_route_follows_the_cyclic_prefix(self, signals, case, circular):
+        # Symbols 1 and 2 only, so a tap window of 150 stays inside the stream
+        # while reaching one sample past the 140-sample CP. Its 450 taps need
+        # the ridge on a band-limited frame.
+        x, y = signals
+        memory_len, alignment = (150, 8) if case == "taps past the CP" else (20, 8)
+        idx = ofdm_valid_indices(CFG, x.size, alignment)[CFG.fft_size - alignment :]
+        x = x.copy()
+        if case != "taps past the CP":
+            reach = memory_len - 1 - alignment
+            first = CFG.symbol_len + CFG.cp_len - (1 if case == "CP sample a tap reads" else reach + 1)
+            x[first] += 0.1
+        assert (_cp_blocks(x, idx, memory_len, alignment) is not None) == circular
+        assert_matches_explicit_fit(x, y, (1, 3, 5), memory_len, alignment, 1e-8, idx)
 
     def test_window_and_index_checks(self, signals):
         x, y = signals
@@ -382,6 +413,42 @@ class TestStructuredFitMatchesExplicitBasis:
         model = fit_hammerstein(x, y, memory_len=4, idx=np.arange(100, 600))
         with pytest.raises(ValueError, match="outside the stream"):
             apply_digital_sic(x, y, model, idx=np.array([-1, 50]))
+
+    def test_taps_must_stay_inside_their_symbol(self):
+        # A stream of period 16 passes the CP comparison at any reach; blocks
+        # of 16 samples, 20 apart, leave a CP of 4 for the taps to reach into.
+        x = np.tile(substream(41, "period").standard_normal(16) + 0j, 25)
+        idx = (20 * np.arange(1, 19))[:, None] + 4 + np.arange(16)
+        assert _cp_blocks(x, idx.ravel(), 5, 0) == (24, 20, 18, 16)
+        assert _cp_blocks(x, idx.ravel(), 6, 0) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    orders=st.sampled_from([(1,), (3,), (1, 3), (1, 5), (1, 3, 5)]),
+    window=st.integers(1, 20).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+    ridge=st.sampled_from([0.0, 1e-8]),
+)
+def test_circular_route_matches_explicit_fit(seed, orders, window, ridge):
+    x, y = ofdm_signals(seed, 2)
+    memory_len, alignment = window
+    idx = ofdm_valid_indices(CFG, x.size, alignment)
+    assert _cp_blocks(x, idx, memory_len, alignment) is not None
+    assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
+
+
+class TestConditionWarning:
+    def test_collinear_branches_warn(self):
+        # |x| = 1 makes psi_3 = x |x|^2 equal psi_1 up to rounding.
+        x = np.exp(2j * np.pi * substream(40, "phase").random(4000))
+        with pytest.warns(RuntimeWarning, match="badly conditioned"):
+            fit_hammerstein(x, 0.5 * x, (1, 3), memory_len=4, ridge=0.0)
+
+    def test_default_chain_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 3)
 
 
 class TestRunLinkChain:
@@ -499,6 +566,12 @@ class TestLinkChainParamsBounds:
             ("hammerstein_alignment", 30),
             ("ridge", -1.0),
             ("ridge", float("nan")),
+            ("ridge", float("inf")),
+            ("input_backoff_db", float("nan")),
+            ("input_backoff_db", float("inf")),
+            ("analog_engage_margin_db", float("nan")),
+            ("carrier_freq_hz", float("inf")),
+            ("n_data_symbols", -2),
         ],
     )
     def test_rejected_by_name(self, field, value):
