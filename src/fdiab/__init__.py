@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .geometry import (
     AntennaPattern,
     ChannelImpulseResponse,
-    LinkBudget,
     ReflectorConfig,
     SiGeometry,
     antenna_gain_dbi,
     fspl_db,
-    link_budget,
+    rx_dbm,
     si_channel,
 )
 from .ofdm import OfdmConfig, OfdmFrame, demodulate, estimate_channel_ls, modulate

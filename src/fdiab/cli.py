@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .geometry import SiGeometry
 from .prototype import compare_prototype
-from .rf import NoiseModel
 from .scenario import (
     ScenarioError,
     apply_overrides,
@@ -194,21 +193,17 @@ def chain_params_for_node(scenario, node):
     sector at the codebook's center elevation, the MT looks at the donor."""
     az = scenario.sector_center_az(node)
     du_dir = direction_from_angles(az, SECTOR_CENTER_EL_DEG)
-    mt_to_donor = np.asarray(scenario.donor.position, float) - np.asarray(
-        node.mt_position(), float
-    )
-    mt_dir = mt_to_donor / np.linalg.norm(mt_to_donor)
     geometry = SiGeometry(
         antenna_separation_m=node.antenna_separation_m,
         tx_orientation=tuple(float(c) for c in du_dir),
-        rx_orientation=tuple(float(c) for c in mt_dir),
+        rx_orientation=scenario.mt_boresight(node),
     )
     return LinkChainParams(
         geometry=geometry,
         tx_pattern=node.pattern,
         rx_pattern=node.pattern,
         reflectors=scenario.reflectors,
-        noise=NoiseModel(scenario.bandwidth_hz, scenario.noise_figure_db),
+        noise=scenario.noise,
         carrier_freq_hz=scenario.carrier_freq_hz,
     )
 
@@ -275,6 +270,8 @@ def _parse_grid(specs):
         if "=" not in spec:
             raise ScenarioError(f"grid {spec!r}: expected key=v1,v2,...")
         key, raw = spec.split("=", 1)
+        if any(k == key for k, _ in grid):
+            raise ScenarioError(f"--grid repeats key {key!r}")
         values = []
         for part in raw.split(","):
             try:
@@ -387,21 +384,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=True, scenario_required=True):
-        if scenario_required:
+    def common(p, seed_required=True, with_scenario=True):
+        if with_scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON path")
+            p.add_argument(
+                "--set",
+                dest="overrides",
+                action="append",
+                default=[],
+                metavar="KEY=VALUE",
+                help="override a scenario field (dotted path, '*' for list wildcards)",
+            )
         p.add_argument(
             "--seed", type=int, required=seed_required, help="experiment seed in [0, 2**64)"
         )
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a scenario field (dotted path, '*' for list wildcards)",
-        )
 
     common(sub.add_parser("link-sim", help="run the SI reduction chain per IAB node"))
 
@@ -427,7 +424,7 @@ def build_parser():
     p_cmp = sub.add_parser(
         "compare-prototype", help="simulated vs measured propagation suppression"
     )
-    common(p_cmp, seed_required=False, scenario_required=False)
+    common(p_cmp, seed_required=False, with_scenario=False)
 
     return parser
 
@@ -439,7 +436,7 @@ def main(argv=None):
         scenario_path=getattr(args, "scenario", None),
         seed=args.seed,
         output_dir=args.out,
-        overrides=tuple(args.overrides),
+        overrides=tuple(getattr(args, "overrides", ())),
     )
     try:
         if cfg.seed is not None and not 0 <= cfg.seed < 2**64:

@@ -1,4 +1,4 @@
-"""Propagation-domain model: path loss, directional antennas, SI channels, link budgets.
+"""Propagation-domain model: path loss, directional antennas, SI channels, received power.
 
 Everything here is a pure function of its inputs and a seed, so channel
 realizations are bit-reproducible and safe to evaluate concurrently.
@@ -45,9 +45,6 @@ class AntennaPattern:
         if self.polarization not in ("V", "H"):
             raise ValueError("polarization must be 'V' or 'H'")
 
-    def gain_dbi(self, offset_deg):
-        return antenna_gain_dbi(self, offset_deg)
-
 
 def antenna_gain_dbi(pattern, offset_deg):
     """Pattern gain in dBi at an angular offset (degrees) from boresight."""
@@ -57,23 +54,38 @@ def antenna_gain_dbi(pattern, offset_deg):
     return float(out) if out.ndim == 0 else out
 
 
-def rowdot(a, b):
-    """Dot product over the last axis, one BLAS ddot per row, as np.dot rounds it."""
-    a = np.asarray(a, float)[..., np.newaxis, :]
-    b = np.asarray(b, float)[..., :, np.newaxis]
-    return np.matmul(a, b)[..., 0, 0]
+def _dot(u, v):
+    """Dot product over the last axis as u0*v0 + u1*v1 + u2*v2, in that order:
+    the one rounding rule for angles and path lengths. A BLAS ddot rounds
+    some of these sums differently in the last bit."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
 def angle_between_deg(u, v):
-    """Angle in degrees between direction vectors, elementwise over the rows
-    of (..., 3) arrays; a float for two vectors."""
+    """Angle in degrees between direction vectors, elementwise over the
+    broadcast rows of (..., 3) arrays; a float for two vectors."""
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    norms = np.sqrt(rowdot(u, u)) * np.sqrt(rowdot(v, v))
-    if (norms == 0.0).any():
+    u_norm, v_norm = np.sqrt(_dot(u, u)), np.sqrt(_dot(v, v))
+    if not (u_norm.all() and v_norm.all()):
         raise ValueError("direction vectors must be nonzero")
-    out = np.degrees(np.arccos(np.minimum(np.maximum(rowdot(u, v) / norms, -1.0), 1.0)))
+    out = np.degrees(np.arccos(np.minimum(np.maximum(_dot(u, v) / (u_norm * v_norm), -1.0), 1.0)))
     return float(out) if out.ndim == 0 else out
+
+
+def rx_dbm(tx_pos, tx_power_dbm, tx_pattern, beam_dirs, rx_pos, freq_hz, rx_gain_dbi, shadow_db):
+    """Received power in dBm from a transmitter at tx_pos whose beam points
+    along beam_dirs, at receivers rx_pos with gain rx_gain_dbi.
+
+    tx power + pattern gain at the off-boresight angle + rx gain - Friis
+    loss - shadowing, summed in that order. beam_dirs (..., 3) broadcasts
+    against rx_pos (..., 3): (beams, 1, 3) against (n, 3) gives every
+    (beam, receiver) pair. Coincident positions raise through fspl_db.
+    """
+    los = np.asarray(rx_pos, float) - np.asarray(tx_pos, float)
+    path_loss = fspl_db(np.sqrt(_dot(los, los)), freq_hz)
+    gain = antenna_gain_dbi(tx_pattern, angle_between_deg(beam_dirs, los))
+    return tx_power_dbm + gain + rx_gain_dbi - path_loss - shadow_db
 
 
 @dataclass(frozen=True)
@@ -168,18 +180,6 @@ class ChannelImpulseResponse:
         return phases @ self.gains
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """One evaluated link: rx_power = tx_power + gains - path loss - shadowing."""
-
-    rx_power_dbm: float
-    path_loss_db: float
-    tx_gain_dbi: float
-    rx_gain_dbi: float
-    shadowing_db: float
-    tx_power_dbm: float
-
-
 def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz=28e9):
     """SI channel impulse response for one DU/MT pair.
 
@@ -218,44 +218,3 @@ def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz
 
     return ChannelImpulseResponse(taps=tuple(taps), carrier_freq_hz=carrier_freq_hz)
 
-
-def shadowing_db(sigma_db, shadow_seed, tx_pos, rx_pos):
-    """Log-normal shadowing draw, deterministic per (link endpoints, seed)."""
-    if sigma_db == 0.0:
-        return 0.0
-    rng = substream(shadow_seed, "shadow", *np.asarray(tx_pos, float), *np.asarray(rx_pos, float))
-    return float(sigma_db * rng.standard_normal())
-
-
-def link_budget(
-    tx_pos,
-    rx_pos,
-    tx_pat,
-    tx_beam_dir,
-    rx_pat,
-    rx_beam_dir,
-    tx_power_dbm,
-    shadow_seed=0,
-    freq_hz=28e9,
-    shadow_sigma_db=0.0,
-):
-    """Evaluate one directional link between two distinct positions."""
-    tx_pos = np.asarray(tx_pos, dtype=float)
-    rx_pos = np.asarray(rx_pos, dtype=float)
-    los = rx_pos - tx_pos
-    dist = float(np.linalg.norm(los))
-    if dist == 0.0:
-        raise ValueError("tx and rx positions coincide")
-    path_loss = fspl_db(dist, freq_hz)
-    tx_gain = antenna_gain_dbi(tx_pat, angle_between_deg(tx_beam_dir, los))
-    rx_gain = antenna_gain_dbi(rx_pat, angle_between_deg(rx_beam_dir, -los))
-    shadow = shadowing_db(shadow_sigma_db, shadow_seed, tx_pos, rx_pos)
-    rx_power = tx_power_dbm + tx_gain + rx_gain - path_loss - shadow
-    return LinkBudget(
-        rx_power_dbm=rx_power,
-        path_loss_db=path_loss,
-        tx_gain_dbi=tx_gain,
-        rx_gain_dbi=rx_gain,
-        shadowing_db=shadow,
-        tx_power_dbm=tx_power_dbm,
-    )

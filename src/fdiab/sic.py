@@ -40,7 +40,7 @@ def default_canceller_delays(separation_m):
     for d, delays in PAPER_CANCELLER_DELAYS_S.items():
         if abs(separation_m - d) < 1e-9:
             return delays
-    tau = separation_m / 299_792_458.0
+    tau = separation_m / SPEED_OF_LIGHT
     return (0.9 * tau, 1.2 * tau)
 
 

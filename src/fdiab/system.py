@@ -11,15 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import (
-    AntennaPattern,
-    ReflectorConfig,
-    SiGeometry,
-    angle_between_deg,
-    fspl_db,
-    rowdot,
-    si_channel,
-)
+from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel
 from .rf import NoiseModel
 from .util import dbm_to_watt, substream, watt_to_dbm
 
@@ -110,7 +102,7 @@ DEFAULT_MCS = McsTable(
 
 def capacity_bps(sinr_db, bandwidth_hz, mcs):
     """Bandwidth times the efficiency of the best MCS whose threshold is met,
-    elementwise; a float for scalar input.
+    elementwise.
 
     Thresholds are closed lower bounds; below the lowest one the UE is in
     outage and gets zero.
@@ -119,8 +111,7 @@ def capacity_bps(sinr_db, bandwidth_hz, mcs):
     if np.isnan(sinr).any():
         raise ValueError("sinr_db must not be NaN")
     eff = np.concatenate(([0.0], mcs.efficiencies_bps_hz))  # eff[0]: outage
-    out = bandwidth_hz * eff[np.searchsorted(mcs.thresholds_db, sinr, side="right")]
-    return float(out) if out.ndim == 0 else out
+    return bandwidth_hz * eff[np.searchsorted(mcs.thresholds_db, sinr, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +210,11 @@ class Scenario:
         x, y, _ = cell.position
         return float(np.degrees(np.arctan2(cy - y, cx - x)))
 
+    def mt_boresight(self, node):
+        """Unit vector from the node's MT to the donor, where the MT points."""
+        v = np.asarray(self.donor.position, float) - np.asarray(node.mt_position(), float)
+        return tuple(float(c) for c in v / np.linalg.norm(v))
+
 
 def default_scenario():
     """Desk-scale deployment: one donor, two relays, 441 UEs over 500 m x 500 m.
@@ -240,8 +236,9 @@ def default_scenario():
 # Scheduling and link arithmetic, on per-UE columns
 #
 # Each value must round exactly as the per-UE formula it stands for, so that
-# throughput.csv keeps its bytes: dot products are one BLAS ddot per row, as
-# np.dot on that row, and dBm levels reach watts through libm's pow, as a
+# throughput.csv keeps its bytes: access and DLI powers come from
+# geometry.rx_dbm, whose dot products are summed component by component,
+# u0*v0 + u1*v1 + u2*v2, and dBm levels reach watts through libm's pow, as a
 # Python float does.
 # ---------------------------------------------------------------------------
 
@@ -286,23 +283,18 @@ def schedule_drop(scenario, seed):
     ues = scenario.ue_grid.positions()
     n_ue = ues.shape[0]
     cells = scenario.cells()
-    freq = scenario.carrier_freq_hz
     beam_dirs = np.stack(
         [build_codebook(c.pattern, scenario.sector_center_az(c)).directions() for c in cells]
     )
     shadows = _access_shadows_db(scenario, seed, len(cells), n_ue)
 
-    # rx[cell, beam, ue], one (beam, UE) broadcast per cell, spelled out per
-    # component rather than through BLAS, which fixes its rounding.
+    # rx[cell, beam, ue], one (beam, UE) broadcast per cell.
     rx = np.empty((len(cells), N_BEAMS_AZ * N_BEAMS_EL, n_ue))
     for ci, cell in enumerate(cells):
-        lx, ly, lz = (ues - np.asarray(cell.position, float)).T
-        dx, dy, dz = beam_dirs[ci].T[..., np.newaxis]
-        dist = np.sqrt(lx * lx + ly * ly + lz * lz)
-        dnorm = np.sqrt(dx * dx + dy * dy + dz * dz)
-        cosang = np.clip((lx * dx + ly * dy + lz * dz) / (dnorm * dist), -1.0, 1.0)
-        gain = cell.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
-        rx[ci] = cell.tx_power_dbm + gain + UE_GAIN_DBI - fspl_db(dist, freq) - shadows[ci]
+        rx[ci] = rx_dbm(
+            cell.position, cell.tx_power_dbm, cell.pattern, beam_dirs[ci][:, np.newaxis],
+            ues, scenario.carrier_freq_hz, UE_GAIN_DBI, shadows[ci],
+        )
 
     flat = rx.reshape(len(cells) * N_BEAMS_AZ * N_BEAMS_EL, n_ue)
     pick = np.argmax(flat, axis=0)  # first max: lowest (cell, beam) wins ties
@@ -326,34 +318,29 @@ def backhaul_rx_power_dbm(scenario, node):
 def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
     """Donor backhaul transmission received directly by relayed UEs.
 
-    The donor beam stays fixed on the serving node's MT at mt_pos; the UE at
-    ue_pos picks up its off-boresight leakage over the same shadowed path as
-    the donor's access link to that UE (shadow_db). Positions are (..., 3)
-    arrays, one row per UE; a single UE gives a float.
+    The DLI is the donor's access link to each UE with the donor's beam held
+    on the serving node's MT at mt_pos, over the same shadowed path
+    (shadow_db). Positions are (n, 3) arrays, one row per UE.
     """
     donor = scenario.donor
-    donor_pos = np.asarray(donor.position, float)
-    beam_dir = np.asarray(mt_pos, float) - donor_pos
-    los = np.asarray(ue_pos, float) - donor_pos
-    gain = donor.pattern.gain_dbi(angle_between_deg(beam_dir, los))
-    path_loss = fspl_db(np.sqrt(rowdot(los, los)), scenario.carrier_freq_hz)
-    out = donor.tx_power_dbm + gain + UE_GAIN_DBI - path_loss - shadow_db
-    return float(out) if np.ndim(out) == 0 else out
+    beam_dirs = np.asarray(mt_pos, float) - np.asarray(donor.position, float)
+    return rx_dbm(
+        donor.position, donor.tx_power_dbm, donor.pattern, beam_dirs,
+        ue_pos, scenario.carrier_freq_hz, UE_GAIN_DBI, shadow_db,
+    )
 
 
 def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs, beam_idx):
     """Residual SI after propagation-domain suppression only, per access beam:
-    beam_dirs (n, 3) with indices beam_idx (n,), or one beam (3,) with a
-    scalar index, which gives a float.
+    beam_dirs (n, 3) with indices beam_idx (n,).
 
     The reflected taps are redrawn per beam (the SI seen at the MT varies with
     the DU beam), from substream(seed, "si", node_idx, beam_idx); the MT keeps
     pointing at the donor.
     """
-    mt_to_donor = np.asarray(scenario.donor.position, float) - np.asarray(node.mt_position())
-    rx_dir = tuple(mt_to_donor / np.linalg.norm(mt_to_donor))
+    rx_dir = scenario.mt_boresight(node)
     out = []
-    for beam_dir, bi in zip(np.atleast_2d(beam_dirs).tolist(), np.atleast_1d(beam_idx).tolist()):
+    for beam_dir, bi in zip(np.asarray(beam_dirs).tolist(), np.asarray(beam_idx).tolist()):
         cir = si_channel(
             SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir),
             node.pattern,
@@ -363,7 +350,7 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs, beam_
             carrier_freq_hz=scenario.carrier_freq_hz,
         )
         out.append(node.tx_power_dbm + cir.total_gain_db())
-    return out[0] if np.ndim(beam_idx) == 0 else np.array(out)
+    return np.array(out)
 
 
 def residual_si_dbm(scenario, mode, node, prop_residual_dbm):
@@ -395,12 +382,12 @@ def ue_throughput(
 ):
     """Downlink throughput of each UE under one configuration.
 
-    Every argument after mode is a per-UE array or a scalar. Returns
-    (throughput_bps, access_sinr_db, backhaul_sinr_db), floats for scalar
-    input. Donor-served and fibered UEs get their plain access capacity and
-    a NaN backhaul SINR. Relayed FD UEs are bottlenecked by min(access with
-    DLI, backhaul with residual SI). Relayed HD UEs time-share the two hops,
-    optimal split, charged the guard overhead: (1-g) * Ca*Cb / (Ca+Cb).
+    Every argument after mode is a per-UE array or a scalar. Returns the
+    arrays (throughput_bps, access_sinr_db, backhaul_sinr_db). Donor-served
+    and fibered UEs get their plain access capacity and a NaN backhaul SINR.
+    Relayed FD UEs are bottlenecked by min(access with DLI, backhaul with
+    residual SI). Relayed HD UEs time-share the two hops, optimal split,
+    charged the guard overhead: (1-g) * Ca*Cb / (Ca+Cb).
     """
     mode = Mode(mode)
     floor = scenario.noise.floor_dbm
@@ -428,7 +415,7 @@ def ue_throughput(
     else:
         relayed_thr = np.minimum(ca, cb)
     thr = np.where(relayed, relayed_thr, ca)
-    return tuple(float(x) if np.ndim(x) == 0 else x for x in (thr, access_sinr, backhaul_sinr))
+    return thr, access_sinr, backhaul_sinr
 
 
 def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):

@@ -253,6 +253,30 @@ class TestArgumentBounds:
         assert "repeats hd" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_grid_key_is_1(self, scenario_path, tmp_path, capsys):
+        # Two axes on one key would both write it; the first axis's values
+        # would run nowhere.
+        key = "iab_nodes.*.antenna_separation_m"
+        rc = main(
+            ["sweep", "--scenario", scenario_path, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--grid", f"{key}=0.1,2", "--grid", f"{key}=1"]
+        )
+        assert rc == 1
+        assert f"--grid repeats key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--set", "nonsense.key=5"], ["--scenario", SCENARIO]]
+    )
+    def test_compare_prototype_takes_no_scenario_input(self, tmp_path, capsys, extra):
+        # compare-prototype reads no scenario, so an override would be ignored.
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-prototype", "--out", str(out)] + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wildcard_override_matching_nothing_is_1(self, tmp_path, capsys):
         path = tmp_path / "min.json"
         path.write_text(json.dumps({"donor": {"position": [0, 0, 100]}}))

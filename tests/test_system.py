@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab.geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, si_channel
+from fdiab.geometry import (
+    AntennaPattern,
+    ReflectorConfig,
+    SiGeometry,
+    antenna_gain_dbi,
+    fspl_db,
+    si_channel,
+)
 from fdiab.system import (
     ALL_MODES,
     DEFAULT_MCS,
@@ -60,8 +67,8 @@ def columns_equal(a, b):
 
 
 # Plain per-UE formulas, one UE and one (cell, beam) at a time, in Python
-# floats and np.dot: the reference that the columnar scheduler and drop must
-# reproduce bit for bit.
+# floats with dot products summed component by component: the reference that
+# the columnar scheduler and drop must reproduce bit for bit.
 
 
 def reference_directions(sc, ci):
@@ -80,21 +87,8 @@ def reference_rx_dbm(sc, seed, ci, beam_dir, ue, u):
     dist = math.sqrt(lx * lx + ly * ly + lz * lz)
     dnorm = math.sqrt(dx * dx + dy * dy + dz * dz)
     cosang = min(max((lx * dx + ly * dy + lz * dz) / (dnorm * dist), -1.0), 1.0)
-    gain = cell.pattern.gain_dbi(np.degrees(np.arccos(cosang)))
+    gain = antenna_gain_dbi(cell.pattern, np.degrees(np.arccos(cosang)))
     return cell.tx_power_dbm + gain + 0.0 - fspl_db(dist, sc.carrier_freq_hz) - shadow
-
-
-def reference_dli_dbm(sc, seed, node, ue, u):
-    donor = sc.donor
-    donor_pos = np.asarray(donor.position, float)
-    beam_dir = np.asarray(node.mt_position(), float) - donor_pos
-    los = np.asarray(ue, float) - donor_pos
-    dist = float(np.linalg.norm(los))
-    cosang = np.clip(np.dot(beam_dir, los) / (np.linalg.norm(beam_dir) * dist), -1.0, 1.0)
-    gain = donor.pattern.gain_dbi(float(np.degrees(np.arccos(cosang))))
-    z = substream(seed, "access-shadow", 0).standard_normal(u + 1)[u]
-    shadow = float(sc.access_shadow_sigma_db * z)
-    return donor.tx_power_dbm + gain + 0.0 - fspl_db(dist, sc.carrier_freq_hz) - shadow
 
 
 def reference_lin_sum_dbm(*levels_dbm):
@@ -110,22 +104,26 @@ def reference_capacity(sinr_db, sc):
 
 def reference_residual_dbm(sc, seed, ni, node, beam_dir, bi):
     """Propagation-only residual SI of one (node, beam), the SI model written
-    out per beam: np.dot angles, Python's pow, the reflection draws in their
-    order, tap powers summed by np.sum over the tap array."""
+    out per beam: angles from component-wise dot products, Python's pow, the
+    reflection draws in their order, tap powers summed by np.sum over the tap
+    array."""
     f = sc.carrier_freq_hz
     d = node.antenna_separation_m
     mt_to_donor = np.asarray(sc.donor.position, float) - np.asarray(node.mt_position(), float)
 
     def off_boresight_deg(u, axis):
-        u = np.asarray(u, float)
-        c = np.clip(np.dot(u, axis) / (np.linalg.norm(u) * np.linalg.norm(axis)), -1.0, 1.0)
+        u0, u1, u2 = (float(c) for c in u)
+        a0, a1, a2 = axis
+        norms = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2) * math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+        c = min(max((u0 * a0 + u1 * a1 + u2 * a2) / norms, -1.0), 1.0)
         return float(np.degrees(np.arccos(c)))
 
     amp_db = (
         -fspl_db(d, f)
-        + node.pattern.gain_dbi(off_boresight_deg(beam_dir, (0.0, 0.0, -1.0)))
-        + node.pattern.gain_dbi(
-            off_boresight_deg(mt_to_donor / np.linalg.norm(mt_to_donor), (0.0, 0.0, 1.0))
+        + antenna_gain_dbi(node.pattern, off_boresight_deg(beam_dir, (0.0, 0.0, -1.0)))
+        + antenna_gain_dbi(
+            node.pattern,
+            off_boresight_deg(mt_to_donor / np.linalg.norm(mt_to_donor), (0.0, 0.0, 1.0)),
         )
     )
     amp = 10.0 ** (amp_db / 20.0)
@@ -164,9 +162,11 @@ def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
         ca, cb = reference_capacity(snr, sc), reference_capacity(b_sinr, sc)
         thr = (1.0 - sc.guard_overhead) * ca * cb / (ca + cb) if ca > 0.0 and cb > 0.0 else 0.0
         return snr, b_sinr, None, thr
-    dli = reference_dli_dbm(sc, seed, node, ue, u)
+    # The DLI is the donor's access link with its beam held on the MT.
+    mt_beam = np.asarray(node.mt_position(), float) - np.asarray(sc.donor.position, float)
+    dli = reference_rx_dbm(sc, seed, 0, mt_beam, ue, u)
     beam_dir = reference_directions(sc, ci)[bi]
-    prop = propagation_residual_si_dbm(sc, seed, ci - 1, node, beam_dir, bi)
+    prop = reference_residual_dbm(sc, seed, ci - 1, node, beam_dir, bi)
     residual = {
         Mode.IDEAL_FD: -np.inf,
         Mode.FD_FULL: min(prop, floor + sc.full_sic_margin_db),
@@ -376,8 +376,6 @@ class TestPropagationResidual:
                 expected = node.tx_power_dbm + cir.total_gain_db()
                 assert expected == reference_residual_dbm(sc, seed, ni, node, beam_dir, bi)
                 assert got[bi] == expected
-                one = propagation_residual_si_dbm(sc, seed, ni, node, beam_dir, bi)
-                assert isinstance(one, float) and one == expected
 
 
 class TestDli:
@@ -396,7 +394,7 @@ class TestDli:
         sc, node = self.donor_node_pair()
         mt = np.asarray(node.mt_position())
         ue_on_ray = np.asarray(sc.donor.position) + 1.5 * (mt - np.asarray(sc.donor.position))
-        dli = dli_power_dbm(sc, node.mt_position(), ue_on_ray, 0.0)
+        dli = dli_power_dbm(sc, [node.mt_position()], [ue_on_ray], 0.0)[0]
         dist = np.linalg.norm(ue_on_ray - np.asarray(sc.donor.position))
         expected = 43.0 + 20.0 - fspl_db(float(dist), sc.carrier_freq_hz)
         assert dli == pytest.approx(expected, abs=1e-9)
@@ -404,7 +402,7 @@ class TestDli:
     def test_ue_at_right_angle_sees_sidelobe_floor(self):
         sc, node = self.donor_node_pair()
         ue = np.asarray(sc.donor.position) + np.array([0.0, 300.0, 0.0])
-        dli = dli_power_dbm(sc, node.mt_position(), ue, 0.0)
+        dli = dli_power_dbm(sc, [node.mt_position()], [ue], 0.0)[0]
         expected = 43.0 - 10.0 - fspl_db(300.0, sc.carrier_freq_hz)
         assert dli == pytest.approx(expected, abs=1e-6)
 
@@ -460,11 +458,8 @@ class TestUeThroughput:
 
     def test_donor_served_ignores_mode(self):
         sc, rx = self.equal_capacity_inputs()
-        outs = {
-            m: ue_throughput(m, False, rx, None, -np.inf, -np.inf, sc)[0]
-            for m in ALL_MODES
-        }
-        assert len(set(outs.values())) == 1
+        outs = [ue_throughput(m, False, rx, None, -np.inf, -np.inf, sc)[0] for m in ALL_MODES]
+        assert np.unique(outs).size == 1
 
 
 class TestRunDrop:
