@@ -54,6 +54,7 @@ from .system import (
     cdf,
     default_scenario,
     dli_power_dbm,
+    noise_plus_dbm,
     run_drop,
     ue_throughput,
 )

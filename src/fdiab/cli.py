@@ -85,6 +85,11 @@ class RunConfig:
 
 CSV_CHUNK_ROWS = 8192
 
+# Pads the byte tables of CSV cells. UTF-8 never writes it, so dropping every
+# PAD byte from a row leaves exactly its cells' bytes, NUL included.
+PAD = 0xFF
+_SPACE_TO_PAD = bytes.maketrans(b" ", b"\xff")
+
 
 def _fmt(value):
     if value is None:
@@ -119,45 +124,75 @@ def _distinct(keys):
     return uniq, np.repeat(inverse.astype(np.int32), np.diff(np.append(heads, keys.size)))
 
 
-def _column_cells(values):
-    """One column as (object array of its distinct cell strings, int32 index
-    of each row's cell).
+def _column_cells(values, sep):
+    """One column as ((n, width) uint8 table of its n distinct cells in UTF-8,
+    each padded with PAD and followed by the one-byte sep, int32 index of
+    each row's cell).
 
     A list is formatted value by value with _fmt. A numpy array has each
     distinct value formatted once; floats are keyed on their bit pattern, so
     -0.0 stays "-0", and NaN marks an absent value (an empty cell, as None).
+    Numbers are formatted in one pass at a width that holds any of them,
+    floats as "%-19.12g", and the space padding becomes PAD.
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
-    if kind == "f":
-        bits, index = _distinct(np.ascontiguousarray(values, np.float64).view(np.uint64))
-        cells = ["" if v != v else format(v, ".12g") for v in bits.view(np.float64).tolist()]
-    elif kind in ("i", "u", "b", "U"):
+    if kind in ("i", "u", "f"):
+        if kind == "f":
+            values = np.ascontiguousarray(values, np.float64).view(np.uint64)
         uniq, index = _distinct(values)
-        fmt = {"b": _fmt, "U": _csv_cell}.get(kind, str)
-        cells = [fmt(v) for v in uniq.tolist()]
+        if kind == "f":
+            uniq, fmt = uniq.view(np.float64), "%-19.12g"
+        else:  # as wide as the lowest or the highest value's text
+            fmt = "%%-%dd" % max(map(len, map(str, uniq[[0, -1]].tolist() if uniq.size else [0])))
+        text = ((fmt + sep.decode()) * uniq.size % tuple(uniq.tolist())).encode()
+        cells = np.frombuffer(bytearray(text.translate(_SPACE_TO_PAD)), np.uint8)
+        cells = cells.reshape(uniq.size, len(fmt % 0) + 1)
+        if kind == "f":  # NaN cells go empty, and so does the width no text reaches
+            cells[np.isnan(uniq), :-1] = PAD
+            cells = cells.compress(np.append((cells[:, :-1] != PAD).any(axis=0), True), axis=1)
+        return cells, index
+    if kind in ("b", "U"):
+        uniq, index = _distinct(values)
+        cells = map(_fmt if kind == "b" else _csv_cell, uniq.tolist())
     else:
         table = {}
         values = values.tolist() if kind is not None else values
         index = np.array([table.setdefault(_fmt(v), len(table)) for v in values], np.int32)
-        cells = [_csv_cell(c) for c in table]
-    return np.array(cells, dtype=object), index
+        cells = map(_csv_cell, table)
+    raw = [c.encode() for c in cells]
+    width = max(map(len, raw), default=0)
+    padded = b"".join(r.ljust(width, b"\xff") + sep for r in raw)
+    return np.frombuffer(padded, np.uint8).reshape(len(raw), width + 1), index
 
 
 def _write_columns(path, columns):
     """CSV from a dict of equal-length columns, in the dict's order, with the
-    bytes csv.writer(lineterminator="\n") would write. Rows are joined
-    CSV_CHUNK_ROWS at a time, so the row strings of a whole table never exist
-    at once."""
-    table = [_column_cells(values) for values in columns.values()]
+    bytes csv.writer(lineterminator="\n") would write, in UTF-8.
+
+    Each chunk of CSV_CHUNK_ROWS rows is gathered from the columns' byte
+    tables into one padded block, every cell at a fixed offset, and written
+    with the padding dropped. Chunks bound the peak: a block for the whole
+    table would be several times the size of the text it holds.
+    """
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    table = [_column_cells(values, sep) for values, sep in zip(columns.values(), seps)]
     if len(table) == 1:  # a lone empty field is written quoted
-        table[0][0][table[0][0] == ""] = '""'
+        cells = np.pad(table[0][0], ((0, 0), (2, 0)), constant_values=PAD)
+        cells[(cells[:, 2:-1] == PAD).all(axis=1), :2] = ord('"')
+        table[0] = cells, table[0][1]
     n_rows = len(table[0][1])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(columns)
+    widths = [cells.shape[1] for cells, _ in table]
+    block = np.empty((min(CSV_CHUNK_ROWS, n_rows), sum(widths)), np.uint8)
+    # Each cell as one void item, so a gather copies whole cells.
+    slots = [block[:, e - w : e].view(f"V{w}")[:, 0] for w, e in zip(widths, np.cumsum(widths))]
+    table = [(cells.view(f"V{w}")[:, 0], index) for w, (cells, index) in zip(widths, table)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_csv_cell, columns)) + "\n").encode())
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + CSV_CHUNK_ROWS)
-            chunk = [distinct[index[rows]].tolist() for distinct, index in table]
-            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+            n = min(CSV_CHUNK_ROWS, n_rows - lo)
+            for slot, (cells, index) in zip(slots, table):
+                slot[:n] = cells[index[lo : lo + n]]
+            fh.write(block[:n].tobytes().translate(None, b"\xff"))
 
 
 def _write_csv(path, columns, rows):
@@ -209,24 +244,11 @@ def chain_params_for_node(scenario, node):
 
 
 def _reduction_row(node_idx, node, seed, report):
+    """A reduction.csv row: the node, its seed and the report's fields."""
     prop, analog, digital = report.per_domain_db
-    return {
-        "node": node_idx,
-        "antenna_separation_m": node.antenna_separation_m,
-        "seed": seed,
-        "tx_power_dbm": report.tx_power_dbm,
-        "after_propagation_dbm": report.after_propagation_dbm,
-        "after_analog_dbm": report.after_analog_dbm,
-        "after_digital_dbm": report.after_digital_dbm,
-        "propagation_db": prop,
-        "analog_db": analog,
-        "digital_db": digital,
-        "noise_floor_dbm": report.noise_floor_dbm,
-        "analog_applied": report.analog_applied,
-        "gray_zone_ok": report.gray_zone_ok,
-        "digital_saturated": report.digital_saturated,
-        "holdout_residual_dbm": report.holdout_residual_dbm,
-    }
+    row = {"node": node_idx, "seed": seed, "antenna_separation_m": node.antenna_separation_m}
+    row.update(propagation_db=prop, analog_db=analog, digital_db=digital)
+    return {c: row[c] if c in row else getattr(report, c) for c in REDUCTION_COLUMNS}
 
 
 def cmd_link_sim(cfg):
@@ -346,15 +368,7 @@ def cmd_sweep(cfg, grid_specs, drops):
 
 def cmd_compare_prototype(cfg):
     rows, summary = compare_prototype(seed=cfg.seed if cfg.seed is not None else 0)
-    summary_rows = [
-        {
-            "separation_m": sep,
-            "measured_mean_db": s["measured_mean_db"],
-            "simulated_mean_db": s["simulated_mean_db"],
-            "delta_db": s["delta_db"],
-        }
-        for sep, s in sorted(summary.items())
-    ]
+    summary_rows = [{"separation_m": sep, **s} for sep, s in sorted(summary.items())]
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.output_dir, "compare_prototype.csv"), COMPARE_COLUMNS, rows)
     _write_csv(

@@ -48,17 +48,25 @@ class AntennaPattern:
 
 def antenna_gain_dbi(pattern, offset_deg):
     """Pattern gain in dBi at an angular offset (degrees) from boresight."""
+    # One fresh array worked in place; from a 0-d input, a faster numpy scalar.
     off = np.abs(np.asarray(offset_deg, dtype=float))
-    gain = pattern.boresight_gain_dbi - 12.0 * (off / pattern.beamwidth_3db_deg) ** 2
-    out = np.maximum(gain, pattern.sidelobe_floor_dbi)
+    off /= pattern.beamwidth_3db_deg
+    off *= off
+    off *= -12.0
+    off += pattern.boresight_gain_dbi  # boresight - 12 * (offset / beamwidth)**2, bit for bit
+    out = np.maximum(off, pattern.sidelobe_floor_dbi, out=off if off.ndim else None)
     return float(out) if out.ndim == 0 else out
 
 
 def _dot(u, v):
-    """Dot product over the last axis as u0*v0 + u1*v1 + u2*v2, in that order:
-    the one rounding rule for angles and path lengths. A BLAS ddot rounds
-    some of these sums differently in the last bit."""
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+    """Dot product over the last axis as u0*v0 + u1*v1 + u2*v2, in that order,
+    summed in place in the first product: the one rounding rule for angles
+    and path lengths. A BLAS ddot rounds some of these sums differently in
+    the last bit."""
+    out = u[..., 0] * v[..., 0]
+    out += u[..., 1] * v[..., 1]
+    out += u[..., 2] * v[..., 2]
+    return out
 
 
 def angle_between_deg(u, v):
@@ -69,7 +77,11 @@ def angle_between_deg(u, v):
     u_norm, v_norm = np.sqrt(_dot(u, u)), np.sqrt(_dot(v, v))
     if not (u_norm.all() and v_norm.all()):
         raise ValueError("direction vectors must be nonzero")
-    out = np.degrees(np.arccos(np.minimum(np.maximum(_dot(u, v) / (u_norm * v_norm), -1.0), 1.0)))
+    out = _dot(u, v)
+    out /= u_norm * v_norm
+    into = out if out.ndim else None  # an array is worked in place
+    out = np.minimum(np.maximum(out, -1.0, out=into), 1.0, out=into)
+    out = np.degrees(np.arccos(out, out=into), out=into)
     return float(out) if out.ndim == 0 else out
 
 
@@ -78,14 +90,19 @@ def rx_dbm(tx_pos, tx_power_dbm, tx_pattern, beam_dirs, rx_pos, freq_hz, rx_gain
     along beam_dirs, at receivers rx_pos with gain rx_gain_dbi.
 
     tx power + pattern gain at the off-boresight angle + rx gain - Friis
-    loss - shadowing, summed in that order. beam_dirs (..., 3) broadcasts
-    against rx_pos (..., 3): (beams, 1, 3) against (n, 3) gives every
-    (beam, receiver) pair. Coincident positions raise through fspl_db.
+    loss - shadowing, summed in that order in the gain array. beam_dirs
+    (..., 3) broadcasts against rx_pos (..., 3), the rest into that shape:
+    (beams, 1, 3) against (n, 3) gives every (beam, receiver) pair, and one
+    beam and one receiver a float. Coincident positions raise in fspl_db.
     """
     los = np.asarray(rx_pos, float) - np.asarray(tx_pos, float)
     path_loss = fspl_db(np.sqrt(_dot(los, los)), freq_hz)
-    gain = antenna_gain_dbi(tx_pattern, angle_between_deg(beam_dirs, los))
-    return tx_power_dbm + gain + rx_gain_dbi - path_loss - shadow_db
+    out = np.asarray(antenna_gain_dbi(tx_pattern, angle_between_deg(beam_dirs, los)))
+    np.add(tx_power_dbm, out, out=out)
+    out += rx_gain_dbi
+    out -= path_loss
+    out -= shadow_db
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
+
 from .geometry import AntennaPattern, ReflectorConfig
 from .system import Donor, IabNode, Scenario, UeGrid, default_scenario
 
@@ -219,7 +221,7 @@ def scenario_from_dict(data):
     key = "reflectors"
     reflectors = _reflectors(data[key]) if key in data else ReflectorConfig()
     try:
-        return Scenario(
+        scenario = Scenario(
             donor=_donor(data["donor"]),
             iab_nodes=nodes,
             ue_grid=_ue_grid(data.get("ue_grid")),
@@ -235,6 +237,14 @@ def scenario_from_dict(data):
         raise
     except ValueError as e:
         raise ScenarioError(f"scenario: {e}") from e
+    # A UE on a cell's position would have an access path of no length.
+    ues = scenario.ue_grid.positions()
+    paths = ["donor"] + [f"iab_nodes[{i}]" for i in range(len(scenario.iab_nodes))]
+    for path, cell in zip(paths, scenario.cells()):
+        hit = np.flatnonzero((ues == cell.position).all(axis=1))
+        if hit.size:
+            _fail("ue_grid", f"UE {hit[0]} lies on {path}.position {list(cell.position)}")
+    return scenario
 
 
 def scenario_to_dict(scenario):

@@ -561,10 +561,8 @@ def run_link_chain(params, seed):
 
     after_analog_dbm = after_prop_dbm
     if engage:
-        n_pil = params.n_pilot_symbols
-        h_hat = estimate_channel_ls(
-            demodulate(rx, cfg)[:n_pil], demodulate(pa_out, cfg)[:n_pil]
-        )
+        pilots = slice(0, params.n_pilot_symbols * cfg.symbol_len)  # the frame's head
+        h_hat = estimate_channel_ls(demodulate(rx[pilots], cfg), demodulate(pa_out[pilots], cfg))
         two_tap = tune_two_tap(h_hat, params.delays(), cfg)
         rx = apply_analog_canceller(pa_out, rx, two_tap, cfg)
         after_analog_dbm = mean_power_dbm(rx[idx])

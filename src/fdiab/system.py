@@ -196,17 +196,11 @@ class Scenario:
     def cells(self):
         return (self.donor,) + tuple(self.iab_nodes)
 
-    def region_center(self):
-        return (
-            float(np.mean(self.ue_grid.x_range)),
-            float(np.mean(self.ue_grid.y_range)),
-            self.ue_grid.height_m,
-        )
-
     def sector_center_az(self, cell):
+        """Aim at the UE region's center unless the cell sets its own azimuth."""
         if cell.sector_center_az_deg is not None:
             return cell.sector_center_az_deg
-        cx, cy, _ = self.region_center()
+        cx, cy = np.mean(self.ue_grid.x_range), np.mean(self.ue_grid.y_range)
         x, y, _ = cell.position
         return float(np.degrees(np.arctan2(cy - y, cx - x)))
 
@@ -243,7 +237,7 @@ def default_scenario():
 # ---------------------------------------------------------------------------
 
 
-def _lin_sum_dbm(floor_dbm, levels_dbm):
+def noise_plus_dbm(floor_dbm, levels_dbm):
     """Power sum of the noise floor and each level, in dBm; -inf adds nothing.
 
     The levels are converted one by one: numpy's SIMD power rounds some of
@@ -375,14 +369,17 @@ def ue_throughput(
     relayed,
     access_rx_dbm,
     backhaul_rx_dbm,
-    dli_dbm,
-    residual_si_dbm_value,
+    access_noise_dbm,
+    backhaul_noise_dbm,
     scenario,
     mcs=DEFAULT_MCS,
 ):
     """Downlink throughput of each UE under one configuration.
 
-    Every argument after mode is a per-UE array or a scalar. Returns the
+    Every argument after mode is a per-UE array or a scalar. In FD modes a
+    relayed UE's access hop sees access_noise_dbm (noise plus DLI) and its
+    backhaul hop backhaul_noise_dbm (noise plus residual SI), power sums
+    from noise_plus_dbm; other modes see the noise floor. Returns the
     arrays (throughput_bps, access_sinr_db, backhaul_sinr_db). Donor-served
     and fibered UEs get their plain access capacity and a NaN backhaul SINR.
     Relayed FD UEs are bottlenecked by min(access with DLI, backhaul with
@@ -399,8 +396,8 @@ def ue_throughput(
 
     if mode in FD_MODES:
         # DLI degrades the access link, residual SI the backhaul link.
-        access_sinr = np.where(relayed, access_rx - _lin_sum_dbm(floor, dli_dbm), access_snr)
-        backhaul_sinr = backhaul_rx - _lin_sum_dbm(floor, residual_si_dbm_value)
+        access_sinr = np.where(relayed, access_rx - access_noise_dbm, access_snr)
+        backhaul_sinr = backhaul_rx - backhaul_noise_dbm
     else:
         access_sinr = access_snr
         backhaul_sinr = backhaul_rx - floor
@@ -448,10 +445,12 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
         )
 
     ues = scenario.ue_grid.positions()
+    floor = scenario.noise.floor_dbm
     dli = np.full(n_ue, np.nan)
     dli[relayed] = dli_power_dbm(
         scenario, mt[serving[relayed]], ues[relayed], shadows[0, relayed]
     )
+    dli_noise = noise_plus_dbm(floor, dli)  # the same in every FD mode
 
     n_rows = len(modes) * n_ue
     cols = {
@@ -459,7 +458,7 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
         "ue_id": np.tile(np.arange(n_ue), len(modes)),
         "serving_cell": np.tile(serving, len(modes)),
         "beam": np.tile(beam, len(modes)),
-        "access_snr_db": np.tile(access_rx - scenario.noise.floor_dbm, len(modes)),
+        "access_snr_db": np.tile(access_rx - floor, len(modes)),
         "access_sinr_db": np.empty(n_rows),
         "backhaul_sinr_db": np.empty(n_rows),
         "dli_power_dbm": np.empty(n_rows),
@@ -471,8 +470,8 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
             residual[ni + 1] = residual_si_dbm(scenario, mode, node, prop_residual[ni + 1])
         rows = slice(k * n_ue, (k + 1) * n_ue)
         thr, access_sinr, backhaul_sinr = ue_throughput(
-            mode, relayed, access_rx, backhaul_rx[serving], dli,
-            residual[serving, beam], scenario, mcs,
+            mode, relayed, access_rx, backhaul_rx[serving], dli_noise,
+            noise_plus_dbm(floor, residual)[serving, beam], scenario, mcs,
         )
         cols["throughput_bps"][rows] = thr
         cols["access_sinr_db"][rows] = access_sinr

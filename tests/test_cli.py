@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdiab import cli
 from fdiab.cli import _write_columns, main, sweep_workers
 from fdiab.scenario import apply_overrides, save_scenario, scenario_from_dict, scenario_to_dict
 from fdiab.system import default_scenario
@@ -233,6 +236,19 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+    def test_ue_on_the_donor_is_1_naming_both_fields(self, tmp_path, capsys):
+        rc = main(
+            ["system-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", "ue_grid.nx=3", "--set", "ue_grid.ny=1",
+             "--set", "ue_grid.x_range=[-250,-50]", "--set", "ue_grid.y_range=[0,10]",
+             "--set", "ue_grid.height_m=130"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "fdiab: ue_grid: UE 1 lies on donor.position [-150.0, 0.0, 130.0]\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestArgumentBounds:
     @pytest.mark.parametrize("modes", ["", ",", " , "])
     def test_empty_mode_selection_is_1(self, scenario_path, tmp_path, capsys, modes):
@@ -355,6 +371,8 @@ class TestArgumentBounds:
 def reference_cells(values):
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return ["" if np.isnan(v) else format(float(v), ".12g") for v in values]
+    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
+        return ["true" if v else "false" for v in values.tolist()]
     if isinstance(values, np.ndarray):
         return [str(v) for v in values.tolist()]
     out = []
@@ -383,13 +401,16 @@ SPECIAL_FLOATS = [
     1e300, -1e-300, 1e12, 123456789012.5, 0.1,
 ]
 FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
-TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n-0.')), max_size=6)
+# Quoting triggers, NUL, and non-ASCII characters of 2, 3 and 4 UTF-8 bytes.
+TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n-0.\x00é€\U0001f600')), max_size=6)
 LIST_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-(10**15), 10**15), FLOATS, TEXT
 )
 COLUMN_KINDS = {
     "float": (FLOATS, float),
     "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "uint64": (st.integers(0, 2**64 - 1), np.uint64),
+    "bool": (st.booleans(), bool),
     "str": (TEXT, str),
     "list": (LIST_VALUES, None),  # kept a list: mixed None/bool/int/float/str
 }
@@ -408,13 +429,52 @@ def tables(draw):
 
 
 class TestWriteColumns:
-    @settings(max_examples=200, deadline=None)
-    @given(columns=tables())
-    def test_matches_csv_writer(self, columns):
-        with tempfile.TemporaryDirectory() as tmp:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=tables(), chunk_rows=st.one_of(st.integers(1, 30), st.just(cli.CSV_CHUNK_ROWS)))
+    def test_matches_csv_writer(self, columns, chunk_rows):
+        # Small chunks put chunk edges inside the table.
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows), tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
             _write_columns(path, columns)
             assert read(path) == reference_csv(columns)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array(["", "a", "", "", "", "b,", ""]), [None, 1.5, None, None, "", None, None],
+         np.array([np.nan, 2.0, np.nan, np.nan, np.nan, -0.0, np.nan])],
+    )
+    def test_lone_empty_fields_across_chunk_edges(self, tmp_path, monkeypatch, values):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+        _write_columns(tmp_path / "t.csv", {"only": values})
+        assert read(tmp_path / "t.csv") == reference_csv({"only": values})
+
+    def test_drop_sized_table_is_written_in_bounded_memory(self, tmp_path):
+        # A 101x101 drop over 5 modes: 51,005 rows of throughput.csv's kinds.
+        # Its text is about 4 MiB; the writer holds one chunk of rows at a
+        # time, and a block for the whole table would take about 19 MiB.
+        rng = np.random.default_rng(0)
+        n_ue, n = 10201, 51005
+        columns = {
+            "mode": np.repeat(["fibered", "ideal_fd", "fd_full", "fd_prop_only", "hd"], n_ue),
+            "ue_id": np.tile(np.arange(n_ue), 5),
+            "serving_cell": rng.integers(0, 3, n),
+            "beam": rng.integers(0, 16, n),
+            "access_snr_db": np.tile(rng.normal(20.0, 10.0, n_ue), 5),
+            "access_sinr_db": rng.normal(20.0, 10.0, n),
+            "backhaul_sinr_db": np.where(rng.random(n) < 0.3, np.nan, rng.normal(0.0, 10.0, n)),
+            "dli_power_dbm": np.tile(rng.normal(-80.0, 10.0, n_ue), 5),
+            "throughput_bps": rng.choice([0.0, 1.5e8, 3.2e8, 6.6e8], n),
+        }
+        tracemalloc.start()
+        try:
+            _write_columns(tmp_path / "t.csv", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        head = read(tmp_path / "t.csv")[:4096].decode().splitlines()[:3]
+        first_rows = reference_csv({k: v[:2] for k, v in columns.items()}).decode().splitlines()
+        assert head == first_rows
 
     def test_runs_of_strings_and_repeated_floats(self, tmp_path):
         columns = {

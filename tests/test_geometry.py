@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdiab.geometry import (
@@ -10,6 +10,7 @@ from fdiab.geometry import (
     ChannelImpulseResponse,
     ReflectorConfig,
     SiGeometry,
+    angle_between_deg,
     antenna_gain_dbi,
     fspl_db,
     rx_dbm,
@@ -211,3 +212,75 @@ class TestRxDbm:
             for u, r in enumerate(rxs):
                 want = per_pair_rx_dbm(tx, power, PAT, d, r, rx_gain, float(shadows[u]))
                 assert got[b, u] == want, (b, u)
+
+
+def bit_patterns(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+direction = vec3.filter(lambda d: math.hypot(*d) > 1e-3)
+# Wide enough that random angles land on the quadratic mainlobe too.
+patterns = st.sampled_from([PAT, AntennaPattern(15.0, 150.0, -20.0, "H")])
+
+
+class TestArrayFormsMatchScalarEvaluation:
+    """The in-place array passes give, bit for bit, what each function gives
+    for one element at a time."""
+
+    def check(self, pat, beams, rxs, tx, power, rx_gain, shadows, pairs):
+        los = rxs - np.asarray(tx, float)  # nonzero: receivers sit off the transmitter
+        angles = angle_between_deg(beams, los)
+        gains = antenna_gain_dbi(pat, angles)
+        rx = rx_dbm(tx, power, pat, beams, rxs, F28, rx_gain, shadows)
+        for idx, b, r in pairs:
+            u = beams[b].ravel()
+            assert bit_patterns(angles[idx]) == bit_patterns(angle_between_deg(u, los[r]))
+            one_gain = antenna_gain_dbi(pat, float(angles[idx]))
+            assert bit_patterns(gains[idx]) == bit_patterns(one_gain)
+            one = rx_dbm(tx, power, pat, u, rxs[r], F28, rx_gain, float(shadows[r]))
+            assert isinstance(one, float)
+            assert bit_patterns(rx[idx]) == bit_patterns(one), idx
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pat=patterns,
+        beams=st.lists(direction, min_size=16, max_size=16),
+        rxs=st.lists(vec3, min_size=1, max_size=5),
+        tx=vec3,
+        power=st.floats(-10.0, 50.0),
+        rx_gain=st.floats(-5.0, 25.0),
+        shadow=st.floats(-12.0, 12.0),
+    )
+    def test_beam_grid(self, pat, beams, rxs, tx, power, rx_gain, shadow):
+        rxs = np.array([r for r in rxs if math.dist(r, tx) > 1e-3] or [(tx[0] + 2.5, tx[1], tx[2])])
+        beams = np.array(beams)[:, np.newaxis]  # (16, 1, 3) against (n, 3)
+        shadows = shadow * np.linspace(-1.0, 1.0, len(rxs))
+        pairs = [((b, r), b, r) for b in range(16) for r in range(len(rxs))]
+        self.check(pat, beams, rxs, tx, power, rx_gain, shadows, pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pat=patterns,
+        rows=st.lists(st.tuples(direction, vec3), min_size=1, max_size=12),
+        tx=vec3,
+        power=st.floats(-10.0, 50.0),
+        shadow=st.floats(-12.0, 12.0),
+    )
+    def test_row_wise(self, pat, rows, tx, power, shadow):
+        rows = [(d, r) for d, r in rows if math.dist(r, tx) > 1e-3]
+        rows = rows or [((1, 0, 0), (tx[0] + 2.5, tx[1], tx[2]))]
+        beams = np.array([d for d, _ in rows])  # (n, 3) against (n, 3)
+        rxs = np.array([r for _, r in rows])
+        shadows = shadow * np.linspace(-1.0, 1.0, len(rows))
+        self.check(pat, beams, rxs, tx, power, 0.0, shadows, [(i, i, i) for i in range(len(rows))])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pat=patterns, offsets=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=20))
+    # Mainlobe offsets whose gain differs in the last bit if the scalar path
+    # squares through libm pow(x, 2) instead of x * x.
+    @example(pat=PAT, offsets=[11.8801144, -7.1501263, 2.0])
+    def test_gain_of_offsets(self, pat, offsets):
+        gains = antenna_gain_dbi(pat, np.array(offsets))
+        scalar = [antenna_gain_dbi(pat, o) for o in offsets]
+        assert all(isinstance(g, float) for g in scalar)
+        assert np.array_equal(bit_patterns(gains), bit_patterns(scalar))

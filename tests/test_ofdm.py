@@ -106,6 +106,16 @@ class TestModulateDemodulate:
         assert floor_db > -40.0
 
 
+    @pytest.mark.parametrize("n_head", [1, 2, 5])
+    def test_head_symbols_demodulate_as_in_the_whole_frame(self, n_head):
+        # The link chain demodulates only its pilot symbols, the frame's head,
+        # and relies on each symbol's spectrum not depending on the others.
+        rng = substream(11, "demod-head", n_head)
+        x = rng.standard_normal(18 * CFG.symbol_len) + 1j * rng.standard_normal(18 * CFG.symbol_len)
+        head = demodulate(x[: n_head * CFG.symbol_len], CFG)
+        assert np.array_equal(head, demodulate(x, CFG)[:n_head])
+
+
 class TestApplyChannel:
     def test_matches_per_subcarrier_response(self):
         rng = substream(5, "chan")

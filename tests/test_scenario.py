@@ -128,6 +128,8 @@ scenarios = st.builds(
             rel_power_range_db=ordered_pair(finite),
         )
     ),
+).filter(  # a UE on a cell's position is invalid input
+    lambda sc: not any((sc.ue_grid.positions() == c.position).all(axis=1).any() for c in sc.cells())
 )
 
 
@@ -210,3 +212,28 @@ def test_non_finite_numbers_rejected_with_field_path(override, field):
     data = apply_overrides(scenario_to_dict(default_scenario()), [override])
     with pytest.raises(ScenarioError, match=rf"^{field}: expected .*finite"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # UE 1 of a 3x1 grid sits on the donor at (-150, 0, 130).
+        (
+            ["ue_grid.nx=3", "ue_grid.ny=1", "ue_grid.x_range=[-250,-50]",
+             "ue_grid.y_range=[0,10]", "ue_grid.height_m=130"],
+            r"^ue_grid: UE 1 lies on donor\.position \[-150\.0, 0\.0, 130\.0\]$",
+        ),
+        # UE 4 of a 3x2 grid sits on the second relay at (40, -100, 99).
+        (
+            ["ue_grid.nx=3", "ue_grid.ny=2", "ue_grid.x_range=[0,80]",
+             "ue_grid.y_range=[-200,-100]", "ue_grid.height_m=99"],
+            r"^ue_grid: UE 4 lies on iab_nodes\[1\]\.position \[40\.0, -100\.0, 99\.0\]$",
+        ),
+    ],
+)
+def test_ue_on_a_cell_rejected_with_both_fields(overrides, message):
+    data = apply_overrides(scenario_to_dict(default_scenario()), overrides)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(data)
+    # At street level the same grid is valid.
+    scenario_from_dict(apply_overrides(data, ["ue_grid.height_m=1.5"]))

@@ -29,6 +29,7 @@ from fdiab.system import (
     default_scenario,
     direction_from_angles,
     dli_power_dbm,
+    noise_plus_dbm,
     propagation_residual_si_dbm,
     run_drop,
     schedule_drop,
@@ -424,23 +425,31 @@ class TestUeThroughput:
 
     def test_hd_even_split_halves_capacity(self):
         sc, rx = self.equal_capacity_inputs()
+        floor = sc.noise.floor_dbm
         c = capacity_bps(21.0, sc.bandwidth_hz, DEFAULT_MCS)
-        thr, _, _ = ue_throughput(Mode.HD, True, rx, rx, -np.inf, -np.inf, sc)
+        thr, _, _ = ue_throughput(Mode.HD, True, rx, rx, floor, floor, sc)
         assert thr == pytest.approx(c / 2.0, rel=1e-12)
 
     def test_ideal_fd_doubles_hd_with_guard(self):
         sc, rx = self.equal_capacity_inputs()
         sc = dataclasses.replace(sc, guard_overhead=0.1)
-        thr_fd, _, _ = ue_throughput(Mode.IDEAL_FD, True, rx, rx, -np.inf, -np.inf, sc)
-        thr_hd, _, _ = ue_throughput(Mode.HD, True, rx, rx, -np.inf, -np.inf, sc)
+        floor = sc.noise.floor_dbm
+        thr_fd, _, _ = ue_throughput(Mode.IDEAL_FD, True, rx, rx, floor, floor, sc)
+        thr_hd, _, _ = ue_throughput(Mode.HD, True, rx, rx, floor, floor, sc)
         assert thr_fd / thr_hd == pytest.approx(1.0 / (0.9 * 0.5), rel=1e-12)
+
+    def test_noise_plus_dbm_sums_powers(self):
+        floor = -90.0
+        got = noise_plus_dbm(floor, [-np.inf, floor, floor + 30.0])
+        want = [floor, floor + 10 * np.log10(2.0), 10 * np.log10(10 ** -9.0 + 10 ** -6.0)]
+        assert got == pytest.approx(want, abs=1e-9)
 
     def test_prop_only_residual_shifts_backhaul_sinr(self):
         sc, rx = self.equal_capacity_inputs()
         floor = sc.noise.floor_dbm
         residual = floor + 30.0
         _, _, bh_sinr = ue_throughput(
-            Mode.FD_PROP_ONLY, True, rx, rx, -np.inf, residual, sc
+            Mode.FD_PROP_ONLY, True, rx, rx, floor, noise_plus_dbm(floor, residual), sc
         )
         # hand computation: SINR = rx - 10log10(noise + residual)
         expected = rx - 10 * np.log10(10 ** (floor / 10) + 10 ** (residual / 10))
@@ -451,14 +460,15 @@ class TestUeThroughput:
         sc, rx = self.equal_capacity_inputs()
         floor = sc.noise.floor_dbm
         thr, a_sinr, b_sinr = ue_throughput(
-            Mode.FD_FULL, True, rx, floor + 9.0, -np.inf, -np.inf, sc
+            Mode.FD_FULL, True, rx, floor + 9.0, floor, floor, sc
         )
         assert thr <= capacity_bps(a_sinr, sc.bandwidth_hz, DEFAULT_MCS)
         assert thr == capacity_bps(b_sinr, sc.bandwidth_hz, DEFAULT_MCS)
 
     def test_donor_served_ignores_mode(self):
         sc, rx = self.equal_capacity_inputs()
-        outs = [ue_throughput(m, False, rx, None, -np.inf, -np.inf, sc)[0] for m in ALL_MODES]
+        floor = sc.noise.floor_dbm
+        outs = [ue_throughput(m, False, rx, None, floor, floor, sc)[0] for m in ALL_MODES]
         assert np.unique(outs).size == 1
 
 
