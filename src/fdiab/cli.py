@@ -31,6 +31,7 @@ from .prototype import compare_prototype
 from .scenario import (
     ScenarioError,
     apply_overrides,
+    read_scenario_file,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -218,8 +219,7 @@ def _write_sidecar(out_dir, cfg, resolved_scenario, outputs):
 
 def _load_with_overrides(cfg):
     """(scenario dict with cfg's overrides applied, the validated Scenario)."""
-    with open(cfg.scenario_path) as fh:
-        data = apply_overrides(json.load(fh), cfg.overrides)
+    data = apply_overrides(read_scenario_file(cfg.scenario_path), cfg.overrides)
     return data, scenario_from_dict(data)
 
 
@@ -290,10 +290,10 @@ def _parse_grid(specs):
     grid = []
     for spec in specs:
         if "=" not in spec:
-            raise ScenarioError(f"grid {spec!r}: expected key=v1,v2,...")
+            raise ScenarioError(f"grid {spec!r}", "expected key=v1,v2,...")
         key, raw = spec.split("=", 1)
         if any(k == key for k, _ in grid):
-            raise ScenarioError(f"--grid repeats key {key!r}")
+            raise ScenarioError("", f"--grid repeats key {key!r}")
         values = []
         for part in raw.split(","):
             try:
@@ -301,7 +301,7 @@ def _parse_grid(specs):
             except json.JSONDecodeError:
                 values.append(part)
         if not values:
-            raise ScenarioError(f"grid {spec!r}: no values")
+            raise ScenarioError(f"grid {spec!r}", "no values")
         grid.append((key, values))
     return grid
 

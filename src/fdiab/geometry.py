@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, substream
+from .util import SPEED_OF_LIGHT, FieldError, bounded, check_bounds, substream
 
 
 def fspl_db(distance_m, freq_hz):
@@ -33,17 +33,16 @@ class AntennaPattern:
     """
 
     boresight_gain_dbi: float = 20.0
-    beamwidth_3db_deg: float = 12.0
+    beamwidth_3db_deg: float = bounded(12.0, "> 0")
     sidelobe_floor_dbi: float = -10.0
     polarization: str = "V"
 
     def __post_init__(self):
-        if self.boresight_gain_dbi <= self.sidelobe_floor_dbi:
-            raise ValueError("boresight_gain_dbi must exceed sidelobe_floor_dbi")
-        if self.beamwidth_3db_deg <= 0.0:
-            raise ValueError("beamwidth_3db_deg must be positive")
+        check_bounds(self)
         if self.polarization not in ("V", "H"):
-            raise ValueError("polarization must be 'V' or 'H'")
+            raise FieldError("polarization", f"must be 'V' or 'H', got {self.polarization!r}")
+        if not self.boresight_gain_dbi > self.sidelobe_floor_dbi:
+            raise FieldError("", "boresight_gain_dbi must exceed sidelobe_floor_dbi")
 
 
 def antenna_gain_dbi(pattern, offset_deg):
@@ -138,16 +137,18 @@ class ReflectorConfig:
     uniform phases.
     """
 
-    min_taps: int = 0
-    max_taps: int = 6
-    delay_offset_range_s: tuple = (1e-9, 20e-9)
-    rel_power_range_db: tuple = (15.0, 30.0)
+    min_taps: int = bounded(0, ">= 0")
+    max_taps: int = bounded(6, ">= 0")
+    delay_offset_range_s: tuple[float, float] = (1e-9, 20e-9)
+    rel_power_range_db: tuple[float, float] = (15.0, 30.0)
 
     def __post_init__(self):
-        if not (0 <= self.min_taps <= self.max_taps):
-            raise ValueError("need 0 <= min_taps <= max_taps")
-        if self.delay_offset_range_s[0] <= 0.0:
-            raise ValueError("reflection delays must fall behind the direct tap")
+        check_bounds(self)
+        if self.min_taps > self.max_taps:
+            raise FieldError("min_taps", "must be <= max_taps")
+        if not self.delay_offset_range_s[0] > 0.0:
+            got = list(self.delay_offset_range_s)
+            raise FieldError("delay_offset_range_s", f"must fall behind the direct tap, got {got}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import dbm_to_watt, watt_to_dbm
+from .util import bounded, check_bounds, dbm_to_watt, watt_to_dbm
 
 # Effective ADC range above the noise floor within which digital SIC works
 # (the gray zone); a given constant for 14-bit resolution, kept configurable
@@ -27,12 +27,11 @@ class PaModel:
 
     gain_db: float = 20.0
     p1db_dbm: float = 43.0
-    rapp_smoothness: float = 2.0
+    rapp_smoothness: float = bounded(2.0, "> 0")
     vsat_dbm: float = field(init=False)
 
     def __post_init__(self):
-        if self.rapp_smoothness <= 0.0:
-            raise ValueError("rapp_smoothness must be positive")
+        check_bounds(self)
         # (1 + r)^(1/2p) = 10^(1/20) at the compression point.
         r = 10.0 ** (self.rapp_smoothness / 10.0) - 1.0
         a_in_1db = np.sqrt(dbm_to_watt(self.input_p1db_dbm))
@@ -74,14 +73,12 @@ class AdcModel:
     that full scale before quantizing.
     """
 
-    bits: int = 14
+    bits: int = bounded(14, ">= 1")
     full_scale_dbm: float = 0.0
     agc_backoff_db: float = 15.0
     effective_range_db: float = EFFECTIVE_ADC_RANGE_14BIT_DB
 
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+    __post_init__ = check_bounds
 
     @property
     def full_scale_amplitude(self):
@@ -124,12 +121,10 @@ def adc_quantize(samples, adc, scale=None):
 class NoiseModel:
     """Thermal noise floor: -174 dBm/Hz plus bandwidth and noise figure."""
 
-    bandwidth_hz: float = 120e6
+    bandwidth_hz: float = bounded(120e6, "> 0")
     noise_figure_db: float = 3.0
 
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth_hz must be positive")
+    __post_init__ = check_bounds
 
     @property
     def floor_dbm(self):

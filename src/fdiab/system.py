@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel
 from .rf import NoiseModel
-from .util import dbm_to_watt, substream, watt_to_dbm
+from .util import FieldError, bounded, check_bounds, dbm_to_watt, substream, watt_to_dbm
 
 
 class Mode(str, Enum):
@@ -121,24 +121,20 @@ def capacity_bps(sinr_db, bandwidth_hz, mcs):
 
 @dataclass(frozen=True)
 class Donor:
-    position: tuple
+    position: tuple[float, float, float]
     tx_power_dbm: float = 43.0
     pattern: AntennaPattern = field(default_factory=AntennaPattern)
     sector_center_az_deg: float | None = None  # None: aim at the region center
 
 
 @dataclass(frozen=True)
-class IabNode:
-    position: tuple
-    antenna_separation_m: float = 1.0
-    tx_power_dbm: float = 43.0
-    pattern: AntennaPattern = field(default_factory=AntennaPattern)
-    sector_center_az_deg: float | None = None
+class IabNode(Donor):
+    """A relay cell: the donor's fields for its DU, plus the MT on its mast."""
+
+    antenna_separation_m: float = bounded(1.0, "> 0")
     residual_si_dbm: float | None = None  # full-SIC residual override
 
-    def __post_init__(self):
-        if self.antenna_separation_m <= 0.0:
-            raise ValueError("antenna_separation_m must be positive")
+    __post_init__ = check_bounds
 
     def mt_position(self):
         """The MT hangs antenna_separation_m below the DU on the mast."""
@@ -148,15 +144,13 @@ class IabNode:
 
 @dataclass(frozen=True)
 class UeGrid:
-    nx: int = 21
-    ny: int = 21
-    x_range: tuple = (-250.0, 250.0)
-    y_range: tuple = (-250.0, 250.0)
-    height_m: float = 1.5
+    nx: int = bounded(21, ">= 0")
+    ny: int = bounded(21, ">= 0")
+    x_range: tuple[float, float] = (-250.0, 250.0)
+    y_range: tuple[float, float] = (-250.0, 250.0)
+    height_m: float = bounded(1.5, ">= 0")
 
-    def __post_init__(self):
-        if self.nx < 0 or self.ny < 0:
-            raise ValueError("grid dimensions must be non-negative")
+    __post_init__ = check_bounds
 
     @property
     def n_ues(self):
@@ -173,21 +167,31 @@ class UeGrid:
 @dataclass(frozen=True)
 class Scenario:
     donor: Donor
-    iab_nodes: tuple
+    iab_nodes: tuple[IabNode, ...] = (
+        IabNode(position=(40.0, 100.0, 126.0)),
+        IabNode(position=(40.0, -100.0, 99.0)),
+    )
     ue_grid: UeGrid = field(default_factory=UeGrid)
-    bandwidth_hz: float = 120e6
-    noise_figure_db: float = 3.0
-    carrier_freq_hz: float = 28e9
-    guard_overhead: float = 0.1
-    access_shadow_sigma_db: float = 4.0
+    bandwidth_hz: float = bounded(120e6, "> 0")
+    noise_figure_db: float = bounded(3.0, ">= 0")
+    carrier_freq_hz: float = bounded(28e9, "> 0")
+    guard_overhead: float = bounded(0.1, ">= 0, < 1")
+    access_shadow_sigma_db: float = bounded(4.0, ">= 0")
     full_sic_margin_db: float = 1.0
     reflectors: ReflectorConfig | None = field(default_factory=ReflectorConfig)
 
     def __post_init__(self):
-        if not (0.0 <= self.guard_overhead < 1.0):
-            raise ValueError("guard_overhead must lie in [0, 1)")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth_hz must be positive")
+        check_bounds(self)
+        # A UE on a cell's position would have an access path of no length.
+        # Every UE sits at height_m, so only a cell at that height can be hit.
+        paths = ["donor"] + [f"iab_nodes[{i}]" for i in range(len(self.iab_nodes))]
+        for path, cell in zip(paths, self.cells()):
+            if cell.position[2] != self.ue_grid.height_m:
+                continue
+            hit = np.flatnonzero((self.ue_grid.positions() == cell.position).all(axis=1))
+            if hit.size:
+                where = f"{path}.position {list(cell.position)}"
+                raise FieldError("ue_grid", f"UE {hit[0]} lies on {where}")
 
     @property
     def noise(self):
@@ -217,13 +221,7 @@ def default_scenario():
     majority of the UEs; backhaul hops stay ~215 m long, short enough that a
     healthy backhaul survives moderate residual SI.
     """
-    return Scenario(
-        donor=Donor(position=(-150.0, 0.0, 130.0)),
-        iab_nodes=(
-            IabNode(position=(40.0, 100.0, 126.0)),
-            IabNode(position=(40.0, -100.0, 99.0)),
-        ),
-    )
+    return Scenario(donor=Donor(position=(-150.0, 0.0, 130.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,44 @@
-"""Shared helpers: dB conversions and deterministic RNG substreams."""
+"""Shared helpers: dB conversions, deterministic RNG substreams and field checks."""
 
 import functools
 import hashlib
+import operator
+from dataclasses import field, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+
+class FieldError(ValueError):
+    """A value a dataclass field cannot take. The message starts with the
+    field's path; an empty path marks a rule over several fields."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}" if path else message)
+        self.path, self.message = path, message
+
+
+def bounded(default, bounds):
+    """A dataclass field with a default and bounds such as ">= 0, < 1",
+    which check_bounds enforces."""
+    return field(default=default, metadata={"bounds": bounds})
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def check_bounds(obj):
+    """Raise FieldError naming the first field of obj outside its bounds;
+    NaN is outside every bound."""
+    for f in fields(obj):
+        if "bounds" not in f.metadata:
+            continue
+        value = getattr(obj, f.name)
+        for clause in f.metadata["bounds"].split(","):
+            op, limit = clause.split()
+            if not _COMPARE[op](value, float(limit)):
+                raise FieldError(f.name, f"must be {f.metadata['bounds']}, got {value!r}")
 
 
 def dbm_to_watt(dbm):

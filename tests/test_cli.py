@@ -158,6 +158,39 @@ class TestSweep:
         assert outs["1"] == outs["3"]
 
 
+# sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1 --seed 0 over
+# scenarios/default.json. Change these on purpose only, when the chain's
+# output is meant to move.
+GOLDEN_SWEEP = """\
+cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
+0,0,0.1,0,0.1,7641905497107630166,31.9749820549,-29.515328366,-38.5848851259,-89.9286409215,61.4903104209,9.0695567599,51.3437557956,-90.2081875395,true,true,false,-89.9409794975
+0,0,0.1,1,0.1,8292628241887650774,31.9698133672,-29.3414731697,-50.4209638208,-90.2253912374,61.3112865369,21.0794906512,39.8044274165,-90.2081875395,true,true,false,-90.1318474383
+1,0,1,0,1,2802070219553558219,31.9737212141,-48.6795298437,-48.6795298437,-90.2255401112,80.6532510578,0,41.5460102675,-90.2081875395,false,true,false,-90.1740219319
+1,0,1,1,1,3356091845602939886,31.9657866284,-49.8636561487,-49.8636561487,-90.166495048,81.8294427771,0,40.3028388993,-90.2081875395,false,true,false,-90.1865695001
+2,0,2,0,2,1633661671141348558,31.9690665129,-55.4426307637,-55.4426307637,-90.1555292816,87.4116972766,0,34.7128985179,-90.2081875395,false,true,false,-90.1578338221
+2,0,2,1,2,8746855754193636803,31.974700586,-54.670799354,-54.670799354,-90.2525482547,86.6454999401,0,35.5817489006,-90.2081875395,false,true,false,-90.1827654494
+"""
+
+
+def test_sweep_matches_golden_values(tmp_path):
+    """Pins the link chain's output: integers and flags exactly, numbers to 1e-6 dB."""
+    out = tmp_path / "sweep"
+    rc = main(
+        ["sweep", "--scenario", SCENARIO, "--seed", "0", "--drops", "1", "--out", str(out),
+         "--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2"]
+    )
+    assert rc == 0
+    got = list(csv.reader(io.StringIO(read(out / "sweep.csv").decode())))
+    want = list(csv.reader(io.StringIO(GOLDEN_SWEEP)))
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for column, g, w in zip(want[0], got_row, want_row):
+            if column in ("cell", "drop", "node", "seed") or w in ("true", "false"):
+                assert g == w, column
+            else:
+                assert float(g) == pytest.approx(float(w), rel=0, abs=1e-6), column
+
+
 class TestComparePrototype:
     def test_report_files(self, tmp_path):
         out = tmp_path / "cmp"
@@ -176,6 +209,22 @@ class TestExitCodes:
         bad.write_text(json.dumps({"donor": {"position": [0, 0, 1]}, "nope": 2}))
         rc = main(["link-sim", "--scenario", str(bad), "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_malformed_scenario_file_is_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        rc = main(["link-sim", "--scenario", str(bad), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("fdiab: scenario: malformed JSON (")
+
+    @pytest.mark.parametrize("value", ["0", "[]", "\"V\""])
+    def test_non_object_pattern_is_1_naming_it(self, scenario_path, tmp_path, capsys, value):
+        rc = main(
+            ["link-sim", "--scenario", scenario_path, "--seed", "1",
+             "--out", str(tmp_path / "o"), "--set", f"iab_nodes.0.pattern={value}"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "fdiab: iab_nodes[0].pattern: expected an object\n"
 
     def test_unknown_override_key_is_1(self, scenario_path, tmp_path):
         rc = main(

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -83,8 +85,15 @@ patterns = st.builds(
 positions = st.tuples(finite, finite, finite)
 azimuths = st.none() | finite
 
+def ue_on_a_cell(kwargs):
+    ues = kwargs["ue_grid"].positions()
+    cells = (kwargs["donor"], *kwargs["iab_nodes"])
+    return any((ues == c.position).all(axis=1).any() for c in cells)
+
+
+# Scenario keyword arguments first: Scenario itself rejects a UE on a cell.
 scenarios = st.builds(
-    Scenario,
+    dict,
     donor=st.builds(
         Donor,
         position=positions,
@@ -128,9 +137,7 @@ scenarios = st.builds(
             rel_power_range_db=ordered_pair(finite),
         )
     ),
-).filter(  # a UE on a cell's position is invalid input
-    lambda sc: not any((sc.ue_grid.positions() == c.position).all(axis=1).any() for c in sc.cells())
-)
+).filter(lambda kwargs: not ue_on_a_cell(kwargs)).map(lambda kwargs: Scenario(**kwargs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,3 +244,60 @@ def test_ue_on_a_cell_rejected_with_both_fields(overrides, message):
         scenario_from_dict(data)
     # At street level the same grid is valid.
     scenario_from_dict(apply_overrides(data, ["ue_grid.height_m=1.5"]))
+
+
+def field_paths(node, keys=()):
+    """Key paths of every field and list element in a scenario dict."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield keys + (k,)
+        if isinstance(v, (dict, list)):
+            yield from field_paths(v, keys + (k,))
+
+
+def path_text(keys):
+    """Key path as error messages write it: iab_nodes[0].pattern."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+DEFAULT_DICT = scenario_to_dict(default_scenario())
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def related(a, b):
+    """One path is the other or lies inside it."""
+    a, b = sorted((a, b), key=len)
+    return b == a or b.startswith(a + ".") or b.startswith(a + "[")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    keys=st.sampled_from(list(field_paths(DEFAULT_DICT))),
+    # Besides any JSON value: pairs in and out of order, and a point of the
+    # default UE grid, which a cell position must not take.
+    value=st.just(DELETE) | json_values | st.sampled_from([[0, 1], [1, 0], [0, 0, 1.5], {}]),
+)
+def test_single_field_mutation_loads_or_names_its_field(keys, value):
+    """Any one field or list element set to any JSON value, or deleted,
+    either loads or raises a ScenarioError that names the mutated field,
+    a field inside it or the object holding it."""
+    data = copy.deepcopy(DEFAULT_DICT)
+    parent = data
+    for k in keys[:-1]:
+        parent = parent[k]
+    if value is DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    try:
+        scenario_from_dict(data)
+    except ScenarioError as e:
+        named = [str(e).split(": ", 1)[0]]
+        # The UE rule names the grid and the cell it hits.
+        named += re.findall(r"lies on (\S+) \[", str(e))
+        assert any(related(path_text(keys), n) for n in named if n), str(e)
