@@ -188,9 +188,6 @@ class ChannelImpulseResponse:
         """Tx-to-Rx power gain over all taps; negation is the SI suppression."""
         return float(10.0 * np.log10(self.total_power()))
 
-    def direct_tap_gain_db(self):
-        return float(20.0 * np.log10(np.abs(self.taps[0][1])))
-
     def freq_response(self, freqs_hz):
         """Baseband frequency response sum_i g_i * exp(-j*2*pi*f*tau_i)."""
         f = np.asarray(freqs_hz, dtype=float)

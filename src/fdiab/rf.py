@@ -122,7 +122,7 @@ class NoiseModel:
     """Thermal noise floor: -174 dBm/Hz plus bandwidth and noise figure."""
 
     bandwidth_hz: float = bounded(120e6, "> 0")
-    noise_figure_db: float = 3.0
+    noise_figure_db: float = bounded(3.0, ">= 0")
 
     __post_init__ = check_bounds
 

@@ -153,11 +153,14 @@ def apply_overrides(data, overrides):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        _set_path(data, key.split("."), value, key)
+        _set_path(data, key.split("."), value, key, Scenario)
     return data
 
 
-def _set_path(node, parts, value, full_key):
+def _set_path(node, parts, value, full_key, tp):
+    """Set parts' path below node, of annotated type tp, to value. A null
+    section that loads as its defaults is descended into as if empty; one
+    whose null turns it off is rejected."""
     head, rest = parts[0], parts[1:]
     if isinstance(node, list):
         if head == "*":
@@ -174,17 +177,27 @@ def _set_path(node, parts, value, full_key):
             targets = [i]
         for i in targets:
             if rest:
-                _set_path(node[i], rest, value, full_key)
+                _set_path(node[i], rest, value, full_key, (typing.get_args(tp) or (None,))[0])
             else:
                 node[i] = value
         return
     if not isinstance(node, dict):
         raise ScenarioError(f"override {full_key!r}", "path descends into a scalar")
+    tp = {f.name: f.type for f in fields(tp)}.get(head) if is_dataclass(tp) else None
+    if rest and head in node and node[head] is None:
+        if is_dataclass(tp):  # null loads as the section's defaults
+            node[head] = {}
+        elif any(map(is_dataclass, typing.get_args(tp))):  # null turns the section off
+            section = ".".join(full_key.split(".")[: -len(rest)])
+            raise ScenarioError(
+                f"override {full_key!r}",
+                f"{section} is null, which turns that section off; set it to an object first",
+            )
     if rest:
         if head not in node:
             # Allow descending into sections that are optional in the file,
             # as long as validation knows them.
             node[head] = {} if not rest[0].isdigit() and rest[0] != "*" else []
-        _set_path(node[head], rest, value, full_key)
+        _set_path(node[head], rest, value, full_key, tp)
     else:
         node[head] = value

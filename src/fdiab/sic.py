@@ -9,7 +9,7 @@ total.
 """
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -24,7 +24,11 @@ from .ofdm import (
     estimate_channel_ls,
 )
 from .rf import AdcModel, NoiseModel, PaModel, adc_quantize, fits_gray_zone, pa_apply, thermal_noise
-from .util import SPEED_OF_LIGHT, dbm_to_watt, mean_power_dbm, substream, watt_to_dbm
+from .system import Scenario
+from .util import (
+    SPEED_OF_LIGHT, bounded, check_bounds, dbm_to_watt, mean_power_dbm, same_as, substream,
+    watt_to_dbm,
+)
 
 # Fixed canceller delays used in the reference configurations; for other
 # separations the delays bracket the direct-path delay the same way.
@@ -137,12 +141,12 @@ class HammersteinModel:
     training_power: float = 0.0
 
     def __post_init__(self):
-        _check_structure(self.orders, self.memory_len)
+        _check_structure(self.orders, self.memory_len, self.alignment)
         if self.coeffs.shape != (len(self.orders), self.memory_len):
             raise ValueError("coeffs must be (n_orders, memory_len)")
 
 
-def _check_structure(orders, memory_len):
+def _check_structure(orders, memory_len, alignment):
     # Odd orders only (baseband-relevant distortion); the model tops out at
     # the fifth order, lower-order subsets serve as baselines.
     if (
@@ -154,26 +158,16 @@ def _check_structure(orders, memory_len):
         raise ValueError("orders must be increasing odd integers capped at 5")
     if memory_len < 1:
         raise ValueError(f"memory_len must be >= 1, got {memory_len}")
+    if not 0 <= alignment < memory_len:
+        raise ValueError(f"alignment must lie in [0, memory_len), got {alignment}")
 
 
-def _branch_signals(tx, orders, memory_len, alignment, idx):
-    """Branch signals psi_p(n) = x(n) * |x(n)|^(p-1), one row per order.
-
-    Raises if a tap of some idx sample, n - m + alignment for m in
-    [0, memory_len), falls outside the stream.
-    """
-    x = np.asarray(tx, dtype=complex)
-    idx = np.asarray(idx)
-    if idx.min() < 0 or idx.max() >= x.size:
-        raise ValueError("idx selects samples outside the stream")
-    lo = idx.min() - (memory_len - 1 - alignment)
-    hi = idx.max() + alignment
-    if lo < 0 or hi >= x.size:
-        raise ValueError("tap window leaves the sample stream; shrink idx or alignment")
-    env = np.abs(x)
-    psi = np.empty((len(orders), x.size), dtype=complex)
+def _branch_signals(tx, orders):
+    """Branch signals psi_p(n) = x(n) * |x(n)|^(p-1), one row per order."""
+    env = np.abs(tx)
+    psi = np.empty((len(orders), tx.size), dtype=complex)
     for row, p in zip(psi, orders):
-        np.multiply(x, env ** (p - 1), out=row)
+        np.multiply(tx, env ** (p - 1), out=row)
     return psi
 
 
@@ -186,28 +180,37 @@ def hammerstein_basis(tx, orders, memory_len, alignment, idx):
     apply_digital_sic never form this matrix, they work from the branch
     signals, and tests check them against it.
     """
-    psi = _branch_signals(tx, orders, memory_len, alignment, idx)
+    _check_structure(orders, memory_len, alignment)
+    x = np.asarray(tx, dtype=complex)
     idx = np.asarray(idx)
+    if idx.min() - (memory_len - 1 - alignment) < 0 or idx.max() + alignment >= x.size:
+        raise ValueError("tap window leaves the sample stream; shrink idx or alignment")
+    psi = _branch_signals(x, orders)
     cols = [branch[idx - (m - alignment)] for branch in psi for m in range(memory_len)]
     return np.stack(cols, axis=1)
 
 
-def _cp_blocks(tx, idx, memory_len, alignment):
-    """(start, spacing, n_blocks, n) if idx is n_blocks runs of one length, each
-    run and the `alignment` samples after it a block of n samples, and the
-    samples a tap reaches before a block lie past the previous one and equal
-    its tail bit for bit (a CP), so every tap is a circular shift; else None."""
-    n_blocks = np.count_nonzero(np.diff(idx) != 1) + 1
-    run = idx.size // n_blocks
-    if n_blocks < 2 or idx.size % n_blocks:
-        return None
-    start, spacing = idx[0], idx[run] - idx[0]
-    n, reach = run + alignment, memory_len - 1 - alignment
-    runs = (start + spacing * np.arange(n_blocks))[:, None] + np.arange(run)
-    if n < memory_len or n + max(reach, 0) > spacing or not np.array_equal(idx, runs.ravel()):
-        return None
-    cp = runs[:, :1] + np.arange(-reach, 0)
-    return (start, spacing, n_blocks, n) if np.array_equal(tx[cp], tx[cp + n]) else None
+def _frame_blocks(tx, cfg, memory_len, alignment):
+    """(start, spacing, n_blocks, n): tx's OFDM symbols of layout cfg as blocks
+    of n = fft_size samples. Raises unless every tap of the fit's samples,
+    ofdm_valid_indices(cfg, tx.size, alignment), is a circular shift within
+    its block: a tap may reach back into the CP, which must then repeat the
+    block's tail bit for bit."""
+    if tx.size % cfg.symbol_len:
+        raise ValueError(
+            f"tx_baseband: {tx.size} samples are not whole {cfg.symbol_len}-sample symbols"
+        )
+    reach = memory_len - 1 - alignment
+    if reach > cfg.cp_len or memory_len > cfg.fft_size:
+        raise ValueError(
+            f"memory_len: {memory_len} taps at alignment {alignment} reach {reach} samples back; "
+            f"a symbol allows {cfg.cp_len} (its CP) and at most {cfg.fft_size} taps"
+        )
+    start, spacing, n_blocks = cfg.cp_len, cfg.symbol_len, tx.size // cfg.symbol_len
+    cp = (start + spacing * np.arange(n_blocks))[:, None] + np.arange(-reach, 0)
+    if not np.array_equal(tx[cp], tx[cp + cfg.fft_size]):
+        raise ValueError("tx_baseband: a CP differs from its symbol's tail within the taps' reach")
+    return start, spacing, n_blocks, cfg.fft_size
 
 
 def _blocks(a, start, spacing, n_blocks, n):
@@ -216,60 +219,41 @@ def _blocks(a, start, spacing, n_blocks, n):
     return as_strided(a[..., start:], a.shape[:-1] + (n_blocks, n), a.strides[:-1] + (spacing * s, s))
 
 
-def _normal_equations(psi, rx, memory_len, alignment, idx, blocks=None):
-    """B^H B and B^H rx[idx] for B = hammerstein_basis, without forming B.
+def _normal_equations(psi, rx, memory_len, alignment, blocks):
+    """B^H B and B^H rx[idx] for B = hammerstein_basis on the fit's samples,
+    without forming B; leaves the blocks' spectra in psi.
 
     Row i of B holds psi_p(k_i - m) with k_i = idx_i + alignment, so every
     entry is a lagged correlation of two branch signals. The first tap row
-    of the Gram, G[(p,0),(q,l)], and the right-hand side are summed over
-    k = k_i directly, one lag at a time, with each sample weighted by how
-    often it occurs in idx; given blocks from _cp_blocks, per block in the
-    frequency domain, leaving the blocks' spectra in psi. The other entries
-    follow along each diagonal: shifting both taps by one shifts every
-    ascending run of idx back one sample, so G[(p,m+1),(q,l+1)] =
-    G[(p,m),(q,l)] plus the product of the samples each run gains at its
-    start, minus those it loses at its end.
+    of the Gram, G[(p,0),(q,l)], and the right-hand side are summed per block
+    in the frequency domain. The other entries follow along each diagonal:
+    shifting both taps by one shifts every block's run of samples back one,
+    so G[(p,m+1),(q,l+1)] = G[(p,m),(q,l)] plus the product of the samples
+    each run gains at its start, minus those it loses at its end.
     """
     n_br, mem = psi.shape[0], memory_len
-    breaks = np.flatnonzero(np.diff(idx) != 1)
-    starts = np.append(idx[0], idx[breaks + 1]) + alignment - 1
-    ends = np.append(idx[breaks], idx[-1]) + alignment
+    start, spacing, n_blocks, n = blocks
+    heads = start + spacing * np.arange(n_blocks)
     lags = np.arange(mem - 1)
-    gained = psi[:, starts[:, None] - lags].transpose(1, 0, 2).reshape(starts.size, -1)
-    lost = psi[:, ends[:, None] - lags].transpose(1, 0, 2).reshape(ends.size, -1)
-    edge = (gained.conj().T @ gained - lost.conj().T @ lost).reshape(
-        n_br, mem - 1, n_br, mem - 1
-    )
-    if blocks is not None:
-        # Tap l of block s, sample u, reads P_q(s, (u - l) mod n). Summed over
-        # all u, corr[l, q, j] is one transform of sum_s P^_q conj(P^_j | R^),
-        # less the u < alignment the fit skips; rx enters with those zeroed.
-        start, spacing, n_blocks, n = blocks
-        shifts = (np.arange(alignment) - np.arange(mem)[:, None]) % n  # (u - l) mod n
-        heads = psi[:, (start + spacing * np.arange(n_blocks))[:, None, None] + shifts]
-        skipped = np.tensordot(heads, heads[:, :, 0].conj(), axes=([1, 3], [1, 2]))
-        rx_hat = np.zeros((n_blocks, n), dtype=complex)
-        rx_hat[:, alignment:] = _blocks(rx, start, spacing, n_blocks, n - alignment)
-        np.fft.fft(rx_hat, out=rx_hat)
-        spectra = np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
-        cross = np.empty((n_br, n_br + 1, n), dtype=complex)
-        np.vecdot(spectra[None], spectra[:, None], axis=-2, out=cross[:, :n_br])
-        np.vecdot(rx_hat, spectra, axis=-2, out=cross[:, n_br])
-        corr = np.fft.fft(cross, norm="forward", out=cross)[..., :mem].transpose(2, 0, 1)
-        corr[..., :n_br] -= skipped.transpose(1, 0, 2)
-    else:
-        k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
-        weight = np.bincount(idx)[k0 - alignment :]
-        lhs = np.empty((n_br + 1, k1 - k0), dtype=complex)
-        np.multiply(psi[:, k0:k1], weight, out=lhs[:n_br])
-        np.multiply(rx[k0 - alignment : k1 - alignment], weight, out=lhs[n_br])
-        np.conjugate(lhs, out=lhs)
-        # corr[l, q, j] = sum_k psi_q(k - l) conj(w(k) [psi_j(k) | rx(k - alignment)])
-        # One (n_br + 1, K) @ (K,) product per branch and lag keeps lhs in cache.
-        corr = np.empty((mem, n_br, n_br + 1), dtype=complex)
-        for q in range(n_br):
-            for l in range(mem):
-                np.matmul(lhs, psi[q, k0 - l : k1 - l], out=corr[l, q])
+    gained = psi[:, (heads + alignment - 1)[:, None] - lags].transpose(1, 0, 2)
+    lost = psi[:, (heads + n - 1)[:, None] - lags].transpose(1, 0, 2)
+    gained, lost = gained.reshape(n_blocks, -1), lost.reshape(n_blocks, -1)
+    edge = (gained.conj().T @ gained - lost.conj().T @ lost).reshape(n_br, mem - 1, n_br, mem - 1)
+    # Tap l of block s, sample u, reads P_q(s, (u - l) mod n). Summed over
+    # all u, corr[l, q, j] is one transform of sum_s P^_q conj(P^_j | R^),
+    # less the u < alignment the fit skips; rx enters with those zeroed.
+    shifts = (np.arange(alignment) - np.arange(mem)[:, None]) % n  # (u - l) mod n
+    skip = psi[:, heads[:, None, None] + shifts]
+    skipped = np.tensordot(skip, skip[:, :, 0].conj(), axes=([1, 3], [1, 2]))
+    rx_hat = np.zeros((n_blocks, n), dtype=complex)
+    rx_hat[:, alignment:] = _blocks(rx, start, spacing, n_blocks, n - alignment)
+    np.fft.fft(rx_hat, out=rx_hat)
+    spectra = np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
+    cross = np.empty((n_br, n_br + 1, n), dtype=complex)
+    np.vecdot(spectra[None], spectra[:, None], axis=-2, out=cross[:, :n_br])
+    np.vecdot(rx_hat, spectra, axis=-2, out=cross[:, n_br])
+    corr = np.fft.fft(cross, norm="forward", out=cross)[..., :mem].transpose(2, 0, 1)
+    corr[..., :n_br] -= skipped.transpose(1, 0, 2)
     rhs = np.conj(corr[:, :, n_br]).T.reshape(-1)
     first = corr[:, :, :n_br]
 
@@ -281,26 +265,14 @@ def _normal_equations(psi, rx, memory_len, alignment, idx, blocks=None):
     return gram.reshape(n_br * mem, n_br * mem), rhs
 
 
-def _residual(psi, rx, coeffs, alignment, idx, blocks=None):
-    """rx[idx] - B @ coeffs for B = hammerstein_basis, tap by tap over the span idx
-    keeps; given blocks, as one circular convolution per block over psi's spectra."""
-    if blocks is not None:
-        start, spacing, n_blocks, n = blocks
-        fir = np.einsum("qsf,qf->sf", _blocks(psi, *blocks), np.fft.fft(coeffs, n))
-        resid = np.fft.ifft(fir, out=fir)[:, alignment:]
-        np.subtract(_blocks(rx, start, spacing, n_blocks, n - alignment), resid, out=resid)
-        return resid.ravel()
-    k0, k1 = idx.min() + alignment, idx.max() + 1 + alignment
-    fir = psi[:, k0:k1].T @ coeffs[:, 0]
-    tap = np.empty_like(fir)
-    for m in range(1, coeffs.shape[1]):
-        fir += np.matmul(psi[:, k0 - m : k1 - m].T, coeffs[:, m], out=tap)
-    np.subtract(rx[k0 - alignment : k1 - alignment], fir, out=fir)
-    return fir[idx - (k0 - alignment)]
-
-
-def default_fit_indices(n_samples, memory_len, alignment):
-    return np.arange(max(memory_len - 1 - alignment, 0), n_samples - alignment)
+def _residual(psi, rx, coeffs, alignment, blocks):
+    """rx[idx] - B @ coeffs for B = hammerstein_basis on the fit's samples, as
+    one circular convolution per block over the blocks' spectra in psi."""
+    start, spacing, n_blocks, n = blocks
+    fir = np.einsum("qsf,qf->sf", _blocks(psi, *blocks), np.fft.fft(coeffs, n))
+    resid = np.fft.ifft(fir, out=fir)[:, alignment:]
+    np.subtract(_blocks(rx, start, spacing, n_blocks, n - alignment), resid, out=resid)
+    return resid.ravel()
 
 
 def ofdm_valid_indices(cfg, n_samples, alignment):
@@ -310,11 +282,8 @@ def ofdm_valid_indices(cfg, n_samples, alignment):
     leak into the next symbol's CP."""
     if n_samples % cfg.symbol_len != 0:
         raise ValueError(f"sample count must be a multiple of {cfg.symbol_len}")
-    spans = [
-        np.arange(s * cfg.symbol_len + cfg.cp_len, (s + 1) * cfg.symbol_len - alignment)
-        for s in range(n_samples // cfg.symbol_len)
-    ]
-    return np.concatenate(spans)
+    heads = cfg.cp_len + cfg.symbol_len * np.arange(n_samples // cfg.symbol_len)
+    return (heads[:, None] + np.arange(cfg.fft_size - alignment)).ravel()
 
 
 def fit_hammerstein(
@@ -324,9 +293,11 @@ def fit_hammerstein(
     memory_len=4,
     alignment=0,
     ridge=1e-8,
-    idx=None,
+    *,
+    cfg,
 ):
-    """Ridge-regularized LS fit of the parallel-Hammerstein canceller.
+    """Ridge-regularized LS fit of the parallel-Hammerstein canceller on the
+    OFDM frame of layout cfg, over ofdm_valid_indices(cfg, tx.size, alignment).
 
     The ridge is scaled by the trace-normalized basis Gram; the odd-order
     branches are highly correlated and the tiny ridge stabilizes the solve
@@ -336,24 +307,20 @@ def fit_hammerstein(
     rx = np.asarray(residual_rx, dtype=complex)
     if tx.shape != rx.shape:
         raise ValueError("tx and rx must have the same length")
-    if idx is None:
-        idx = default_fit_indices(tx.size, memory_len, alignment)
-    _check_structure(orders, memory_len)
+    _check_structure(orders, memory_len, alignment)
+    blocks = start, spacing, n_blocks, n = _frame_blocks(tx, cfg, memory_len, alignment)
+    n_samples = n_blocks * (n - alignment)
     n_unknowns = len(orders) * memory_len
-    if len(idx) < n_unknowns:
-        raise ValueError(
-            f"underdetermined fit: {len(idx)} samples for {n_unknowns} unknowns"
-        )
-    if len(idx) < 10 * n_unknowns:
+    if n_samples < n_unknowns:
+        raise ValueError(f"underdetermined fit: {n_samples} samples for {n_unknowns} unknowns")
+    if n_samples < 10 * n_unknowns:
         warnings.warn(
-            f"training block of {len(idx)} samples is short for {n_unknowns} unknowns; "
+            f"training block of {n_samples} samples is short for {n_unknowns} unknowns; "
             "expect overfitting",
             RuntimeWarning,
         )
-    idx = np.asarray(idx)
-    psi = _branch_signals(tx, orders, memory_len, alignment, idx)
-    blocks = _cp_blocks(tx, idx, memory_len, alignment)
-    gram, rhs = _normal_equations(psi, rx, memory_len, alignment, idx, blocks)
+    psi = _branch_signals(tx, orders)
+    gram, rhs = _normal_equations(psi, rx, memory_len, alignment, blocks)
     eps = ridge * float(np.trace(gram).real) / gram.shape[0]
     gram_r = gram + eps * np.eye(gram.shape[0])
     eig = np.abs(np.linalg.eigvalsh(gram_r))  # gram_r is Hermitian: cond = |lambda| max / min
@@ -365,7 +332,8 @@ def fit_hammerstein(
             RuntimeWarning,
         )
     coeffs = np.linalg.solve(gram_r, rhs).reshape(len(orders), memory_len)
-    resid = _residual(psi, rx, coeffs, alignment, idx, blocks)
+    resid = _residual(psi, rx, coeffs, alignment, blocks)
+    target = _blocks(rx, start, spacing, n_blocks, n - alignment)
     return HammersteinModel(
         orders=tuple(orders),
         memory_len=memory_len,
@@ -373,24 +341,21 @@ def fit_hammerstein(
         alignment=alignment,
         ridge=eps,
         training_residual_power=float(np.mean(np.abs(resid) ** 2)),
-        training_power=float(np.mean(np.abs(rx[idx]) ** 2)),
+        training_power=float(np.mean(np.abs(target) ** 2)),
     )
 
 
-def apply_digital_sic(tx_baseband, rx_after_adc, model, idx=None):
-    """Residual rx - Psi(tx) @ coeffs, evaluated on the fit-valid indices."""
+def apply_digital_sic(tx_baseband, rx_after_adc, model, cfg):
+    """Residual rx - Psi(tx) @ coeffs on the OFDM frame of layout cfg, at
+    ofdm_valid_indices(cfg, tx.size, model.alignment)."""
     tx = np.asarray(tx_baseband, dtype=complex)
     rx = np.asarray(rx_after_adc, dtype=complex)
     if tx.shape != rx.shape:
         raise ValueError("tx and rx must have the same length")
-    if idx is None:
-        idx = default_fit_indices(tx.size, model.memory_len, model.alignment)
-    idx = np.asarray(idx)
-    psi = _branch_signals(tx, model.orders, model.memory_len, model.alignment, idx)
-    blocks = _cp_blocks(tx, idx, model.memory_len, model.alignment)
-    if blocks is not None:
-        np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
-    return _residual(psi, rx, model.coeffs, model.alignment, idx, blocks)
+    blocks = _frame_blocks(tx, cfg, model.memory_len, model.alignment)
+    psi = _branch_signals(tx, model.orders)
+    np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
+    return _residual(psi, rx, model.coeffs, model.alignment, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +375,9 @@ class LinkChainParams:
     pa: PaModel = PaModel()
     adc: AdcModel = AdcModel()
     noise: NoiseModel = NoiseModel()
-    carrier_freq_hz: float = 28e9
+    carrier_freq_hz: float = same_as(Scenario, "carrier_freq_hz")
     # PA driven with OFDM PAPR headroom below the CW compression input.
-    input_backoff_db: float = 12.0
+    input_backoff_db: float = bounded(12.0, ">= 0")
     canceller_delays_s: tuple | None = None
     # auto: engage the analog stage when the SI entering the ADC would either
     # violate the gray-zone rule or sit more than analog_engage_margin_db
@@ -434,8 +399,7 @@ class LinkChainParams:
         for f in fields(self):
             if f.type is float and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.input_backoff_db < 0.0:
-            raise ValueError("input_backoff_db must be >= 0")
+        check_bounds(self)
         # The analog stage is tuned from the pilots: with none, every power is NaN.
         for name, low, high in (
             ("n_pilot_symbols", 0 if self.analog_mode == "off" else 1, np.inf),
@@ -579,7 +543,7 @@ def run_link_chain(params, seed):
         memory_len=params.hammerstein_memory,
         alignment=params.hammerstein_alignment,
         ridge=params.ridge,
-        idx=idx,
+        cfg=cfg,
     )
     after_digital_dbm = float(watt_to_dbm(model.training_residual_power))
     del tx, rx_adc
@@ -591,8 +555,7 @@ def run_link_chain(params, seed):
     if engage:
         rx_h = apply_analog_canceller(pa_out_h, rx_h, two_tap, cfg)
     rx_adc_h, _ = adc_quantize(rx_h, params.adc, scale=agc_scale)
-    idx_h = ofdm_valid_indices(cfg, tx_h.size, params.hammerstein_alignment)
-    resid_h = apply_digital_sic(tx_h, rx_adc_h, model, idx=idx_h)
+    resid_h = apply_digital_sic(tx_h, rx_adc_h, model, cfg)
     holdout_dbm = mean_power_dbm(resid_h)
 
     report = ReductionReport(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel
 from .rf import NoiseModel
-from .util import FieldError, bounded, check_bounds, dbm_to_watt, substream, watt_to_dbm
+from .util import FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, watt_to_dbm
 
 
 class Mode(str, Enum):
@@ -142,6 +142,12 @@ class IabNode(Donor):
         return (x, y, z - self.antenna_separation_m)
 
 
+# A system-sim call's traced allocations peak at about 1 KiB per UE (987 B
+# per UE between a 201 x 201 and a 301 x 301 grid, 10.1 MiB at 101 x 101).
+# The cap keeps that peak within a 2 GiB budget: 2,097,152 UEs, 1448 x 1448.
+MAX_UES = 2 * 2**30 // 1024
+
+
 @dataclass(frozen=True)
 class UeGrid:
     nx: int = bounded(21, ">= 0")
@@ -150,7 +156,12 @@ class UeGrid:
     y_range: tuple[float, float] = (-250.0, 250.0)
     height_m: float = bounded(1.5, ">= 0")
 
-    __post_init__ = check_bounds
+    def __post_init__(self):
+        check_bounds(self)
+        if self.nx * self.ny > MAX_UES:
+            raise FieldError(
+                "", f"{self.nx} x {self.ny} UEs exceed the cap of {MAX_UES} (about 1 KiB each)"
+            )
 
     @property
     def n_ues(self):
@@ -172,8 +183,8 @@ class Scenario:
         IabNode(position=(40.0, -100.0, 99.0)),
     )
     ue_grid: UeGrid = field(default_factory=UeGrid)
-    bandwidth_hz: float = bounded(120e6, "> 0")
-    noise_figure_db: float = bounded(3.0, ">= 0")
+    bandwidth_hz: float = same_as(NoiseModel, "bandwidth_hz")
+    noise_figure_db: float = same_as(NoiseModel, "noise_figure_db")
     carrier_freq_hz: float = bounded(28e9, "> 0")
     guard_overhead: float = bounded(0.1, ">= 0, < 1")
     access_shadow_sigma_db: float = bounded(4.0, ">= 0")

@@ -25,6 +25,13 @@ def bounded(default, bounds):
     return field(default=default, metadata={"bounds": bounds})
 
 
+def same_as(cls, name):
+    """A dataclass field with the default and bounds of cls's field name, so
+    that one declaration serves both classes."""
+    f = {f.name: f for f in fields(cls)}[name]
+    return field(default=f.default, metadata=f.metadata)
+
+
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 

@@ -155,8 +155,8 @@ def test_criterion_4_hammerstein_sic():
     assert fits_gray_zone(si_dbm, floor)
 
     rx_adc, _ = adc_quantize(rx, AdcModel())
-    fifth = fit_hammerstein(tx, rx_adc, (1, 3, 5), memory_len=20, alignment=8, idx=idx)
-    linear = fit_hammerstein(tx, rx_adc, (1,), memory_len=20, alignment=8, idx=idx)
+    fifth = fit_hammerstein(tx, rx_adc, (1, 3, 5), memory_len=20, alignment=8, cfg=CFG)
+    linear = fit_hammerstein(tx, rx_adc, (1,), memory_len=20, alignment=8, cfg=CFG)
     res5_dbm = 10 * np.log10(fifth.training_residual_power) + 30
     res1_dbm = 10 * np.log10(linear.training_residual_power) + 30
     gap = res1_dbm - res5_dbm

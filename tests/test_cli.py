@@ -285,6 +285,16 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+    def test_oversized_ue_grid_is_1_naming_it(self, tmp_path, capsys):
+        rc = main(
+            ["system-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", f"ue_grid.nx={10**30}"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdiab: ue_grid: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_ue_on_the_donor_is_1_naming_both_fields(self, tmp_path, capsys):
         rc = main(
             ["system-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),

@@ -96,18 +96,22 @@ class TestChannelImpulseResponse:
         assert np.angle(h[1]) == pytest.approx(-2 * np.pi * 1e6 * 2e-9)
 
 
+def direct_tap_gain_db(cir):
+    return 20.0 * np.log10(np.abs(cir.taps[0][1]))
+
+
 class TestSiChannel:
     def test_boresight_aligned_suppression(self):
         # DU looks straight down the mast at the MT and vice versa.
         geom = SiGeometry(1.0, tx_orientation=(0, 0, -1), rx_orientation=(0, 0, 1))
         cir = si_channel(geom, PAT, PAT, None, seed=0)
         assert len(cir.taps) == 1
-        assert -cir.direct_tap_gain_db() == pytest.approx(61.3907 - 40.0, abs=5e-4)
+        assert -direct_tap_gain_db(cir) == pytest.approx(61.3907 - 40.0, abs=5e-4)
 
     def test_sidelobe_pointing_suppression(self):
         geom = SiGeometry(1.0)  # default horizon pointing, 90 deg off the mast
         cir = si_channel(geom, PAT, PAT, None, seed=0)
-        assert -cir.direct_tap_gain_db() == pytest.approx(61.3907 + 20.0, abs=5e-4)
+        assert -direct_tap_gain_db(cir) == pytest.approx(61.3907 + 20.0, abs=5e-4)
 
     def test_direct_tap_delay(self):
         geom = SiGeometry(0.1)
@@ -127,13 +131,13 @@ class TestSiChannel:
         iso = si_channel(
             SiGeometry(1.0, cross_pol_isolation_db=17.0), PAT, PAT, None, seed=0
         )
-        delta = base.direct_tap_gain_db() - iso.direct_tap_gain_db()
+        delta = direct_tap_gain_db(base) - direct_tap_gain_db(iso)
         assert delta == pytest.approx(17.0, abs=1e-9)
 
     def test_suppression_monotone_in_separation(self):
         seps = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0]
         sup = [
-            -si_channel(SiGeometry(d), PAT, PAT, ReflectorConfig(), seed=7).direct_tap_gain_db()
+            -direct_tap_gain_db(si_channel(SiGeometry(d), PAT, PAT, ReflectorConfig(), seed=7))
             for d in seps
         ]
         assert np.all(np.diff(sup) > 0)

@@ -115,6 +115,6 @@ def test_thermal_noise_matches_formula(n, seed, bandwidth_hz, noise_figure_db):
 @given(x=samples, orders=st.sampled_from([(1,), (1, 3), (3, 5), (1, 3, 5)]))
 def test_branch_signals_match_formula(x, orders):
     given_x = x.copy()
-    psi = _branch_signals(x, orders, 1, 0, np.arange(x.size))
+    psi = _branch_signals(x, orders)
     assert_same_bits(psi, reference_branches(given_x, orders))
     assert_same_bits(x, given_x)

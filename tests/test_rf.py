@@ -12,7 +12,7 @@ from fdiab.rf import (
     required_si_reduction_db,
     thermal_noise,
 )
-from fdiab.util import dbm_to_watt, mean_power_dbm, substream
+from fdiab.util import FieldError, dbm_to_watt, mean_power_dbm, substream
 
 PA = PaModel()  # 20 dB gain, 43 dBm P1dB, Rapp p=2
 
@@ -137,6 +137,17 @@ class TestNoise:
     def test_bandwidth_doubling(self):
         delta = noise_floor_dbm(NoiseModel(2e6, 3.0)) - noise_floor_dbm(NoiseModel(1e6, 3.0))
         assert delta == pytest.approx(10 * np.log10(2.0), abs=1e-12)
+
+    def test_noise_declared_once_with_the_scenario(self):
+        # NoiseModel's fields are the one declaration of the noise defaults
+        # and bounds; the scenario reads them.
+        from fdiab.system import default_scenario
+
+        assert default_scenario().noise == NoiseModel()
+        with pytest.raises(FieldError, match="^noise_figure_db: must be >= 0, got -5.0"):
+            NoiseModel(noise_figure_db=-5.0)
+        with pytest.raises(FieldError, match="^bandwidth_hz: must be > 0"):
+            NoiseModel(bandwidth_hz=0.0)
 
     def test_thermal_noise_power(self):
         model = NoiseModel(120e6, 3.0)

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from fdiab.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from fdiab.system import Donor, IabNode, Scenario, UeGrid, default_scenario
+from fdiab.system import MAX_UES, Donor, IabNode, Scenario, UeGrid, default_scenario
+from fdiab.util import FieldError
 
 
 def test_minimal_file_gets_defaults(tmp_path):
@@ -201,6 +203,47 @@ def test_reflectors_null_disables():
     data = scenario_to_dict(default_scenario())
     data["reflectors"] = None
     assert scenario_from_dict(data).reflectors is None
+
+
+def test_override_into_null_section_applies_on_its_defaults():
+    # A null ue_grid or pattern loads as the section's defaults, so an
+    # override descends into those defaults.
+    data = {"donor": {"position": [-150, 0, 130], "pattern": None}, "ue_grid": None}
+    sc = scenario_from_dict(
+        apply_overrides(data, ["ue_grid.nx=5", "donor.pattern.beamwidth_3db_deg=10"])
+    )
+    assert sc.ue_grid == UeGrid(nx=5)
+    assert sc.donor.pattern == AntennaPattern(beamwidth_3db_deg=10.0)
+
+
+def test_override_into_null_reflectors_names_the_section_off():
+    data = {"donor": {"position": [-150, 0, 130]}, "reflectors": None}
+    message = r"^override 'reflectors\.min_taps': reflectors is null, which turns that section off"
+    with pytest.raises(ScenarioError, match=message):
+        apply_overrides(data, ["reflectors.min_taps=1"])
+
+
+def test_noise_bounds_hold_in_files():
+    data = apply_overrides(scenario_to_dict(default_scenario()), ["noise_figure_db=-5"])
+    with pytest.raises(ScenarioError, match="^noise_figure_db: must be >= 0, got -5.0"):
+        scenario_from_dict(data)
+
+
+def test_ue_grid_cap_is_checked_before_any_ue_is_laid_out():
+    data = apply_overrides(
+        scenario_to_dict(default_scenario()), ["ue_grid.nx=100000", "ue_grid.ny=100000"]
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match="^ue_grid: 100000 x 100000 UEs exceed the cap"):
+            scenario_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 10**10 UEs would take 240 GB as positions alone
+    assert UeGrid(nx=MAX_UES, ny=1).n_ues == MAX_UES
+    with pytest.raises(FieldError, match="exceed the cap"):
+        UeGrid(nx=MAX_UES + 1, ny=1)
 
 
 @pytest.mark.parametrize(

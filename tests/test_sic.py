@@ -11,13 +11,12 @@ from fdiab.geometry import ChannelImpulseResponse, ReflectorConfig, SiGeometry
 from fdiab.ofdm import OfdmConfig, build_frame
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
-    _cp_blocks,
+    HammersteinModel,
     LinkChainParams,
     ReductionReport,
     apply_analog_canceller,
     apply_digital_sic,
     default_canceller_delays,
-    default_fit_indices,
     fit_hammerstein,
     hammerstein_basis,
     ofdm_valid_indices,
@@ -26,7 +25,7 @@ from fdiab.sic import (
     two_tap_residual_power,
     TwoTapConfig,
 )
-from fdiab.util import SPEED_OF_LIGHT, substream
+from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
 
 CFG = OfdmConfig()
 FREQS = CFG.subcarrier_freqs_hz()
@@ -137,10 +136,15 @@ class TestAnalogCanceller:
         assert np.mean(depths) == pytest.approx(20.0, abs=3.0)
 
 
-def integer_delay_cir(delay_samples, gain):
+def integer_delay_cir(delay_samples, gain, cfg=CFG):
     return ChannelImpulseResponse(
-        taps=((delay_samples / CFG.sample_rate_hz, gain),), carrier_freq_hz=28e9
+        taps=((delay_samples / cfg.sample_rate_hz, gain),), carrier_freq_hz=28e9
     )
+
+
+# A numerology with short symbols: 14 of them are fewer samples than two
+# default symbols, so one-symbol and many-symbol frames both stay small.
+SHORT = OfdmConfig(fft_size=64, active_subcarriers=48, cp_len=20)
 
 
 class TestHammerstein:
@@ -151,9 +155,8 @@ class TestHammerstein:
         frame = build_frame(CFG, 8, rng, 0)
         x = frame.samples
         y = apply_channel(x, integer_delay_cir(2, 0.6 - 0.2j), CFG)
-        idx = ofdm_valid_indices(CFG, x.size, 4)
         # ridge off: noiseless model identification should be exact
-        model = fit_hammerstein(x, y, memory_len=8, alignment=4, ridge=0.0, idx=idx)
+        model = fit_hammerstein(x, y, memory_len=8, alignment=4, ridge=0.0, cfg=CFG)
         norms = np.linalg.norm(model.coeffs, axis=1)
         assert norms[1] <= 1e-6 * norms[0]
         assert norms[2] <= 1e-6 * norms[0]
@@ -178,10 +181,10 @@ class TestHammerstein:
         y = y_clean + noise
         idx = ofdm_valid_indices(CFG, x.size, 4)
 
-        full = fit_hammerstein(x, y, (1, 3, 5), memory_len=8, alignment=4, idx=idx)
+        full = fit_hammerstein(x, y, (1, 3, 5), memory_len=8, alignment=4, cfg=CFG)
         assert full.training_residual_power <= 1.05 * noise_power
 
-        lin = fit_hammerstein(x, y, (1,), memory_len=8, alignment=4, idx=idx)
+        lin = fit_hammerstein(x, y, (1,), memory_len=8, alignment=4, cfg=CFG)
         basis1 = hammerstein_basis(x, (1,), 8, 4, idx)
         target = (c3 * x * np.abs(x) ** 2)[idx - 1]  # the c3 term as received
         proj, *_ = np.linalg.lstsq(basis1, target, rcond=None)
@@ -193,23 +196,27 @@ class TestHammerstein:
         assert 10 * np.log10(oracle / c3_power) == pytest.approx(-4.77, abs=0.7)
 
     def test_overfitting_at_minimum_training_length(self):
+        # 14-sample symbols with alignment 2 leave 12 fit samples each: one
+        # symbol is exactly the 12 unknowns, ten symbols ten times that.
+        cfg = OfdmConfig(fft_size=14, active_subcarriers=12, cp_len=4)
         rng = substream(6, "hover")
-        frame = build_frame(CFG, 4, rng, 0)
-        x = frame.samples
-        y = 0.9 * x + 0.02 * x * np.abs(x) ** 2 + 0.01 * (
-            rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-        )
-        n_unknowns = 3 * 4
-        idx_tiny = np.arange(200, 200 + n_unknowns)
-        with pytest.warns(RuntimeWarning):
-            tiny = fit_hammerstein(x, y, (1, 3, 5), memory_len=4, ridge=0.0, idx=idx_tiny)
+
+        def distorted(x):
+            return 0.9 * x + 0.02 * x * np.abs(x) ** 2 + 0.01 * (
+                rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+            )
+
+        x_tiny, x_big, x_test = (build_frame(cfg, n, rng, 0).samples for n in (1, 10, 100))
+        with pytest.warns(RuntimeWarning, match="short"):
+            tiny = fit_hammerstein(
+                x_tiny, distorted(x_tiny), (1, 3, 5), memory_len=4, alignment=2, ridge=0.0, cfg=cfg
+            )
         assert tiny.training_residual_power <= 1e-12 * tiny.training_power
 
-        idx_big = np.arange(200, 200 + 10 * n_unknowns)
-        big = fit_hammerstein(x, y, (1, 3, 5), memory_len=4, idx=idx_big)
-        idx_test = np.arange(2000, 3200)
-        r_tiny = np.mean(np.abs(apply_digital_sic(x, y, tiny, idx=idx_test)) ** 2)
-        r_big = np.mean(np.abs(apply_digital_sic(x, y, big, idx=idx_test)) ** 2)
+        big = fit_hammerstein(x_big, distorted(x_big), (1, 3, 5), memory_len=4, alignment=2, cfg=cfg)
+        y_test = distorted(x_test)
+        r_tiny = np.mean(np.abs(apply_digital_sic(x_test, y_test, tiny, cfg)) ** 2)
+        r_big = np.mean(np.abs(apply_digital_sic(x_test, y_test, big, cfg)) ** 2)
         assert r_tiny > r_big
 
     def test_apply_consistent_with_fit(self):
@@ -217,9 +224,8 @@ class TestHammerstein:
         frame = build_frame(CFG, 6, rng, 0)
         x = frame.samples
         y = 0.8 * x + 0.03 * x * np.abs(x) ** 4
-        idx = ofdm_valid_indices(CFG, x.size, 2)
-        model = fit_hammerstein(x, y, memory_len=6, alignment=2, idx=idx)
-        resid = apply_digital_sic(x, y, model, idx=idx)
+        model = fit_hammerstein(x, y, memory_len=6, alignment=2, cfg=CFG)
+        resid = apply_digital_sic(x, y, model, CFG)
         assert np.mean(np.abs(resid) ** 2) == pytest.approx(
             model.training_residual_power, rel=1e-9
         )
@@ -228,16 +234,15 @@ class TestHammerstein:
         rng = substream(8, "hzero")
         frame = build_frame(CFG, 2, rng, 0)
         x = frame.samples
-        model = fit_hammerstein(x, x, memory_len=4, idx=np.arange(100, 1500))
+        model = fit_hammerstein(x, x, memory_len=4, cfg=CFG)
         zeroed = type(model)(
             orders=model.orders,
             memory_len=model.memory_len,
             coeffs=np.zeros_like(model.coeffs),
             alignment=model.alignment,
         )
-        idx = np.arange(100, 1500)
-        resid = apply_digital_sic(x, x, zeroed, idx=idx)
-        assert np.array_equal(resid, x[idx])
+        resid = apply_digital_sic(x, x, zeroed, CFG)
+        assert np.array_equal(resid, x[ofdm_valid_indices(CFG, x.size, 0)])
 
     def test_generalizes_to_fresh_block(self):
         rng = substream(9, "hgen")
@@ -253,9 +258,8 @@ class TestHammerstein:
                 + 1j * substream(11, "n", x.size).standard_normal(x.size)
             )
 
-        idx_a = ofdm_valid_indices(CFG, train.size, 4)
-        model = fit_hammerstein(train, channelize(train), memory_len=8, alignment=4, idx=idx_a)
-        resid = apply_digital_sic(test, channelize(test), model, idx=idx_a)
+        model = fit_hammerstein(train, channelize(train), memory_len=8, alignment=4, cfg=CFG)
+        resid = apply_digital_sic(test, channelize(test), model, CFG)
         fresh = np.mean(np.abs(resid) ** 2)
         ratio_db = 10 * np.log10(fresh / model.training_residual_power)
         assert abs(ratio_db) < 1.0
@@ -266,7 +270,7 @@ class TestHammerstein:
         x = frame.samples
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
         idx = ofdm_valid_indices(CFG, x.size, 2)
-        model = fit_hammerstein(x, y, memory_len=4, alignment=2, idx=idx)
+        model = fit_hammerstein(x, y, memory_len=4, alignment=2, cfg=CFG)
         basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
         c = model.coeffs.reshape(-1)
         grad = basis.conj().T @ (y[idx] - basis @ c) - model.ridge * c
@@ -279,7 +283,7 @@ class TestHammerstein:
         x = frame.samples
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
         idx = ofdm_valid_indices(CFG, x.size, 2)
-        model = fit_hammerstein(x, y, memory_len=4, alignment=2, idx=idx)
+        model = fit_hammerstein(x, y, memory_len=4, alignment=2, cfg=CFG)
         basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
         c0 = model.coeffs.reshape(-1)
         r0 = np.mean(np.abs(y[idx] - basis @ c0) ** 2)
@@ -291,15 +295,18 @@ class TestHammerstein:
                 c[i] += sign * 1e-3 * np.linalg.norm(c0)
                 assert np.mean(np.abs(y[idx] - basis @ c) ** 2) > r0
 
-    def test_order_validation(self):
-        x = np.ones(100, complex)
-        idx = np.arange(10, 90)
-        with pytest.raises(ValueError):
-            fit_hammerstein(x, x, orders=(1, 3, 5, 7), memory_len=2, idx=idx)
-        with pytest.raises(ValueError):
-            fit_hammerstein(x, x, orders=(2, 4), memory_len=2, idx=idx)
-        with pytest.raises(ValueError):
-            fit_hammerstein(x, x, orders=(), memory_len=2, idx=idx)
+    def test_order_and_window_validation(self):
+        x = np.ones(CFG.symbol_len, complex)
+        with pytest.raises(ValueError, match="orders"):
+            fit_hammerstein(x, x, orders=(1, 3, 5, 7), memory_len=2, cfg=CFG)
+        with pytest.raises(ValueError, match="orders"):
+            fit_hammerstein(x, x, orders=(2, 4), memory_len=2, cfg=CFG)
+        with pytest.raises(ValueError, match="orders"):
+            fit_hammerstein(x, x, orders=(), memory_len=2, cfg=CFG)
+        with pytest.raises(ValueError, match="alignment"):
+            fit_hammerstein(x, x, memory_len=2, alignment=2, cfg=CFG)
+        with pytest.raises(ValueError, match="alignment"):
+            fit_hammerstein(x, x, memory_len=2, alignment=-1, cfg=CFG)
 
 
 def explicit_fit(x, y, orders, memory_len, alignment, ridge, idx):
@@ -312,47 +319,33 @@ def explicit_fit(x, y, orders, memory_len, alignment, ridge, idx):
     return basis, coeffs.reshape(len(orders), memory_len), eps, np.mean(np.abs(resid) ** 2)
 
 
-def irregular_indices(n_samples, seed):
-    """Runs of 1 to 60 samples in random order, some reversed (so each of
-    their samples is a run of one), plus a few repeated samples."""
-    rng = substream(seed, "irregular-idx")
-    runs = []
-    for length in (1, 1, 1, 2, 3, 7, 19, 60, 60, 1, 33):
-        start = int(rng.integers(40, n_samples - 40 - length))
-        run = np.arange(start, start + length)
-        runs.append(run[::-1] if rng.random() < 0.3 else run)
-    idx = np.concatenate([runs[i] for i in rng.permutation(len(runs))])
-    return np.concatenate([idx, idx[rng.integers(0, idx.size, 4)]])
-
-
 # (memory_len, alignment) pairs from 1 tap to the chain's 20, alignment
 # from 0 to memory_len - 1.
 TAP_WINDOWS = ((1, 0), (2, 0), (2, 1), (5, 2), (8, 7), (20, 0), (20, 8), (20, 19))
 
 
-def ofdm_signals(seed, n_symbols):
+def ofdm_signals(seed, n_symbols, cfg=CFG):
     """An OFDM frame and its distorted, delayed, noisy echo."""
     from fdiab.ofdm import apply_channel
 
     rng = substream(seed, "hstruct")
-    x = build_frame(CFG, n_symbols, rng, 0).samples
+    x = build_frame(cfg, n_symbols, rng, 0).samples
     d = x + 0.05 * x * np.abs(x) ** 2 - 0.01 * x * np.abs(x) ** 4
-    y = apply_channel(d, integer_delay_cir(1, 0.8 + 0.3j), CFG) + 1e-3 * (
+    y = apply_channel(d, integer_delay_cir(1, 0.8 + 0.3j, cfg), cfg) + 1e-3 * (
         rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
     )
     return x, y
 
 
-def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # short irregular blocks
-        model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, idx)
+def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg):
+    idx = ofdm_valid_indices(cfg, x.size, alignment)
+    model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, cfg=cfg)
     basis, coeffs, eps, resid_power = explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
     scale = np.abs(coeffs).max()
     np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-8, atol=1e-8 * scale)
     assert model.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
     assert model.training_residual_power == pytest.approx(resid_power, rel=1e-9)
-    prediction = y[idx] - apply_digital_sic(x, y, model, idx=idx)
+    prediction = y[idx] - apply_digital_sic(x, y, model, cfg)
     explicit = basis @ model.coeffs.reshape(-1)
     np.testing.assert_allclose(
         prediction, explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max()
@@ -361,89 +354,131 @@ def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
 
 class TestStructuredFitMatchesExplicitBasis:
     """fit_hammerstein and apply_digital_sic never build the design matrix;
-    they must agree with its explicit normal equations. Per-symbol indices on
-    an OFDM frame take the per-symbol frequency-domain route, every other
-    input the time-domain one."""
+    on any frame layout whose CP covers the taps' reach, they must agree with
+    its explicit normal equations over ofdm_valid_indices."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return {
+            "three symbols": (ofdm_signals(30, 3), CFG),
+            "one symbol": (ofdm_signals(31, 1), CFG),
+            "short symbols": (ofdm_signals(32, 14, SHORT), SHORT),
+        }
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8])
+    @pytest.mark.parametrize("orders", [(1,), (1, 3), (1, 3, 5)])
+    @pytest.mark.parametrize("layout", ["three symbols", "one symbol", "short symbols"])
+    def test_matches_explicit_normal_equations(self, frames, layout, orders, ridge):
+        (x, y), cfg = frames[layout]
+        for memory_len, alignment in TAP_WINDOWS:
+            assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg)
+
+    def test_cp_sample_no_tap_reads_may_differ(self, frames):
+        # Taps of 20 at alignment 8 reach 11 samples into the 140-sample CP;
+        # the sample just before that reach is free.
+        (x, y), _ = frames["three symbols"]
+        x = x.copy()
+        x[CFG.symbol_len + CFG.cp_len - 12] += 0.1
+        assert_matches_explicit_fit(x, y, (1, 3, 5), 20, 8, 1e-8, CFG)
+
+
+class TestFrameLayoutRejections:
+    """The fit and the canceller reject every input on which a tap would not
+    be a circular shift within its symbol, naming the argument at fault."""
 
     @pytest.fixture(scope="class")
     def signals(self):
         return ofdm_signals(30, 3)
 
-    @pytest.mark.parametrize("ridge", [0.0, 1e-8])
-    @pytest.mark.parametrize("orders", [(1,), (1, 3), (1, 3, 5)])
-    @pytest.mark.parametrize("kind", ["one-run", "per-symbol", "irregular"])
-    def test_matches_explicit_normal_equations(self, signals, kind, orders, ridge):
-        x, y = signals
-        for memory_len, alignment in TAP_WINDOWS:
-            if kind == "one-run":
-                idx = default_fit_indices(x.size, memory_len, alignment)
-            elif kind == "per-symbol":
-                idx = ofdm_valid_indices(CFG, x.size, alignment)
-            else:
-                idx = irregular_indices(x.size, memory_len * 100 + alignment)
-            circular = _cp_blocks(x, idx, memory_len, alignment) is not None
-            assert circular == (kind == "per-symbol")
-            assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
+    def run_both(self, x, y, match, memory_len=20, alignment=8):
+        with pytest.raises(ValueError, match=match):
+            fit_hammerstein(x, y, memory_len=memory_len, alignment=alignment, cfg=CFG)
+        model = HammersteinModel(
+            orders=(1, 3, 5),
+            memory_len=memory_len,
+            coeffs=np.ones((3, memory_len), complex),
+            alignment=alignment,
+        )
+        with pytest.raises(ValueError, match=match):
+            apply_digital_sic(x, y, model, CFG)
 
-    @pytest.mark.parametrize(
-        "case, circular",
-        [("taps past the CP", False), ("CP sample a tap reads", False), ("CP sample no tap reads", True)],
-    )
-    def test_route_follows_the_cyclic_prefix(self, signals, case, circular):
-        # Symbols 1 and 2 only, so a tap window of 150 stays inside the stream
-        # while reaching one sample past the 140-sample CP. Its 450 taps need
-        # the ridge on a band-limited frame.
+    def test_stream_of_partial_symbols(self, signals):
         x, y = signals
-        memory_len, alignment = (150, 8) if case == "taps past the CP" else (20, 8)
-        idx = ofdm_valid_indices(CFG, x.size, alignment)[CFG.fft_size - alignment :]
+        self.run_both(x[:-1], y[:-1], "^tx_baseband: .* not whole")
+        self.run_both(x[: CFG.fft_size], y[: CFG.fft_size], "^tx_baseband: .* not whole")
+
+    def test_taps_past_the_cp(self, signals):
+        # 150 taps at alignment 8 reach 141 samples back, one past the CP.
+        x, y = signals
+        self.run_both(x, y, "^memory_len: .* reach 141", memory_len=150)
+
+    def test_cp_differs_within_the_reach(self, signals):
+        # Taps of 20 at alignment 8 read the last 11 CP samples of symbol 1;
+        # its first of those no longer repeats the symbol's tail.
+        x, y = signals
         x = x.copy()
-        if case != "taps past the CP":
-            reach = memory_len - 1 - alignment
-            first = CFG.symbol_len + CFG.cp_len - (1 if case == "CP sample a tap reads" else reach + 1)
-            x[first] += 0.1
-        assert (_cp_blocks(x, idx, memory_len, alignment) is not None) == circular
-        assert_matches_explicit_fit(x, y, (1, 3, 5), memory_len, alignment, 1e-8, idx)
-
-    def test_window_and_index_checks(self, signals):
-        x, y = signals
-        with pytest.raises(ValueError, match="tap window"):
-            fit_hammerstein(x, y, memory_len=4, alignment=0, idx=np.arange(2, 500))
-        with pytest.raises(ValueError, match="tap window"):
-            fit_hammerstein(x, y, memory_len=4, alignment=2, idx=np.arange(100, x.size - 1))
-        model = fit_hammerstein(x, y, memory_len=4, idx=np.arange(100, 600))
-        with pytest.raises(ValueError, match="outside the stream"):
-            apply_digital_sic(x, y, model, idx=np.array([-1, 50]))
+        x[CFG.symbol_len + CFG.cp_len - 11] += 0.1
+        self.run_both(x, y, "^tx_baseband: a CP differs")
 
     def test_taps_must_stay_inside_their_symbol(self):
-        # A stream of period 16 passes the CP comparison at any reach; blocks
-        # of 16 samples, 20 apart, leave a CP of 4 for the taps to reach into.
+        # A stream of period 16 passes the CP comparison at any reach, so
+        # only the 4-sample CP of the 16-sample symbols bounds the taps.
+        cfg = OfdmConfig(fft_size=16, active_subcarriers=12, cp_len=4)
         x = np.tile(substream(41, "period").standard_normal(16) + 0j, 25)
-        idx = (20 * np.arange(1, 19))[:, None] + 4 + np.arange(16)
-        assert _cp_blocks(x, idx.ravel(), 5, 0) == (24, 20, 18, 16)
-        assert _cp_blocks(x, idx.ravel(), 6, 0) is None
+        y = 0.5 * x + 0.1 * np.roll(x, 1)
+        fit_hammerstein(x, y, (1,), memory_len=5, cfg=cfg)
+        with pytest.raises(ValueError, match="^memory_len: .* reach 5 samples back"):
+            fit_hammerstein(x, y, (1,), memory_len=6, cfg=cfg)
+
+    def test_taps_must_fit_in_one_symbol(self):
+        # 20 taps at alignment 15 reach only 4 samples back, but outspan the
+        # 16-sample symbol: a circular shift would alias taps 16 apart.
+        cfg = OfdmConfig(fft_size=16, active_subcarriers=12, cp_len=4)
+        x, y = ofdm_signals(33, 40, cfg)
+        with pytest.raises(ValueError, match="^memory_len: .* at most 16 taps"):
+            fit_hammerstein(x, y, (1,), memory_len=20, alignment=15, cfg=cfg)
+
+
+@st.composite
+def frame_layouts(draw):
+    """An OFDM numerology and a tap window whose reach stays inside its CP.
+    At least three quarters of the band is active, as in the default
+    numerology, and at least twice as many subcarriers as taps: the shifts
+    of a signal on a narrower band are too close to collinear for the
+    explicit normal equations to serve as the oracle."""
+    fft_size = draw(st.sampled_from([16, 32, 64, 128]))
+    active = draw(st.integers(3 * fft_size // 8, fft_size // 2 - 1)) * 2
+    cp_len = draw(st.integers(1, fft_size - 1))
+    memory_len = draw(st.integers(1, min(20, active // 2)))
+    alignment = draw(st.integers(max(0, memory_len - 1 - cp_len), memory_len - 1))
+    return OfdmConfig(fft_size, active, cp_len), memory_len, alignment
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     orders=st.sampled_from([(1,), (3,), (1, 3), (1, 5), (1, 3, 5)]),
-    window=st.integers(1, 20).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+    layout=frame_layouts(),
+    n_symbols=st.integers(1, 4),
     ridge=st.sampled_from([0.0, 1e-8]),
 )
-def test_circular_route_matches_explicit_fit(seed, orders, window, ridge):
-    x, y = ofdm_signals(seed, 2)
-    memory_len, alignment = window
-    idx = ofdm_valid_indices(CFG, x.size, alignment)
-    assert _cp_blocks(x, idx, memory_len, alignment) is not None
-    assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
+def test_circular_route_matches_explicit_fit(seed, orders, layout, n_symbols, ridge):
+    cfg, memory_len, alignment = layout
+    # Enough symbols for ten samples per unknown, the fit's short-block limit.
+    per_symbol = cfg.fft_size - alignment
+    n_symbols = max(n_symbols, -(-10 * len(orders) * memory_len // per_symbol))
+    x, y = ofdm_signals(seed, n_symbols, cfg)
+    assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg)
 
 
 class TestConditionWarning:
     def test_collinear_branches_warn(self):
-        # |x| = 1 makes psi_3 = x |x|^2 equal psi_1 up to rounding.
-        x = np.exp(2j * np.pi * substream(40, "phase").random(4000))
+        # |x| = 1 makes psi_3 = x |x|^2 equal psi_1 up to rounding. The
+        # symbols are constant-modulus useful parts behind their CPs.
+        useful = np.exp(2j * np.pi * substream(40, "phase").random((4, CFG.fft_size)))
+        x = np.concatenate([useful[:, -CFG.cp_len :], useful], axis=1).ravel()
         with pytest.warns(RuntimeWarning, match="badly conditioned"):
-            fit_hammerstein(x, 0.5 * x, (1, 3), memory_len=4, ridge=0.0)
+            fit_hammerstein(x, 0.5 * x, (1, 3), memory_len=4, ridge=0.0, cfg=CFG)
 
     def test_default_chain_raises_no_warning(self):
         with warnings.catch_warnings():
@@ -571,12 +606,26 @@ class TestLinkChainParamsBounds:
             ("input_backoff_db", float("inf")),
             ("analog_engage_margin_db", float("nan")),
             ("carrier_freq_hz", float("inf")),
+            ("carrier_freq_hz", -1.0),
+            ("carrier_freq_hz", 0.0),
+            ("input_backoff_db", -1.0),
             ("n_data_symbols", -2),
         ],
     )
     def test_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             LinkChainParams(geometry=SiGeometry(0.1), **{field: value})
+
+    def test_carrier_declared_once_with_the_scenario(self):
+        # The scenario's carrier field is the one declaration of its default
+        # and its bounds; the chain reads it.
+        from fdiab.system import default_scenario
+
+        assert LinkChainParams(geometry=SiGeometry(0.1)).carrier_freq_hz == (
+            default_scenario().carrier_freq_hz
+        )
+        with pytest.raises(FieldError, match="^carrier_freq_hz: must be > 0, got -1.0"):
+            LinkChainParams(geometry=SiGeometry(0.1), carrier_freq_hz=-1.0)
 
     def test_pilots_only_needed_when_analog_can_engage(self):
         for mode in ("auto", "on"):
