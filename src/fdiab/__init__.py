@@ -19,7 +19,7 @@ from .geometry import (
     rx_dbm,
     si_channel,
 )
-from .ofdm import OfdmConfig, OfdmFrame, demodulate, estimate_channel_ls, modulate
+from .ofdm import OfdmConfig, demodulate, estimate_channel_ls, modulate
 from .rf import (
     AdcModel,
     NoiseModel,

@@ -5,7 +5,8 @@ realizations are bit-reproducible and safe to evaluate concurrently.
 """
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -115,16 +116,16 @@ class SiGeometry:
     axis). cross_pol_isolation_db is 0 for co-polarized antennas.
     """
 
-    antenna_separation_m: float
+    antenna_separation_m: float = bounded(MISSING, "> 0, < inf")
     tx_orientation: tuple = (1.0, 0.0, 0.0)
     rx_orientation: tuple = (1.0, 0.0, 0.0)
-    cross_pol_isolation_db: float = 0.0
+    cross_pol_isolation_db: float = bounded(0.0, ">= 0, < inf")
 
     def __post_init__(self):
-        if self.antenna_separation_m <= 0.0:
-            raise ValueError("antenna_separation_m must be positive")
-        if self.cross_pol_isolation_db < 0.0:
-            raise ValueError("cross_pol_isolation_db must be >= 0")
+        check_bounds(self)
+        for name in ("tx_orientation", "rx_orientation"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise FieldError(name, f"must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,6 @@ class ChannelImpulseResponse:
         if self.total_power() <= 0.0:
             raise ValueError("channel must carry nonzero power")
 
-    @property
-    def delays_s(self):
-        return np.array([t[0] for t in self.taps], dtype=float)
-
-    @property
-    def gains(self):
-        return np.array([t[1] for t in self.taps], dtype=complex)
-
     def total_power(self):
         return self._power
 
@@ -191,8 +184,9 @@ class ChannelImpulseResponse:
     def freq_response(self, freqs_hz):
         """Baseband frequency response sum_i g_i * exp(-j*2*pi*f*tau_i)."""
         f = np.asarray(freqs_hz, dtype=float)
-        phases = np.exp(-2j * np.pi * np.outer(f, self.delays_s))
-        return phases @ self.gains
+        delays, gains = zip(*self.taps)
+        phases = np.exp(-2j * np.pi * np.outer(f, np.array(delays, dtype=float)))
+        return phases @ np.array(gains, dtype=complex)
 
 
 def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz=28e9):

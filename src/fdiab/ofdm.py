@@ -1,4 +1,5 @@
-"""OFDM baseband: modulation, demodulation, channel application, LS estimation.
+"""OFDM baseband: the symbol layout, modulation, demodulation, channel
+application and LS estimation.
 
 Normalization contract: a grid with unit average symbol power modulates to
 unit average sample power over the useful (post-CP) part, so time-domain
@@ -8,6 +9,8 @@ power equals frequency-domain power over the active subcarriers (Parseval).
 from dataclasses import dataclass
 
 import numpy as np
+
+from .util import bounded, check_bounds
 
 
 @dataclass(frozen=True)
@@ -22,9 +25,10 @@ class OfdmConfig:
     fft_size: int = 1024
     active_subcarriers: int = 792
     cp_len: int = 140
-    subcarrier_spacing_hz: float = 120e3
+    subcarrier_spacing_hz: float = bounded(120e3, "> 0, < inf")
 
     def __post_init__(self):
+        check_bounds(self)
         if self.active_subcarriers >= self.fft_size:
             raise ValueError("active_subcarriers must be < fft_size (DC stays unused)")
         if self.active_subcarriers % 2 != 0:
@@ -62,22 +66,31 @@ class OfdmConfig:
         return np.fft.fftfreq(self.fft_size, d=1.0 / self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class OfdmFrame:
-    """Frequency-domain grid with its time-domain samples and pilot mask."""
+def symbol_rows(samples, cfg, name="samples"):
+    """View of samples (..., n) as (..., n_symbols, symbol_len): one row per
+    OFDM symbol, its CP first and its useful part from column cp_len on.
 
-    symbols: np.ndarray  # (n_symbols, active_subcarriers) complex grid
-    samples: np.ndarray  # n_symbols * (fft_size + cp_len) complex samples
-    pilot_mask: np.ndarray  # boolean, same shape as symbols
+    The package's one whole-symbol check: a partial symbol raises a
+    ValueError that starts with name, the caller's argument.
+    """
+    n = samples.shape[-1]
+    if n % cfg.symbol_len:
+        raise ValueError(f"{name}: {n} samples are not whole {cfg.symbol_len}-sample symbols")
+    return samples.reshape(samples.shape[:-1] + (n // cfg.symbol_len, cfg.symbol_len))
+
+
+def join_with_cp(useful, cfg):
+    """Useful parts (..., n_symbols, fft_size) as one stream (..., n) in which
+    each symbol is preceded by its CP, a copy of its last cp_len samples."""
+    rows = np.concatenate([useful[..., cfg.fft_size - cfg.cp_len :], useful], axis=-1)
+    return rows.reshape(rows.shape[:-2] + (-1,))
 
 
 def _as_grid(grid, cfg):
-    grid = np.asarray(grid, dtype=complex)
-    if grid.ndim == 1:
-        grid = grid[np.newaxis, :]
-    if grid.ndim != 2 or grid.shape[1] != cfg.active_subcarriers:
+    grid = np.atleast_2d(np.asarray(grid, dtype=complex))
+    if grid.shape[-1] != cfg.active_subcarriers:
         raise ValueError(
-            f"grid must be (n_symbols, {cfg.active_subcarriers}), got {grid.shape}"
+            f"grid must be (..., n_symbols, {cfg.active_subcarriers}), got {grid.shape}"
         )
     return grid
 
@@ -86,24 +99,16 @@ def modulate(grid, cfg):
     """Map a symbol grid to centered bins, IDFT each symbol and prepend the CP."""
     grid = _as_grid(grid, cfg)
     scale = cfg.fft_size / np.sqrt(cfg.active_subcarriers)
-    spectrum = np.zeros((grid.shape[0], cfg.fft_size), dtype=complex)
-    spectrum[:, cfg.active_bins()] = grid
-    useful = np.fft.ifft(spectrum, axis=1) * scale
-    with_cp = np.concatenate([useful[:, -cfg.cp_len :], useful], axis=1)
-    return with_cp.reshape(-1)
+    spectrum = np.zeros(grid.shape[:-1] + (cfg.fft_size,), dtype=complex)
+    spectrum[..., cfg.active_bins()] = grid
+    return join_with_cp(np.fft.ifft(spectrum, axis=-1) * scale, cfg)
 
 
 def demodulate(samples, cfg):
     """Strip CPs, DFT each symbol and extract the active bins."""
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 1 or samples.size == 0 or samples.size % cfg.symbol_len != 0:
-        raise ValueError(
-            f"sample count must be a positive multiple of {cfg.symbol_len}"
-        )
+    useful = symbol_rows(np.asarray(samples, dtype=complex), cfg)[..., cfg.cp_len :]
     scale = cfg.fft_size / np.sqrt(cfg.active_subcarriers)
-    sym = samples.reshape(-1, cfg.symbol_len)[:, cfg.cp_len :]
-    spectrum = np.fft.fft(sym, axis=1) / scale
-    return spectrum[:, cfg.active_bins()]
+    return (np.fft.fft(useful, axis=-1) / scale)[..., cfg.active_bins()]
 
 
 def apply_frequency_response(samples, h_bins, cfg):
@@ -113,16 +118,11 @@ def apply_frequency_response(samples, h_bins, cfg):
     which is how both the SI channel and the two-tap canceller ramps are
     realized (fractional delays as frequency-domain phase ramps).
     """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.size % cfg.symbol_len != 0:
-        raise ValueError(f"sample count must be a multiple of {cfg.symbol_len}")
     h_bins = np.asarray(h_bins, dtype=complex)
     if h_bins.shape != (cfg.fft_size,):
         raise ValueError(f"h_bins must have shape ({cfg.fft_size},)")
-    useful = samples.reshape(-1, cfg.symbol_len)[:, cfg.cp_len :]
-    filtered = np.fft.ifft(np.fft.fft(useful, axis=1) * h_bins, axis=1)
-    with_cp = np.concatenate([filtered[:, -cfg.cp_len :], filtered], axis=1)
-    return with_cp.reshape(-1)
+    useful = symbol_rows(np.asarray(samples, dtype=complex), cfg)[..., cfg.cp_len :]
+    return join_with_cp(np.fft.ifft(np.fft.fft(useful, axis=-1) * h_bins, axis=-1), cfg)
 
 
 def apply_channel(samples, cir, cfg):
@@ -151,11 +151,7 @@ def qpsk_symbols(rng, shape):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def build_frame(cfg, n_symbols, rng, n_pilot_symbols=1):
-    """QPSK frame with full-band pilot symbols up front."""
-    if not (0 <= n_pilot_symbols <= n_symbols):
-        raise ValueError("need 0 <= n_pilot_symbols <= n_symbols")
-    grid = qpsk_symbols(rng, (n_symbols, cfg.active_subcarriers))
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[:n_pilot_symbols, :] = True
-    return OfdmFrame(symbols=grid, samples=modulate(grid, cfg), pilot_mask=mask)
+def build_frame(cfg, n_symbols, rng):
+    """Time-domain samples of a frame of n_symbols random QPSK symbols on
+    every active subcarrier; a link uses its first symbols as pilots."""
+    return modulate(qpsk_symbols(rng, (n_symbols, cfg.active_subcarriers)), cfg)

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel
 from .ofdm import (
@@ -22,6 +21,7 @@ from .ofdm import (
     build_frame,
     demodulate,
     estimate_channel_ls,
+    symbol_rows,
 )
 from .rf import AdcModel, NoiseModel, PaModel, adc_quantize, fits_gray_zone, pa_apply, thermal_noise
 from .system import Scenario
@@ -110,8 +110,8 @@ def apply_analog_canceller(pa_output_samples, rx_samples, two_tap, cfg):
     """
     pa_out = np.asarray(pa_output_samples, dtype=complex)
     rx = np.asarray(rx_samples, dtype=complex)
-    if pa_out.shape != rx.shape or pa_out.size % cfg.symbol_len != 0:
-        raise ValueError("pa output and rx must be equal-length whole OFDM symbols")
+    if pa_out.shape != rx.shape:
+        raise ValueError("pa output and rx must have the same shape")
     _check_delays_inside_cp(two_tap.delays_s, cfg)
     regen = apply_frequency_response(pa_out, two_tap.freq_response(cfg.bin_freqs_hz()), cfg)
     return rx - regen
@@ -190,65 +190,62 @@ def hammerstein_basis(tx, orders, memory_len, alignment, idx):
     return np.stack(cols, axis=1)
 
 
-def _frame_blocks(tx, cfg, memory_len, alignment):
-    """(start, spacing, n_blocks, n): tx's OFDM symbols of layout cfg as blocks
-    of n = fft_size samples. Raises unless every tap of the fit's samples,
-    ofdm_valid_indices(cfg, tx.size, alignment), is a circular shift within
-    its block: a tap may reach back into the CP, which must then repeat the
-    block's tail bit for bit."""
-    if tx.size % cfg.symbol_len:
-        raise ValueError(
-            f"tx_baseband: {tx.size} samples are not whole {cfg.symbol_len}-sample symbols"
-        )
+def _fit_samples(x, cfg, alignment):
+    """The samples of x's OFDM frame, layout cfg, that the fit takes, one row
+    per symbol: its useful part less its last alignment samples. On those a
+    tap shift is a circular shift within the symbol: the CP supplies the
+    causal history, and an advanced tap would read the next symbol's CP."""
+    return symbol_rows(x, cfg)[..., cfg.cp_len : cfg.symbol_len - alignment]
+
+
+def _check_frame(tx, cfg, memory_len, alignment):
+    """Raise unless every tap of the fit's samples is a circular shift within
+    its symbol: a tap may reach back into the CP, which must then repeat the
+    symbol's tail bit for bit."""
+    rows = symbol_rows(tx, cfg, "tx_baseband")
     reach = memory_len - 1 - alignment
     if reach > cfg.cp_len or memory_len > cfg.fft_size:
         raise ValueError(
             f"memory_len: {memory_len} taps at alignment {alignment} reach {reach} samples back; "
             f"a symbol allows {cfg.cp_len} (its CP) and at most {cfg.fft_size} taps"
         )
-    start, spacing, n_blocks = cfg.cp_len, cfg.symbol_len, tx.size // cfg.symbol_len
-    cp = (start + spacing * np.arange(n_blocks))[:, None] + np.arange(-reach, 0)
-    if not np.array_equal(tx[cp], tx[cp + cfg.fft_size]):
+    first = cfg.cp_len - reach  # the first CP sample a tap reads
+    if not np.array_equal(rows[..., first : cfg.cp_len], rows[..., first + cfg.fft_size :]):
         raise ValueError("tx_baseband: a CP differs from its symbol's tail within the taps' reach")
-    return start, spacing, n_blocks, cfg.fft_size
 
 
-def _blocks(a, start, spacing, n_blocks, n):
-    """View of a's last axis as n_blocks rows of n samples, spacing apart from start."""
-    s = a.strides[-1]
-    return as_strided(a[..., start:], a.shape[:-1] + (n_blocks, n), a.strides[:-1] + (spacing * s, s))
+def _normal_equations(psi, target, memory_len, alignment, cfg):
+    """B^H B and B^H target for B = hammerstein_basis on the fit's samples,
+    target = _fit_samples(rx, cfg, alignment), without forming B; leaves
+    the spectra of psi's useful parts in place.
 
-
-def _normal_equations(psi, rx, memory_len, alignment, blocks):
-    """B^H B and B^H rx[idx] for B = hammerstein_basis on the fit's samples,
-    without forming B; leaves the blocks' spectra in psi.
-
-    Row i of B holds psi_p(k_i - m) with k_i = idx_i + alignment, so every
+    The row of B for fit sample k holds psi_p(k + alignment - m), so every
     entry is a lagged correlation of two branch signals. The first tap row
-    of the Gram, G[(p,0),(q,l)], and the right-hand side are summed per block
+    of the Gram, G[(p,0),(q,l)], and the right-hand side are summed per symbol
     in the frequency domain. The other entries follow along each diagonal:
-    shifting both taps by one shifts every block's run of samples back one,
+    shifting both taps by one shifts every symbol's run of samples back one,
     so G[(p,m+1),(q,l+1)] = G[(p,m),(q,l)] plus the product of the samples
     each run gains at its start, minus those it loses at its end.
     """
-    n_br, mem = psi.shape[0], memory_len
-    start, spacing, n_blocks, n = blocks
-    heads = start + spacing * np.arange(n_blocks)
+    n_br, mem, n = psi.shape[0], memory_len, cfg.fft_size
+    rows = symbol_rows(psi, cfg)
+    n_symbols = rows.shape[1]
     lags = np.arange(mem - 1)
-    gained = psi[:, (heads + alignment - 1)[:, None] - lags].transpose(1, 0, 2)
-    lost = psi[:, (heads + n - 1)[:, None] - lags].transpose(1, 0, 2)
-    gained, lost = gained.reshape(n_blocks, -1), lost.reshape(n_blocks, -1)
+    gained = rows[..., cfg.cp_len + alignment - 1 - lags].transpose(1, 0, 2)
+    lost = rows[..., cfg.symbol_len - 1 - lags].transpose(1, 0, 2)
+    gained, lost = gained.reshape(n_symbols, -1), lost.reshape(n_symbols, -1)
     edge = (gained.conj().T @ gained - lost.conj().T @ lost).reshape(n_br, mem - 1, n_br, mem - 1)
-    # Tap l of block s, sample u, reads P_q(s, (u - l) mod n). Summed over
+    # Tap l of symbol s, sample u, reads P_q(s, (u - l) mod n). Summed over
     # all u, corr[l, q, j] is one transform of sum_s P^_q conj(P^_j | R^),
-    # less the u < alignment the fit skips; rx enters with those zeroed.
+    # less the u < alignment the fit skips; the target enters with those zeroed.
     shifts = (np.arange(alignment) - np.arange(mem)[:, None]) % n  # (u - l) mod n
-    skip = psi[:, heads[:, None, None] + shifts]
+    skip = rows[..., cfg.cp_len + shifts]
     skipped = np.tensordot(skip, skip[:, :, 0].conj(), axes=([1, 3], [1, 2]))
-    rx_hat = np.zeros((n_blocks, n), dtype=complex)
-    rx_hat[:, alignment:] = _blocks(rx, start, spacing, n_blocks, n - alignment)
+    rx_hat = np.zeros((n_symbols, n), dtype=complex)
+    rx_hat[:, alignment:] = target
     np.fft.fft(rx_hat, out=rx_hat)
-    spectra = np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
+    useful = _fit_samples(psi, cfg, 0)
+    spectra = np.fft.fft(useful, out=useful)
     cross = np.empty((n_br, n_br + 1, n), dtype=complex)
     np.vecdot(spectra[None], spectra[:, None], axis=-2, out=cross[:, :n_br])
     np.vecdot(rx_hat, spectra, axis=-2, out=cross[:, n_br])
@@ -265,25 +262,14 @@ def _normal_equations(psi, rx, memory_len, alignment, blocks):
     return gram.reshape(n_br * mem, n_br * mem), rhs
 
 
-def _residual(psi, rx, coeffs, alignment, blocks):
-    """rx[idx] - B @ coeffs for B = hammerstein_basis on the fit's samples, as
-    one circular convolution per block over the blocks' spectra in psi."""
-    start, spacing, n_blocks, n = blocks
-    fir = np.einsum("qsf,qf->sf", _blocks(psi, *blocks), np.fft.fft(coeffs, n))
+def _residual(spectra, target, coeffs, alignment):
+    """target - B @ coeffs for B = hammerstein_basis on the fit's samples, as
+    one circular convolution per symbol over the spectra of the branch
+    signals' useful parts, (n_branches, n_symbols, fft_size)."""
+    fir = np.einsum("qsf,qf->sf", spectra, np.fft.fft(coeffs, spectra.shape[-1]))
     resid = np.fft.ifft(fir, out=fir)[:, alignment:]
-    np.subtract(_blocks(rx, start, spacing, n_blocks, n - alignment), resid, out=resid)
+    np.subtract(target, resid, out=resid)
     return resid.ravel()
-
-
-def ofdm_valid_indices(cfg, n_samples, alignment):
-    """Per-symbol useful-part indices where linear tap shifts equal the
-    circular (CP-consistent) shifts: the CP supplies the causal history and
-    the last `alignment` samples are trimmed because advanced taps would
-    leak into the next symbol's CP."""
-    if n_samples % cfg.symbol_len != 0:
-        raise ValueError(f"sample count must be a multiple of {cfg.symbol_len}")
-    heads = cfg.cp_len + cfg.symbol_len * np.arange(n_samples // cfg.symbol_len)
-    return (heads[:, None] + np.arange(cfg.fft_size - alignment)).ravel()
 
 
 def fit_hammerstein(
@@ -297,7 +283,7 @@ def fit_hammerstein(
     cfg,
 ):
     """Ridge-regularized LS fit of the parallel-Hammerstein canceller on the
-    OFDM frame of layout cfg, over ofdm_valid_indices(cfg, tx.size, alignment).
+    OFDM frame of layout cfg, over the samples _fit_samples(rx, cfg, alignment).
 
     The ridge is scaled by the trace-normalized basis Gram; the odd-order
     branches are highly correlated and the tiny ridge stabilizes the solve
@@ -308,19 +294,19 @@ def fit_hammerstein(
     if tx.shape != rx.shape:
         raise ValueError("tx and rx must have the same length")
     _check_structure(orders, memory_len, alignment)
-    blocks = start, spacing, n_blocks, n = _frame_blocks(tx, cfg, memory_len, alignment)
-    n_samples = n_blocks * (n - alignment)
+    _check_frame(tx, cfg, memory_len, alignment)
+    target = _fit_samples(rx, cfg, alignment)
     n_unknowns = len(orders) * memory_len
-    if n_samples < n_unknowns:
-        raise ValueError(f"underdetermined fit: {n_samples} samples for {n_unknowns} unknowns")
-    if n_samples < 10 * n_unknowns:
+    if target.size < n_unknowns:
+        raise ValueError(f"underdetermined fit: {target.size} samples for {n_unknowns} unknowns")
+    if target.size < 10 * n_unknowns:
         warnings.warn(
-            f"training block of {n_samples} samples is short for {n_unknowns} unknowns; "
+            f"training block of {target.size} samples is short for {n_unknowns} unknowns; "
             "expect overfitting",
             RuntimeWarning,
         )
     psi = _branch_signals(tx, orders)
-    gram, rhs = _normal_equations(psi, rx, memory_len, alignment, blocks)
+    gram, rhs = _normal_equations(psi, target, memory_len, alignment, cfg)
     eps = ridge * float(np.trace(gram).real) / gram.shape[0]
     gram_r = gram + eps * np.eye(gram.shape[0])
     eig = np.abs(np.linalg.eigvalsh(gram_r))  # gram_r is Hermitian: cond = |lambda| max / min
@@ -332,8 +318,7 @@ def fit_hammerstein(
             RuntimeWarning,
         )
     coeffs = np.linalg.solve(gram_r, rhs).reshape(len(orders), memory_len)
-    resid = _residual(psi, rx, coeffs, alignment, blocks)
-    target = _blocks(rx, start, spacing, n_blocks, n - alignment)
+    resid = _residual(_fit_samples(psi, cfg, 0), target, coeffs, alignment)
     return HammersteinModel(
         orders=tuple(orders),
         memory_len=memory_len,
@@ -346,16 +331,16 @@ def fit_hammerstein(
 
 
 def apply_digital_sic(tx_baseband, rx_after_adc, model, cfg):
-    """Residual rx - Psi(tx) @ coeffs on the OFDM frame of layout cfg, at
-    ofdm_valid_indices(cfg, tx.size, model.alignment)."""
+    """Residual rx - Psi(tx) @ coeffs on the OFDM frame of layout cfg, at the
+    samples _fit_samples(rx, cfg, model.alignment), raveled."""
     tx = np.asarray(tx_baseband, dtype=complex)
     rx = np.asarray(rx_after_adc, dtype=complex)
     if tx.shape != rx.shape:
         raise ValueError("tx and rx must have the same length")
-    blocks = _frame_blocks(tx, cfg, model.memory_len, model.alignment)
-    psi = _branch_signals(tx, model.orders)
-    np.fft.fft(_blocks(psi, *blocks), out=_blocks(psi, *blocks))
-    return _residual(psi, rx, model.coeffs, model.alignment, blocks)
+    _check_frame(tx, cfg, model.memory_len, model.alignment)
+    spectra = _fit_samples(_branch_signals(tx, model.orders), cfg, 0)
+    np.fft.fft(spectra, out=spectra)
+    return _residual(spectra, _fit_samples(rx, cfg, model.alignment), model.coeffs, model.alignment)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +459,8 @@ class ReductionReport:
         return self
 
 
-def _run_frame(params, cir, amp, n_symbols, n_pilots, frame_rng, noise_rng):
-    tx = build_frame(params.ofdm, n_symbols, frame_rng, n_pilots).samples
+def _run_frame(params, cir, amp, n_symbols, frame_rng, noise_rng):
+    tx = build_frame(params.ofdm, n_symbols, frame_rng)
     tx *= amp
     pa_out = pa_apply(tx, params.pa)
     rx = thermal_noise(pa_out.size, params.noise, noise_rng)
@@ -509,13 +494,12 @@ def run_link_chain(params, seed):
     amp = np.sqrt(dbm_to_watt(params.pa.input_p1db_dbm - params.input_backoff_db))
     n_train = params.n_pilot_symbols + params.n_data_symbols
     tx, pa_out, rx = _run_frame(
-        params, cir, amp, n_train, params.n_pilot_symbols,
-        substream(seed, "frame-train"), substream(seed, "noise-train"),
+        params, cir, amp, n_train, substream(seed, "frame-train"), substream(seed, "noise-train")
     )
 
-    idx = ofdm_valid_indices(cfg, tx.size, params.hammerstein_alignment)
-    tx_power_dbm = mean_power_dbm(pa_out[idx])
-    after_prop_dbm = mean_power_dbm(rx[idx])
+    align = params.hammerstein_alignment  # stage powers are over the samples the fit takes
+    tx_power_dbm = mean_power_dbm(_fit_samples(pa_out, cfg, align))
+    after_prop_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
 
     pre_gray_ok = fits_gray_zone(after_prop_dbm, floor_dbm, params.adc.effective_range_db)
     engage = params.analog_mode == "on" or (
@@ -529,7 +513,7 @@ def run_link_chain(params, seed):
         h_hat = estimate_channel_ls(demodulate(rx[pilots], cfg), demodulate(pa_out[pilots], cfg))
         two_tap = tune_two_tap(h_hat, params.delays(), cfg)
         rx = apply_analog_canceller(pa_out, rx, two_tap, cfg)
-        after_analog_dbm = mean_power_dbm(rx[idx])
+        after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
 
     gray_ok = fits_gray_zone(after_analog_dbm, floor_dbm, params.adc.effective_range_db)
     digital_saturated = not gray_ok
@@ -549,7 +533,7 @@ def run_link_chain(params, seed):
     del tx, rx_adc
 
     tx_h, pa_out_h, rx_h = _run_frame(
-        params, cir, amp, params.n_holdout_symbols, 0,
+        params, cir, amp, params.n_holdout_symbols,
         substream(seed, "frame-holdout"), substream(seed, "noise-holdout"),
     )
     if engage:

@@ -21,7 +21,8 @@ class FieldError(ValueError):
 
 def bounded(default, bounds):
     """A dataclass field with a default and bounds such as ">= 0, < 1",
-    which check_bounds enforces."""
+    which check_bounds enforces; a default of dataclasses.MISSING makes the
+    field required."""
     return field(default=default, metadata={"bounds": bounds})
 
 
@@ -35,17 +36,28 @@ def same_as(cls, name):
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed_bounds(cls):
+    """(name, bounds, ((compare, limit), ...)) for each bounded field of cls,
+    parsed once per class: value objects such as SiGeometry are built per
+    beam."""
+    out = []
+    for f in fields(cls):
+        if "bounds" in f.metadata:
+            clauses = (clause.split() for clause in f.metadata["bounds"].split(","))
+            parsed = tuple((_COMPARE[op], float(limit)) for op, limit in clauses)
+            out.append((f.name, f.metadata["bounds"], parsed))
+    return tuple(out)
+
+
 def check_bounds(obj):
     """Raise FieldError naming the first field of obj outside its bounds;
     NaN is outside every bound."""
-    for f in fields(obj):
-        if "bounds" not in f.metadata:
-            continue
-        value = getattr(obj, f.name)
-        for clause in f.metadata["bounds"].split(","):
-            op, limit = clause.split()
-            if not _COMPARE[op](value, float(limit)):
-                raise FieldError(f.name, f"must be {f.metadata['bounds']}, got {value!r}")
+    for name, bounds, clauses in _parsed_bounds(type(obj)):
+        value = getattr(obj, name)
+        for compare, limit in clauses:
+            if not compare(value, limit):
+                raise FieldError(name, f"must be {bounds}, got {value!r}")
 
 
 def dbm_to_watt(dbm):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fdiab.cli import chain_params_for_node, main
-from fdiab.ofdm import OfdmConfig, build_frame, demodulate, estimate_channel_ls
+from fdiab.ofdm import OfdmConfig, build_frame, demodulate, estimate_channel_ls, symbol_rows
 from fdiab.rf import (
     AdcModel,
     NoiseModel,
@@ -34,7 +34,6 @@ from fdiab.sic import (
     apply_digital_sic,
     fit_hammerstein,
     hammerstein_basis,
-    ofdm_valid_indices,
     run_link_chain,
     tune_two_tap,
     two_tap_residual_power,
@@ -138,9 +137,8 @@ def test_criterion_4_hammerstein_sic():
     pa = PaModel()
     noise_model = NoiseModel()
     rng_frame = substream(2024, "c4-frame")
-    frame = build_frame(CFG, 18, rng_frame, 2)
     amp = np.sqrt(dbm_to_watt(pa.input_p1db_dbm - 8.0))  # 8 dB below P1dB
-    tx = frame.samples * amp
+    tx = build_frame(CFG, 18, rng_frame) * amp
     pa_out = pa_apply(tx, pa)
 
     geom = SiGeometry(antenna_separation_m=1.0)
@@ -149,7 +147,8 @@ def test_criterion_4_hammerstein_sic():
     rx = apply_channel(pa_out, cir, CFG) + thermal_noise(
         tx.size, noise_model, substream(2024, "c4-noise")
     )
-    idx = ofdm_valid_indices(CFG, tx.size, 8)
+    # The samples a fit at alignment 8 takes: each useful part less its last 8.
+    idx = symbol_rows(np.arange(tx.size), CFG)[:, CFG.cp_len : CFG.symbol_len - 8].ravel()
     floor = noise_model.floor_dbm
     si_dbm = mean_power_dbm(rx[idx])
     assert fits_gray_zone(si_dbm, floor)

@@ -16,7 +16,7 @@ from fdiab.geometry import (
     rx_dbm,
     si_channel,
 )
-from fdiab.util import SPEED_OF_LIGHT
+from fdiab.util import SPEED_OF_LIGHT, FieldError
 
 F28 = 28e9
 PAT = AntennaPattern()  # 20 dBi, 12 deg, floor -10 dBi
@@ -149,7 +149,7 @@ class TestSiChannel:
             cir = si_channel(SiGeometry(1.0), PAT, PAT, cfg, seed=seed)
             direct_delay, direct_gain = cir.taps[0]
             assert 1 <= len(cir.taps) - 1 <= cfg.max_taps
-            delays = cir.delays_s
+            delays = [t for t, _ in cir.taps]
             assert np.all(np.diff(delays) > 0)
             for t, g in cir.taps[1:]:
                 found_multi = True
@@ -163,6 +163,20 @@ class TestSiChannel:
             SiGeometry(0.0)
         with pytest.raises(ValueError):
             SiGeometry(1.0, cross_pol_isolation_db=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("antenna_separation_m", float("nan")),
+            ("antenna_separation_m", float("inf")),
+            ("cross_pol_isolation_db", float("nan")),
+            ("tx_orientation", (float("nan"), 0.0, 0.0)),
+            ("rx_orientation", (1.0, float("inf"), 0.0)),
+        ],
+    )
+    def test_non_finite_geometry_rejected_by_name(self, field, value):
+        with pytest.raises(FieldError, match=f"^{field}: must be"):
+            SiGeometry(**{"antenna_separation_m": 1.0, field: value})
 
 
 def per_pair_rx_dbm(tx_pos, tx_power_dbm, pat, beam_dir, rx_pos, rx_gain_dbi, shadow_db):

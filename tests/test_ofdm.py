@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdiab.geometry import ChannelImpulseResponse
 from fdiab.ofdm import (
@@ -9,8 +11,10 @@ from fdiab.ofdm import (
     build_frame,
     demodulate,
     estimate_channel_ls,
+    join_with_cp,
     modulate,
     qpsk_symbols,
+    symbol_rows,
 )
 from fdiab.util import substream
 
@@ -44,6 +48,11 @@ class TestConfig:
             OfdmConfig(active_subcarriers=791)
         with pytest.raises(ValueError):
             OfdmConfig(cp_len=1024)
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan"), float("inf")])
+    def test_subcarrier_spacing_rejected_by_name(self, spacing):
+        with pytest.raises(ValueError, match="^subcarrier_spacing_hz: must be > 0"):
+            OfdmConfig(subcarrier_spacing_hz=spacing)
 
 
 class TestModulateDemodulate:
@@ -93,13 +102,12 @@ class TestModulateDemodulate:
     def test_delay_spread_beyond_cp_leaves_isi_floor(self):
         # Documented failure mode, not an error: a tap beyond the CP causes
         # inter-symbol interference that one-tap equalization cannot remove.
-        rng = substream(4, "isi")
-        frame = build_frame(CFG, 10, rng, 0)
+        ref = qpsk_symbols(substream(4, "isi"), (10, 792))
+        tx = modulate(ref, CFG)
         h = np.zeros(CFG.cp_len + 51, dtype=complex)
         h[0], h[-1] = 1.0, 0.5
-        rx = np.convolve(frame.samples, h)[: frame.samples.size]
+        rx = np.convolve(tx, h)[: tx.size]
         grid = demodulate(rx, CFG)
-        ref = frame.symbols
         eq = np.sum(grid * ref.conj(), axis=0) / np.sum(np.abs(ref) ** 2, axis=0)
         err = grid - ref * eq
         floor_db = 10 * np.log10(np.mean(np.abs(err) ** 2) / np.mean(np.abs(ref) ** 2))
@@ -185,9 +193,65 @@ class TestChannelEstimation:
 
 
 class TestFrame:
-    def test_pilot_mask_and_roundtrip(self):
-        frame = build_frame(CFG, 4, substream(9, "frame"), n_pilot_symbols=2)
-        assert frame.pilot_mask[:2].all() and not frame.pilot_mask[2:].any()
-        assert frame.samples.size == 4 * CFG.symbol_len
-        back = demodulate(frame.samples, CFG)
-        assert np.max(np.abs(back - frame.symbols)) < 1e-10
+    def test_frame_is_the_modulated_qpsk_grid(self):
+        samples = build_frame(CFG, 4, substream(9, "frame"))
+        grid = qpsk_symbols(substream(9, "frame"), (4, 792))
+        assert np.array_equal(samples, modulate(grid, CFG))
+        assert samples.size == 4 * CFG.symbol_len
+        assert np.max(np.abs(demodulate(samples, CFG) - grid)) < 1e-10
+
+
+class TestZeroCp:
+    """Without a CP a symbol is its useful part alone."""
+
+    CFG0 = OfdmConfig(fft_size=16, active_subcarriers=12, cp_len=0)
+
+    def test_frame_holds_only_useful_samples(self):
+        assert build_frame(self.CFG0, 3, substream(0, "cp0")).shape == (48,)
+
+    def test_frequency_response_keeps_the_length(self):
+        x = build_frame(self.CFG0, 3, substream(1, "cp0"))
+        h = np.exp(-2j * np.pi * np.arange(16) / 16)
+        assert apply_frequency_response(x, h, self.CFG0).shape == (48,)
+
+    def test_round_trip(self):
+        grid = qpsk_symbols(substream(2, "cp0"), (3, 12))
+        back = demodulate(modulate(grid, self.CFG0), self.CFG0)
+        assert np.max(np.abs(back - grid)) < 1e-12
+
+
+@st.composite
+def ofdm_layouts(draw):
+    """A numerology with an even active band below the FFT size, CP from 0."""
+    fft_size = draw(st.integers(3, 64))
+    active = 2 * draw(st.integers(1, (fft_size - 1) // 2))
+    return OfdmConfig(fft_size, active, draw(st.integers(0, fft_size - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=ofdm_layouts(),
+    n_symbols=st.integers(1, 4),
+    lead=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symbol_layout_round_trips(cfg, n_symbols, lead, seed):
+    rng = substream(seed, "layout")
+    grid = qpsk_symbols(rng, lead + (n_symbols, cfg.active_subcarriers))
+    samples = modulate(grid, cfg)
+    assert samples.shape == lead + (n_symbols * cfg.symbol_len,)
+
+    rows = symbol_rows(samples, cfg)
+    assert rows.shape == lead + (n_symbols, cfg.symbol_len)
+    assert np.shares_memory(rows, samples)
+    assert np.array_equal(rows[..., : cfg.cp_len], rows[..., cfg.fft_size :])
+    with pytest.raises(ValueError, match="^samples: .* not whole"):
+        symbol_rows(samples[..., :-1], cfg)
+
+    useful = rng.standard_normal(lead + (n_symbols, cfg.fft_size)) + 0j
+    assert np.array_equal(symbol_rows(join_with_cp(useful, cfg), cfg)[..., cfg.cp_len :], useful)
+
+    unit = apply_frequency_response(samples, np.ones(cfg.fft_size), cfg)
+    assert unit.shape == samples.shape
+    assert np.max(np.abs(unit - samples)) < 1e-12
+    assert np.max(np.abs(demodulate(samples, cfg) - grid)) < 1e-10

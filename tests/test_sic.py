@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdiab.geometry import ChannelImpulseResponse, ReflectorConfig, SiGeometry
-from fdiab.ofdm import OfdmConfig, build_frame
+from fdiab.ofdm import OfdmConfig, build_frame, symbol_rows
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
     HammersteinModel,
@@ -19,7 +19,6 @@ from fdiab.sic import (
     default_canceller_delays,
     fit_hammerstein,
     hammerstein_basis,
-    ofdm_valid_indices,
     run_link_chain,
     tune_two_tap,
     two_tap_residual_power,
@@ -29,6 +28,13 @@ from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
 
 CFG = OfdmConfig()
 FREQS = CFG.subcarrier_freqs_hz()
+
+
+def fit_indices(cfg, n_samples, alignment):
+    """Stream index of each sample the fit takes, in its order: every
+    symbol's useful part less its last alignment samples."""
+    rows = symbol_rows(np.arange(n_samples), cfg)
+    return rows[..., cfg.cp_len : cfg.symbol_len - alignment].ravel()
 
 
 def two_tap_response(delays, gains):
@@ -93,22 +99,20 @@ class TestTwoTapTuning:
 class TestAnalogCanceller:
     def test_exact_two_tap_subtraction(self):
         rng = substream(1, "ac")
-        frame = build_frame(CFG, 4, rng, 0)
+        x = build_frame(CFG, 4, rng)
         tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(0.7 + 0.1j, -0.2 + 0.4j))
-        rx = apply_analog_canceller(
-            frame.samples, np.zeros_like(frame.samples), tt, CFG
-        )
+        rx = apply_analog_canceller(x, np.zeros_like(x), tt, CFG)
         # rx built as exactly the canceller's own regeneration
-        resid = apply_analog_canceller(frame.samples, -rx, tt, CFG)
+        resid = apply_analog_canceller(x, -rx, tt, CFG)
         rel = np.mean(np.abs(resid) ** 2) / np.mean(np.abs(rx) ** 2)
         assert rel < 1e-12  # at or below the numerical floor
 
     def test_zero_gains_identity(self):
         rng = substream(2, "ac0")
-        frame = build_frame(CFG, 2, rng, 0)
+        x = build_frame(CFG, 2, rng)
         tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(0.0, 0.0))
-        out = apply_analog_canceller(frame.samples, frame.samples, tt, CFG)
-        assert np.allclose(out, frame.samples, atol=0)
+        out = apply_analog_canceller(x, x, tt, CFG)
+        assert np.allclose(out, x, atol=0)
 
     def test_shape_mismatch(self):
         tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(1.0, 1.0))
@@ -152,8 +156,7 @@ class TestHammerstein:
         from fdiab.ofdm import apply_channel
 
         rng = substream(4, "hlin")
-        frame = build_frame(CFG, 8, rng, 0)
-        x = frame.samples
+        x = build_frame(CFG, 8, rng)
         y = apply_channel(x, integer_delay_cir(2, 0.6 - 0.2j), CFG)
         # ridge off: noiseless model identification should be exact
         model = fit_hammerstein(x, y, memory_len=8, alignment=4, ridge=0.0, cfg=CFG)
@@ -169,8 +172,7 @@ class TestHammerstein:
         from fdiab.ofdm import apply_channel
 
         rng = substream(5, "hcub")
-        frame = build_frame(CFG, 8, rng, 0)
-        x = frame.samples
+        x = build_frame(CFG, 8, rng)
         c3 = 0.05
         distorted = x + c3 * x * np.abs(x) ** 2
         y_clean = apply_channel(distorted, integer_delay_cir(1, 1.0), CFG)
@@ -179,7 +181,7 @@ class TestHammerstein:
             rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
         )
         y = y_clean + noise
-        idx = ofdm_valid_indices(CFG, x.size, 4)
+        idx = fit_indices(CFG, x.size, 4)
 
         full = fit_hammerstein(x, y, (1, 3, 5), memory_len=8, alignment=4, cfg=CFG)
         assert full.training_residual_power <= 1.05 * noise_power
@@ -206,7 +208,7 @@ class TestHammerstein:
                 rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
             )
 
-        x_tiny, x_big, x_test = (build_frame(cfg, n, rng, 0).samples for n in (1, 10, 100))
+        x_tiny, x_big, x_test = (build_frame(cfg, n, rng) for n in (1, 10, 100))
         with pytest.warns(RuntimeWarning, match="short"):
             tiny = fit_hammerstein(
                 x_tiny, distorted(x_tiny), (1, 3, 5), memory_len=4, alignment=2, ridge=0.0, cfg=cfg
@@ -221,8 +223,7 @@ class TestHammerstein:
 
     def test_apply_consistent_with_fit(self):
         rng = substream(7, "happ")
-        frame = build_frame(CFG, 6, rng, 0)
-        x = frame.samples
+        x = build_frame(CFG, 6, rng)
         y = 0.8 * x + 0.03 * x * np.abs(x) ** 4
         model = fit_hammerstein(x, y, memory_len=6, alignment=2, cfg=CFG)
         resid = apply_digital_sic(x, y, model, CFG)
@@ -232,8 +233,7 @@ class TestHammerstein:
 
     def test_zero_coefficients_identity(self):
         rng = substream(8, "hzero")
-        frame = build_frame(CFG, 2, rng, 0)
-        x = frame.samples
+        x = build_frame(CFG, 2, rng)
         model = fit_hammerstein(x, x, memory_len=4, cfg=CFG)
         zeroed = type(model)(
             orders=model.orders,
@@ -242,12 +242,12 @@ class TestHammerstein:
             alignment=model.alignment,
         )
         resid = apply_digital_sic(x, x, zeroed, CFG)
-        assert np.array_equal(resid, x[ofdm_valid_indices(CFG, x.size, 0)])
+        assert np.array_equal(resid, x[fit_indices(CFG, x.size, 0)])
 
     def test_generalizes_to_fresh_block(self):
         rng = substream(9, "hgen")
-        train = build_frame(CFG, 8, rng, 0).samples
-        test = build_frame(CFG, 8, rng, 0).samples
+        train = build_frame(CFG, 8, rng)
+        test = build_frame(CFG, 8, rng)
 
         def channelize(x):
             from fdiab.ofdm import apply_channel
@@ -266,10 +266,9 @@ class TestHammerstein:
 
     def test_ls_optimality_gradient(self):
         rng = substream(12, "hgrad")
-        frame = build_frame(CFG, 4, rng, 0)
-        x = frame.samples
+        x = build_frame(CFG, 4, rng)
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
-        idx = ofdm_valid_indices(CFG, x.size, 2)
+        idx = fit_indices(CFG, x.size, 2)
         model = fit_hammerstein(x, y, memory_len=4, alignment=2, cfg=CFG)
         basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
         c = model.coeffs.reshape(-1)
@@ -279,10 +278,9 @@ class TestHammerstein:
 
     def test_perturbing_coefficients_raises_residual(self):
         rng = substream(13, "hconv")
-        frame = build_frame(CFG, 4, rng, 0)
-        x = frame.samples
+        x = build_frame(CFG, 4, rng)
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
-        idx = ofdm_valid_indices(CFG, x.size, 2)
+        idx = fit_indices(CFG, x.size, 2)
         model = fit_hammerstein(x, y, memory_len=4, alignment=2, cfg=CFG)
         basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
         c0 = model.coeffs.reshape(-1)
@@ -329,7 +327,7 @@ def ofdm_signals(seed, n_symbols, cfg=CFG):
     from fdiab.ofdm import apply_channel
 
     rng = substream(seed, "hstruct")
-    x = build_frame(cfg, n_symbols, rng, 0).samples
+    x = build_frame(cfg, n_symbols, rng)
     d = x + 0.05 * x * np.abs(x) ** 2 - 0.01 * x * np.abs(x) ** 4
     y = apply_channel(d, integer_delay_cir(1, 0.8 + 0.3j, cfg), cfg) + 1e-3 * (
         rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
@@ -338,7 +336,7 @@ def ofdm_signals(seed, n_symbols, cfg=CFG):
 
 
 def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg):
-    idx = ofdm_valid_indices(cfg, x.size, alignment)
+    idx = fit_indices(cfg, x.size, alignment)
     model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, cfg=cfg)
     basis, coeffs, eps, resid_power = explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
     scale = np.abs(coeffs).max()
@@ -355,7 +353,7 @@ def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg)
 class TestStructuredFitMatchesExplicitBasis:
     """fit_hammerstein and apply_digital_sic never build the design matrix;
     on any frame layout whose CP covers the taps' reach, they must agree with
-    its explicit normal equations over ofdm_valid_indices."""
+    its explicit normal equations over fit_indices."""
 
     @pytest.fixture(scope="class")
     def frames(self):
@@ -448,7 +446,7 @@ def frame_layouts(draw):
     explicit normal equations to serve as the oracle."""
     fft_size = draw(st.sampled_from([16, 32, 64, 128]))
     active = draw(st.integers(3 * fft_size // 8, fft_size // 2 - 1)) * 2
-    cp_len = draw(st.integers(1, fft_size - 1))
+    cp_len = draw(st.integers(0, fft_size - 1))
     memory_len = draw(st.integers(1, min(20, active // 2)))
     alignment = draw(st.integers(max(0, memory_len - 1 - cp_len), memory_len - 1))
     return OfdmConfig(fft_size, active, cp_len), memory_len, alignment
