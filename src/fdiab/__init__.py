@@ -43,7 +43,6 @@ from .sic import (
 )
 from .system import (
     ALL_MODES,
-    Codebook,
     Donor,
     IabNode,
     McsTable,
@@ -52,6 +51,7 @@ from .system import (
     UeGrid,
     capacity_bps,
     cdf,
+    codebook_angles,
     default_scenario,
     dli_power_dbm,
     noise_plus_dbm,

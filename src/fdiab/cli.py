@@ -6,11 +6,14 @@ Commands
     sweep              link chains over a parameter grid -> sweep.csv
     compare-prototype  simulated vs measured suppression -> compare_prototype.csv
 
-Every run writes a run.json sidecar with the fully resolved configuration,
-seed and tool version; outputs are byte-identical for identical
-(scenario, seed, version), timestamp aside. FDIAB_THREADS caps sweep
-parallelism (an integer >= 1, further capped by the number of grid cells and
-of CPUs). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+Every command hands its tables, as (file name, dict of numpy columns) pairs,
+to _write_outputs, which makes the output directory once the first table is
+ready and then writes a run.json sidecar with the fully resolved
+configuration, seed, tool version and the files written; a run that fails
+before its first table leaves no directory. Outputs are byte-identical for
+identical (scenario, seed, version), timestamp aside. FDIAB_THREADS caps
+sweep parallelism (an integer >= 1, further capped by the number of grid
+cells and of CPUs). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 """
 
 import argparse
@@ -21,7 +24,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .sic import LinkChainParams, run_link_chain
+from .sic import LinkChainParams, ReductionReport, run_link_chain
 from .system import ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop
 from .util import substream
 
@@ -58,21 +61,6 @@ REDUCTION_COLUMNS = (
 )
 
 CDF_COLUMNS = ("mode", "throughput_bps", "cdf")
-
-COMPARE_COLUMNS = (
-    "separation_m",
-    "relative_azimuth_deg",
-    "measured_suppression_db",
-    "simulated_suppression_db",
-    "reconstructed",
-)
-
-COMPARE_SUMMARY_COLUMNS = (
-    "separation_m",
-    "measured_mean_db",
-    "simulated_mean_db",
-    "delta_db",
-)
 
 
 @dataclass(frozen=True)
@@ -125,18 +113,24 @@ def _distinct(keys):
     return uniq, np.repeat(inverse.astype(np.int32), np.diff(np.append(heads, keys.size)))
 
 
-def _column_cells(values, sep):
+def _column_cells(name, values, sep):
     """One column as ((n, width) uint8 table of its n distinct cells in UTF-8,
     each padded with PAD and followed by the one-byte sep, int32 index of
     each row's cell).
 
-    A list is formatted value by value with _fmt. A numpy array has each
-    distinct value formatted once; floats are keyed on their bit pattern, so
-    -0.0 stays "-0", and NaN marks an absent value (an empty cell, as None).
-    Numbers are formatted in one pass at a width that holds any of them,
-    floats as "%-19.12g", and the space padding becomes PAD.
+    A column is a numpy array of bools, integers, floats or text; anything
+    else raises TypeError naming the column. Each distinct value is
+    formatted once; floats are keyed on their bit pattern, so -0.0 stays
+    "-0", and NaN marks an absent value (an empty cell). Numbers are
+    formatted in one pass at a width that holds any of them, floats as
+    "%-19.12g", and the space padding becomes PAD.
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind not in ("b", "i", "u", "f", "U"):
+        got = f"dtype {values.dtype}" if kind else type(values).__name__
+        raise TypeError(
+            f"column {name!r}: expected a numpy bool, int, float or str array, got {got}"
+        )
     if kind in ("i", "u", "f"):
         if kind == "f":
             values = np.ascontiguousarray(values, np.float64).view(np.uint64)
@@ -152,15 +146,8 @@ def _column_cells(values, sep):
             cells[np.isnan(uniq), :-1] = PAD
             cells = cells.compress(np.append((cells[:, :-1] != PAD).any(axis=0), True), axis=1)
         return cells, index
-    if kind in ("b", "U"):
-        uniq, index = _distinct(values)
-        cells = map(_fmt if kind == "b" else _csv_cell, uniq.tolist())
-    else:
-        table = {}
-        values = values.tolist() if kind is not None else values
-        index = np.array([table.setdefault(_fmt(v), len(table)) for v in values], np.int32)
-        cells = map(_csv_cell, table)
-    raw = [c.encode() for c in cells]
+    uniq, index = _distinct(values)
+    raw = [c.encode() for c in map(_fmt if kind == "b" else _csv_cell, uniq.tolist())]
     width = max(map(len, raw), default=0)
     padded = b"".join(r.ljust(width, b"\xff") + sep for r in raw)
     return np.frombuffer(padded, np.uint8).reshape(len(raw), width + 1), index
@@ -176,7 +163,7 @@ def _write_columns(path, columns):
     table would be several times the size of the text it holds.
     """
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    table = [_column_cells(values, sep) for values, sep in zip(columns.values(), seps)]
+    table = [_column_cells(*column, sep) for column, sep in zip(columns.items(), seps)]
     if len(table) == 1:  # a lone empty field is written quoted
         cells = np.pad(table[0][0], ((0, 0), (2, 0)), constant_values=PAD)
         cells[(cells[:, 2:-1] == PAD).all(axis=1), :2] = ord('"')
@@ -196,11 +183,22 @@ def _write_columns(path, columns):
             fh.write(block[:n].tobytes().translate(None, b"\xff"))
 
 
-def _write_csv(path, columns, rows):
-    _write_columns(path, {c: [row[c] for row in rows] for c in columns})
+def _write_outputs(cfg, resolved_scenario, tables):
+    """Write each (file name, columns) pair of tables as a CSV in
+    cfg.output_dir, then the run.json sidecar, whose outputs are the names
+    written.
 
-
-def _write_sidecar(out_dir, cfg, resolved_scenario, outputs):
+    The directory is made once the first table is ready, so a run that fails
+    before then leaves none. Each table is let go once written, so a
+    generator can build the next one without it.
+    """
+    outputs = []
+    for name, columns in tables:
+        if not outputs:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+        _write_columns(os.path.join(cfg.output_dir, name), columns)
+        outputs.append(name)
+        del columns
     sidecar = {
         "tool": "fdiab",
         "version": __version__,
@@ -212,7 +210,7 @@ def _write_sidecar(out_dir, cfg, resolved_scenario, outputs):
         "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
+    with open(os.path.join(cfg.output_dir, "run.json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -243,46 +241,48 @@ def chain_params_for_node(scenario, node):
     )
 
 
-def _reduction_row(node_idx, node, seed, report):
-    """A reduction.csv row: the node, its seed and the report's fields."""
-    prop, analog, digital = report.per_domain_db
-    row = {"node": node_idx, "seed": seed, "antenna_separation_m": node.antenna_separation_m}
-    row.update(propagation_db=prop, analog_db=analog, digital_db=digital)
-    return {c: row[c] if c in row else getattr(report, c) for c in REDUCTION_COLUMNS}
+def _chain_columns(scenario, *seed_path):
+    """reduction.csv's columns: one link chain per IAB node, node i seeded
+    from substream(*seed_path, i)."""
+    seeds, reports = [], []
+    for ni, node in enumerate(scenario.iab_nodes):
+        seeds.append(int(substream(*seed_path, ni).integers(2**63)))
+        reports.append(run_link_chain(chain_params_for_node(scenario, node), seeds[-1]))
+    columns = {
+        f.name: np.array([getattr(r, f.name) for r in reports], f.type)
+        for f in fields(ReductionReport)
+        if f.type in (bool, float)
+    }
+    domains = np.array([r.per_domain_db for r in reports], float).reshape(-1, 3).T
+    columns.update(zip(("propagation_db", "analog_db", "digital_db"), domains))
+    columns.update(node=np.arange(len(reports)), seed=np.array(seeds, np.uint64))
+    return {c: columns[c] for c in REDUCTION_COLUMNS}
 
 
 def cmd_link_sim(cfg):
     _, scenario = _load_with_overrides(cfg)
-    rows = []
-    for ni, node in enumerate(scenario.iab_nodes):
-        params = chain_params_for_node(scenario, node)
-        node_seed = int(substream(cfg.seed, "link", ni).integers(2**63))
-        report = run_link_chain(params, node_seed)
-        rows.append(_reduction_row(ni, node, node_seed, report))
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out = os.path.join(cfg.output_dir, "reduction.csv")
-    _write_csv(out, REDUCTION_COLUMNS, rows)
-    _write_sidecar(cfg.output_dir, cfg, scenario_to_dict(scenario), ["reduction.csv"])
+    tables = [("reduction.csv", _chain_columns(scenario, cfg.seed, "link"))]
+    _write_outputs(cfg, scenario_to_dict(scenario), tables)
     return 0
 
 
 def cmd_system_sim(cfg, modes=ALL_MODES):
     _, scenario = _load_with_overrides(cfg)
-    cols = run_drop(scenario, cfg.seed, modes=modes)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_columns(os.path.join(cfg.output_dir, "throughput.csv"), cols)
-    modes = [Mode(m).value for m in modes]
-    curves = [cdf(cols["throughput_bps"][cols["mode"] == m]) for m in modes]
-    del cols  # lowers the peak RSS: cdf.csv is written without the drop alive
-    cdf_cols = (
-        np.repeat(modes, [v.size for v, _ in curves]),
-        np.concatenate([v for v, _ in curves]),
-        np.concatenate([p for _, p in curves]),
-    )
-    _write_columns(os.path.join(cfg.output_dir, "cdf.csv"), dict(zip(CDF_COLUMNS, cdf_cols)))
-    _write_sidecar(
-        cfg.output_dir, cfg, scenario_to_dict(scenario), ["throughput.csv", "cdf.csv"]
-    )
+
+    def tables():
+        cols = run_drop(scenario, cfg.seed, modes=modes)
+        yield "throughput.csv", cols
+        values = [Mode(m).value for m in modes]
+        curves = [cdf(cols["throughput_bps"][cols["mode"] == m]) for m in values]
+        del cols  # lowers the peak RSS: cdf.csv is written without the drop alive
+        cdf_cols = (
+            np.repeat(values, [v.size for v, _ in curves]),
+            np.concatenate([v for v, _ in curves]),
+            np.concatenate([p for _, p in curves]),
+        )
+        yield "cdf.csv", dict(zip(CDF_COLUMNS, cdf_cols))
+
+    _write_outputs(cfg, scenario_to_dict(scenario), tables())
     return 0
 
 
@@ -307,23 +307,19 @@ def _parse_grid(specs):
 
 
 def _sweep_cell(payload):
-    """One sweep cell: apply grid assignments, run every node over all drops."""
+    """One sweep cell's sweep.csv columns: apply the grid assignments, run
+    every node over all drops."""
     cell_idx, base_data, assignment, seed, drops = payload
     data = json.loads(json.dumps(base_data))
     overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
-    data = apply_overrides(data, overrides)
-    scenario = scenario_from_dict(data)
-    rows = []
-    for drop in range(drops):
-        for ni, node in enumerate(scenario.iab_nodes):
-            params = chain_params_for_node(scenario, node)
-            node_seed = int(substream(seed, "sweep", cell_idx, drop, ni).integers(2**63))
-            report = run_link_chain(params, node_seed)
-            row = {"cell": cell_idx, "drop": drop}
-            row.update({k: v for k, v in assignment})
-            row.update(_reduction_row(ni, node, node_seed, report))
-            rows.append(row)
-    return cell_idx, rows
+    scenario = scenario_from_dict(apply_overrides(data, overrides))
+    per_drop = [_chain_columns(scenario, seed, "sweep", cell_idx, drop) for drop in range(drops)]
+    n_nodes = len(scenario.iab_nodes)
+    n_rows = drops * n_nodes
+    columns = {"cell": np.full(n_rows, cell_idx), "drop": np.repeat(np.arange(drops), n_nodes)}
+    columns.update((k, np.full(n_rows, _fmt(v))) for k, v in assignment)
+    columns.update((c, np.concatenate([d[c] for d in per_drop])) for c in REDUCTION_COLUMNS)
+    return columns
 
 
 def sweep_workers(env_value, n_cells, cpu_count):
@@ -340,7 +336,6 @@ def cmd_sweep(cfg, grid_specs, drops):
         raise ValueError(f"--drops must be >= 1, got {drops}")
     base, scenario = _load_with_overrides(cfg)  # validates before fanning out
     grid = _parse_grid(grid_specs)
-    keys = [k for k, _ in grid]
     cells = list(itertools.product(*[[(k, v) for v in vals] for k, vals in grid]))
     payloads = [
         (ci, base, assignment, cfg.seed, drops) for ci, assignment in enumerate(cells)
@@ -356,27 +351,14 @@ def cmd_sweep(cfg, grid_specs, drops):
             results = list(pool.map(_sweep_cell, payloads))
     else:
         results = [_sweep_cell(p) for p in payloads]
-    results.sort(key=lambda item: item[0])
-
-    columns = ("cell", "drop", *keys, *REDUCTION_COLUMNS)
-    rows = [row for _, cell_rows in results for row in cell_rows]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "sweep.csv"), columns, rows)
-    _write_sidecar(cfg.output_dir, cfg, scenario_to_dict(scenario), ["sweep.csv"])
+    columns = {c: np.concatenate([cell[c] for cell in results]) for c in results[0]}
+    _write_outputs(cfg, scenario_to_dict(scenario), [("sweep.csv", columns)])
     return 0
 
 
 def cmd_compare_prototype(cfg):
     rows, summary = compare_prototype(seed=cfg.seed if cfg.seed is not None else 0)
-    summary_rows = [{"separation_m": sep, **s} for sep, s in sorted(summary.items())]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "compare_prototype.csv"), COMPARE_COLUMNS, rows)
-    _write_csv(
-        os.path.join(cfg.output_dir, "compare_summary.csv"),
-        COMPARE_SUMMARY_COLUMNS,
-        summary_rows,
-    )
-    _write_sidecar(cfg.output_dir, cfg, None, ["compare_prototype.csv", "compare_summary.csv"])
+    _write_outputs(cfg, None, [("compare_prototype.csv", rows), ("compare_summary.csv", summary)])
     return 0
 
 

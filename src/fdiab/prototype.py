@@ -8,8 +8,6 @@ The measurement environment (surrounding reflectors, absorbing mast) differs
 from the simulated one, so the report makes no pass/fail claim.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel
@@ -28,46 +26,26 @@ _DATASET_SEED = 20260408
 _MAX_SPREAD_DB = 8.0
 
 
-@dataclass(frozen=True)
-class PrototypeRow:
-    separation_m: float
-    relative_azimuth_deg: float
-    suppression_db: float
-    reconstructed: bool
-
-
-@dataclass(frozen=True)
-class PrototypeReference:
-    rows: tuple
-
-    def separations(self):
-        return sorted({r.separation_m for r in self.rows})
-
-    def mean_suppression_db(self, separation_m):
-        vals = [r.suppression_db for r in self.rows if r.separation_m == separation_m]
-        return float(np.mean(vals))
-
-
 def reference_dataset():
-    """Shipped per-azimuth dataset; per-separation means equal the measured
-    values to double precision because the spread comes in exact +-pairs."""
-    rows = []
-    for sep in sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True):
-        base = PAPER_MEAN_SUPPRESSION_DB[sep]
+    """Shipped per-azimuth dataset as columns of compare_prototype.csv:
+    separation_m, relative_azimuth_deg, measured_suppression_db and
+    reconstructed, one row per (separation, azimuth). Per-separation means
+    equal the measured values to double precision because the spread comes
+    in exact +-pairs."""
+    seps = sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True)
+    measured = []
+    for sep in seps:
         rng = substream(_DATASET_SEED, "spread", sep)
         mags = np.round(rng.uniform(0.4, _MAX_SPREAD_DB, size=len(_AZIMUTHS_DEG) // 2), 2)
         offsets = np.concatenate([mags, -mags])
         rng.shuffle(offsets)
-        for az, off in zip(_AZIMUTHS_DEG, offsets):
-            rows.append(
-                PrototypeRow(
-                    separation_m=sep,
-                    relative_azimuth_deg=az,
-                    suppression_db=float(base + off),
-                    reconstructed=True,
-                )
-            )
-    return PrototypeReference(rows=tuple(rows))
+        measured.append(PAPER_MEAN_SUPPRESSION_DB[sep] + offsets)
+    return {
+        "separation_m": np.repeat(seps, len(_AZIMUTHS_DEG)),
+        "relative_azimuth_deg": np.tile(_AZIMUTHS_DEG, len(seps)),
+        "measured_suppression_db": np.concatenate(measured),
+        "reconstructed": np.ones(len(seps) * len(_AZIMUTHS_DEG), bool),
+    }
 
 
 def simulate_suppression_db(separation_m, relative_azimuth_deg, seed):
@@ -95,30 +73,23 @@ def simulate_suppression_db(separation_m, relative_azimuth_deg, seed):
 def compare_prototype(seed=0):
     """Measured vs simulated suppression, row by row plus per-separation means.
 
-    Returns (rows, summary): rows are dicts ready for CSV, summary maps each
-    separation to (measured mean, simulated mean, delta).
+    Returns the columns of compare_prototype.csv, the reference dataset with
+    simulated_suppression_db, and of compare_summary.csv: separation_m
+    ascending, measured_mean_db, simulated_mean_db and delta_db.
     """
     ref = reference_dataset()
-    rows = []
-    for r in ref.rows:
-        sim = simulate_suppression_db(r.separation_m, r.relative_azimuth_deg, seed)
-        rows.append(
-            {
-                "separation_m": r.separation_m,
-                "relative_azimuth_deg": r.relative_azimuth_deg,
-                "measured_suppression_db": r.suppression_db,
-                "simulated_suppression_db": sim,
-                "reconstructed": r.reconstructed,
-            }
-        )
-    summary = {}
-    for sep in ref.separations():
-        measured = ref.mean_suppression_db(sep)
-        sims = [row["simulated_suppression_db"] for row in rows if row["separation_m"] == sep]
-        sim_mean = float(np.mean(sims))
-        summary[sep] = {
-            "measured_mean_db": measured,
-            "simulated_mean_db": sim_mean,
-            "delta_db": sim_mean - measured,
-        }
+    pairs = zip(ref["separation_m"].tolist(), ref["relative_azimuth_deg"].tolist())
+    simulated = np.array([simulate_suppression_db(sep, az, seed) for sep, az in pairs])
+    rows = {c: ref[c] for c in ("separation_m", "relative_azimuth_deg", "measured_suppression_db")}
+    rows.update(simulated_suppression_db=simulated, reconstructed=ref["reconstructed"])
+    seps = np.unique(ref["separation_m"])
+    at = [ref["separation_m"] == sep for sep in seps]
+    measured_mean = np.array([np.mean(ref["measured_suppression_db"][m]) for m in at])
+    simulated_mean = np.array([np.mean(simulated[m]) for m in at])
+    summary = {
+        "separation_m": seps,
+        "measured_mean_db": measured_mean,
+        "simulated_mean_db": simulated_mean,
+        "delta_db": simulated_mean - measured_mean,
+    }
     return rows, summary

@@ -396,6 +396,14 @@ class LinkChainParams:
         ):
             if not low <= getattr(self, name) <= high:
                 raise ValueError(f"{name} must lie in [{low}, {high}], got {getattr(self, name)}")
+        n_train = self.n_pilot_symbols + self.n_data_symbols
+        n_samples = n_train * (self.ofdm.fft_size - self.hammerstein_alignment)
+        n_unknowns = len(self.hammerstein_orders) * self.hammerstein_memory
+        if n_samples < n_unknowns:
+            raise ValueError(
+                f"n_data_symbols: {n_train} training symbols give the fit {n_samples} "
+                f"samples for {n_unknowns} unknowns"
+            )
         if self.reflectors is not None:
             # The chain applies the SI channel per OFDM symbol, circularly, so a
             # tap past the CP would wrap around the symbol instead of leaking

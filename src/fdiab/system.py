@@ -46,31 +46,14 @@ def direction_from_angles(az_deg, el_deg):
     return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1)
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Fixed grid of beam pointing directions sharing one radiation pattern."""
-
-    beams: tuple  # ((az_deg, el_deg), ...) indexed el-major, az-minor
-    pattern: AntennaPattern
-
-    def __post_init__(self):
-        if len(self.beams) != N_BEAMS_AZ * N_BEAMS_EL:
-            raise ValueError(f"codebook must hold exactly {N_BEAMS_AZ * N_BEAMS_EL} beams")
-
-    def directions(self):
-        az, el = np.array(self.beams).T
-        return direction_from_angles(az, el)
-
-
-def build_codebook(pattern, sector_center_az_deg):
+def codebook_angles(sector_center_az_deg):
+    """(az_deg, el_deg) arrays of a cell's 16 access beams, el-major and
+    az-minor: eight azimuths across the sector, two elevations about
+    SECTOR_CENTER_EL_DEG."""
     az_steps = SECTOR_SPAN_AZ_DEG * ((np.arange(N_BEAMS_AZ) + 0.5) / N_BEAMS_AZ - 0.5)
     el_steps = SECTOR_SPAN_EL_DEG * ((np.arange(N_BEAMS_EL) + 0.5) / N_BEAMS_EL - 0.5)
-    beams = tuple(
-        (float(sector_center_az_deg + daz), float(SECTOR_CENTER_EL_DEG + del_))
-        for del_ in el_steps
-        for daz in az_steps
-    )
-    return Codebook(beams=beams, pattern=pattern)
+    az = np.tile(sector_center_az_deg + az_steps, N_BEAMS_EL)
+    return az, np.repeat(SECTOR_CENTER_EL_DEG + el_steps, N_BEAMS_AZ)
 
 
 @dataclass(frozen=True)
@@ -287,7 +270,7 @@ def schedule_drop(scenario, seed):
     n_ue = ues.shape[0]
     cells = scenario.cells()
     beam_dirs = np.stack(
-        [build_codebook(c.pattern, scenario.sector_center_az(c)).directions() for c in cells]
+        [direction_from_angles(*codebook_angles(scenario.sector_center_az(c))) for c in cells]
     )
     shadows = _access_shadows_db(scenario, seed, len(cells), n_ue)
 

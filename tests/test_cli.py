@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,12 @@ def sidecar_without_timestamp(path):
     return data
 
 
+def assert_outputs_listed(out):
+    """run.json's outputs are exactly the CSV files in the directory."""
+    outputs = sidecar_without_timestamp(out / "run.json")["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.glob("*.csv"))
+
+
 class TestLinkSim:
     def test_writes_reduction_csv_and_sidecar(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -53,6 +60,7 @@ class TestLinkSim:
         assert len(body.splitlines()) == 3  # header + one row per node
         side = sidecar_without_timestamp(out / "run.json")
         assert side["command"] == "link-sim" and side["seed"] == 7
+        assert_outputs_listed(out)
 
     def test_byte_identical_reruns(self, scenario_path, tmp_path):
         outs = []
@@ -82,6 +90,7 @@ class TestSystemSim:
         body = read(outs[0] / "throughput.csv").decode().splitlines()
         assert body[0] == "mode,ue_id,serving_cell,beam,access_snr_db,access_sinr_db,backhaul_sinr_db,dli_power_dbm,throughput_bps"
         assert len(body) == 1 + 25 * 5
+        assert_outputs_listed(outs[0])
 
     def test_mode_subset(self, scenario_path, tmp_path):
         out = tmp_path / "m"
@@ -139,6 +148,7 @@ class TestSweep:
             )
         means = [sum(v) / len(v) for _, v in sorted(by_sep.items())]
         assert means[0] < means[1] < means[2]
+        assert_outputs_listed(out)
 
     def test_parallel_matches_sequential(self, scenario_path, tmp_path):
         cmd = [
@@ -158,9 +168,9 @@ class TestSweep:
         assert outs["1"] == outs["3"]
 
 
-# sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1 --seed 0 over
-# scenarios/default.json. Change these on purpose only, when the chain's
-# output is meant to move.
+# Golden tables at seed 0 over scenarios/default.json. Change these on purpose
+# only, when the chain's or the prototype comparison's output is meant to move.
+# sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1:
 GOLDEN_SWEEP = """\
 cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
 0,0,0.1,0,0.1,7641905497107630166,31.9749820549,-29.515328366,-38.5848851259,-89.9286409215,61.4903104209,9.0695567599,51.3437557956,-90.2081875395,true,true,false,-89.9409794975
@@ -171,21 +181,44 @@ cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_pow
 2,0,2,1,2,8746855754193636803,31.974700586,-54.670799354,-54.670799354,-90.2525482547,86.6454999401,0,35.5817489006,-90.2081875395,false,true,false,-90.1827654494
 """
 
+# link-sim:
+GOLDEN_LINK = """\
+node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
+0,1,8028033113326539936,31.9762245029,-50.0326900248,-50.0326900248,-90.1597769094,82.0089145276,0,40.1270868846,-90.2081875395,false,true,false,-90.0953405334
+1,1,1858689254262361655,31.9766499026,-49.5513941166,-49.5513941166,-90.2324669939,81.5280440192,0,40.6810728774,-90.2081875395,false,true,false,-90.2153957194
+"""
 
-def test_sweep_matches_golden_values(tmp_path):
-    """Pins the link chain's output: integers and flags exactly, numbers to 1e-6 dB."""
-    out = tmp_path / "sweep"
-    rc = main(
-        ["sweep", "--scenario", SCENARIO, "--seed", "0", "--drops", "1", "--out", str(out),
-         "--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2"]
-    )
-    assert rc == 0
-    got = list(csv.reader(io.StringIO(read(out / "sweep.csv").decode())))
-    want = list(csv.reader(io.StringIO(GOLDEN_SWEEP)))
+# compare-prototype: simulated minus measured mean per separation.
+GOLDEN_COMPARE_SUMMARY = """\
+separation_m,measured_mean_db,simulated_mean_db,delta_db
+0.1,82.18,61.2830744884,-20.8969255116
+1,97.26,81.3036130392,-15.9563869608
+2,100.125,87.2926096433,-12.8323903567
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, name, golden, exact_columns",
+    [
+        (["sweep", "--scenario", SCENARIO, "--drops", "1",
+          "--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2"],
+         "sweep.csv", GOLDEN_SWEEP, ("cell", "drop", "node", "seed")),
+        (["link-sim", "--scenario", SCENARIO], "reduction.csv", GOLDEN_LINK, ("node", "seed")),
+        (["compare-prototype"], "compare_summary.csv", GOLDEN_COMPARE_SUMMARY, ()),
+    ],
+    ids=["sweep", "link-sim", "compare-summary"],
+)
+def test_matches_golden_values(tmp_path, argv, name, golden, exact_columns):
+    """Pins the chain's and the prototype comparison's output: integers and
+    flags exactly, numbers to 1e-6 dB."""
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
+    got = list(csv.reader(io.StringIO(read(out / name).decode())))
+    want = list(csv.reader(io.StringIO(golden)))
     assert got[0] == want[0] and len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
         for column, g, w in zip(want[0], got_row, want_row):
-            if column in ("cell", "drop", "node", "seed") or w in ("true", "false"):
+            if column in exact_columns or w in ("true", "false"):
                 assert g == w, column
             else:
                 assert float(g) == pytest.approx(float(w), rel=0, abs=1e-6), column
@@ -201,6 +234,7 @@ class TestComparePrototype:
         summary = read(out / "compare_summary.csv").decode().splitlines()
         assert len(summary) == 4
         assert "100.125" in summary[3]  # d = 2 m measured mean
+        assert_outputs_listed(out)
 
 
 class TestExitCodes:
@@ -261,6 +295,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "reflectors.delay_offset_range_s" in err and "cyclic prefix" in err
         assert not (tmp_path / "o").exists()
+        # A sweep whose second cell puts the direct tap past the CP fails
+        # after the first cell's chains ran, and still leaves no directory.
+        rc = main(
+            ["sweep", "--scenario", scenario_path, "--seed", "1", "--out", str(tmp_path / "w"),
+             "--grid", "iab_nodes.*.antenna_separation_m=1,400"]
+        )
+        assert rc == 1
+        assert "cyclic prefix" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
         # system-sim uses only the total SI power, so late taps are fine there.
         rc = main(
             ["system-sim", "--scenario", scenario_path, "--seed", "1",
@@ -428,23 +471,11 @@ class TestArgumentBounds:
 
 
 def reference_cells(values):
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+    if values.dtype.kind == "f":
         return ["" if np.isnan(v) else format(float(v), ".12g") for v in values]
-    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
+    if values.dtype.kind == "b":
         return ["true" if v else "false" for v in values.tolist()]
-    if isinstance(values, np.ndarray):
-        return [str(v) for v in values.tolist()]
-    out = []
-    for v in values:
-        if v is None:
-            out.append("")
-        elif isinstance(v, bool):
-            out.append("true" if v else "false")
-        elif isinstance(v, float):
-            out.append(format(v, ".12g"))
-        else:
-            out.append(str(v))
-    return out
+    return [str(v) for v in values.tolist()]
 
 
 def reference_csv(columns):
@@ -462,16 +493,12 @@ SPECIAL_FLOATS = [
 FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
 # Quoting triggers, NUL, and non-ASCII characters of 2, 3 and 4 UTF-8 bytes.
 TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n-0.\x00é€\U0001f600')), max_size=6)
-LIST_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-(10**15), 10**15), FLOATS, TEXT
-)
 COLUMN_KINDS = {
     "float": (FLOATS, float),
     "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
     "uint64": (st.integers(0, 2**64 - 1), np.uint64),
     "bool": (st.booleans(), bool),
     "str": (TEXT, str),
-    "list": (LIST_VALUES, None),  # kept a list: mixed None/bool/int/float/str
 }
 
 
@@ -483,7 +510,7 @@ def tables(draw):
     for i, kind in enumerate(kinds):
         elements, dtype = COLUMN_KINDS[kind]
         values = draw(st.lists(elements, min_size=n, max_size=n))
-        columns[f"c{i}"] = values if dtype is None else np.array(values, dtype=dtype)
+        columns[f"c{i}"] = np.array(values, dtype=dtype)
     return columns
 
 
@@ -499,13 +526,32 @@ class TestWriteColumns:
 
     @pytest.mark.parametrize(
         "values",
-        [np.array(["", "a", "", "", "", "b,", ""]), [None, 1.5, None, None, "", None, None],
+        [np.array(["", "a", "", "", "", "b,", ""]),
          np.array([np.nan, 2.0, np.nan, np.nan, np.nan, -0.0, np.nan])],
     )
     def test_lone_empty_fields_across_chunk_edges(self, tmp_path, monkeypatch, values):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
         _write_columns(tmp_path / "t.csv", {"only": values})
         assert read(tmp_path / "t.csv") == reference_csv({"only": values})
+
+    @pytest.mark.parametrize(
+        "values, got",
+        [
+            ([None, 1.5, None, None, "", None, None], "got list"),
+            (np.array([None, 1.5, True, "a"], dtype=object), "got dtype object"),
+            (np.array([0.1, 1 / 3], dtype=object), "got dtype object"),
+            (np.array([1 + 2j]), "got dtype complex128"),
+            (np.array([b"a"]), "got dtype |S1"),
+            (np.array(["2020-01-01"], dtype="datetime64[D]"), "got dtype datetime64[D]"),
+        ],
+    )
+    def test_rejects_all_but_numpy_bool_int_float_str(self, tmp_path, values, got):
+        # Through csv, an object column's float would come out in repr form,
+        # not ".12g": the writer takes numpy columns of the kinds it formats.
+        columns = {"ok": np.arange(len(values)), "bad": values}
+        with pytest.raises(TypeError, match=f"^column 'bad': .*{re.escape(got)}$"):
+            _write_columns(tmp_path / "t.csv", columns)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_drop_sized_table_is_written_in_bounded_memory(self, tmp_path):
         # A 101x101 drop over 5 modes: 51,005 rows of throughput.csv's kinds.

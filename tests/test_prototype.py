@@ -10,26 +10,36 @@ from fdiab.prototype import (
 )
 
 
+def mean_at(values, separation_m, separations):
+    return float(np.mean(values[separations == separation_m]))
+
+
 def test_dataset_means_match_measured_values_exactly():
     ref = reference_dataset()
     for sep, mean_db in PAPER_MEAN_SUPPRESSION_DB.items():
-        assert ref.mean_suppression_db(sep) == pytest.approx(mean_db, abs=1e-9)
-        assert abs(ref.mean_suppression_db(sep) - mean_db) <= 0.01
+        measured = mean_at(ref["measured_suppression_db"], sep, ref["separation_m"])
+        assert measured == pytest.approx(mean_db, abs=1e-9)
+        assert abs(measured - mean_db) <= 0.01
 
 
 def test_dataset_shape_and_flags():
     ref = reference_dataset()
-    assert ref.separations() == [0.1, 1.0, 2.0]
-    for sep in ref.separations():
-        rows = [r for r in ref.rows if r.separation_m == sep]
-        assert len(rows) == 36
-        assert all(r.reconstructed for r in rows)
-        spreads = [abs(r.suppression_db - PAPER_MEAN_SUPPRESSION_DB[sep]) for r in rows]
-        assert max(spreads) <= 8.0
+    assert list(ref) == [
+        "separation_m", "relative_azimuth_deg", "measured_suppression_db", "reconstructed"
+    ]
+    assert np.unique(ref["separation_m"]).tolist() == [0.1, 1.0, 2.0]
+    for sep in np.unique(ref["separation_m"]):
+        at = ref["separation_m"] == sep
+        assert at.sum() == 36
+        assert ref["reconstructed"][at].all()
+        spreads = np.abs(ref["measured_suppression_db"][at] - PAPER_MEAN_SUPPRESSION_DB[sep])
+        assert spreads.max() <= 8.0
 
 
 def test_dataset_deterministic():
-    assert reference_dataset() == reference_dataset()
+    a, b = reference_dataset(), reference_dataset()
+    assert a.keys() == b.keys()
+    assert all(a[c].dtype == b[c].dtype and np.array_equal(a[c], b[c]) for c in a)
 
 
 def test_prototype_pattern_values():
@@ -47,10 +57,17 @@ def test_simulated_suppression_monotone_in_separation():
 
 def test_compare_report_structure():
     rows, summary = compare_prototype(seed=0)
-    assert len(rows) == 3 * 36
-    assert set(summary) == {0.1, 1.0, 2.0}
-    for sep, s in summary.items():
-        assert s["measured_mean_db"] == pytest.approx(PAPER_MEAN_SUPPRESSION_DB[sep], abs=1e-9)
-        assert s["delta_db"] == pytest.approx(s["simulated_mean_db"] - s["measured_mean_db"])
-    sim_means = [summary[sep]["simulated_mean_db"] for sep in (0.1, 1.0, 2.0)]
+    assert list(rows) == [
+        "separation_m", "relative_azimuth_deg", "measured_suppression_db",
+        "simulated_suppression_db", "reconstructed",
+    ]
+    assert all(v.shape == (3 * 36,) for v in rows.values())
+    assert list(summary) == ["separation_m", "measured_mean_db", "simulated_mean_db", "delta_db"]
+    assert summary["separation_m"].tolist() == [0.1, 1.0, 2.0]
+    for i, sep in enumerate(summary["separation_m"]):
+        measured, simulated = summary["measured_mean_db"][i], summary["simulated_mean_db"][i]
+        assert measured == pytest.approx(PAPER_MEAN_SUPPRESSION_DB[sep], abs=1e-9)
+        assert summary["delta_db"][i] == pytest.approx(simulated - measured)
+        assert simulated == mean_at(rows["simulated_suppression_db"], sep, rows["separation_m"])
+    sim_means = summary["simulated_mean_db"]
     assert sim_means[0] < sim_means[1] < sim_means[2]

@@ -586,6 +586,14 @@ def test_chain_property(seed, separation):
     assert run_link_chain(params, seed) == report
 
 
+# A calibration frame of one 16-point symbol, fit with 6 taps at alignment 4.
+TINY_FRAME = dict(
+    ofdm=OfdmConfig(fft_size=16, active_subcarriers=12, cp_len=4),
+    analog_mode="off", n_pilot_symbols=0, n_data_symbols=1,
+    hammerstein_memory=6, hammerstein_alignment=4,
+)
+
+
 class TestLinkChainParamsBounds:
     @pytest.mark.parametrize(
         "field, value",
@@ -608,11 +616,19 @@ class TestLinkChainParamsBounds:
             ("carrier_freq_hz", 0.0),
             ("input_backoff_db", -1.0),
             ("n_data_symbols", -2),
+            # No training symbols: the chain used to take the mean of an
+            # empty view, with a RuntimeWarning, before the fit named no field.
+            ("n_data_symbols", dict(analog_mode="off", n_pilot_symbols=0, n_data_symbols=0)),
+            # One 16-point symbol less 4 aligned samples: 12 samples for 18 unknowns.
+            ("n_data_symbols", dict(TINY_FRAME, hammerstein_orders=(1, 3, 5))),
         ],
     )
     def test_rejected_by_name(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            LinkChainParams(geometry=SiGeometry(0.1), **{field: value})
+        kwargs = value if isinstance(value, dict) else {field: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field}"):
+                LinkChainParams(geometry=SiGeometry(0.1), **kwargs)
 
     def test_carrier_declared_once_with_the_scenario(self):
         # The scenario's carrier field is the one declaration of its default
@@ -644,6 +660,8 @@ class TestLinkChainParamsBounds:
         )
         run_link_chain(params, 3)
         LinkChainParams(geometry=SiGeometry(1.0), hammerstein_memory=1, hammerstein_alignment=0)
+        # As many fit samples as unknowns: 12 for 2 orders x 6 taps.
+        LinkChainParams(geometry=SiGeometry(1.0), **TINY_FRAME, hammerstein_orders=(1, 3))
 
 
 class TestReportValidation:

@@ -23,9 +23,9 @@ from fdiab.system import (
     Mode,
     Scenario,
     UeGrid,
-    build_codebook,
     capacity_bps,
     cdf,
+    codebook_angles,
     default_scenario,
     direction_from_angles,
     dli_power_dbm,
@@ -74,7 +74,7 @@ def columns_equal(a, b):
 
 def reference_directions(sc, ci):
     cell = sc.cells()[ci]
-    return build_codebook(cell.pattern, sc.sector_center_az(cell)).directions()
+    return direction_from_angles(*codebook_angles(sc.sector_center_az(cell)))
 
 
 def reference_rx_dbm(sc, seed, ci, beam_dir, ue, u):
@@ -216,32 +216,36 @@ class TestMcs:
 
 class TestCodebook:
     def test_sixteen_equally_spaced_beams(self):
-        cb = build_codebook(AntennaPattern(), sector_center_az_deg=0.0)
-        assert len(cb.beams) == 16
-        azs = sorted({az for az, _ in cb.beams})
-        els = sorted({el for _, el in cb.beams})
+        az, el = codebook_angles(sector_center_az_deg=0.0)
+        assert az.shape == el.shape == (16,)
+        azs = sorted(set(az.tolist()))
+        els = sorted(set(el.tolist()))
         assert len(azs) == 8 and len(els) == 2
         assert np.allclose(np.diff(azs), 15.0)
         assert azs[0] == -52.5 and azs[-1] == 52.5
         assert els == [-22.5, -7.5]
+        # el-major, az-minor
+        assert np.array_equal(az[:8], az[8:]) and np.all(np.diff(az[:8]) > 0)
+        assert np.all(el[:8] == -22.5) and np.all(el[8:] == -7.5)
 
     @settings(max_examples=30, deadline=None)
     @given(center=st.floats(-720.0, 720.0))
     def test_directions_match_per_beam_unit_vectors(self, center):
-        cb = build_codebook(AntennaPattern(), sector_center_az_deg=center)
-        dirs = cb.directions()
+        az, el = codebook_angles(sector_center_az_deg=center)
+        dirs = direction_from_angles(az, el)
         assert dirs.shape == (16, 3)
-        for (az, el), d in zip(cb.beams, dirs):
-            a, e = math.radians(az), math.radians(el)
+        for a_deg, e_deg, d in zip(az.tolist(), el.tolist(), dirs):
+            a, e = math.radians(a_deg), math.radians(e_deg)
             ref = np.array([np.cos(e) * np.cos(a), np.cos(e) * np.sin(a), np.sin(e)])
             assert np.array_equal(d, ref)
-            assert np.array_equal(direction_from_angles(az, el), ref)
+            assert np.array_equal(direction_from_angles(a_deg, e_deg), ref)
 
-    def test_wrong_beam_count_rejected(self):
-        from fdiab.system import Codebook
-
-        with pytest.raises(ValueError):
-            Codebook(beams=((0.0, 0.0),), pattern=AntennaPattern())
+    @settings(max_examples=30, deadline=None)
+    @given(center=st.floats(-720.0, 720.0))
+    def test_sixteen_beams_for_any_center(self, center):
+        az, el = codebook_angles(sector_center_az_deg=center)
+        assert az.shape == el.shape == (16,)
+        assert len(set(zip(az.tolist(), el.tolist()))) == 16
 
 
 class TestScheduling:
@@ -252,9 +256,9 @@ class TestScheduling:
             iab_nodes=(),
             access_shadow_sigma_db=0.0,
         )
-        cb = build_codebook(sc.donor.pattern, 0.0)
+        az, el = codebook_angles(0.0)
         # place a UE exactly on the boresight ray of beam (az 7.5, el -7.5)
-        target = cb.beams.index((7.5, -7.5))
+        (target,) = np.flatnonzero((az == 7.5) & (el == -7.5))
         ue = np.array([0.0, 0.0, 100.0]) + 300.0 * direction_from_angles(7.5, -7.5)
         serving, beam, _, _, _ = schedule_drop(
             dataclasses.replace(sc, ue_grid=one_ue_grid(ue)), 0
