@@ -39,6 +39,7 @@ from .sic import (
     apply_digital_sic,
     fit_hammerstein,
     run_link_chain,
+    run_link_chains,
     tune_two_tap,
 )
 from .system import (

@@ -12,8 +12,9 @@ ready and then writes a run.json sidecar with the fully resolved
 configuration, seed, tool version and the files written; a run that fails
 before its first table leaves no directory. Outputs are byte-identical for
 identical (scenario, seed, version), timestamp aside. FDIAB_THREADS caps
-sweep parallelism (an integer >= 1, further capped by the number of grid
-cells and of CPUs). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+sweep parallelism (an integer >= 1, further capped by the number of chain
+groups and of CPUs; a group is one (drop, node) of the cells that share its
+frame). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 """
 
 import argparse
@@ -38,7 +39,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .sic import LinkChainParams, ReductionReport, run_link_chain
+from .sic import FRAME_FIELDS, LinkChainParams, ReductionReport, run_link_chain, run_link_chains
 from .system import ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop
 from .util import substream
 
@@ -241,13 +242,14 @@ def chain_params_for_node(scenario, node):
     )
 
 
-def _chain_columns(scenario, *seed_path):
-    """reduction.csv's columns: one link chain per IAB node, node i seeded
-    from substream(*seed_path, i)."""
-    seeds, reports = [], []
-    for ni, node in enumerate(scenario.iab_nodes):
-        seeds.append(int(substream(*seed_path, ni).integers(2**63)))
-        reports.append(run_link_chain(chain_params_for_node(scenario, node), seeds[-1]))
+def _node_seed(*path):
+    """The seed of the link chain whose substream path is path."""
+    return int(substream(*path).integers(2**63))
+
+
+def _reduction_columns(nodes, seeds, reports):
+    """reduction.csv's columns: one row per report, the chain of node
+    nodes[k] run at seeds[k]."""
     columns = {
         f.name: np.array([getattr(r, f.name) for r in reports], f.type)
         for f in fields(ReductionReport)
@@ -255,13 +257,17 @@ def _chain_columns(scenario, *seed_path):
     }
     domains = np.array([r.per_domain_db for r in reports], float).reshape(-1, 3).T
     columns.update(zip(("propagation_db", "analog_db", "digital_db"), domains))
-    columns.update(node=np.arange(len(reports)), seed=np.array(seeds, np.uint64))
+    columns.update(node=np.array(nodes, int), seed=np.array(seeds, np.uint64))
     return {c: columns[c] for c in REDUCTION_COLUMNS}
 
 
 def cmd_link_sim(cfg):
     _, scenario = _load_with_overrides(cfg)
-    tables = [("reduction.csv", _chain_columns(scenario, cfg.seed, "link"))]
+    params = [chain_params_for_node(scenario, node) for node in scenario.iab_nodes]
+    nodes = range(len(params))
+    seeds = [_node_seed(cfg.seed, "link", i) for i in nodes]
+    reports = [run_link_chain(p, s) for p, s in zip(params, seeds)]
+    tables = [("reduction.csv", _reduction_columns(nodes, seeds, reports))]
     _write_outputs(cfg, scenario_to_dict(scenario), tables)
     return 0
 
@@ -306,52 +312,70 @@ def _parse_grid(specs):
     return grid
 
 
-def _sweep_cell(payload):
-    """One sweep cell's sweep.csv columns: apply the grid assignments, run
-    every node over all drops."""
-    cell_idx, base_data, assignment, seed, drops = payload
-    data = json.loads(json.dumps(base_data))
-    overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
-    scenario = scenario_from_dict(apply_overrides(data, overrides))
-    per_drop = [_chain_columns(scenario, seed, "sweep", cell_idx, drop) for drop in range(drops)]
-    n_nodes = len(scenario.iab_nodes)
-    n_rows = drops * n_nodes
-    columns = {"cell": np.full(n_rows, cell_idx), "drop": np.repeat(np.arange(drops), n_nodes)}
-    columns.update((k, np.full(n_rows, _fmt(v))) for k, v in assignment)
-    columns.update((c, np.concatenate([d[c] for d in per_drop])) for c in REDUCTION_COLUMNS)
-    return columns
-
-
-def sweep_workers(env_value, n_cells, cpu_count):
-    """Worker processes for a sweep of n_cells cells: the FDIAB_THREADS value
-    (unset or empty means 1), capped by the cell and CPU counts."""
+def sweep_workers(env_value, n_groups, cpu_count):
+    """Worker processes for a sweep of n_groups chain groups: the
+    FDIAB_THREADS value (unset or empty means 1), capped by the group and CPU
+    counts."""
     text = (env_value or "").strip() or "1"
     if not text.isdecimal() or int(text) < 1:
         raise ValueError(f"FDIAB_THREADS must be an integer >= 1, got {env_value!r}")
-    return min(int(text), n_cells, cpu_count or 1)
+    return min(int(text), n_groups, cpu_count or 1)
 
 
 def cmd_sweep(cfg, grid_specs, drops):
+    """sweep.csv: every node of every grid cell over drops seeded drops, rows
+    in (cell, drop, node) order.
+
+    Node i of drop d is seeded from substream(seed, "sweep", d, i) in every
+    cell, so a drop compares its cells on common random numbers, and the
+    cells whose chain inputs agree on the frame fields form one group that
+    sends one frame (run_link_chains). Every cell's chain inputs are built,
+    and so validated, before the first chain runs.
+    """
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
-    base, scenario = _load_with_overrides(cfg)  # validates before fanning out
+    base, scenario = _load_with_overrides(cfg)
     grid = _parse_grid(grid_specs)
     cells = list(itertools.product(*[[(k, v) for v in vals] for k, vals in grid]))
-    payloads = [
-        (ci, base, assignment, cfg.seed, drops) for ci, assignment in enumerate(cells)
+    cell_params = []
+    for assignment in cells:
+        overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
+        cell = scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), overrides))
+        cell_params.append([chain_params_for_node(cell, node) for node in cell.iab_nodes])
+    rows = [
+        (ci, d, ni)
+        for ci, params in enumerate(cell_params)
+        for d in range(drops)
+        for ni in range(len(params))
     ]
+    seeds = {(d, ni): _node_seed(cfg.seed, "sweep", d, ni) for _, d, ni in rows}
+    groups = {}  # (drop, node, frame fields) -> the rows that send one frame
+    for ci, d, ni in rows:
+        frame = tuple(getattr(cell_params[ci][ni], f) for f in FRAME_FIELDS)
+        groups.setdefault((d, ni, frame), []).append((ci, d, ni))
+    groups = list(groups.values())
+    chains = [[cell_params[ci][ni] for ci, _, ni in group] for group in groups]
+    group_seeds = [seeds[group[0][1:]] for group in groups]
 
-    workers = sweep_workers(os.environ.get("FDIAB_THREADS"), len(payloads), os.cpu_count())
+    workers = sweep_workers(os.environ.get("FDIAB_THREADS"), len(groups), os.cpu_count())
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which every other run
         # would pay for at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
+            results = list(pool.map(run_link_chains, chains, group_seeds))
     else:
-        results = [_sweep_cell(p) for p in payloads]
-    columns = {c: np.concatenate([cell[c] for cell in results]) for c in results[0]}
+        results = list(map(run_link_chains, chains, group_seeds))
+    reports = {}
+    for group, group_reports in zip(groups, results):
+        reports.update(zip(group, group_reports))
+    cell, drop, node = np.array(rows, int).reshape(-1, 3).T
+    columns = {"cell": cell, "drop": drop}
+    for j, (key, _) in enumerate(grid):
+        columns[key] = np.array([_fmt(cells[ci][j][1]) for ci in cell.tolist()], str)
+    row_seeds = [seeds[d, ni] for _, d, ni in rows]
+    columns.update(_reduction_columns(node, row_seeds, [reports[r] for r in rows]))
     _write_outputs(cfg, scenario_to_dict(scenario), [("sweep.csv", columns)])
     return 0
 

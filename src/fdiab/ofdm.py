@@ -104,11 +104,33 @@ def modulate(grid, cfg):
     return join_with_cp(np.fft.ifft(spectrum, axis=-1) * scale, cfg)
 
 
+def symbol_spectra(samples, cfg):
+    """DFT of each symbol's useful part, (..., n_symbols, fft_size): what
+    demodulation and every per-symbol circular channel start from."""
+    useful = symbol_rows(np.asarray(samples, dtype=complex), cfg)[..., cfg.cp_len :]
+    return np.fft.fft(useful, axis=-1)
+
+
+def active_grid(spectra, cfg):
+    """The active subcarriers of symbol_spectra output, as a modulate grid."""
+    scale = cfg.fft_size / np.sqrt(cfg.active_subcarriers)
+    return (spectra / scale)[..., cfg.active_bins()]
+
+
 def demodulate(samples, cfg):
     """Strip CPs, DFT each symbol and extract the active bins."""
-    useful = symbol_rows(np.asarray(samples, dtype=complex), cfg)[..., cfg.cp_len :]
-    scale = cfg.fft_size / np.sqrt(cfg.active_subcarriers)
-    return (np.fft.fft(useful, axis=-1) / scale)[..., cfg.active_bins()]
+    return active_grid(symbol_spectra(samples, cfg), cfg)
+
+
+def filter_spectra(spectra, h_bins, cfg):
+    """The stream whose symbols have the useful parts spectra * h_bins, each
+    preceded by its CP: a per-symbol circular channel h_bins applied to the
+    stream that symbol_spectra turned into spectra."""
+    h_bins = np.asarray(h_bins, dtype=complex)
+    if h_bins.shape != (cfg.fft_size,):
+        raise ValueError(f"h_bins must have shape ({cfg.fft_size},)")
+    filtered = spectra * h_bins
+    return join_with_cp(np.fft.ifft(filtered, axis=-1, out=filtered), cfg)
 
 
 def apply_frequency_response(samples, h_bins, cfg):
@@ -118,11 +140,7 @@ def apply_frequency_response(samples, h_bins, cfg):
     which is how both the SI channel and the two-tap canceller ramps are
     realized (fractional delays as frequency-domain phase ramps).
     """
-    h_bins = np.asarray(h_bins, dtype=complex)
-    if h_bins.shape != (cfg.fft_size,):
-        raise ValueError(f"h_bins must have shape ({cfg.fft_size},)")
-    useful = symbol_rows(np.asarray(samples, dtype=complex), cfg)[..., cfg.cp_len :]
-    return join_with_cp(np.fft.ifft(np.fft.fft(useful, axis=-1) * h_bins, axis=-1), cfg)
+    return filter_spectra(symbol_spectra(samples, cfg), h_bins, cfg)
 
 
 def apply_channel(samples, cir, cfg):

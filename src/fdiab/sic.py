@@ -16,12 +16,13 @@ import numpy as np
 from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel
 from .ofdm import (
     OfdmConfig,
-    apply_channel,
-    apply_frequency_response,
+    active_grid,
     build_frame,
     demodulate,
     estimate_channel_ls,
+    filter_spectra,
     symbol_rows,
+    symbol_spectra,
 )
 from .rf import AdcModel, NoiseModel, PaModel, adc_quantize, fits_gray_zone, pa_apply, thermal_noise
 from .system import Scenario
@@ -112,9 +113,14 @@ def apply_analog_canceller(pa_output_samples, rx_samples, two_tap, cfg):
     rx = np.asarray(rx_samples, dtype=complex)
     if pa_out.shape != rx.shape:
         raise ValueError("pa output and rx must have the same shape")
+    return _cancel_analog(symbol_spectra(pa_out, cfg), rx, two_tap, cfg)
+
+
+def _cancel_analog(pa_spectra, rx, two_tap, cfg):
+    """apply_analog_canceller from the symbol_spectra of the PA output."""
     _check_delays_inside_cp(two_tap.delays_s, cfg)
-    regen = apply_frequency_response(pa_out, two_tap.freq_response(cfg.bin_freqs_hz()), cfg)
-    return rx - regen
+    regen = filter_spectra(pa_spectra, two_tap.freq_response(cfg.bin_freqs_hz()), cfg)
+    return np.subtract(rx, regen, out=regen)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +220,17 @@ def _check_frame(tx, cfg, memory_len, alignment):
         raise ValueError("tx_baseband: a CP differs from its symbol's tail within the taps' reach")
 
 
-def _normal_equations(psi, target, memory_len, alignment, cfg):
-    """B^H B and B^H target for B = hammerstein_basis on the fit's samples,
-    target = _fit_samples(rx, cfg, alignment), without forming B; leaves
-    the spectra of psi's useful parts in place.
+def _gram(psi, memory_len, alignment, cfg):
+    """(B^H B for B = hammerstein_basis on the fit's samples, the spectra of
+    psi's useful parts), without forming B; the spectra are taken in place.
 
     The row of B for fit sample k holds psi_p(k + alignment - m), so every
-    entry is a lagged correlation of two branch signals. The first tap row
-    of the Gram, G[(p,0),(q,l)], and the right-hand side are summed per symbol
-    in the frequency domain. The other entries follow along each diagonal:
-    shifting both taps by one shifts every symbol's run of samples back one,
-    so G[(p,m+1),(q,l+1)] = G[(p,m),(q,l)] plus the product of the samples
-    each run gains at its start, minus those it loses at its end.
+    entry is a lagged correlation of two branch signals. The first tap row,
+    G[(p,0),(q,l)], is summed per symbol in the frequency domain. The other
+    entries follow along each diagonal: shifting both taps by one shifts
+    every symbol's run of samples back one, so G[(p,m+1),(q,l+1)] =
+    G[(p,m),(q,l)] plus the product of the samples each run gains at its
+    start, minus those it loses at its end.
     """
     n_br, mem, n = psi.shape[0], memory_len, cfg.fft_size
     rows = symbol_rows(psi, cfg)
@@ -236,40 +241,105 @@ def _normal_equations(psi, target, memory_len, alignment, cfg):
     gained, lost = gained.reshape(n_symbols, -1), lost.reshape(n_symbols, -1)
     edge = (gained.conj().T @ gained - lost.conj().T @ lost).reshape(n_br, mem - 1, n_br, mem - 1)
     # Tap l of symbol s, sample u, reads P_q(s, (u - l) mod n). Summed over
-    # all u, corr[l, q, j] is one transform of sum_s P^_q conj(P^_j | R^),
-    # less the u < alignment the fit skips; the target enters with those zeroed.
+    # all u, corr[l, q, j] is one transform of sum_s P^_q conj(P^_j), less
+    # the u < alignment the fit skips.
     shifts = (np.arange(alignment) - np.arange(mem)[:, None]) % n  # (u - l) mod n
     skip = rows[..., cfg.cp_len + shifts]
     skipped = np.tensordot(skip, skip[:, :, 0].conj(), axes=([1, 3], [1, 2]))
-    rx_hat = np.zeros((n_symbols, n), dtype=complex)
-    rx_hat[:, alignment:] = target
-    np.fft.fft(rx_hat, out=rx_hat)
     useful = _fit_samples(psi, cfg, 0)
     spectra = np.fft.fft(useful, out=useful)
-    cross = np.empty((n_br, n_br + 1, n), dtype=complex)
-    np.vecdot(spectra[None], spectra[:, None], axis=-2, out=cross[:, :n_br])
-    np.vecdot(rx_hat, spectra, axis=-2, out=cross[:, n_br])
-    corr = np.fft.fft(cross, norm="forward", out=cross)[..., :mem].transpose(2, 0, 1)
-    corr[..., :n_br] -= skipped.transpose(1, 0, 2)
-    rhs = np.conj(corr[:, :, n_br]).T.reshape(-1)
-    first = corr[:, :, :n_br]
+    cross = np.vecdot(spectra[None], spectra[:, None], axis=-2)
+    first = np.fft.fft(cross, norm="forward", out=cross)[..., :mem].transpose(2, 0, 1)
+    first -= skipped.transpose(1, 0, 2)
 
     gram = np.empty((n_br, mem, n_br, mem), dtype=complex)
     gram[:, 0] = first.transpose(2, 1, 0)
     gram[:, :, :, 0] = np.conj(first).transpose(1, 0, 2)
     for m in range(1, mem):
         gram[:, m, :, 1:] = gram[:, m - 1, :, :-1] + edge[:, m - 1]
-    return gram.reshape(n_br * mem, n_br * mem), rhs
+    return gram.reshape(n_br * mem, n_br * mem), spectra
 
 
-def _residual(spectra, target, coeffs, alignment):
-    """target - B @ coeffs for B = hammerstein_basis on the fit's samples, as
-    one circular convolution per symbol over the spectra of the branch
-    signals' useful parts, (n_branches, n_symbols, fft_size)."""
-    fir = np.einsum("qsf,qf->sf", spectra, np.fft.fft(coeffs, spectra.shape[-1]))
-    resid = np.fft.ifft(fir, out=fir)[:, alignment:]
-    np.subtract(target, resid, out=resid)
-    return resid.ravel()
+def _rhs(spectra, target, memory_len, alignment):
+    """B^H target for B = hammerstein_basis on the fit's samples, from the
+    spectra _gram leaves: one transform of sum_s conj(R^) P^_q per branch,
+    with the target's u < alignment, which the fit skips, zeroed."""
+    n_symbols, n = spectra.shape[1:]
+    rx_hat = np.zeros((n_symbols, n), dtype=complex)
+    rx_hat[:, alignment:] = target
+    np.fft.fft(rx_hat, out=rx_hat)
+    cross = np.vecdot(rx_hat, spectra, axis=-2)
+    corr = np.fft.fft(cross, norm="forward", out=cross)[:, :memory_len]
+    return np.conj(corr).reshape(-1)
+
+
+class _Regressors:
+    """What the canceller reads of a transmitted OFDM frame alone: the spectra
+    of the branch signals' useful parts and, when a ridge is given, the
+    ridge-regularized Gram, with the fit's checks and warnings. Every receive
+    stream of the frame is fit, or cancelled, against it."""
+
+    def __init__(self, tx, orders, memory_len, alignment, cfg, ridge=None):
+        _check_structure(orders, memory_len, alignment)
+        _check_frame(tx, cfg, memory_len, alignment)
+        self.orders, self.memory_len, self.alignment = tuple(orders), memory_len, alignment
+        psi = _branch_signals(tx, orders)
+        if ridge is None:
+            useful = _fit_samples(psi, cfg, 0)
+            self.spectra = np.fft.fft(useful, out=useful)
+            return
+        n_samples = psi.shape[1] // cfg.symbol_len * (cfg.fft_size - alignment)
+        n_unknowns = len(orders) * memory_len
+        if n_samples < n_unknowns:
+            raise ValueError(f"underdetermined fit: {n_samples} samples for {n_unknowns} unknowns")
+        if n_samples < 10 * n_unknowns:
+            warnings.warn(
+                f"training block of {n_samples} samples is short for {n_unknowns} unknowns; "
+                "expect overfitting",
+                RuntimeWarning,
+            )
+        gram, self.spectra = _gram(psi, memory_len, alignment, cfg)
+        self.ridge = ridge * float(np.trace(gram).real) / gram.shape[0]
+        self.gram = gram + self.ridge * np.eye(gram.shape[0])
+        eig = np.abs(np.linalg.eigvalsh(self.gram))  # Hermitian: cond = |lambda| max / min
+        cond = eig.max() / eig.min()
+        if cond > 1e12:
+            warnings.warn(
+                f"hammerstein basis badly conditioned (cond {cond:.2e}); "
+                "coefficients may be unstable",
+                RuntimeWarning,
+            )
+
+    def fit(self, target):
+        """The HammersteinModel fit to target, the fit's samples of one
+        receive stream of the frame."""
+        rhs = _rhs(self.spectra, target, self.memory_len, self.alignment)
+        coeffs = np.linalg.solve(self.gram, rhs).reshape(len(self.orders), self.memory_len)
+        resid = self.residual(target, coeffs)
+        return HammersteinModel(
+            orders=self.orders,
+            memory_len=self.memory_len,
+            coeffs=coeffs,
+            alignment=self.alignment,
+            ridge=self.ridge,
+            training_residual_power=float(np.mean(np.abs(resid) ** 2)),
+            training_power=float(np.mean(np.abs(target) ** 2)),
+        )
+
+    def residual(self, target, coeffs):
+        """target - B @ coeffs for B = hammerstein_basis on the fit's samples,
+        as one circular convolution per symbol over the branch spectra."""
+        fir = np.einsum("qsf,qf->sf", self.spectra, np.fft.fft(coeffs, self.spectra.shape[-1]))
+        resid = np.fft.ifft(fir, out=fir)[:, self.alignment :]
+        np.subtract(target, resid, out=resid)
+        return resid.ravel()
+
+
+def _same_shape(tx, rx):
+    tx, rx = np.asarray(tx, dtype=complex), np.asarray(rx, dtype=complex)
+    if tx.shape != rx.shape:
+        raise ValueError("tx and rx must have the same length")
+    return tx, rx
 
 
 def fit_hammerstein(
@@ -289,58 +359,17 @@ def fit_hammerstein(
     branches are highly correlated and the tiny ridge stabilizes the solve
     without measurably biasing the residual.
     """
-    tx = np.asarray(tx_baseband, dtype=complex)
-    rx = np.asarray(residual_rx, dtype=complex)
-    if tx.shape != rx.shape:
-        raise ValueError("tx and rx must have the same length")
-    _check_structure(orders, memory_len, alignment)
-    _check_frame(tx, cfg, memory_len, alignment)
-    target = _fit_samples(rx, cfg, alignment)
-    n_unknowns = len(orders) * memory_len
-    if target.size < n_unknowns:
-        raise ValueError(f"underdetermined fit: {target.size} samples for {n_unknowns} unknowns")
-    if target.size < 10 * n_unknowns:
-        warnings.warn(
-            f"training block of {target.size} samples is short for {n_unknowns} unknowns; "
-            "expect overfitting",
-            RuntimeWarning,
-        )
-    psi = _branch_signals(tx, orders)
-    gram, rhs = _normal_equations(psi, target, memory_len, alignment, cfg)
-    eps = ridge * float(np.trace(gram).real) / gram.shape[0]
-    gram_r = gram + eps * np.eye(gram.shape[0])
-    eig = np.abs(np.linalg.eigvalsh(gram_r))  # gram_r is Hermitian: cond = |lambda| max / min
-    cond = eig.max() / eig.min()
-    if cond > 1e12:
-        warnings.warn(
-            f"hammerstein basis badly conditioned (cond {cond:.2e}); "
-            "coefficients may be unstable",
-            RuntimeWarning,
-        )
-    coeffs = np.linalg.solve(gram_r, rhs).reshape(len(orders), memory_len)
-    resid = _residual(_fit_samples(psi, cfg, 0), target, coeffs, alignment)
-    return HammersteinModel(
-        orders=tuple(orders),
-        memory_len=memory_len,
-        coeffs=coeffs,
-        alignment=alignment,
-        ridge=eps,
-        training_residual_power=float(np.mean(np.abs(resid) ** 2)),
-        training_power=float(np.mean(np.abs(target) ** 2)),
-    )
+    tx, rx = _same_shape(tx_baseband, residual_rx)
+    reg = _Regressors(tx, orders, memory_len, alignment, cfg, ridge)
+    return reg.fit(_fit_samples(rx, cfg, alignment))
 
 
 def apply_digital_sic(tx_baseband, rx_after_adc, model, cfg):
     """Residual rx - Psi(tx) @ coeffs on the OFDM frame of layout cfg, at the
     samples _fit_samples(rx, cfg, model.alignment), raveled."""
-    tx = np.asarray(tx_baseband, dtype=complex)
-    rx = np.asarray(rx_after_adc, dtype=complex)
-    if tx.shape != rx.shape:
-        raise ValueError("tx and rx must have the same length")
-    _check_frame(tx, cfg, model.memory_len, model.alignment)
-    spectra = _fit_samples(_branch_signals(tx, model.orders), cfg, 0)
-    np.fft.fft(spectra, out=spectra)
-    return _residual(spectra, _fit_samples(rx, cfg, model.alignment), model.coeffs, model.alignment)
+    tx, rx = _same_shape(tx_baseband, rx_after_adc)
+    reg = _Regressors(tx, model.orders, model.memory_len, model.alignment, cfg)
+    return reg.residual(_fit_samples(rx, cfg, model.alignment), model.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +452,17 @@ class LinkChainParams:
         return default_canceller_delays(self.geometry.antenna_separation_m)
 
 
+# The LinkChainParams fields the DU frames read: the QPSK frames, the PA, the
+# thermal noise and the Hammerstein Gram. Chains that agree on them, at one
+# seed, send the same frames; each chain's SI channel, analog stage and ADC
+# read the rest.
+FRAME_FIELDS = (
+    "ofdm", "pa", "noise", "input_backoff_db", "n_pilot_symbols", "n_data_symbols",
+    "n_holdout_symbols", "hammerstein_orders", "hammerstein_memory", "hammerstein_alignment",
+    "ridge",
+)
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     """Per-domain SI reduction for one link realization.
@@ -467,14 +507,139 @@ class ReductionReport:
         return self
 
 
-def _run_frame(params, cir, amp, n_symbols, frame_rng, noise_rng):
-    tx = build_frame(params.ofdm, n_symbols, frame_rng)
-    tx *= amp
+def _send_frame(params, n_symbols, seed, part, ridge=None):
+    """The DU's frame part of seed as the chains that share it read it:
+    (PA output power over the fit's samples, symbol_spectra of the PA output,
+    thermal noise, _Regressors of the tx baseband, with the Gram if ridge is
+    given). Every draw comes from substream(seed, "frame-" + part) and
+    substream(seed, "noise-" + part); the noise is drawn once the time-domain
+    frame is let go, to bound the peak."""
+    cfg, align = params.ofdm, params.hammerstein_alignment
+    tx = build_frame(cfg, n_symbols, substream(seed, "frame-" + part))
+    tx *= np.sqrt(dbm_to_watt(params.pa.input_p1db_dbm - params.input_backoff_db))
     pa_out = pa_apply(tx, params.pa)
-    rx = thermal_noise(pa_out.size, params.noise, noise_rng)
-    if cir is not None:
-        rx += apply_channel(pa_out, cir, params.ofdm)
-    return tx, pa_out, rx
+    power_dbm = mean_power_dbm(_fit_samples(pa_out, cfg, align))
+    pa_spectra = symbol_spectra(pa_out, cfg)
+    del pa_out
+    orders, memory = params.hammerstein_orders, params.hammerstein_memory
+    reg = _Regressors(tx, orders, memory, align, cfg, ridge)
+    n_samples = tx.size
+    del tx
+    noise = thermal_noise(n_samples, params.noise, substream(seed, "noise-" + part))
+    return power_dbm, pa_spectra, noise, reg
+
+
+class _Link:
+    """One chain of a shared frame: its SI channel, and what its calibration
+    frame leaves for its holdout frame."""
+
+    def __init__(self, params, seed):
+        self.params, self.h_bins, self.two_tap = params, None, None
+        if not params.ideal_fd:
+            self.h_bins = si_channel(
+                params.geometry,
+                params.tx_pattern,
+                params.rx_pattern,
+                params.reflectors,
+                seed=substream(seed, "si-channel").integers(2**63),
+                carrier_freq_hz=params.carrier_freq_hz,
+            ).freq_response(params.ofdm.bin_freqs_hz())
+
+    def _received(self, pa_spectra, noise):
+        """Thermal noise plus the PA output through the SI channel, less the
+        analog canceller's regeneration once it is tuned. Never written in
+        place: under ideal FD it is the shared noise itself."""
+        cfg = self.params.ofdm
+        rx = noise
+        if self.h_bins is not None:
+            rx = filter_spectra(pa_spectra, self.h_bins, cfg)
+            rx += noise
+        if self.two_tap is not None:
+            rx = _cancel_analog(pa_spectra, rx, self.two_tap, cfg)
+        return rx
+
+    def calibrate(self, pa_spectra, noise, reg):
+        """Propagation, the analog stage if it engages, the ADC and the fit,
+        on the calibration frame."""
+        p, cfg, align = self.params, self.params.ofdm, self.params.hammerstein_alignment
+        floor_dbm = p.noise.floor_dbm
+        rx = self._received(pa_spectra, noise)
+        self.after_prop_dbm = self.after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
+        pre_gray_ok = fits_gray_zone(self.after_prop_dbm, floor_dbm, p.adc.effective_range_db)
+        if p.analog_mode == "on" or (
+            p.analog_mode == "auto"
+            and (not pre_gray_ok or self.after_prop_dbm - floor_dbm > p.analog_engage_margin_db)
+        ):
+            h_hat = estimate_channel_ls(  # from the pilots, the frame's head
+                demodulate(rx[: p.n_pilot_symbols * cfg.symbol_len], cfg),
+                active_grid(pa_spectra[: p.n_pilot_symbols], cfg),
+            )
+            self.two_tap = tune_two_tap(h_hat, p.delays(), cfg)
+            rx = _cancel_analog(pa_spectra, rx, self.two_tap, cfg)
+            self.after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
+        rx_adc, self.agc_scale = adc_quantize(rx, p.adc)
+        del rx  # lowers the peak memory of the fit, which needs only rx_adc
+        self.model = reg.fit(_fit_samples(rx_adc, cfg, align))
+
+    def report(self, pa_spectra, noise, reg, tx_power_dbm):
+        """The chain's ReductionReport, its holdout residual taken on the
+        holdout frame."""
+        p, cfg = self.params, self.params.ofdm
+        rx_adc, _ = adc_quantize(self._received(pa_spectra, noise), p.adc, scale=self.agc_scale)
+        resid = reg.residual(_fit_samples(rx_adc, cfg, self.model.alignment), self.model.coeffs)
+        after_digital_dbm = float(watt_to_dbm(self.model.training_residual_power))
+        gray_ok = fits_gray_zone(self.after_analog_dbm, p.noise.floor_dbm, p.adc.effective_range_db)
+        return ReductionReport(
+            tx_power_dbm=tx_power_dbm,
+            after_propagation_dbm=self.after_prop_dbm,
+            after_analog_dbm=self.after_analog_dbm,
+            after_digital_dbm=after_digital_dbm,
+            per_domain_db=(
+                tx_power_dbm - self.after_prop_dbm,
+                self.after_prop_dbm - self.after_analog_dbm,
+                self.after_analog_dbm - after_digital_dbm,
+            ),
+            noise_floor_dbm=float(p.noise.floor_dbm),
+            analog_applied=self.two_tap is not None,
+            gray_zone_ok=bool(gray_ok),
+            digital_saturated=not gray_ok,
+            holdout_residual_dbm=mean_power_dbm(resid),
+            antenna_separation_m=p.geometry.antenna_separation_m,
+        ).validate()
+
+
+def run_link_chains(params_seq, seed):
+    """run_link_chain(params, seed) for every params of params_seq, in order,
+    with the DU frame sent once.
+
+    The chains must agree on FRAME_FIELDS, else a ValueError names the first
+    field that differs. They then send the same frames: the QPSK draws, the PA,
+    the thermal noise, the spectra of the PA output and of the Hammerstein
+    branches, and the Gram with its ridge, conditioning check and warnings are
+    computed once per frame. Each chain runs only its own SI channel, analog
+    stage, ADC, fit solve and holdout residual. The reports equal those of
+    one run_link_chain call per element, bit for bit.
+    """
+    params_seq = list(params_seq)
+    for name in FRAME_FIELDS:
+        for i, p in enumerate(params_seq):
+            if getattr(p, name) != getattr(params_seq[0], name):
+                raise ValueError(
+                    f"{name}: chains that share a frame must agree on it; element {i} has "
+                    f"{getattr(p, name)!r}, element 0 {getattr(params_seq[0], name)!r}"
+                )
+    if not params_seq:
+        return []
+    links = [_Link(p, seed) for p in params_seq]
+    first = params_seq[0]
+    n_train = first.n_pilot_symbols + first.n_data_symbols
+    tx_power_dbm, pa_spectra, noise, reg = _send_frame(first, n_train, seed, "train", first.ridge)
+    for link in links:
+        link.calibrate(pa_spectra, noise, reg)
+    # The holdout frame is built once the fits are done, to bound the peak.
+    del pa_spectra, noise, reg
+    _, pa_spectra, noise, reg = _send_frame(first, first.n_holdout_symbols, seed, "holdout")
+    return [link.report(pa_spectra, noise, reg, tx_power_dbm) for link in links]
 
 
 def run_link_chain(params, seed):
@@ -484,87 +649,6 @@ def run_link_chain(params, seed):
     pilot-based estimate of the SI channel between the PA output and the MT;
     the digital stage is fit on the same calibration frame that the reported
     stage powers are measured on, with a separate holdout frame recorded for
-    the generalization check, built once the fit is done to bound the peak.
+    the generalization check. The one-element case of run_link_chains.
     """
-    cfg = params.ofdm
-    floor_dbm = params.noise.floor_dbm
-    cir = None
-    if not params.ideal_fd:
-        cir = si_channel(
-            params.geometry,
-            params.tx_pattern,
-            params.rx_pattern,
-            params.reflectors,
-            seed=substream(seed, "si-channel").integers(2**63),
-            carrier_freq_hz=params.carrier_freq_hz,
-        )
-
-    amp = np.sqrt(dbm_to_watt(params.pa.input_p1db_dbm - params.input_backoff_db))
-    n_train = params.n_pilot_symbols + params.n_data_symbols
-    tx, pa_out, rx = _run_frame(
-        params, cir, amp, n_train, substream(seed, "frame-train"), substream(seed, "noise-train")
-    )
-
-    align = params.hammerstein_alignment  # stage powers are over the samples the fit takes
-    tx_power_dbm = mean_power_dbm(_fit_samples(pa_out, cfg, align))
-    after_prop_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
-
-    pre_gray_ok = fits_gray_zone(after_prop_dbm, floor_dbm, params.adc.effective_range_db)
-    engage = params.analog_mode == "on" or (
-        params.analog_mode == "auto"
-        and (not pre_gray_ok or after_prop_dbm - floor_dbm > params.analog_engage_margin_db)
-    )
-
-    after_analog_dbm = after_prop_dbm
-    if engage:
-        pilots = slice(0, params.n_pilot_symbols * cfg.symbol_len)  # the frame's head
-        h_hat = estimate_channel_ls(demodulate(rx[pilots], cfg), demodulate(pa_out[pilots], cfg))
-        two_tap = tune_two_tap(h_hat, params.delays(), cfg)
-        rx = apply_analog_canceller(pa_out, rx, two_tap, cfg)
-        after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
-
-    gray_ok = fits_gray_zone(after_analog_dbm, floor_dbm, params.adc.effective_range_db)
-    digital_saturated = not gray_ok
-
-    rx_adc, agc_scale = adc_quantize(rx, params.adc)
-    del pa_out, rx  # lowers the peak memory of the fit, which needs neither
-    model = fit_hammerstein(
-        tx,
-        rx_adc,
-        orders=params.hammerstein_orders,
-        memory_len=params.hammerstein_memory,
-        alignment=params.hammerstein_alignment,
-        ridge=params.ridge,
-        cfg=cfg,
-    )
-    after_digital_dbm = float(watt_to_dbm(model.training_residual_power))
-    del tx, rx_adc
-
-    tx_h, pa_out_h, rx_h = _run_frame(
-        params, cir, amp, params.n_holdout_symbols,
-        substream(seed, "frame-holdout"), substream(seed, "noise-holdout"),
-    )
-    if engage:
-        rx_h = apply_analog_canceller(pa_out_h, rx_h, two_tap, cfg)
-    rx_adc_h, _ = adc_quantize(rx_h, params.adc, scale=agc_scale)
-    resid_h = apply_digital_sic(tx_h, rx_adc_h, model, cfg)
-    holdout_dbm = mean_power_dbm(resid_h)
-
-    report = ReductionReport(
-        tx_power_dbm=tx_power_dbm,
-        after_propagation_dbm=after_prop_dbm,
-        after_analog_dbm=after_analog_dbm,
-        after_digital_dbm=after_digital_dbm,
-        per_domain_db=(
-            tx_power_dbm - after_prop_dbm,
-            after_prop_dbm - after_analog_dbm,
-            after_analog_dbm - after_digital_dbm,
-        ),
-        noise_floor_dbm=float(floor_dbm),
-        analog_applied=bool(engage),
-        gray_zone_ok=bool(gray_ok),
-        digital_saturated=bool(digital_saturated),
-        holdout_residual_dbm=holdout_dbm,
-        antenna_separation_m=params.geometry.antenna_separation_m,
-    )
-    return report.validate()
+    return run_link_chains([params], seed)[0]

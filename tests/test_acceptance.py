@@ -34,7 +34,7 @@ from fdiab.sic import (
     apply_digital_sic,
     fit_hammerstein,
     hammerstein_basis,
-    run_link_chain,
+    run_link_chains,
     tune_two_tap,
     two_tap_residual_power,
 )
@@ -174,11 +174,13 @@ def test_criterion_5_fig4_structure():
     n_drops = 200
     separations = (2.0, 1.0, 0.1)
     reports = {d: [] for d in separations}
+    params = []
     for d in separations:
         sc = scenario_at(d)
-        params = chain_params_for_node(sc, sc.iab_nodes[0])
-        for seed in range(n_drops):
-            reports[d].append(run_link_chain(params, seed))
+        params.append(chain_params_for_node(sc, sc.iab_nodes[0]))
+    for seed in range(n_drops):  # the three separations of a seed share its frame
+        for d, report in zip(separations, run_link_chains(params, seed)):
+            reports[d].append(report)
 
     # (a) propagation-domain suppression strictly increases with separation
     for seed in range(n_drops):

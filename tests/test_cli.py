@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from fdiab import cli
 from fdiab.cli import _write_columns, main, sweep_workers
 from fdiab.scenario import apply_overrides, save_scenario, scenario_from_dict, scenario_to_dict
+from fdiab.sic import run_link_chain
 from fdiab.system import default_scenario
+from fdiab.util import substream
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.json")
 
@@ -151,13 +153,14 @@ class TestSweep:
         assert_outputs_listed(out)
 
     def test_parallel_matches_sequential(self, scenario_path, tmp_path):
+        # Two drops of two nodes: four chain groups, so both workers get work.
         cmd = [
             sys.executable, "-m", "fdiab.cli", "sweep",
-            "--scenario", scenario_path, "--seed", "5",
+            "--scenario", scenario_path, "--seed", "5", "--drops", "2",
             "--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2",
         ]
         outs = {}
-        for threads in ("1", "3"):
+        for threads in ("1", "2"):
             out = tmp_path / f"t{threads}"
             env = dict(os.environ, FDIAB_THREADS=threads)
             res = subprocess.run(
@@ -165,7 +168,55 @@ class TestSweep:
             )
             assert res.returncode == 0, res.stderr
             outs[threads] = read(out / "sweep.csv")
-        assert outs["1"] == outs["3"]
+        assert outs["1"] == outs["2"]
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("iab_nodes.*.antenna_separation_m", (0.1, 1, 2)),  # the cells share each frame
+            ("noise_figure_db", (3, 6)),  # no two cells share a frame
+        ],
+    )
+    def test_rows_equal_one_chain_each(self, scenario_path, tmp_path, key, values):
+        """Row (cell, drop, node) is run_link_chain of that cell's node at
+        substream(seed, "sweep", drop, node), whatever frame it shared."""
+        out = tmp_path / "sweep"
+        grid = f"{key}={','.join(map(str, values))}"
+        assert main(
+            ["sweep", "--scenario", scenario_path, "--seed", "5", "--drops", "2",
+             "--out", str(out), "--grid", grid]
+        ) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        base = scenario_to_dict(default_scenario())
+        scenarios = [
+            scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), [f"{key}={v}"]))
+            for v in values
+        ]
+        n_nodes = len(scenarios[0].iab_nodes)
+        expect = [(c, d, n) for c in range(len(values)) for d in range(2) for n in range(n_nodes)]
+        assert [(int(r["cell"]), int(r["drop"]), int(r["node"])) for r in rows] == expect
+        for row, (c, d, n) in zip(rows, expect):
+            seed = int(substream(5, "sweep", d, n).integers(2**63))
+            assert int(row["seed"]) == seed
+            sc = scenarios[c]
+            report = run_link_chain(cli.chain_params_for_node(sc, sc.iab_nodes[n]), seed)
+            want = {
+                "antenna_separation_m": report.antenna_separation_m,
+                "tx_power_dbm": report.tx_power_dbm,
+                "after_propagation_dbm": report.after_propagation_dbm,
+                "after_analog_dbm": report.after_analog_dbm,
+                "after_digital_dbm": report.after_digital_dbm,
+                "propagation_db": report.per_domain_db[0],
+                "analog_db": report.per_domain_db[1],
+                "digital_db": report.per_domain_db[2],
+                "noise_floor_dbm": report.noise_floor_dbm,
+                "analog_applied": report.analog_applied,
+                "gray_zone_ok": report.gray_zone_ok,
+                "digital_saturated": report.digital_saturated,
+                "holdout_residual_dbm": report.holdout_residual_dbm,
+            }
+            assert {k: row[k] for k in want} == {k: cli._fmt(v) for k, v in want.items()}
 
 
 # Golden tables at seed 0 over scenarios/default.json. Change these on purpose
@@ -173,12 +224,12 @@ class TestSweep:
 # sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1:
 GOLDEN_SWEEP = """\
 cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
-0,0,0.1,0,0.1,7641905497107630166,31.9749820549,-29.515328366,-38.5848851259,-89.9286409215,61.4903104209,9.0695567599,51.3437557956,-90.2081875395,true,true,false,-89.9409794975
-0,0,0.1,1,0.1,8292628241887650774,31.9698133672,-29.3414731697,-50.4209638208,-90.2253912374,61.3112865369,21.0794906512,39.8044274165,-90.2081875395,true,true,false,-90.1318474383
-1,0,1,0,1,2802070219553558219,31.9737212141,-48.6795298437,-48.6795298437,-90.2255401112,80.6532510578,0,41.5460102675,-90.2081875395,false,true,false,-90.1740219319
-1,0,1,1,1,3356091845602939886,31.9657866284,-49.8636561487,-49.8636561487,-90.166495048,81.8294427771,0,40.3028388993,-90.2081875395,false,true,false,-90.1865695001
-2,0,2,0,2,1633661671141348558,31.9690665129,-55.4426307637,-55.4426307637,-90.1555292816,87.4116972766,0,34.7128985179,-90.2081875395,false,true,false,-90.1578338221
-2,0,2,1,2,8746855754193636803,31.974700586,-54.670799354,-54.670799354,-90.2525482547,86.6454999401,0,35.5817489006,-90.2081875395,false,true,false,-90.1827654494
+0,0,0.1,0,0.1,3408044606088226153,31.9732127774,-30.6786592232,-43.6919776427,-90.1779774496,62.6518720006,13.0133184196,46.4859998069,-90.2081875395,true,true,false,-90.1709781781
+0,0,0.1,1,0.1,2803755670168787654,31.968210688,-29.1829601204,-47.0418772459,-90.010308796,61.1511708084,17.8589171255,42.96843155,-90.2081875395,true,true,false,-90.0550324844
+1,0,1,0,1,3408044606088226153,31.9732127774,-50.2906861635,-50.2906861635,-90.1715786206,82.2638989409,0,39.8808924572,-90.2081875395,false,true,false,-90.1729868194
+1,0,1,1,1,2803755670168787654,31.968210688,-49.091809919,-49.091809919,-90.1793486708,81.060020607,0,41.0875387518,-90.2081875395,false,true,false,-90.2137962469
+2,0,2,0,2,3408044606088226153,31.9732127774,-53.9177298636,-53.9177298636,-90.1965851431,85.890942641,0,36.2788552795,-90.2081875395,false,true,false,-90.1872278142
+2,0,2,1,2,2803755670168787654,31.968210688,-55.3678141877,-55.3678141877,-90.1973901189,87.3360248757,0,34.8295759313,-90.2081875395,false,true,false,-90.2314954288
 """
 
 # link-sim:
@@ -284,7 +335,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("upper", ["2e-6", "9e-6"])
     def test_reflections_past_cp_is_1_for_link_sim(
-        self, scenario_path, tmp_path, capsys, upper
+        self, scenario_path, tmp_path, capsys, monkeypatch, upper
     ):
         override = ["--set", f"reflectors.delay_offset_range_s=[1e-9,{upper}]"]
         rc = main(
@@ -296,7 +347,9 @@ class TestExitCodes:
         assert "reflectors.delay_offset_range_s" in err and "cyclic prefix" in err
         assert not (tmp_path / "o").exists()
         # A sweep whose second cell puts the direct tap past the CP fails
-        # after the first cell's chains ran, and still leaves no directory.
+        # while its cells' chain inputs are built, before any chain runs.
+        chains = mock.Mock(side_effect=cli.run_link_chains)
+        monkeypatch.setattr(cli, "run_link_chains", chains)
         rc = main(
             ["sweep", "--scenario", scenario_path, "--seed", "1", "--out", str(tmp_path / "w"),
              "--grid", "iab_nodes.*.antenna_separation_m=1,400"]
@@ -304,6 +357,7 @@ class TestExitCodes:
         assert rc == 1
         assert "cyclic prefix" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+        assert chains.call_count == 0
         # system-sim uses only the total SI power, so late taps are fine there.
         rc = main(
             ["system-sim", "--scenario", scenario_path, "--seed", "1",
@@ -438,7 +492,7 @@ class TestArgumentBounds:
         )
 
     @pytest.mark.parametrize(
-        "value, cells, cpus, expected",
+        "value, groups, cpus, expected",
         [
             (None, 3, 2, 1),
             ("", 3, 2, 1),
@@ -450,8 +504,8 @@ class TestArgumentBounds:
             ("3", 3, None, 1),
         ],
     )
-    def test_sweep_workers_clamp(self, value, cells, cpus, expected):
-        assert sweep_workers(value, cells, cpus) == expected
+    def test_sweep_workers_clamp(self, value, groups, cpus, expected):
+        assert sweep_workers(value, groups, cpus) == expected
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_sweep_workers_rejects_by_name(self, value):

@@ -20,6 +20,7 @@ from fdiab.sic import (
     fit_hammerstein,
     hammerstein_basis,
     run_link_chain,
+    run_link_chains,
     tune_two_tap,
     two_tap_residual_power,
     TwoTapConfig,
@@ -552,18 +553,20 @@ class TestRunLinkChain:
         r = run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 21)
         assert abs(r.holdout_residual_dbm - r.after_digital_dbm) < 1.0
 
-    def test_peak_memory_of_one_chain(self):
+    @pytest.mark.parametrize("separations", [(0.1,), (0.1, 1.0, 2.0)], ids=["chain", "group"])
+    def test_peak_memory_of_one_chain(self, separations):
         # At 0.1 m the analog stage engages, the chain's largest path. Only
-        # one frame's streams are alive at a time.
-        params = LinkChainParams(geometry=SiGeometry(0.1))
-        run_link_chain(params, 3)
+        # one frame's streams are alive at a time, and a group's chains keep
+        # their own streams only while each runs.
+        params = [LinkChainParams(geometry=SiGeometry(d)) for d in separations]
+        run_link_chains(params, 3)
         tracemalloc.start()
         try:
-            report = run_link_chain(params, 3)
+            reports = run_link_chains(params, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.analog_applied
+        assert reports[0].analog_applied
         assert peak <= 6.0e6
 
     def test_fig4_structure_single_seed(self):
@@ -584,6 +587,47 @@ def test_chain_property(seed, separation):
     if not report.analog_applied:
         assert report.per_domain_db[1] == 0.0
     assert run_link_chain(params, seed) == report
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    chains=st.lists(
+        st.tuples(
+            st.floats(0.1, 3.0),
+            st.sampled_from(["auto", "on", "off"]),
+            st.booleans(),
+            st.sampled_from([None, ReflectorConfig(max_taps=2)]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_shared_frame_chains_equal_one_chain_each(seed, chains):
+    params = [
+        LinkChainParams(geometry=SiGeometry(d), analog_mode=mode, ideal_fd=ideal, reflectors=refl)
+        for d, mode, ideal, refl in chains
+    ]
+    assert run_link_chains(params, seed) == [run_link_chain(p, seed) for p in params]
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("noise", dict(noise=NoiseModel(noise_figure_db=6.0))),
+        ("input_backoff_db", dict(input_backoff_db=10.0)),
+        ("n_holdout_symbols", dict(n_holdout_symbols=4)),
+        ("hammerstein_memory", dict(hammerstein_memory=12)),
+        # Both differ: the first frame field in FRAME_FIELDS is named.
+        ("noise", dict(ridge=1e-6, noise=NoiseModel(noise_figure_db=6.0))),
+    ],
+)
+def test_shared_frame_rejects_mixed_frame_fields_by_name(field, change):
+    base = LinkChainParams(geometry=SiGeometry(1.0))
+    other = dataclasses.replace(base, geometry=SiGeometry(2.0), **change)
+    with pytest.raises(ValueError, match=f"^{field}: chains that share a frame must agree"):
+        run_link_chains([base, base, other], 3)
+    assert run_link_chains([], 3) == []
 
 
 # A calibration frame of one 16-point symbol, fit with 6 taps at alignment 4.
