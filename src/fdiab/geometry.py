@@ -1,7 +1,8 @@
 """Propagation-domain model: path loss, directional antennas, SI channels, received power.
 
-Everything here is a pure function of its inputs and a seed, so channel
-realizations are bit-reproducible and safe to evaluate concurrently.
+Everything here is a pure function of its inputs and, for the SI
+reflections, of the Generator passed in, so channel realizations are
+bit-reproducible and safe to evaluate concurrently.
 """
 
 import functools
@@ -10,7 +11,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT, FieldError, bounded, check_bounds, substream
+from .util import SPEED_OF_LIGHT, FieldError, bounded, check_bounds
 
 
 def fspl_db(distance_m, freq_hz):
@@ -189,14 +190,17 @@ class ChannelImpulseResponse:
         return phases @ np.array(gains, dtype=complex)
 
 
-def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz=28e9):
+def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, rng=None, carrier_freq_hz=28e9):
     """SI channel impulse response for one DU/MT pair.
 
     Tap 0 is the direct path at delay d/c with amplitude set by Friis loss,
     cross-polarization isolation and both off-boresight antenna gains along
-    the mast axis. With reflector_cfg set, seeded random reflection taps are
-    appended. Identical (inputs, seed) give bit-identical output.
+    the mast axis. With reflector_cfg set, random reflection taps drawn from
+    the Generator rng are appended: the tap count, then the delays, powers
+    and phases. Identical inputs and rng state give bit-identical output.
     """
+    if reflector_cfg is not None and rng is None:
+        raise ValueError("si_channel: reflector_cfg needs rng, the Generator of its draws")
     d = geom.antenna_separation_m
     direct_delay = d / SPEED_OF_LIGHT
     # Off-boresight angles toward the other antenna: DU looks down the mast
@@ -215,7 +219,6 @@ def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, seed=0, carrier_freq_hz
     taps = [(direct_delay, complex(direct_gain))]
 
     if reflector_cfg is not None:
-        rng = substream(seed, "si-reflections")
         k = int(rng.integers(reflector_cfg.min_taps, reflector_cfg.max_taps + 1))
         if k > 0:
             lo, hi = reflector_cfg.delay_offset_range_s

@@ -65,7 +65,10 @@ def simulate_suppression_db(separation_m, relative_azimuth_deg, seed):
         PROTOTYPE_PATTERN,
         PROTOTYPE_PATTERN,
         ReflectorConfig(),
-        seed=substream(seed, "proto", separation_m, relative_azimuth_deg).integers(2**63),
+        rng=substream(
+            substream(seed, "proto", separation_m, relative_azimuth_deg).integers(2**63),
+            "si-reflections",
+        ),
     )
     return -cir.total_gain_db()
 

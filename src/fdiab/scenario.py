@@ -142,18 +142,21 @@ def apply_overrides(data, overrides):
 
     Keys are dotted paths into the JSON structure; list elements are indexed
     numerically and '*' addresses every element. Values parse as JSON with a
-    bare-string fallback. Unknown paths, and a '*' that matches no element,
-    are rejected.
+    bare-string fallback. Unknown paths, an empty path segment, and a '*'
+    that matches no element are rejected.
     """
     for item in overrides:
         if "=" not in item:
             raise ScenarioError(f"override {item!r}", "expected key=value")
         key, raw = item.split("=", 1)
+        parts = key.split(".")
+        if "" in parts:
+            raise ScenarioError(f"override {key!r}", "empty path segment")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        _set_path(data, key.split("."), value, key, Scenario)
+        _set_path(data, parts, value, key, Scenario)
     return data
 
 

@@ -541,7 +541,7 @@ class _Link:
                 params.tx_pattern,
                 params.rx_pattern,
                 params.reflectors,
-                seed=substream(seed, "si-channel").integers(2**63),
+                rng=substream(substream(seed, "si-channel").integers(2**63), "si-reflections"),
                 carrier_freq_hz=params.carrier_freq_hz,
             ).freq_response(params.ofdm.bin_freqs_hz())
 

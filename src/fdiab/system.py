@@ -316,23 +316,25 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
     )
 
 
-def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs, beam_idx):
-    """Residual SI after propagation-domain suppression only, per access beam:
-    beam_dirs (n, 3) with indices beam_idx (n,).
+def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
+    """Residual SI after propagation-domain suppression only, per access beam
+    of the node's codebook beam_dirs (n, 3).
 
     The reflected taps are redrawn per beam (the SI seen at the MT varies with
-    the DU beam), from substream(seed, "si", node_idx, beam_idx); the MT keeps
+    the DU beam): the node's one stream, substream(seed, "si", node_idx),
+    is read by its beams one after another in codebook order. The MT keeps
     pointing at the donor.
     """
     rx_dir = scenario.mt_boresight(node)
+    rng = substream(seed, "si", node_idx)
     out = []
-    for beam_dir, bi in zip(np.asarray(beam_dirs).tolist(), np.asarray(beam_idx).tolist()):
+    for beam_dir in np.asarray(beam_dirs).tolist():
         cir = si_channel(
             SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir),
             node.pattern,
             node.pattern,
             scenario.reflectors,
-            seed=substream(seed, "si", node_idx, bi).integers(2**63),
+            rng=rng,
             carrier_freq_hz=scenario.carrier_freq_hz,
         )
         out.append(node.tx_power_dbm + cir.total_gain_db())
@@ -433,7 +435,7 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
     for ni, node in enumerate(nodes):
         backhaul_rx[ni + 1] = backhaul_rx_power_dbm(scenario, node)
         prop_residual[ni + 1] = propagation_residual_si_dbm(
-            scenario, seed, ni, node, beam_dirs[ni + 1], np.arange(len(beam_dirs[ni + 1]))
+            scenario, seed, ni, node, beam_dirs[ni + 1]
         )
 
     ues = scenario.ue_grid.positions()

@@ -142,8 +142,8 @@ def test_criterion_4_hammerstein_sic():
     pa_out = pa_apply(tx, pa)
 
     geom = SiGeometry(antenna_separation_m=1.0)
-    cir = si_channel(geom, AntennaPattern(), AntennaPattern(), ReflectorConfig(),
-                     seed=substream(2024, "c4-chan").integers(2**63))
+    chan_rng = substream(substream(2024, "c4-chan").integers(2**63), "si-reflections")
+    cir = si_channel(geom, AntennaPattern(), AntennaPattern(), ReflectorConfig(), rng=chan_rng)
     rx = apply_channel(pa_out, cir, CFG) + thermal_noise(
         tx.size, noise_model, substream(2024, "c4-noise")
     )

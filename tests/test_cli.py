@@ -220,7 +220,8 @@ class TestSweep:
 
 
 # Golden tables at seed 0 over scenarios/default.json. Change these on purpose
-# only, when the chain's or the prototype comparison's output is meant to move.
+# only, when the chain's, the prototype comparison's or the drop's output is
+# meant to move.
 # sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1:
 GOLDEN_SWEEP = """\
 cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
@@ -247,6 +248,60 @@ separation_m,measured_mean_db,simulated_mean_db,delta_db
 2,100.125,87.2926096433,-12.8323903567
 """
 
+# system-sim over a 2x2 grid (--set ue_grid.nx=2 --set ue_grid.ny=2); every
+# UE is relayed, so fd_prop_only's backhaul_sinr_db pins the SI residuals.
+SYSTEM_2X2 = ["system-sim", "--scenario", SCENARIO, "--set", "ue_grid.nx=2", "--set", "ue_grid.ny=2"]
+SYSTEM_EXACT = ("mode", "ue_id", "serving_cell", "beam")
+
+GOLDEN_SYSTEM = """\
+mode,ue_id,serving_cell,beam,access_snr_db,access_sinr_db,backhaul_sinr_db,dli_power_dbm,throughput_bps
+fibered,0,1,2,32.443972037,32.443972037,,,666564000
+fibered,1,1,7,39.6760660731,39.6760660731,,,666564000
+fibered,2,2,13,38.2772193707,38.2772193707,,,666564000
+fibered,3,2,8,35.7012097422,35.7012097422,,,666564000
+ideal_fd,0,1,2,32.443972037,25.3089021095,65.1778798991,-84.0066230466,666564000
+ideal_fd,1,1,7,39.6760660731,31.5608699558,65.1778798991,-82.8210369878,666564000
+ideal_fd,2,2,13,38.2772193707,20.7679961831,65.0848222176,-72.7767221731,666564000
+ideal_fd,3,2,8,35.7012097422,27.7585879677,65.0848222176,-83.0258613491,666564000
+fd_full,0,1,2,32.443972037,25.3089021095,61.6388609887,-84.0066230466,666564000
+fd_full,1,1,7,39.6760660731,31.5608699558,61.6388609887,-82.8210369878,666564000
+fd_full,2,2,13,38.2772193707,20.7679961831,61.5458033072,-72.7767221731,666564000
+fd_full,3,2,8,35.7012097422,27.7585879677,61.5458033072,-83.0258613491,666564000
+fd_prop_only,0,1,2,32.443972037,25.3089021095,13.1882273993,-84.0066230466,398676000
+fd_prop_only,1,1,7,39.6760660731,31.5608699558,13.2366239259,-82.8210369878,398676000
+fd_prop_only,2,2,13,38.2772193707,20.7679961831,13.0882267345,-72.7767221731,398676000
+fd_prop_only,3,2,8,35.7012097422,27.7585879677,13.2675499471,-83.0258613491,398676000
+hd,0,1,2,32.443972037,32.443972037,65.1778798991,,299953800
+hd,1,1,7,39.6760660731,39.6760660731,65.1778798991,,299953800
+hd,2,2,13,38.2772193707,38.2772193707,65.0848222176,,299953800
+hd,3,2,8,35.7012097422,35.7012097422,65.0848222176,,299953800
+"""
+
+# ... with --set reflectors=null, which draws no reflections:
+GOLDEN_SYSTEM_NO_REFLECTIONS = """\
+mode,ue_id,serving_cell,beam,access_snr_db,access_sinr_db,backhaul_sinr_db,dli_power_dbm,throughput_bps
+fibered,0,1,2,32.443972037,32.443972037,,,666564000
+fibered,1,1,7,39.6760660731,39.6760660731,,,666564000
+fibered,2,2,13,38.2772193707,38.2772193707,,,666564000
+fibered,3,2,8,35.7012097422,35.7012097422,,,666564000
+ideal_fd,0,1,2,32.443972037,25.3089021095,65.1778798991,-84.0066230466,666564000
+ideal_fd,1,1,7,39.6760660731,31.5608699558,65.1778798991,-82.8210369878,666564000
+ideal_fd,2,2,13,38.2772193707,20.7679961831,65.0848222176,-72.7767221731,666564000
+ideal_fd,3,2,8,35.7012097422,27.7585879677,65.0848222176,-83.0258613491,666564000
+fd_full,0,1,2,32.443972037,25.3089021095,61.6388609887,-84.0066230466,666564000
+fd_full,1,1,7,39.6760660731,31.5608699558,61.6388609887,-82.8210369878,666564000
+fd_full,2,2,13,38.2772193707,20.7679961831,61.5458033072,-72.7767221731,666564000
+fd_full,3,2,8,35.7012097422,27.7585879677,61.5458033072,-83.0258613491,666564000
+fd_prop_only,0,1,2,32.443972037,25.3089021095,13.3606076286,-84.0066230466,398676000
+fd_prop_only,1,1,7,39.6760660731,31.5608699558,13.3606076286,-82.8210369878,398676000
+fd_prop_only,2,2,13,38.2772193707,20.7679961831,13.2675499471,-72.7767221731,398676000
+fd_prop_only,3,2,8,35.7012097422,27.7585879677,13.2675499471,-83.0258613491,398676000
+hd,0,1,2,32.443972037,32.443972037,65.1778798991,,299953800
+hd,1,1,7,39.6760660731,39.6760660731,65.1778798991,,299953800
+hd,2,2,13,38.2772193707,38.2772193707,65.0848222176,,299953800
+hd,3,2,8,35.7012097422,35.7012097422,65.0848222176,,299953800
+"""
+
 
 @pytest.mark.parametrize(
     "argv, name, golden, exact_columns",
@@ -256,12 +311,15 @@ separation_m,measured_mean_db,simulated_mean_db,delta_db
          "sweep.csv", GOLDEN_SWEEP, ("cell", "drop", "node", "seed")),
         (["link-sim", "--scenario", SCENARIO], "reduction.csv", GOLDEN_LINK, ("node", "seed")),
         (["compare-prototype"], "compare_summary.csv", GOLDEN_COMPARE_SUMMARY, ()),
+        (SYSTEM_2X2, "throughput.csv", GOLDEN_SYSTEM, SYSTEM_EXACT),
+        (SYSTEM_2X2 + ["--set", "reflectors=null"],
+         "throughput.csv", GOLDEN_SYSTEM_NO_REFLECTIONS, SYSTEM_EXACT),
     ],
-    ids=["sweep", "link-sim", "compare-summary"],
+    ids=["sweep", "link-sim", "compare-summary", "system-sim", "system-sim-no-reflections"],
 )
 def test_matches_golden_values(tmp_path, argv, name, golden, exact_columns):
-    """Pins the chain's and the prototype comparison's output: integers and
-    flags exactly, numbers to 1e-6 dB."""
+    """Pins the chain's, the prototype comparison's and the drop's output:
+    integers, flags, modes and empty cells exactly, numbers to 1e-6 dB."""
     out = tmp_path / "out"
     assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
     got = list(csv.reader(io.StringIO(read(out / name).decode())))
@@ -269,7 +327,7 @@ def test_matches_golden_values(tmp_path, argv, name, golden, exact_columns):
     assert got[0] == want[0] and len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
         for column, g, w in zip(want[0], got_row, want_row):
-            if column in exact_columns or w in ("true", "false"):
+            if column in exact_columns or w in ("true", "false", ""):
                 assert g == w, column
             else:
                 assert float(g) == pytest.approx(float(w), rel=0, abs=1e-6), column
@@ -458,6 +516,26 @@ class TestArgumentBounds:
         )
         assert rc == 1
         assert "'iab_nodes.*.tx_power_dbm'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--set", "=5"], ""),
+            (["--set", ".=5"], "."),
+            (["--set", "ue_grid..nx=3"], "ue_grid..nx"),
+            (["--set", "ue_grid.nx.=3"], "ue_grid.nx."),
+            (["--grid", "ue_grid..nx=3,4"], "ue_grid..nx"),
+            (["--grid", "donor.=1"], "donor."),
+        ],
+    )
+    def test_empty_override_path_segment_is_1(self, scenario_path, tmp_path, capsys, flags, key):
+        rc = main(
+            ["sweep", "--scenario", scenario_path, "--seed", "0", "--out", str(tmp_path / "o")]
+            + flags
+        )
+        assert rc == 1
+        assert f"override {key!r}: empty path segment" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("drops", ["0", "-3"])

@@ -103,11 +103,12 @@ def reference_capacity(sinr_db, sc):
     return 0.0 if i < 0 else sc.bandwidth_hz * DEFAULT_MCS.efficiencies_bps_hz[i]
 
 
-def reference_residual_dbm(sc, seed, ni, node, beam_dir, bi):
-    """Propagation-only residual SI of one (node, beam), the SI model written
-    out per beam: angles from component-wise dot products, Python's pow, the
-    reflection draws in their order, tap powers summed by np.sum over the tap
-    array."""
+def reference_residual_dbm(sc, seed, ni, node):
+    """Propagation-only residual SI of each of the node's codebook beams, the
+    SI model written out per beam: angles from component-wise dot products,
+    Python's pow, tap powers summed by np.sum over the tap array. The beams
+    read the node's one reflection stream, substream(seed, "si", ni), one
+    after another in codebook order, each in its draw order."""
     f = sc.carrier_freq_hz
     d = node.antenna_separation_m
     mt_to_donor = np.asarray(sc.donor.position, float) - np.asarray(node.mt_position(), float)
@@ -119,27 +120,30 @@ def reference_residual_dbm(sc, seed, ni, node, beam_dir, bi):
         c = min(max((u0 * a0 + u1 * a1 + u2 * a2) / norms, -1.0), 1.0)
         return float(np.degrees(np.arccos(c)))
 
-    amp_db = (
-        -fspl_db(d, f)
-        + antenna_gain_dbi(node.pattern, off_boresight_deg(beam_dir, (0.0, 0.0, -1.0)))
-        + antenna_gain_dbi(
-            node.pattern,
-            off_boresight_deg(mt_to_donor / np.linalg.norm(mt_to_donor), (0.0, 0.0, 1.0)),
-        )
-    )
-    amp = 10.0 ** (amp_db / 20.0)
-    gains = [amp * np.exp(-2j * np.pi * f * (d / SPEED_OF_LIGHT))]
+    rng = substream(seed, "si", ni)
     refl = sc.reflectors
-    if refl is not None:
-        rng = substream(substream(seed, "si", ni, bi).integers(2**63), "si-reflections")
-        k = int(rng.integers(refl.min_taps, refl.max_taps + 1))
-        if k > 0:
-            rng.uniform(*refl.delay_offset_range_s, size=k)  # delays carry no power
-            rel_db = rng.uniform(*refl.rel_power_range_db, size=k)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-            gains.extend(amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases))
-    power = float(np.sum(np.abs(gains) ** 2))
-    return node.tx_power_dbm + float(10.0 * np.log10(power))
+    out = []
+    for beam_dir in reference_directions(sc, ni + 1):
+        amp_db = (
+            -fspl_db(d, f)
+            + antenna_gain_dbi(node.pattern, off_boresight_deg(beam_dir, (0.0, 0.0, -1.0)))
+            + antenna_gain_dbi(
+                node.pattern,
+                off_boresight_deg(mt_to_donor / np.linalg.norm(mt_to_donor), (0.0, 0.0, 1.0)),
+            )
+        )
+        amp = 10.0 ** (amp_db / 20.0)
+        gains = [amp * np.exp(-2j * np.pi * f * (d / SPEED_OF_LIGHT))]
+        if refl is not None:
+            k = int(rng.integers(refl.min_taps, refl.max_taps + 1))
+            if k > 0:
+                rng.uniform(*refl.delay_offset_range_s, size=k)  # delays carry no power
+                rel_db = rng.uniform(*refl.rel_power_range_db, size=k)
+                phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
+                gains.extend(amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases))
+        power = float(np.sum(np.abs(gains) ** 2))
+        out.append(node.tx_power_dbm + float(10.0 * np.log10(power)))
+    return out
 
 
 def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
@@ -166,8 +170,7 @@ def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
     # The DLI is the donor's access link with its beam held on the MT.
     mt_beam = np.asarray(node.mt_position(), float) - np.asarray(sc.donor.position, float)
     dli = reference_rx_dbm(sc, seed, 0, mt_beam, ue, u)
-    beam_dir = reference_directions(sc, ci)[bi]
-    prop = reference_residual_dbm(sc, seed, ci - 1, node, beam_dir, bi)
+    prop = reference_residual_dbm(sc, seed, ci - 1, node)[bi]
     residual = {
         Mode.IDEAL_FD: -np.inf,
         Mode.FD_FULL: min(prop, floor + sc.full_sic_margin_db),
@@ -348,6 +351,7 @@ class TestPropagationResidual:
     @given(
         seed=st.integers(0, 2**64 - 1),
         separation=st.floats(0.05, 3.0),
+        other_separation=st.floats(0.05, 3.0),
         reflectors=st.sampled_from(
             [
                 None,
@@ -357,14 +361,17 @@ class TestPropagationResidual:
             ]
         ),
     )
-    def test_matches_si_channel_per_beam(self, seed, separation, reflectors):
+    def test_matches_si_channel_per_beam(self, seed, separation, other_separation, reflectors):
         sc = small_scenario(separation, reflectors=reflectors)
+        got = []
         for ni, node in enumerate(sc.iab_nodes):
             dirs = reference_directions(sc, ni + 1)
-            got = propagation_residual_si_dbm(sc, seed, ni, node, dirs, np.arange(len(dirs)))
-            assert got.shape == (16,)
+            got.append(propagation_residual_si_dbm(sc, seed, ni, node, dirs))
+            assert got[ni].shape == (16,)
             mt_to_donor = np.asarray(sc.donor.position) - np.asarray(node.mt_position())
-            for bi, beam_dir in enumerate(dirs):
+            rng = substream(seed, "si", ni)  # read by the beams in codebook order
+            expected = []
+            for beam_dir in dirs:
                 geom = SiGeometry(
                     separation,
                     tx_orientation=tuple(beam_dir),
@@ -375,12 +382,42 @@ class TestPropagationResidual:
                     node.pattern,
                     node.pattern,
                     reflectors,
-                    seed=substream(seed, "si", ni, bi).integers(2**63),
+                    rng=rng,
                     carrier_freq_hz=sc.carrier_freq_hz,
                 )
-                expected = node.tx_power_dbm + cir.total_gain_db()
-                assert expected == reference_residual_dbm(sc, seed, ni, node, beam_dir, bi)
-                assert got[bi] == expected
+                expected.append(node.tx_power_dbm + cir.total_gain_db())
+            assert expected == reference_residual_dbm(sc, seed, ni, node)
+            assert got[ni].tolist() == expected
+            # Reflections draw only from the Generator si_channel is given.
+            if reflectors is not None:
+                with pytest.raises(ValueError, match=r"\brng\b"):
+                    si_channel(geom, node.pattern, node.pattern, reflectors)
+
+        # Node 0's residuals, alone and as its UEs' backhaul SINR in a drop,
+        # do not depend on node 1.
+        nodes = (sc.iab_nodes[0],
+                 dataclasses.replace(sc.iab_nodes[1], antenna_separation_m=other_separation))
+        moved = dataclasses.replace(sc, iab_nodes=nodes)
+        dirs = reference_directions(moved, 1)
+        assert np.array_equal(propagation_residual_si_dbm(moved, seed, 0, nodes[0], dirs), got[0])
+        before = run_drop(sc, seed, modes=[Mode.FD_PROP_ONLY])
+        after = run_drop(moved, seed, modes=[Mode.FD_PROP_ONLY])
+        on_node_0 = before["serving_cell"] == 1
+        assert on_node_0.any()
+        assert np.array_equal(after["serving_cell"], before["serving_cell"])
+        assert np.array_equal(
+            after["backhaul_sinr_db"][on_node_0], before["backhaul_sinr_db"][on_node_0]
+        )
+
+        # A stream that yields no taps gives every beam its reflection-free value.
+        for ni, node in enumerate(sc.iab_nodes):
+            dirs = reference_directions(sc, ni + 1)
+            no_taps = dataclasses.replace(sc, reflectors=ReflectorConfig(max_taps=0))
+            off = dataclasses.replace(sc, reflectors=None)
+            assert np.array_equal(
+                propagation_residual_si_dbm(no_taps, seed, ni, node, dirs),
+                propagation_residual_si_dbm(off, seed, ni, node, dirs),
+            )
 
 
 class TestDli:
