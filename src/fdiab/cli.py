@@ -11,10 +11,8 @@ to _write_outputs, which makes the output directory once the first table is
 ready and then writes a run.json sidecar with the fully resolved
 configuration, seed, tool version and the files written; a run that fails
 before its first table leaves no directory. Outputs are byte-identical for
-identical (scenario, seed, version), timestamp aside. FDIAB_THREADS caps
-sweep parallelism (an integer >= 1, further capped by the number of chain
-groups and of CPUs; a group is one (drop, node) of the cells that share its
-frame). Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+identical (scenario, seed, version), timestamp aside. Exit codes: 0 success,
+1 validation failure, 2 I/O failure.
 """
 
 import argparse
@@ -23,6 +21,7 @@ import datetime
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -68,7 +67,7 @@ CDF_COLUMNS = ("mode", "throughput_bps", "cdf")
 class RunConfig:
     command: str
     scenario_path: str | None
-    seed: int | None
+    seed: int
     output_dir: str
     overrides: tuple
 
@@ -184,10 +183,10 @@ def _write_columns(path, columns):
             fh.write(block[:n].tobytes().translate(None, b"\xff"))
 
 
-def _write_outputs(cfg, resolved_scenario, tables):
+def _write_outputs(cfg, resolved_scenario, tables, **arguments):
     """Write each (file name, columns) pair of tables as a CSV in
     cfg.output_dir, then the run.json sidecar, whose outputs are the names
-    written.
+    written and which also records the command's own arguments, as parsed.
 
     The directory is made once the first table is ready, so a run that fails
     before then leaves none. Each table is let go once written, so a
@@ -210,6 +209,7 @@ def _write_outputs(cfg, resolved_scenario, tables):
         "resolved_scenario": resolved_scenario,
         "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **arguments,
     }
     with open(os.path.join(cfg.output_dir, "run.json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -274,11 +274,11 @@ def cmd_link_sim(cfg):
 
 def cmd_system_sim(cfg, modes=ALL_MODES):
     _, scenario = _load_with_overrides(cfg)
+    values = [Mode(m).value for m in modes]
 
     def tables():
         cols = run_drop(scenario, cfg.seed, modes=modes)
         yield "throughput.csv", cols
-        values = [Mode(m).value for m in modes]
         curves = [cdf(cols["throughput_bps"][cols["mode"] == m]) for m in values]
         del cols  # lowers the peak RSS: cdf.csv is written without the drop alive
         cdf_cols = (
@@ -288,7 +288,7 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
         )
         yield "cdf.csv", dict(zip(CDF_COLUMNS, cdf_cols))
 
-    _write_outputs(cfg, scenario_to_dict(scenario), tables())
+    _write_outputs(cfg, scenario_to_dict(scenario), tables(), modes=values)
     return 0
 
 
@@ -312,14 +312,10 @@ def _parse_grid(specs):
     return grid
 
 
-def sweep_workers(env_value, n_groups, cpu_count):
-    """Worker processes for a sweep of n_groups chain groups: the
-    FDIAB_THREADS value (unset or empty means 1), capped by the group and CPU
-    counts."""
-    text = (env_value or "").strip() or "1"
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"FDIAB_THREADS must be an integer >= 1, got {env_value!r}")
-    return min(int(text), n_groups, cpu_count or 1)
+# A sweep's traced allocations grow by about 1.2 KB per chain, reports and CSV
+# tables included (1,202 B between 600 and 6,000 real chains; 1,192 B up to
+# 300,000 stand-ins). The cap keeps that in MAX_UES's 2 GiB budget at 1.25 KiB.
+MAX_SWEEP_CHAINS = 2 * 2**30 // 1280
 
 
 def cmd_sweep(cfg, grid_specs, drops):
@@ -329,13 +325,24 @@ def cmd_sweep(cfg, grid_specs, drops):
     Node i of drop d is seeded from substream(seed, "sweep", d, i) in every
     cell, so a drop compares its cells on common random numbers, and the
     cells whose chain inputs agree on the frame fields form one group that
-    sends one frame (run_link_chains). Every cell's chain inputs are built,
-    and so validated, before the first chain runs.
+    sends one frame (run_link_chains); groups run in the order of their first
+    rows. A sweep of more than MAX_SWEEP_CHAINS chains is rejected before any
+    cell is built, and every cell's chain inputs are built, and so validated,
+    before the first chain runs.
     """
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
     base, scenario = _load_with_overrides(cfg)
     grid = _parse_grid(grid_specs)
+    n_cells = math.prod(len(values) for _, values in grid)
+    n_nodes = len(scenario.iab_nodes)
+    # A grid value holds no comma, so it adds no node (a position takes two).
+    # A node-less sweep counts one node a cell, so its cells are capped too.
+    if n_cells * drops * max(n_nodes, 1) > MAX_SWEEP_CHAINS:
+        raise ValueError(
+            f"--grid cells x --drops x nodes = {n_cells} x {drops} x {n_nodes} chains"
+            f" exceed the cap of {MAX_SWEEP_CHAINS}"
+        )
     cells = list(itertools.product(*[[(k, v) for v in vals] for k, vals in grid]))
     cell_params = []
     for assignment in cells:
@@ -353,35 +360,23 @@ def cmd_sweep(cfg, grid_specs, drops):
     for ci, d, ni in rows:
         frame = tuple(getattr(cell_params[ci][ni], f) for f in FRAME_FIELDS)
         groups.setdefault((d, ni, frame), []).append((ci, d, ni))
-    groups = list(groups.values())
-    chains = [[cell_params[ci][ni] for ci, _, ni in group] for group in groups]
-    group_seeds = [seeds[group[0][1:]] for group in groups]
-
-    workers = sweep_workers(os.environ.get("FDIAB_THREADS"), len(groups), os.cpu_count())
-    if workers > 1:
-        # Imported here: it pulls in multiprocessing, which every other run
-        # would pay for at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_link_chains, chains, group_seeds))
-    else:
-        results = list(map(run_link_chains, chains, group_seeds))
     reports = {}
-    for group, group_reports in zip(groups, results):
-        reports.update(zip(group, group_reports))
+    for (d, ni, _), group in groups.items():
+        chains = [cell_params[ci][ni] for ci, _, _ in group]
+        reports.update(zip(group, run_link_chains(chains, seeds[d, ni])))
     cell, drop, node = np.array(rows, int).reshape(-1, 3).T
     columns = {"cell": cell, "drop": drop}
     for j, (key, _) in enumerate(grid):
         columns[key] = np.array([_fmt(cells[ci][j][1]) for ci in cell.tolist()], str)
     row_seeds = [seeds[d, ni] for _, d, ni in rows]
     columns.update(_reduction_columns(node, row_seeds, [reports[r] for r in rows]))
-    _write_outputs(cfg, scenario_to_dict(scenario), [("sweep.csv", columns)])
+    tables = [("sweep.csv", columns)]
+    _write_outputs(cfg, scenario_to_dict(scenario), tables, grid=grid, drops=drops)
     return 0
 
 
 def cmd_compare_prototype(cfg):
-    rows, summary = compare_prototype(seed=cfg.seed if cfg.seed is not None else 0)
+    rows, summary = compare_prototype(seed=cfg.seed)
     _write_outputs(cfg, None, [("compare_prototype.csv", rows), ("compare_summary.csv", summary)])
     return 0
 
@@ -415,9 +410,8 @@ def build_parser():
                 metavar="KEY=VALUE",
                 help="override a scenario field (dotted path, '*' for list wildcards)",
             )
-        p.add_argument(
-            "--seed", type=int, required=seed_required, help="experiment seed in [0, 2**64)"
-        )
+        seed_help = "experiment seed in [0, 2**64)" + ("" if seed_required else ", default 0")
+        p.add_argument("--seed", type=int, required=seed_required, default=0, help=seed_help)
         p.add_argument("--out", required=True, help="output directory")
 
     common(sub.add_parser("link-sim", help="run the SI reduction chain per IAB node"))
@@ -459,7 +453,7 @@ def main(argv=None):
         overrides=tuple(getattr(args, "overrides", ())),
     )
     try:
-        if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
+        if not 0 <= cfg.seed < 2**64:
             raise ValueError(f"--seed must be in [0, 2**64), got {cfg.seed}")
         if args.command == "link-sim":
             return cmd_link_sim(cfg)

@@ -100,8 +100,8 @@ def substream(seed, *tokens):
     """Independent, reproducible RNG derived from a root seed and a token path.
 
     Identical (seed, tokens) always yield the same stream no matter how many
-    other substreams were consumed before, which is what makes parallel and
-    sequential evaluation bit-identical. An integer root seed must lie in
+    other substreams were consumed before, so a result does not depend on the
+    order in which its parts are evaluated. An integer root seed must lie in
     [0, 2**64): tokens are reduced to 64 bits, which would alias -1 with
     2**64 - 1 and 2**64 with 0.
     """

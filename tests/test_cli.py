@@ -3,8 +3,6 @@ import io
 import json
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -15,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdiab import cli
-from fdiab.cli import _write_columns, main, sweep_workers
+from fdiab.cli import _write_columns, main
 from fdiab.scenario import apply_overrides, save_scenario, scenario_from_dict, scenario_to_dict
 from fdiab.sic import run_link_chain
 from fdiab.system import default_scenario
@@ -109,14 +107,20 @@ class TestSidecar:
     MINIMAL = {"donor": {"position": [0.0, 0.0, 100.0]}}
 
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, arguments",
         [
-            ("link-sim", []),
-            ("system-sim", ["--modes", "hd"]),
-            ("sweep", ["--grid", "noise_figure_db=3"]),
+            ("link-sim", [], {}),
+            ("system-sim", ["--modes", "hd"], {"modes": ["hd"]}),
+            (
+                "sweep",
+                ["--grid", "noise_figure_db=3,4.5", "--grid", "carrier_freq_hz=2.8e10",
+                 "--drops", "2"],
+                {"grid": [["noise_figure_db", [3, 4.5]], ["carrier_freq_hz", [2.8e10]]],
+                 "drops": 2},
+            ),
         ],
     )
-    def test_resolved_scenario_round_trips(self, tmp_path, command, extra):
+    def test_resolved_scenario_round_trips(self, tmp_path, command, extra, arguments):
         path = tmp_path / "min.json"
         path.write_text(json.dumps(self.MINIMAL))
         overrides = ["--set", "ue_grid.nx=3", "--set", "ue_grid.ny=2"]
@@ -129,6 +133,22 @@ class TestSidecar:
         run_scenario = scenario_from_dict(apply_overrides(dict(self.MINIMAL), overrides[1::2]))
         assert scenario_from_dict(side["resolved_scenario"]) == run_scenario
         assert side["resolved_scenario"] == scenario_to_dict(run_scenario)
+        assert {k: side[k] for k in side.keys() & {"grid", "drops", "modes"}} == arguments
+        # run.json alone repeats the run.
+        rerun = tmp_path / "rerun"
+        argv = [side["command"], "--scenario", side["scenario_path"],
+                "--seed", str(side["seed"]), "--out", str(rerun)]
+        argv += [flag for o in side["overrides"] for flag in ("--set", o)]
+        for key, values in side.get("grid", []):
+            argv += ["--grid", f"{key}={','.join(map(json.dumps, values))}"]
+        if "drops" in side:
+            argv += ["--drops", str(side["drops"])]
+        if "modes" in side:
+            argv += ["--modes", ",".join(side["modes"])]
+        assert main(argv) == 0
+        assert sidecar_without_timestamp(rerun / "run.json") == side
+        for name in side["outputs"]:
+            assert read(rerun / name) == read(outs[0] / name)
 
 
 class TestSweep:
@@ -151,24 +171,6 @@ class TestSweep:
         means = [sum(v) / len(v) for _, v in sorted(by_sep.items())]
         assert means[0] < means[1] < means[2]
         assert_outputs_listed(out)
-
-    def test_parallel_matches_sequential(self, scenario_path, tmp_path):
-        # Two drops of two nodes: four chain groups, so both workers get work.
-        cmd = [
-            sys.executable, "-m", "fdiab.cli", "sweep",
-            "--scenario", scenario_path, "--seed", "5", "--drops", "2",
-            "--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2",
-        ]
-        outs = {}
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            env = dict(os.environ, FDIAB_THREADS=threads)
-            res = subprocess.run(
-                cmd + ["--out", str(out)], env=env, capture_output=True, text=True
-            )
-            assert res.returncode == 0, res.stderr
-            outs[threads] = read(out / "sweep.csv")
-        assert outs["1"] == outs["2"]
 
     @pytest.mark.parametrize(
         "key, values",
@@ -344,6 +346,15 @@ class TestComparePrototype:
         assert len(summary) == 4
         assert "100.125" in summary[3]  # d = 2 m measured mean
         assert_outputs_listed(out)
+
+    def test_seed_defaults_to_0_and_is_recorded(self, tmp_path):
+        outs = [tmp_path / "default", tmp_path / "zero"]
+        assert main(["compare-prototype", "--out", str(outs[0])]) == 0
+        assert main(["compare-prototype", "--seed", "0", "--out", str(outs[1])]) == 0
+        sides = [sidecar_without_timestamp(out / "run.json") for out in outs]
+        assert sides[0]["seed"] == 0 and sides[0] == sides[1]
+        for name in ("compare_prototype.csv", "compare_summary.csv"):
+            assert read(outs[0] / name) == read(outs[1] / name)
 
 
 class TestExitCodes:
@@ -548,6 +559,35 @@ class TestArgumentBounds:
         assert "--drops must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--drops", "100000000", "--grid", "iab_nodes.*.antenna_separation_m=1,2"],
+            # 10**20 cells, which itertools.product would never finish listing.
+            # The keys need not exist: the cap is checked before any cell is built.
+            [f"--grid=noise_figure_db{i}={','.join(map(str, range(10)))}" for i in range(20)],
+        ],
+        ids=["drops", "grid"],
+    )
+    def test_oversized_sweep_is_1_before_any_cell_is_built(
+        self, scenario_path, tmp_path, capsys, flags
+    ):
+        tracemalloc.start()
+        try:
+            rc = main(
+                ["sweep", "--scenario", scenario_path, "--seed", "5",
+                 "--out", str(tmp_path / "o")] + flags
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdiab: --grid cells x --drops x nodes = ") and err.count("\n") == 1
+        assert f"exceed the cap of {cli.MAX_SWEEP_CHAINS}" in err
+        assert not (tmp_path / "o").exists()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_u64_is_1(self, scenario_path, tmp_path, capsys, seed):
         rc = main(
@@ -568,34 +608,6 @@ class TestArgumentBounds:
         assert read(tmp_path / "0" / "reduction.csv") != read(
             tmp_path / str(2**64 - 1) / "reduction.csv"
         )
-
-    @pytest.mark.parametrize(
-        "value, groups, cpus, expected",
-        [
-            (None, 3, 2, 1),
-            ("", 3, 2, 1),
-            ("1", 3, 2, 1),
-            (" 2 ", 3, 4, 2),
-            ("4", 3, 8, 3),
-            ("64", 10, 2, 2),
-            ("2", 1, 4, 1),
-            ("3", 3, None, 1),
-        ],
-    )
-    def test_sweep_workers_clamp(self, value, groups, cpus, expected):
-        assert sweep_workers(value, groups, cpus) == expected
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_sweep_workers_rejects_by_name(self, value):
-        with pytest.raises(ValueError, match="FDIAB_THREADS"):
-            sweep_workers(value, 3, 2)
-
-    def test_bad_threads_env_is_1(self, scenario_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FDIAB_THREADS", "two")
-        rc = main(["sweep", "--scenario", scenario_path, "--seed", "5", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "FDIAB_THREADS must be an integer >= 1, got 'two'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
 
 # csv.writer over the formatting rule of each column kind: the reference that
