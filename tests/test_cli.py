@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from fdiab import cli
 from fdiab.cli import _write_columns, main
 from fdiab.scenario import apply_overrides, save_scenario, scenario_from_dict, scenario_to_dict
 from fdiab.sic import run_link_chain
-from fdiab.system import default_scenario
+from fdiab.system import ALL_MODES, default_scenario
 from fdiab.util import substream
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.json")
@@ -150,6 +151,25 @@ class TestSidecar:
         for name in side["outputs"]:
             assert read(rerun / name) == read(outs[0] / name)
 
+
+    @pytest.mark.parametrize(
+        "flags, modes",
+        [
+            ([], [m.value for m in ALL_MODES]),
+            (["--modes", "hd,fd_full"], ["hd", "fd_full"]),
+            (["--modes", " hd , fibered "], ["hd", "fibered"]),
+        ],
+        ids=["default", "given-order", "spaces"],
+    )
+    def test_system_sim_records_modes_as_parsed(self, scenario_path, tmp_path, flags, modes):
+        """run.json's modes are the selection as run, in the order cdf.csv lists them."""
+        out = tmp_path / "o"
+        argv = ["system-sim", "--scenario", scenario_path, "--seed", "4", "--out", str(out)]
+        assert main(argv + SMALL + flags) == 0
+        assert sidecar_without_timestamp(out / "run.json")["modes"] == modes
+        with open(out / "cdf.csv", newline="") as fh:
+            cdf_modes = [row["mode"] for row in csv.DictReader(fh)]
+        assert list(dict.fromkeys(cdf_modes)) == modes
 
 class TestSweep:
     def test_grid_rows_and_monotone_propagation(self, scenario_path, tmp_path):
@@ -587,6 +607,52 @@ class TestArgumentBounds:
         assert f"exceed the cap of {cli.MAX_SWEEP_CHAINS}" in err
         assert not (tmp_path / "o").exists()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+    @pytest.mark.parametrize(
+        "n_nodes, flags, cells, drops",
+        [
+            (2, [], 1, 1),
+            (2, ["--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2"], 3, 1),
+            (2, ["--drops", "3"], 1, 3),
+            (1, ["--grid", "noise_figure_db=3,6", "--grid", "iab_nodes.*.tx_power_dbm=20,30",
+                 "--drops", "2"], 4, 2),
+            (0, ["--grid", "noise_figure_db=3,6", "--drops", "2"], 2, 2),
+        ],
+        ids=["one-chain", "cells", "drops", "two-axes-one-node", "no-node"],
+    )
+    def test_sweep_cap_counts_cells_drops_and_nodes(
+        self, tmp_path, capsys, monkeypatch, n_nodes, flags, cells, drops, over
+    ):
+        """A sweep of exactly MAX_SWEEP_CHAINS chains runs; one more is
+        rejected. A node-less scenario counts one node a cell."""
+        scenario = default_scenario()
+        path = tmp_path / "s.json"
+        save_scenario(dataclasses.replace(scenario, iab_nodes=scenario.iab_nodes[:n_nodes]), path)
+        chains = cells * drops * max(n_nodes, 1)
+        monkeypatch.setattr(cli, "MAX_SWEEP_CHAINS", chains - over)
+        out = tmp_path / "o"
+        rc = main(["sweep", "--scenario", str(path), "--seed", "2", "--out", str(out)] + flags)
+        if over:
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"= {cells} x {drops} x {n_nodes} chains exceed the cap of {chains - 1}" in err
+            assert not out.exists()
+        else:
+            assert rc == 0
+            assert len(read(out / "sweep.csv").splitlines()) == 1 + cells * drops * n_nodes
+
+    @pytest.mark.parametrize("command", ["link-sim", "system-sim", "sweep"])
+    def test_seed_is_required_where_it_has_no_default(
+        self, scenario_path, tmp_path, capsys, command
+    ):
+        # Only compare-prototype, which reads no scenario, defaults --seed to 0.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", scenario_path, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_u64_is_1(self, scenario_path, tmp_path, capsys, seed):
