@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 
 from .geometry import (
     AntennaPattern,
-    ChannelImpulseResponse,
     ReflectorConfig,
     SiGeometry,
     antenna_gain_dbi,
     fspl_db,
     rx_dbm,
     si_channel,
+    total_gain_db,
 )
 from .ofdm import OfdmConfig, demodulate, estimate_channel_ls, modulate
 from .rf import (
@@ -26,9 +26,7 @@ from .rf import (
     PaModel,
     adc_quantize,
     fits_gray_zone,
-    noise_floor_dbm,
     pa_apply,
-    required_si_reduction_db,
 )
 from .sic import (
     HammersteinModel,

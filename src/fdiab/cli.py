@@ -306,8 +306,6 @@ def _parse_grid(specs):
                 values.append(json.loads(part))
             except json.JSONDecodeError:
                 values.append(part)
-        if not values:
-            raise ScenarioError(f"grid {spec!r}", "no values")
         grid.append((key, values))
     return grid
 
@@ -461,9 +459,7 @@ def main(argv=None):
             return cmd_system_sim(cfg, modes=_parse_modes(args.modes))
         if args.command == "sweep":
             return cmd_sweep(cfg, args.grid, args.drops)
-        if args.command == "compare-prototype":
-            return cmd_compare_prototype(cfg)
-        raise ValueError(f"unknown command {args.command}")
+        return cmd_compare_prototype(cfg)  # argparse admits no other command
     except (ScenarioError, ValueError) as exc:
         print(f"fdiab: {exc}", file=sys.stderr)
         return 1

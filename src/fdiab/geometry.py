@@ -5,7 +5,6 @@ reflections, of the Generator passed in, so channel realizations are
 bit-reproducible and safe to evaluate concurrently.
 """
 
-import functools
 import math
 from dataclasses import MISSING, dataclass
 
@@ -148,56 +147,27 @@ class ReflectorConfig:
         check_bounds(self)
         if self.min_taps > self.max_taps:
             raise FieldError("min_taps", "must be <= max_taps")
-        if not self.delay_offset_range_s[0] > 0.0:
-            got = list(self.delay_offset_range_s)
-            raise FieldError("delay_offset_range_s", f"must fall behind the direct tap, got {got}")
+        lo, hi = self.delay_offset_range_s
+        if not 0.0 < lo < hi:  # the reflections follow the direct tap, in delay order
+            msg = f"must be [lo, hi] with 0 < lo < hi, behind the direct tap, got {[lo, hi]}"
+            raise FieldError("delay_offset_range_s", msg)
 
 
-@dataclass(frozen=True)
-class ChannelImpulseResponse:
-    """Tapped-delay-line channel: ((delay_s, complex gain), ...) pairs."""
-
-    taps: tuple
-    carrier_freq_hz: float
-
-    def __post_init__(self):
-        if len(self.taps) == 0:
-            raise ValueError("channel needs at least one tap")
-        delays = [float(t[0]) for t in self.taps]
-        if delays[0] < 0.0 or any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValueError("tap delays must be non-negative and strictly increasing")
-        if self.total_power() <= 0.0:
-            raise ValueError("channel must carry nonzero power")
-
-    def total_power(self):
-        return self._power
-
-    @functools.cached_property
-    def _power(self):
-        # Summed once per channel: the constructor's check needs it, and a
-        # system drop reads it once per beam through total_gain_db.
-        return float(np.sum(np.abs([t[1] for t in self.taps]) ** 2))
-
-    def total_gain_db(self):
-        """Tx-to-Rx power gain over all taps; negation is the SI suppression."""
-        return float(10.0 * np.log10(self.total_power()))
-
-    def freq_response(self, freqs_hz):
-        """Baseband frequency response sum_i g_i * exp(-j*2*pi*f*tau_i)."""
-        f = np.asarray(freqs_hz, dtype=float)
-        delays, gains = zip(*self.taps)
-        phases = np.exp(-2j * np.pi * np.outer(f, np.array(delays, dtype=float)))
-        return phases @ np.array(gains, dtype=complex)
+def total_gain_db(gains):
+    """Tx-to-Rx power gain in dB over the complex tap gains of an SI channel;
+    its negation is the propagation-domain SI suppression."""
+    return float(10.0 * np.log10(np.sum(np.abs(gains) ** 2)))
 
 
 def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, rng=None, carrier_freq_hz=28e9):
-    """SI channel impulse response for one DU/MT pair.
+    """SI channel impulse response for one DU/MT pair, as two arrays
+    (delays_s, gains): the taps' delays in seconds and complex gains.
 
     Tap 0 is the direct path at delay d/c with amplitude set by Friis loss,
     cross-polarization isolation and both off-boresight antenna gains along
     the mast axis. With reflector_cfg set, random reflection taps drawn from
-    the Generator rng are appended: the tap count, then the delays, powers
-    and phases. Identical inputs and rng state give bit-identical output.
+    the Generator rng follow it: the tap count, then the delays, powers and
+    phases. Identical inputs and rng state give bit-identical output.
     """
     if reflector_cfg is not None and rng is None:
         raise ValueError("si_channel: reflector_cfg needs rng, the Generator of its draws")
@@ -215,18 +185,19 @@ def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, rng=None, carrier_freq_
         + antenna_gain_dbi(rx_pat, theta_rx)
     )
     direct_amp = 10.0 ** (amp_db / 20.0)
+    if direct_amp**2 == 0.0:  # every tap's gain is a fraction of the direct tap's
+        raise ValueError(f"si_channel: a direct path gain of {amp_db:.4g} dB carries no power")
     direct_gain = direct_amp * np.exp(-2j * np.pi * carrier_freq_hz * direct_delay)
-    taps = [(direct_delay, complex(direct_gain))]
+    delays, gains = np.array([direct_delay]), np.array([direct_gain])
 
     if reflector_cfg is not None:
         k = int(rng.integers(reflector_cfg.min_taps, reflector_cfg.max_taps + 1))
         if k > 0:
             lo, hi = reflector_cfg.delay_offset_range_s
-            delays = np.sort(direct_delay + rng.uniform(lo, hi, size=k))
+            delays = np.append(delays, np.sort(direct_delay + rng.uniform(lo, hi, size=k)))
             rel_db = rng.uniform(*reflector_cfg.rel_power_range_db, size=k)
             phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-            gains = direct_amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases)
-            taps.extend(zip(delays.tolist(), gains.tolist()))
+            gains = np.append(gains, direct_amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases))
 
-    return ChannelImpulseResponse(taps=tuple(taps), carrier_freq_hz=carrier_freq_hz)
+    return delays, gains
 

@@ -143,11 +143,6 @@ def apply_frequency_response(samples, h_bins, cfg):
     return filter_spectra(symbol_spectra(samples, cfg), h_bins, cfg)
 
 
-def apply_channel(samples, cir, cfg):
-    """Run samples through a tapped-delay-line channel (circular per symbol)."""
-    return apply_frequency_response(samples, cir.freq_response(cfg.bin_freqs_hz()), cfg)
-
-
 def estimate_channel_ls(rx_grid, pilot_grid):
     """Per-subcarrier LS channel estimate H_k = Y_k / X_k, averaged over symbols.
 

@@ -131,10 +131,6 @@ class NoiseModel:
         return -174.0 + 10.0 * np.log10(self.bandwidth_hz) + self.noise_figure_db
 
 
-def noise_floor_dbm(noise):
-    return float(noise.floor_dbm)
-
-
 def thermal_noise(n_samples, noise, rng):
     """Complex AWGN whose mean power equals the model's noise floor."""
     z = np.empty(n_samples, dtype=complex)
@@ -142,11 +138,6 @@ def thermal_noise(n_samples, noise, rng):
     z.imag = rng.standard_normal(n_samples)
     z *= np.sqrt(dbm_to_watt(noise.floor_dbm) / 2.0)
     return z
-
-
-def required_si_reduction_db(tx_power_dbm, rx_floor_dbm):
-    """SI reduction needed to pull self-interference down to the Rx floor."""
-    return tx_power_dbm - rx_floor_dbm
 
 
 def fits_gray_zone(si_power_dbm, floor_dbm, effective_range_db=EFFECTIVE_ADC_RANGE_14BIT_DB):

@@ -95,13 +95,6 @@ def tune_two_tap(si_freq_response, delays_s, cfg):
     return TwoTapConfig(delays_s=(t1, t2), gains=(complex(gains[0]), complex(gains[1])))
 
 
-def two_tap_residual_power(si_freq_response, two_tap, cfg):
-    """Mean per-subcarrier power left after subtracting the tuned taps."""
-    h = np.asarray(si_freq_response, dtype=complex)
-    r = h - two_tap.freq_response(cfg.subcarrier_freqs_hz())
-    return float(np.mean(np.abs(r) ** 2))
-
-
 def apply_analog_canceller(pa_output_samples, rx_samples, two_tap, cfg):
     """Subtract the two-tap regeneration of the tapped PA output from rx.
 
@@ -536,14 +529,15 @@ class _Link:
     def __init__(self, params, seed):
         self.params, self.h_bins, self.two_tap = params, None, None
         if not params.ideal_fd:
-            self.h_bins = si_channel(
+            delays, gains = si_channel(
                 params.geometry,
                 params.tx_pattern,
                 params.rx_pattern,
                 params.reflectors,
                 rng=substream(substream(seed, "si-channel").integers(2**63), "si-reflections"),
                 carrier_freq_hz=params.carrier_freq_hz,
-            ).freq_response(params.ofdm.bin_freqs_hz())
+            )
+            self.h_bins = np.exp(-2j * np.pi * np.outer(params.ofdm.bin_freqs_hz(), delays)) @ gains
 
     def _received(self, pa_spectra, noise):
         """Thermal noise plus the PA output through the SI channel, less the

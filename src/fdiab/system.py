@@ -11,7 +11,9 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel
+from .geometry import (
+    AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel, total_gain_db,
+)
 from .rf import NoiseModel
 from .util import FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, watt_to_dbm
 
@@ -145,10 +147,6 @@ class UeGrid:
             raise FieldError(
                 "", f"{self.nx} x {self.ny} UEs exceed the cap of {MAX_UES} (about 1 KiB each)"
             )
-
-    @property
-    def n_ues(self):
-        return self.nx * self.ny
 
     def positions(self):
         """UE positions, y-major row order (ue_id = iy * nx + ix)."""
@@ -329,7 +327,7 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
     rng = substream(seed, "si", node_idx)
     out = []
     for beam_dir in np.asarray(beam_dirs).tolist():
-        cir = si_channel(
+        _, gains = si_channel(
             SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir),
             node.pattern,
             node.pattern,
@@ -337,7 +335,7 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
             rng=rng,
             carrier_freq_hz=scenario.carrier_freq_hz,
         )
-        out.append(node.tx_power_dbm + cir.total_gain_db())
+        out.append(node.tx_power_dbm + total_gain_db(gains))
     return np.array(out)
 
 

@@ -455,16 +455,19 @@ class TestExitCodes:
         assert rc == 0
 
     @pytest.mark.parametrize(
-        "override, field",
+        "flag, value, field",
         [
-            ("bandwidth_hz=NaN", "bandwidth_hz"),
-            ("donor.tx_power_dbm=Infinity", "donor.tx_power_dbm"),
+            ("--set", "bandwidth_hz=NaN", "bandwidth_hz"),
+            ("--set", "donor.tx_power_dbm=Infinity", "donor.tx_power_dbm"),
+            # An empty grid value is one value, the empty string.
+            ("--grid", "iab_nodes.*.antenna_separation_m=", "iab_nodes[0].antenna_separation_m"),
         ],
     )
-    def test_non_finite_override_is_1(self, scenario_path, tmp_path, capsys, override, field):
+    def test_non_finite_override_is_1(self, scenario_path, tmp_path, capsys, flag, value, field):
+        command = "sweep" if flag == "--grid" else "system-sim"
         rc = main(
-            ["system-sim", "--scenario", scenario_path, "--seed", "1",
-             "--out", str(tmp_path / "o"), "--set", override] + SMALL
+            [command, "--scenario", scenario_path, "--seed", "1",
+             "--out", str(tmp_path / "o"), flag, value] + SMALL
         )
         assert rc == 1
         assert f"fdiab: {field}: " in capsys.readouterr().err

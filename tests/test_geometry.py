@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fdiab.geometry import (
     AntennaPattern,
-    ChannelImpulseResponse,
     ReflectorConfig,
     SiGeometry,
     angle_between_deg,
@@ -15,6 +14,7 @@ from fdiab.geometry import (
     fspl_db,
     rx_dbm,
     si_channel,
+    total_gain_db,
 )
 from fdiab.util import SPEED_OF_LIGHT, FieldError
 
@@ -78,57 +78,107 @@ class TestAntennaPattern:
             AntennaPattern(polarization="X")
 
 
-class TestChannelImpulseResponse:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            ChannelImpulseResponse(taps=(), carrier_freq_hz=F28)
-        with pytest.raises(ValueError):
-            ChannelImpulseResponse(taps=((2e-9, 1.0), (1e-9, 1.0)), carrier_freq_hz=F28)
-        with pytest.raises(ValueError):
-            ChannelImpulseResponse(taps=((1e-9, 0.0),), carrier_freq_hz=F28)
+reflector_configs = st.integers(0, 8).flatmap(
+    lambda lo: st.builds(
+        ReflectorConfig,
+        min_taps=st.just(lo),
+        max_taps=st.integers(lo, 12),
+        # Widths far above a delay's last bit, so that no two draws round together.
+        delay_offset_range_s=st.tuples(st.floats(1e-12, 1e-8), st.floats(1e-12, 1e-8)).map(
+            lambda t: (t[0], t[0] + t[1])
+        ),
+        rel_power_range_db=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)).map(
+            lambda t: tuple(sorted(t))
+        ),
+    )
+)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
 
-    def test_freq_response_single_tap(self):
-        cir = ChannelImpulseResponse(taps=((2e-9, 0.5 + 0.0j),), carrier_freq_hz=F28)
-        f = np.array([0.0, 1e6])
-        h = cir.freq_response(f)
-        assert h[0] == pytest.approx(0.5)
-        assert np.abs(h[1]) == pytest.approx(0.5)
-        assert np.angle(h[1]) == pytest.approx(-2 * np.pi * 1e6 * 2e-9)
+
+class TestSiChannelOutput:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.floats(0.01, 10.0),
+        tx=directions,
+        rx=directions,
+        cfg=reflector_configs,
+        seed=st.integers(0, 2**32),
+    )
+    def test_invariants(self, d, tx, rx, cfg, seed):
+        geom = SiGeometry(d, tx_orientation=tx, rx_orientation=rx)
+        delays, gains = si_channel(geom, PAT, PAT, cfg, rng=np.random.default_rng(seed))
+        assert delays.shape == gains.shape
+        assert 1 + cfg.min_taps <= len(delays) <= 1 + cfg.max_taps
+        direct = d / SPEED_OF_LIGHT
+        assert delays[0] == direct  # the direct tap comes first
+        assert np.all(np.diff(delays) > 0)
+        lo, hi = cfg.delay_offset_range_s
+        assert np.all((direct + lo <= delays[1:]) & (delays[1:] <= direct + hi))
+        assert np.sum(np.abs(gains) ** 2) > 0.0
+        assert math.isfinite(total_gain_db(gains))
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.floats(0.01, 10.0), seed=st.integers(0, 2**32))
+    def test_freq_response_is_the_tap_sum(self, d, seed):
+        # The chain's response exp(-j 2 pi outer(f, delays)) @ gains against
+        # sum_i g_i exp(-j 2 pi f tau_i), summed tap by tap.
+        f = np.fft.fftfreq(64, d=1.0 / 122.88e6)
+        cfg = ReflectorConfig(min_taps=1)
+        delays, gains = si_channel(SiGeometry(d), PAT, PAT, cfg, rng=np.random.default_rng(seed))
+        h = np.exp(-2j * np.pi * np.outer(f, delays)) @ gains
+        expect = [sum(g * np.exp(-2j * np.pi * fk * t) for t, g in zip(delays, gains)) for fk in f]
+        np.testing.assert_allclose(h, expect, rtol=0.0, atol=1e-12 * np.sum(np.abs(gains)))
+        # A lone direct tap is a pure delay: |h| = |g| at every f.
+        delays, gains = si_channel(SiGeometry(d), PAT, PAT, None)
+        h = np.exp(-2j * np.pi * np.outer(f, delays)) @ gains
+        np.testing.assert_allclose(h, gains[0] * np.exp(-2j * np.pi * f * delays[0]), rtol=1e-12)
+        np.testing.assert_allclose(np.abs(h), np.abs(gains[0]), rtol=1e-12)
 
 
-def direct_tap_gain_db(cir):
-    return 20.0 * np.log10(np.abs(cir.taps[0][1]))
+    def test_what_the_taps_cannot_hold_is_rejected(self):
+        # Reflections ahead of the direct tap, or at one delay, and a channel
+        # whose gain underflows to no power at all.
+        for bad in ((5e-9, 5e-9), (5e-9, 1e-9), (0.0, 1e-9)):
+            with pytest.raises(FieldError, match=r"^delay_offset_range_s: .*0 < lo < hi"):
+                ReflectorConfig(delay_offset_range_s=bad)
+        deaf = AntennaPattern(beamwidth_3db_deg=0.01, sidelobe_floor_dbi=-10000.0)
+        with pytest.raises(ValueError, match="carries no power"):
+            si_channel(SiGeometry(1.0), deaf, deaf, None)
+
+
+def direct_tap_gain_db(gains):
+    return 20.0 * np.log10(np.abs(gains[0]))
 
 
 class TestSiChannel:
     def test_boresight_aligned_suppression(self):
         # DU looks straight down the mast at the MT and vice versa.
         geom = SiGeometry(1.0, tx_orientation=(0, 0, -1), rx_orientation=(0, 0, 1))
-        cir = si_channel(geom, PAT, PAT, None)
-        assert len(cir.taps) == 1
-        assert -direct_tap_gain_db(cir) == pytest.approx(61.3907 - 40.0, abs=5e-4)
+        _, gains = si_channel(geom, PAT, PAT, None)
+        assert len(gains) == 1
+        assert -direct_tap_gain_db(gains) == pytest.approx(61.3907 - 40.0, abs=5e-4)
 
     def test_sidelobe_pointing_suppression(self):
         geom = SiGeometry(1.0)  # default horizon pointing, 90 deg off the mast
-        cir = si_channel(geom, PAT, PAT, None)
-        assert -direct_tap_gain_db(cir) == pytest.approx(61.3907 + 20.0, abs=5e-4)
+        _, gains = si_channel(geom, PAT, PAT, None)
+        assert -direct_tap_gain_db(gains) == pytest.approx(61.3907 + 20.0, abs=5e-4)
 
     def test_direct_tap_delay(self):
         geom = SiGeometry(0.1)
-        cir = si_channel(geom, PAT, PAT, None)
-        assert cir.taps[0][0] == pytest.approx(0.1 / SPEED_OF_LIGHT, rel=1e-12)
+        delays, _ = si_channel(geom, PAT, PAT, None)
+        assert delays[0] == pytest.approx(0.1 / SPEED_OF_LIGHT, rel=1e-12)
 
     def test_deterministic_per_seed(self):
         geom = SiGeometry(1.0)
         a = si_channel(geom, PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(42))
         b = si_channel(geom, PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(42))
-        assert a == b  # bit-identical tap lists
+        assert all(map(np.array_equal, a, b))  # bit-identical taps
         c = si_channel(geom, PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(43))
-        assert a != c
+        assert not all(map(np.array_equal, a, c))
 
     def test_cross_pol_adds_exactly(self):
-        base = si_channel(SiGeometry(1.0), PAT, PAT, None)
-        iso = si_channel(SiGeometry(1.0, cross_pol_isolation_db=17.0), PAT, PAT, None)
+        _, base = si_channel(SiGeometry(1.0), PAT, PAT, None)
+        _, iso = si_channel(SiGeometry(1.0, cross_pol_isolation_db=17.0), PAT, PAT, None)
         delta = direct_tap_gain_db(base) - direct_tap_gain_db(iso)
         assert delta == pytest.approx(17.0, abs=1e-9)
 
@@ -138,19 +188,19 @@ class TestSiChannel:
             si_channel(SiGeometry(d), PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(7))
             for d in seps
         ]
-        sup = [-direct_tap_gain_db(cir) for cir in cirs]
+        sup = [-direct_tap_gain_db(gains) for _, gains in cirs]
         assert np.all(np.diff(sup) > 0)
 
     def test_reflector_statistics(self):
         cfg = ReflectorConfig(min_taps=1)
         found_multi = False
         for seed in range(20):
-            cir = si_channel(SiGeometry(1.0), PAT, PAT, cfg, rng=np.random.default_rng(seed))
-            direct_delay, direct_gain = cir.taps[0]
-            assert 1 <= len(cir.taps) - 1 <= cfg.max_taps
-            delays = [t for t, _ in cir.taps]
+            rng = np.random.default_rng(seed)
+            delays, gains = si_channel(SiGeometry(1.0), PAT, PAT, cfg, rng=rng)
+            direct_delay, direct_gain = delays[0], gains[0]
+            assert 1 <= len(delays) - 1 <= cfg.max_taps
             assert np.all(np.diff(delays) > 0)
-            for t, g in cir.taps[1:]:
+            for t, g in zip(delays[1:], gains[1:]):
                 found_multi = True
                 assert direct_delay + 1e-9 <= t <= direct_delay + 20e-9
                 rel_db = 20 * np.log10(abs(direct_gain) / abs(g))

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab.geometry import ChannelImpulseResponse
 from fdiab.ofdm import (
     OfdmConfig,
-    apply_channel,
     apply_frequency_response,
     build_frame,
     demodulate,
@@ -128,12 +126,14 @@ class TestApplyChannel:
     def test_matches_per_subcarrier_response(self):
         rng = substream(5, "chan")
         grid = qpsk_symbols(rng, (4, 792))
-        cir = ChannelImpulseResponse(
-            taps=((2e-9, 0.8 + 0.1j), (9e-9, 0.2 - 0.3j)), carrier_freq_hz=28e9
-        )
-        rx = apply_channel(modulate(grid, CFG), cir, CFG)
+        delays, gains = np.array([2e-9, 9e-9]), np.array([0.8 + 0.1j, 0.2 - 0.3j])
+
+        def response(freqs):
+            return np.exp(-2j * np.pi * np.outer(freqs, delays)) @ gains
+
+        rx = apply_frequency_response(modulate(grid, CFG), response(CFG.bin_freqs_hz()), CFG)
         got = demodulate(rx, CFG)
-        expect = grid * cir.freq_response(CFG.subcarrier_freqs_hz())
+        expect = grid * response(CFG.subcarrier_freqs_hz())
         assert np.max(np.abs(got - expect)) < 1e-10
 
     def test_bad_response_shape(self):

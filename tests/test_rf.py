@@ -7,9 +7,7 @@ from fdiab.rf import (
     PaModel,
     adc_quantize,
     fits_gray_zone,
-    noise_floor_dbm,
     pa_apply,
-    required_si_reduction_db,
     thermal_noise,
 )
 from fdiab.util import FieldError, dbm_to_watt, mean_power_dbm, substream
@@ -129,13 +127,13 @@ class TestAdc:
 
 class TestNoise:
     def test_reference_floor(self):
-        assert noise_floor_dbm(NoiseModel(120e6, 3.0)) == pytest.approx(-90.21, abs=0.01)
+        assert NoiseModel(120e6, 3.0).floor_dbm == pytest.approx(-90.21, abs=0.01)
 
     def test_one_hz(self):
-        assert noise_floor_dbm(NoiseModel(1.0, 0.0)) == pytest.approx(-174.0, abs=1e-12)
+        assert NoiseModel(1.0, 0.0).floor_dbm == pytest.approx(-174.0, abs=1e-12)
 
     def test_bandwidth_doubling(self):
-        delta = noise_floor_dbm(NoiseModel(2e6, 3.0)) - noise_floor_dbm(NoiseModel(1e6, 3.0))
+        delta = NoiseModel(2e6, 3.0).floor_dbm - NoiseModel(1e6, 3.0).floor_dbm
         assert delta == pytest.approx(10 * np.log10(2.0), abs=1e-12)
 
     def test_noise_declared_once_with_the_scenario(self):
@@ -153,11 +151,6 @@ class TestNoise:
         model = NoiseModel(120e6, 3.0)
         x = thermal_noise(200_000, model, substream(5, "nz"))
         assert mean_power_dbm(x) == pytest.approx(model.floor_dbm, abs=0.05)
-
-    def test_budget_arithmetic(self):
-        # 46 dBm Tx against the -90 dBm reference floor needs 136 dB > 120 dB.
-        assert required_si_reduction_db(46.0, -90.0) == 136.0
-        assert required_si_reduction_db(46.0, -90.0) > 120.0
 
     def test_gray_zone_rule(self):
         floor = -90.21

@@ -26,7 +26,7 @@ def test_minimal_file_gets_defaults(tmp_path):
     sc = load_scenario(path)
     assert sc.donor.tx_power_dbm == 43.0
     assert sc.donor.pattern.boresight_gain_dbi == 20.0
-    assert sc.ue_grid.n_ues == 441
+    assert sc.ue_grid.nx * sc.ue_grid.ny == 441
     assert len(sc.iab_nodes) == 2  # default deployment fills in the relays
     assert sc.bandwidth_hz == 120e6 and sc.guard_overhead == 0.1
 
@@ -241,7 +241,8 @@ def test_ue_grid_cap_is_checked_before_any_ue_is_laid_out():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # 10**10 UEs would take 240 GB as positions alone
-    assert UeGrid(nx=MAX_UES, ny=1).n_ues == MAX_UES
+    grid = UeGrid(nx=MAX_UES, ny=1)
+    assert grid.nx * grid.ny == MAX_UES
     with pytest.raises(FieldError, match="exceed the cap"):
         UeGrid(nx=MAX_UES + 1, ny=1)
 
