@@ -40,7 +40,7 @@ from .scenario import (
 )
 from .sic import FRAME_FIELDS, LinkChainParams, ReductionReport, run_link_chain, run_link_chains
 from .system import ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop
-from .util import substream
+from .util import substream, under
 
 REDUCTION_COLUMNS = (
     "node",
@@ -98,19 +98,29 @@ def _csv_cell(text):
 
 
 def _distinct(keys):
-    """(sorted distinct values of keys, int32 index of each key's value).
+    """(sorted distinct values of keys, int32 index of each key's value);
+    floats are keyed on their bit pattern.
 
-    A string column is reduced to the first key of each run of equal keys
-    before np.unique sorts it: sorting a whole <U12 mode column copies it.
+    No sort of the whole column where the keys allow: an integer column that
+    spans fewer steps than it has rows is indexed by value - min, and a column
+    whose runs of equal keys at least halve it is reduced to the runs' heads.
     """
-    if keys.dtype.kind != "U":
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        return uniq, inverse.astype(np.int32)
-    run_starts = np.ones(keys.size, bool)
-    run_starts[1:] = keys[1:] != keys[:-1]
+    n = keys.size
+    if keys.dtype.kind in "iu" and n and int(keys.max()) - int(lo := keys.min()) < n:
+        step = (keys - lo).view(f"u{keys.itemsize}")  # in [0, n): a narrow int may wrap
+        present = np.zeros(n, bool)
+        present[step] = True
+        rank = np.cumsum(present, dtype=np.int32) - 1
+        return np.flatnonzero(present).astype(keys.dtype) + lo, rank[step]
+    bits = keys.view(np.uint64) if keys.dtype.kind == "f" else keys
+    run_starts = np.ones(n, bool)
+    run_starts[1:] = bits[1:] != bits[:-1]
     heads = np.flatnonzero(run_starts)
-    uniq, inverse = np.unique(keys[heads], return_inverse=True)
-    return uniq, np.repeat(inverse.astype(np.int32), np.diff(np.append(heads, keys.size)))
+    if 2 * heads.size > n:
+        uniq, inverse = np.unique(bits, return_inverse=True)
+        return uniq.view(keys.dtype), inverse.astype(np.int32)
+    uniq, inverse = np.unique(bits[heads], return_inverse=True)
+    return uniq.view(keys.dtype), np.repeat(inverse.astype(np.int32), np.diff(np.append(heads, n)))
 
 
 def _column_cells(name, values, sep):
@@ -132,19 +142,21 @@ def _column_cells(name, values, sep):
             f"column {name!r}: expected a numpy bool, int, float or str array, got {got}"
         )
     if kind in ("i", "u", "f"):
+        uniq, index = _distinct(np.ascontiguousarray(values, np.float64) if kind == "f" else values)
         if kind == "f":
-            values = np.ascontiguousarray(values, np.float64).view(np.uint64)
-        uniq, index = _distinct(values)
-        if kind == "f":
-            uniq, fmt = uniq.view(np.float64), "%-19.12g"
+            fmt = "%-19.12g"
         else:  # as wide as the lowest or the highest value's text
             fmt = "%%-%dd" % max(map(len, map(str, uniq[[0, -1]].tolist() if uniq.size else [0])))
         text = ((fmt + sep.decode()) * uniq.size % tuple(uniq.tolist())).encode()
         cells = np.frombuffer(bytearray(text.translate(_SPACE_TO_PAD)), np.uint8)
         cells = cells.reshape(uniq.size, len(fmt % 0) + 1)
-        if kind == "f":  # NaN cells go empty, and so does the width no text reaches
+        if kind == "f":  # NaN cells go empty; the left-justified text ends by width
             cells[np.isnan(uniq), :-1] = PAD
-            cells = cells.compress(np.append((cells[:, :-1] != PAD).any(axis=0), True), axis=1)
+            width = cells.shape[1] - 1
+            while width and (cells[:, width - 1] == PAD).all():
+                width -= 1
+            cells[:, width] = cells[:, -1]
+            cells = cells[:, : width + 1]
         return cells, index
     uniq, index = _distinct(values)
     raw = [c.encode() for c in map(_fmt if kind == "b" else _csv_cell, uniq.tolist())]
@@ -266,7 +278,7 @@ def cmd_link_sim(cfg):
     params = [chain_params_for_node(scenario, node) for node in scenario.iab_nodes]
     nodes = range(len(params))
     seeds = [_node_seed(cfg.seed, "link", i) for i in nodes]
-    reports = [run_link_chain(p, s) for p, s in zip(params, seeds)]
+    reports = [under(f"iab_nodes[{i}]", run_link_chain, params[i], seeds[i]) for i in nodes]
     tables = [("reduction.csv", _reduction_columns(nodes, seeds, reports))]
     _write_outputs(cfg, scenario_to_dict(scenario), tables)
     return 0
@@ -279,14 +291,11 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
     def tables():
         cols = run_drop(scenario, cfg.seed, modes=modes)
         yield "throughput.csv", cols
-        curves = [cdf(cols["throughput_bps"][cols["mode"] == m]) for m in values]
+        # run_drop's rows are mode-major: each mode's curve is one block of rows.
+        curves = [cdf(block) for block in np.split(cols["throughput_bps"], len(values))]
         del cols  # lowers the peak RSS: cdf.csv is written without the drop alive
-        cdf_cols = (
-            np.repeat(values, [v.size for v, _ in curves]),
-            np.concatenate([v for v, _ in curves]),
-            np.concatenate([p for _, p in curves]),
-        )
-        yield "cdf.csv", dict(zip(CDF_COLUMNS, cdf_cols))
+        v, p = map(np.concatenate, zip(*curves))
+        yield "cdf.csv", dict(zip(CDF_COLUMNS, (np.repeat(values, curves[0][0].size), v, p)))
 
     _write_outputs(cfg, scenario_to_dict(scenario), tables(), modes=values)
     return 0
@@ -361,7 +370,7 @@ def cmd_sweep(cfg, grid_specs, drops):
     reports = {}
     for (d, ni, _), group in groups.items():
         chains = [cell_params[ci][ni] for ci, _, _ in group]
-        reports.update(zip(group, run_link_chains(chains, seeds[d, ni])))
+        reports.update(zip(group, under(f"iab_nodes[{ni}]", run_link_chains, chains, seeds[d, ni])))
     cell, drop, node = np.array(rows, int).reshape(-1, 3).T
     columns = {"cell": cell, "drop": drop}
     for j, (key, _) in enumerate(grid):

@@ -167,7 +167,8 @@ def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, rng=None, carrier_freq_
     cross-polarization isolation and both off-boresight antenna gains along
     the mast axis. With reflector_cfg set, random reflection taps drawn from
     the Generator rng follow it: the tap count, then the delays, powers and
-    phases. Identical inputs and rng state give bit-identical output.
+    phases. Identical inputs and rng state give bit-identical output. A
+    direct tap whose power underflows to 0 raises FieldError at "pattern".
     """
     if reflector_cfg is not None and rng is None:
         raise ValueError("si_channel: reflector_cfg needs rng, the Generator of its draws")
@@ -186,7 +187,8 @@ def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, rng=None, carrier_freq_
     )
     direct_amp = 10.0 ** (amp_db / 20.0)
     if direct_amp**2 == 0.0:  # every tap's gain is a fraction of the direct tap's
-        raise ValueError(f"si_channel: a direct path gain of {amp_db:.4g} dB carries no power")
+        msg = f"gives the direct SI path {amp_db:.4g} dB, which carries no power"
+        raise FieldError("pattern", msg)
     direct_gain = direct_amp * np.exp(-2j * np.pi * carrier_freq_hz * direct_delay)
     delays, gains = np.array([direct_delay]), np.array([direct_gain])
 

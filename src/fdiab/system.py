@@ -15,7 +15,9 @@ from .geometry import (
     AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel, total_gain_db,
 )
 from .rf import NoiseModel
-from .util import FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, watt_to_dbm
+from .util import (
+    FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, under, watt_to_dbm,
+)
 
 
 class Mode(str, Enum):
@@ -272,18 +274,21 @@ def schedule_drop(scenario, seed):
     )
     shadows = _access_shadows_db(scenario, seed, len(cells), n_ue)
 
-    # rx[cell, beam, ue], one (beam, UE) broadcast per cell.
-    rx = np.empty((len(cells), N_BEAMS_AZ * N_BEAMS_EL, n_ue))
+    # Each cell's first best beam per UE, from one (beam, UE) broadcast per cell;
+    # their first best over cells is the first max in (cell, beam) order.
+    best_beam = np.empty((len(cells), n_ue), np.intp)
+    best_rx = np.empty((len(cells), n_ue))
+    ue = np.arange(n_ue)
     for ci, cell in enumerate(cells):
-        rx[ci] = rx_dbm(
+        rx = rx_dbm(
             cell.position, cell.tx_power_dbm, cell.pattern, beam_dirs[ci][:, np.newaxis],
             ues, scenario.carrier_freq_hz, UE_GAIN_DBI, shadows[ci],
         )
+        best_beam[ci] = np.argmax(rx, axis=0)
+        best_rx[ci] = rx[best_beam[ci], ue]
 
-    flat = rx.reshape(len(cells) * N_BEAMS_AZ * N_BEAMS_EL, n_ue)
-    pick = np.argmax(flat, axis=0)  # first max: lowest (cell, beam) wins ties
-    serving, beam = np.divmod(pick, N_BEAMS_AZ * N_BEAMS_EL)
-    return serving, beam, flat[pick, np.arange(n_ue)], beam_dirs, shadows
+    serving = np.argmax(best_rx, axis=0)
+    return serving, best_beam[serving, ue], best_rx[serving, ue], beam_dirs, shadows
 
 
 def backhaul_rx_power_dbm(scenario, node):
@@ -327,13 +332,10 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
     rng = substream(seed, "si", node_idx)
     out = []
     for beam_dir in np.asarray(beam_dirs).tolist():
-        _, gains = si_channel(
-            SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir),
-            node.pattern,
-            node.pattern,
-            scenario.reflectors,
-            rng=rng,
-            carrier_freq_hz=scenario.carrier_freq_hz,
+        _, gains = under(
+            f"iab_nodes[{node_idx}]", si_channel,
+            SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir), node.pattern,
+            node.pattern, scenario.reflectors, rng=rng, carrier_freq_hz=scenario.carrier_freq_hz,
         )
         out.append(node.tx_power_dbm + total_gain_db(gains))
     return np.array(out)

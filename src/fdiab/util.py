@@ -19,6 +19,14 @@ class FieldError(ValueError):
         self.path, self.message = path, message
 
 
+def under(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a FieldError it raises put under path."""
+    try:
+        return fn(*args, **kwargs)
+    except FieldError as e:
+        raise FieldError(f"{path}.{e.path}" if e.path else path, e.message) from None
+
+
 def bounded(default, bounds):
     """A dataclass field with a default and bounds such as ">= 0, < 1",
     which check_bounds enforces; a default of dataclasses.MISSING makes the

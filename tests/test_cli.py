@@ -93,15 +93,28 @@ class TestSystemSim:
         assert len(body) == 1 + 25 * 5
         assert_outputs_listed(outs[0])
 
-    def test_mode_subset(self, scenario_path, tmp_path):
+    @pytest.mark.parametrize("modes", ["hd,fibered", "hd,ideal_fd"])
+    def test_mode_subset(self, scenario_path, tmp_path, modes):
         out = tmp_path / "m"
         rc = main(
             ["system-sim", "--scenario", scenario_path, "--seed", "1", "--out", str(out),
-             "--modes", "hd,fibered"] + SMALL
+             "--modes", modes] + SMALL
         )
         assert rc == 0
-        body = read(out / "cdf.csv").decode()
-        assert "fd_full" not in body and "hd" in body
+        with open(out / "throughput.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out / "cdf.csv", newline="") as fh:
+            curve = list(csv.DictReader(fh))
+        # In --modes order, each mode's curve is its sorted throughput_bps
+        # from throughput.csv, the i-th of n at p = i/n.
+        assert [r["mode"] for r in curve] == [r["mode"] for r in rows]
+        for mode in modes.split(","):
+            values = sorted((r["throughput_bps"] for r in rows if r["mode"] == mode), key=float)
+            n = len(values)
+            assert n == 25
+            assert [(r["throughput_bps"], r["cdf"]) for r in curve if r["mode"] == mode] == [
+                (v, format(i / n, ".12g")) for i, v in enumerate(values, 1)
+            ]
 
 
 class TestSidecar:
@@ -474,6 +487,24 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("command", ["system-sim", "link-sim", "sweep"])
+    @pytest.mark.parametrize("node, path", [("*", "iab_nodes[0]"), ("1", "iab_nodes[1]")])
+    def test_pattern_leaving_the_si_channel_no_power_is_1_naming_it(
+        self, tmp_path, capsys, command, node, path
+    ):
+        rc = main(
+            [command, "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", f"iab_nodes.{node}.pattern.sidelobe_floor_dbi=-10000",
+             "--set", f"iab_nodes.{node}.pattern.beamwidth_3db_deg=0.01"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"fdiab: {path}.pattern: gives the direct SI path -2.006e+04 dB,"
+            " which carries no power\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_ue_grid_is_1_naming_it(self, tmp_path, capsys):
         rc = main(
             ["system-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
@@ -706,12 +737,50 @@ SPECIAL_FLOATS = [
 FLOATS = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
 # Quoting triggers, NUL, and non-ASCII characters of 2, 3 and 4 UTF-8 bytes.
 TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n-0.\x00é€\U0001f600')), max_size=6)
+
+
+def column_of(elements, dtype):
+    """n independent draws of elements, as a numpy column of dtype."""
+    return lambda n: st.lists(elements, min_size=n, max_size=n).map(lambda v: np.array(v, dtype))
+
+
+def spanned(lo, hi, dtype):
+    """Integers within 30 of a base in [lo, hi - 29], drawn once per column:
+    the writer indexes a column that spans fewer steps than its rows by
+    value - min."""
+    return lambda n: st.integers(lo, hi - 29).flatmap(
+        lambda base: column_of(st.integers(base, base + 29), dtype)(n)
+    )
+
+
+def runs(elements, dtype):
+    """Each drawn value repeated 1-4 times, in drawn order or sorted: the
+    writer reduces a column whose runs at least halve it to the runs' first
+    values."""
+
+    @st.composite
+    def column(draw, n):
+        k = draw(st.integers(1, 4))
+        values = draw(st.lists(elements, min_size=-(-n // k), max_size=-(-n // k)))
+        out = np.repeat(np.array(values, dtype), k)[:n]
+        return np.sort(out) if draw(st.booleans()) else out
+
+    return column
+
+
 COLUMN_KINDS = {
-    "float": (FLOATS, float),
-    "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
-    "uint64": (st.integers(0, 2**64 - 1), np.uint64),
-    "bool": (st.booleans(), bool),
-    "str": (TEXT, str),
+    "float": column_of(FLOATS, float),
+    "int": column_of(st.integers(-(2**63), 2**63 - 1), np.int64),
+    "uint64": column_of(st.integers(0, 2**64 - 1), np.uint64),
+    "bool": column_of(st.booleans(), bool),
+    "str": column_of(TEXT, str),
+    # Small ranges: negative ones, and uint64 ones up against 2**64.
+    "int-span": spanned(-(2**63), 2**63 - 1, np.int64),
+    "int-span-negative": spanned(-(2**63), -1, np.int64),
+    "uint64-span": spanned(2**64 - 2**16, 2**64 - 1, np.uint64),
+    # Runs, sorted or repeated, with NaN and -0.0 among the floats.
+    "float-runs": runs(FLOATS, float),
+    "int-runs": runs(st.integers(-(2**63), 2**63 - 1), np.int64),
 }
 
 
@@ -719,12 +788,7 @@ COLUMN_KINDS = {
 def tables(draw):
     n = draw(st.integers(0, 25))
     kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
-    columns = {}
-    for i, kind in enumerate(kinds):
-        elements, dtype = COLUMN_KINDS[kind]
-        values = draw(st.lists(elements, min_size=n, max_size=n))
-        columns[f"c{i}"] = np.array(values, dtype=dtype)
-    return columns
+    return {f"c{i}": draw(COLUMN_KINDS[kind](n)) for i, kind in enumerate(kinds)}
 
 
 class TestWriteColumns:

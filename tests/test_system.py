@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdiab.geometry import (
@@ -12,6 +12,7 @@ from fdiab.geometry import (
     SiGeometry,
     antenna_gain_dbi,
     fspl_db,
+    rx_dbm,
     si_channel,
     total_gain_db,
 )
@@ -76,6 +77,29 @@ def columns_equal(a, b):
 def reference_directions(sc, ci):
     cell = sc.cells()[ci]
     return direction_from_angles(*codebook_angles(sc.sector_center_az(cell)))
+
+
+def tensor_schedule(sc, seed):
+    """(serving, beam, access_rx_dbm) from the (cell, beam, UE) tensor of
+    every access power and one flat first argmax over (cell, beam): the
+    pick that the scheduler's per-cell best beams must reproduce."""
+    ues = sc.ue_grid.positions()
+
+    def shadow(ci):
+        z = substream(seed, "access-shadow", ci).standard_normal(len(ues))
+        return sc.access_shadow_sigma_db * z if sc.access_shadow_sigma_db else 0.0
+
+    rx = np.stack([
+        rx_dbm(
+            cell.position, cell.tx_power_dbm, cell.pattern, reference_directions(sc, ci)[:, None],
+            ues, sc.carrier_freq_hz, 0.0, shadow(ci),
+        )
+        for ci, cell in enumerate(sc.cells())
+    ])
+    flat = rx.reshape(rx.shape[0] * rx.shape[1], len(ues))
+    pick = np.argmax(flat, axis=0)
+    serving, beam = np.divmod(pick, rx.shape[1])
+    return serving, beam, flat[pick, np.arange(len(ues))]
 
 
 def reference_rx_dbm(sc, seed, ci, beam_dir, ue, u):
@@ -322,6 +346,44 @@ class TestScheduling:
             for ci in range(n_cells):
                 z = substream(9, "access-shadow", ci).standard_normal(u + 1)[u]
                 assert shadows[ci, u] == sc.access_shadow_sigma_db * z
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        nx=st.integers(0, 6),
+        ny=st.integers(1, 6),
+        sites=st.lists(
+            st.tuples(st.floats(-300, 300), st.floats(-300, 300), st.floats(10, 150)),
+            min_size=1,
+            max_size=3,
+        ),
+        co_sited=st.booleans(),
+        beamwidth=st.sampled_from([0.2, 12.0, 90.0]),
+        sigma=st.sampled_from([0.0, 4.0]),
+    )
+    @example(seed=0, nx=4, ny=3, sites=[(-100.0, 0.0, 50.0)], co_sited=True, beamwidth=0.2,
+             sigma=0.0)
+    def test_matches_the_cell_beam_ue_tensor_argmax(
+        self, seed, nx, ny, sites, co_sited, beamwidth, sigma
+    ):
+        # A node co-sited with the donor and unshadowed ties with it on every
+        # beam; a 0.2 degree beam leaves most UEs at the sidelobe floor of all
+        # 16 beams of a cell, so its beams tie too.
+        pattern = AntennaPattern(beamwidth_3db_deg=beamwidth)
+        nodes = [IabNode(position=p, pattern=pattern) for p in sites[1:]]
+        if co_sited:
+            nodes.insert(0, IabNode(position=sites[0], pattern=pattern))
+        sc = Scenario(
+            donor=Donor(position=sites[0], pattern=pattern),
+            iab_nodes=tuple(nodes),
+            ue_grid=UeGrid(nx=nx, ny=ny),
+            access_shadow_sigma_db=sigma,
+        )
+        serving, beam, rx, _, _ = schedule_drop(sc, seed)
+        want_serving, want_beam, want_rx = tensor_schedule(sc, seed)
+        assert np.array_equal(serving, want_serving)
+        assert np.array_equal(beam, want_beam)
+        assert rx.tobytes() == want_rx.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 40), extra=st.integers(1, 40))
