@@ -19,7 +19,7 @@ from .geometry import (
     si_channel,
     total_gain_db,
 )
-from .ofdm import OfdmConfig, demodulate, estimate_channel_ls, modulate
+from .ofdm import OfdmConfig, demodulate, estimate_channel_ls, modulate, symbol_spectra
 from .rf import (
     AdcModel,
     NoiseModel,
@@ -30,6 +30,7 @@ from .rf import (
 )
 from .sic import (
     HammersteinModel,
+    HammersteinRegressors,
     LinkChainParams,
     ReductionReport,
     TwoTapConfig,

@@ -33,7 +33,7 @@ class AntennaPattern:
     down.
     """
 
-    boresight_gain_dbi: float = 20.0
+    boresight_gain_dbi: float = bounded(20.0, "<= 100")
     beamwidth_3db_deg: float = bounded(12.0, "> 0")
     sidelobe_floor_dbi: float = -10.0
     polarization: str = "V"

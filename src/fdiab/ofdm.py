@@ -122,25 +122,20 @@ def demodulate(samples, cfg):
     return active_grid(symbol_spectra(samples, cfg), cfg)
 
 
-def filter_spectra(spectra, h_bins, cfg):
-    """The stream whose symbols have the useful parts spectra * h_bins, each
-    preceded by its CP: a per-symbol circular channel h_bins applied to the
-    stream that symbol_spectra turned into spectra."""
-    h_bins = np.asarray(h_bins, dtype=complex)
-    if h_bins.shape != (cfg.fft_size,):
-        raise ValueError(f"h_bins must have shape ({cfg.fft_size},)")
-    filtered = spectra * h_bins
-    return join_with_cp(np.fft.ifft(filtered, axis=-1, out=filtered), cfg)
-
-
-def apply_frequency_response(samples, h_bins, cfg):
-    """Per-symbol circular channel: multiply every FFT bin by h and rebuild CPs.
+def apply_frequency_response(spectra, h_bins, cfg):
+    """Per-symbol circular channel: the stream whose symbols have the useful
+    parts spectra * h_bins, each preceded by its CP, for spectra the
+    symbol_spectra of the stream the channel h_bins filters.
 
     Exact for any tapped channel whose delay spread stays well inside the CP,
     which is how both the SI channel and the two-tap canceller ramps are
     realized (fractional delays as frequency-domain phase ramps).
     """
-    return filter_spectra(symbol_spectra(samples, cfg), h_bins, cfg)
+    h_bins = np.asarray(h_bins, dtype=complex)
+    if h_bins.shape != (cfg.fft_size,):
+        raise ValueError(f"h_bins must have shape ({cfg.fft_size},)")
+    filtered = spectra * h_bins
+    return join_with_cp(np.fft.ifft(filtered, axis=-1, out=filtered), cfg)
 
 
 def estimate_channel_ls(rx_grid, pilot_grid):

@@ -17,10 +17,10 @@ from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel
 from .ofdm import (
     OfdmConfig,
     active_grid,
+    apply_frequency_response,
     build_frame,
     demodulate,
     estimate_channel_ls,
-    filter_spectra,
     symbol_rows,
     symbol_spectra,
 )
@@ -95,24 +95,26 @@ def tune_two_tap(si_freq_response, delays_s, cfg):
     return TwoTapConfig(delays_s=(t1, t2), gains=(complex(gains[0]), complex(gains[1])))
 
 
-def apply_analog_canceller(pa_output_samples, rx_samples, two_tap, cfg):
-    """Subtract the two-tap regeneration of the tapped PA output from rx.
+def _check_symbols(rx, n_symbols, cfg):
+    """Raise, naming rx, unless the receive stream rx holds the n_symbols
+    whole symbols of its frame; rx as symbol_rows if it does."""
+    rows = symbol_rows(np.asarray(rx, dtype=complex), cfg, "rx")
+    if rows.shape[-2] != n_symbols:
+        raise ValueError(f"rx: {rows.shape[-2]} symbols for a frame of {n_symbols}")
+    return rows
+
+
+def apply_analog_canceller(pa_spectra, rx, two_tap, cfg):
+    """Subtract the two-tap regeneration of the tapped PA output, whose
+    symbol_spectra are pa_spectra, from rx, a receive stream of its frame.
 
     The fractional delays are realized as frequency-domain phase ramps per
     OFDM symbol, exact under cyclic-prefix circularity because both delays
     sit far inside the CP.
     """
-    pa_out = np.asarray(pa_output_samples, dtype=complex)
-    rx = np.asarray(rx_samples, dtype=complex)
-    if pa_out.shape != rx.shape:
-        raise ValueError("pa output and rx must have the same shape")
-    return _cancel_analog(symbol_spectra(pa_out, cfg), rx, two_tap, cfg)
-
-
-def _cancel_analog(pa_spectra, rx, two_tap, cfg):
-    """apply_analog_canceller from the symbol_spectra of the PA output."""
     _check_delays_inside_cp(two_tap.delays_s, cfg)
-    regen = filter_spectra(pa_spectra, two_tap.freq_response(cfg.bin_freqs_hz()), cfg)
+    _check_symbols(rx, pa_spectra.shape[-2], cfg)
+    regen = apply_frequency_response(pa_spectra, two_tap.freq_response(cfg.bin_freqs_hz()), cfg)
     return np.subtract(rx, regen, out=regen)
 
 
@@ -176,8 +178,8 @@ def hammerstein_basis(tx, orders, memory_len, alignment, idx):
     psi_p(n) = x(n) * |x(n)|^(p-1). idx selects the target samples; every
     shifted index must stay inside the stream. This is the reference
     definition of the canceller's regression: fit_hammerstein and
-    apply_digital_sic never form this matrix, they work from the branch
-    signals, and tests check them against it.
+    apply_digital_sic never form this matrix, they work from the
+    HammersteinRegressors, and tests check them against it.
     """
     _check_structure(orders, memory_len, alignment)
     x = np.asarray(tx, dtype=complex)
@@ -266,16 +268,18 @@ def _rhs(spectra, target, memory_len, alignment):
     return np.conj(corr).reshape(-1)
 
 
-class _Regressors:
-    """What the canceller reads of a transmitted OFDM frame alone: the spectra
-    of the branch signals' useful parts and, when a ridge is given, the
-    ridge-regularized Gram, with the fit's checks and warnings. Every receive
-    stream of the frame is fit, or cancelled, against it."""
+class HammersteinRegressors:
+    """What the canceller reads of a transmitted OFDM frame alone, layout cfg:
+    the spectra of the branch signals' useful parts and, when a ridge is
+    given, the ridge-regularized Gram, with the fit's checks and warnings.
+    Every receive stream of the frame is fit (fit_hammerstein), or cancelled
+    (apply_digital_sic), against it."""
 
     def __init__(self, tx, orders, memory_len, alignment, cfg, ridge=None):
         _check_structure(orders, memory_len, alignment)
         _check_frame(tx, cfg, memory_len, alignment)
         self.orders, self.memory_len, self.alignment = tuple(orders), memory_len, alignment
+        self.cfg, self.gram = cfg, None
         psi = _branch_signals(tx, orders)
         if ridge is None:
             useful = _fit_samples(psi, cfg, 0)
@@ -303,66 +307,53 @@ class _Regressors:
                 RuntimeWarning,
             )
 
-    def fit(self, target):
-        """The HammersteinModel fit to target, the fit's samples of one
-        receive stream of the frame."""
-        rhs = _rhs(self.spectra, target, self.memory_len, self.alignment)
-        coeffs = np.linalg.solve(self.gram, rhs).reshape(len(self.orders), self.memory_len)
-        resid = self.residual(target, coeffs)
-        return HammersteinModel(
-            orders=self.orders,
-            memory_len=self.memory_len,
-            coeffs=coeffs,
-            alignment=self.alignment,
-            ridge=self.ridge,
-            training_residual_power=float(np.mean(np.abs(resid) ** 2)),
-            training_power=float(np.mean(np.abs(target) ** 2)),
-        )
 
-    def residual(self, target, coeffs):
-        """target - B @ coeffs for B = hammerstein_basis on the fit's samples,
-        as one circular convolution per symbol over the branch spectra."""
-        fir = np.einsum("qsf,qf->sf", self.spectra, np.fft.fft(coeffs, self.spectra.shape[-1]))
-        resid = np.fft.ifft(fir, out=fir)[:, self.alignment :]
-        np.subtract(target, resid, out=resid)
-        return resid.ravel()
+def _target(reg, rx):
+    """The fit's samples of rx, a receive stream of reg's frame, one row per
+    symbol."""
+    rows = _check_symbols(rx, reg.spectra.shape[1], reg.cfg)
+    return rows[:, reg.cfg.cp_len : reg.cfg.symbol_len - reg.alignment]
 
 
-def _same_shape(tx, rx):
-    tx, rx = np.asarray(tx, dtype=complex), np.asarray(rx, dtype=complex)
-    if tx.shape != rx.shape:
-        raise ValueError("tx and rx must have the same length")
-    return tx, rx
-
-
-def fit_hammerstein(
-    tx_baseband,
-    residual_rx,
-    orders=(1, 3, 5),
-    memory_len=4,
-    alignment=0,
-    ridge=1e-8,
-    *,
-    cfg,
-):
-    """Ridge-regularized LS fit of the parallel-Hammerstein canceller on the
-    OFDM frame of layout cfg, over the samples _fit_samples(rx, cfg, alignment).
+def fit_hammerstein(reg, rx):
+    """Ridge-regularized LS fit of the parallel-Hammerstein canceller to rx, a
+    receive stream of the frame of reg, over its samples
+    _fit_samples(rx, reg.cfg, reg.alignment); reg must hold a Gram.
 
     The ridge is scaled by the trace-normalized basis Gram; the odd-order
     branches are highly correlated and the tiny ridge stabilizes the solve
     without measurably biasing the residual.
     """
-    tx, rx = _same_shape(tx_baseband, residual_rx)
-    reg = _Regressors(tx, orders, memory_len, alignment, cfg, ridge)
-    return reg.fit(_fit_samples(rx, cfg, alignment))
+    if reg.gram is None:
+        raise ValueError("reg: built without a ridge, it holds no Gram to fit with")
+    target = _target(reg, rx)
+    rhs = _rhs(reg.spectra, target, reg.memory_len, reg.alignment)
+    coeffs = np.linalg.solve(reg.gram, rhs).reshape(len(reg.orders), reg.memory_len)
+    resid = apply_digital_sic(reg, rx, coeffs)
+    return HammersteinModel(
+        orders=reg.orders,
+        memory_len=reg.memory_len,
+        coeffs=coeffs,
+        alignment=reg.alignment,
+        ridge=reg.ridge,
+        training_residual_power=float(np.mean(np.abs(resid) ** 2)),
+        training_power=float(np.mean(np.abs(target) ** 2)),
+    )
 
 
-def apply_digital_sic(tx_baseband, rx_after_adc, model, cfg):
-    """Residual rx - Psi(tx) @ coeffs on the OFDM frame of layout cfg, at the
-    samples _fit_samples(rx, cfg, model.alignment), raveled."""
-    tx, rx = _same_shape(tx_baseband, rx_after_adc)
-    reg = _Regressors(tx, model.orders, model.memory_len, model.alignment, cfg)
-    return reg.residual(_fit_samples(rx, cfg, model.alignment), model.coeffs)
+def apply_digital_sic(reg, rx, coeffs):
+    """Residual rx - B @ coeffs, raveled, on the samples
+    _fit_samples(rx, reg.cfg, reg.alignment) of rx, a receive stream of the
+    frame of reg, for B = hammerstein_basis on those samples: one circular
+    convolution per symbol over the branch spectra."""
+    shape = (len(reg.orders), reg.memory_len)
+    if np.shape(coeffs) != shape:
+        raise ValueError(f"coeffs: expected shape {shape}, got {np.shape(coeffs)}")
+    target = _target(reg, rx)
+    fir = np.einsum("qsf,qf->sf", reg.spectra, np.fft.fft(coeffs, reg.spectra.shape[-1]))
+    resid = np.fft.ifft(fir, out=fir)[:, reg.alignment :]
+    np.subtract(target, resid, out=resid)
+    return resid.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +376,6 @@ class LinkChainParams:
     carrier_freq_hz: float = same_as(Scenario, "carrier_freq_hz")
     # PA driven with OFDM PAPR headroom below the CW compression input.
     input_backoff_db: float = bounded(12.0, ">= 0")
-    canceller_delays_s: tuple | None = None
     # auto: engage the analog stage when the SI entering the ADC would either
     # violate the gray-zone rule or sit more than analog_engage_margin_db
     # above the floor (the digital stage's reliable depth).
@@ -438,11 +428,6 @@ class LinkChainParams:
                     f"reflectors.delay_offset_range_s lets SI taps arrive up to {latest:.4g} s "
                     f"after transmission, past the {self.ofdm.cp_duration_s:.4g} s cyclic prefix"
                 )
-
-    def delays(self):
-        if self.canceller_delays_s is not None:
-            return self.canceller_delays_s
-        return default_canceller_delays(self.geometry.antenna_separation_m)
 
 
 # The LinkChainParams fields the DU frames read: the QPSK frames, the PA, the
@@ -503,10 +488,10 @@ class ReductionReport:
 def _send_frame(params, n_symbols, seed, part, ridge=None):
     """The DU's frame part of seed as the chains that share it read it:
     (PA output power over the fit's samples, symbol_spectra of the PA output,
-    thermal noise, _Regressors of the tx baseband, with the Gram if ridge is
-    given). Every draw comes from substream(seed, "frame-" + part) and
-    substream(seed, "noise-" + part); the noise is drawn once the time-domain
-    frame is let go, to bound the peak."""
+    thermal noise, HammersteinRegressors of the tx baseband, with the Gram if
+    ridge is given). Every draw comes from substream(seed, "frame-" + part)
+    and substream(seed, "noise-" + part); the noise is drawn once the
+    time-domain frame is let go, to bound the peak."""
     cfg, align = params.ofdm, params.hammerstein_alignment
     tx = build_frame(cfg, n_symbols, substream(seed, "frame-" + part))
     tx *= np.sqrt(dbm_to_watt(params.pa.input_p1db_dbm - params.input_backoff_db))
@@ -515,7 +500,7 @@ def _send_frame(params, n_symbols, seed, part, ridge=None):
     pa_spectra = symbol_spectra(pa_out, cfg)
     del pa_out
     orders, memory = params.hammerstein_orders, params.hammerstein_memory
-    reg = _Regressors(tx, orders, memory, align, cfg, ridge)
+    reg = HammersteinRegressors(tx, orders, memory, align, cfg, ridge)
     n_samples = tx.size
     del tx
     noise = thermal_noise(n_samples, params.noise, substream(seed, "noise-" + part))
@@ -546,10 +531,10 @@ class _Link:
         cfg = self.params.ofdm
         rx = noise
         if self.h_bins is not None:
-            rx = filter_spectra(pa_spectra, self.h_bins, cfg)
+            rx = apply_frequency_response(pa_spectra, self.h_bins, cfg)
             rx += noise
         if self.two_tap is not None:
-            rx = _cancel_analog(pa_spectra, rx, self.two_tap, cfg)
+            rx = apply_analog_canceller(pa_spectra, rx, self.two_tap, cfg)
         return rx
 
     def calibrate(self, pa_spectra, noise, reg):
@@ -568,19 +553,20 @@ class _Link:
                 demodulate(rx[: p.n_pilot_symbols * cfg.symbol_len], cfg),
                 active_grid(pa_spectra[: p.n_pilot_symbols], cfg),
             )
-            self.two_tap = tune_two_tap(h_hat, p.delays(), cfg)
-            rx = _cancel_analog(pa_spectra, rx, self.two_tap, cfg)
+            delays = default_canceller_delays(p.geometry.antenna_separation_m)
+            self.two_tap = tune_two_tap(h_hat, delays, cfg)
+            rx = apply_analog_canceller(pa_spectra, rx, self.two_tap, cfg)
             self.after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
         rx_adc, self.agc_scale = adc_quantize(rx, p.adc)
         del rx  # lowers the peak memory of the fit, which needs only rx_adc
-        self.model = reg.fit(_fit_samples(rx_adc, cfg, align))
+        self.model = fit_hammerstein(reg, rx_adc)
 
     def report(self, pa_spectra, noise, reg, tx_power_dbm):
         """The chain's ReductionReport, its holdout residual taken on the
         holdout frame."""
-        p, cfg = self.params, self.params.ofdm
+        p = self.params
         rx_adc, _ = adc_quantize(self._received(pa_spectra, noise), p.adc, scale=self.agc_scale)
-        resid = reg.residual(_fit_samples(rx_adc, cfg, self.model.alignment), self.model.coeffs)
+        resid = apply_digital_sic(reg, rx_adc, self.model.coeffs)
         after_digital_dbm = float(watt_to_dbm(self.model.training_residual_power))
         gray_ok = fits_gray_zone(self.after_analog_dbm, p.noise.floor_dbm, p.adc.effective_range_db)
         return ReductionReport(

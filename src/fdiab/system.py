@@ -109,9 +109,11 @@ def capacity_bps(sinr_db, bandwidth_hz, mcs):
 @dataclass(frozen=True)
 class Donor:
     position: tuple[float, float, float]
-    tx_power_dbm: float = 43.0
+    tx_power_dbm: float = bounded(43.0, "<= 100")
     pattern: AntennaPattern = field(default_factory=AntennaPattern)
     sector_center_az_deg: float | None = None  # None: aim at the region center
+
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,7 @@ class IabNode(Donor):
     """A relay cell: the donor's fields for its DU, plus the MT on its mast."""
 
     antenna_separation_m: float = bounded(1.0, "> 0")
-    residual_si_dbm: float | None = None  # full-SIC residual override
-
-    __post_init__ = check_bounds
+    residual_si_dbm: float | None = bounded(None, "<= 100")  # full-SIC residual override
 
     def mt_position(self):
         """The MT hangs antenna_separation_m below the DU on the mast."""
@@ -170,7 +170,7 @@ class Scenario:
     noise_figure_db: float = same_as(NoiseModel, "noise_figure_db")
     carrier_freq_hz: float = bounded(28e9, "> 0")
     guard_overhead: float = bounded(0.1, ">= 0, < 1")
-    access_shadow_sigma_db: float = bounded(4.0, ">= 0")
+    access_shadow_sigma_db: float = bounded(4.0, ">= 0, <= 100")
     full_sic_margin_db: float = 1.0
     reflectors: ReflectorConfig | None = field(default_factory=ReflectorConfig)
 
@@ -366,7 +366,6 @@ def ue_throughput(
     access_noise_dbm,
     backhaul_noise_dbm,
     scenario,
-    mcs=DEFAULT_MCS,
 ):
     """Downlink throughput of each UE under one configuration.
 
@@ -397,8 +396,8 @@ def ue_throughput(
         backhaul_sinr = backhaul_rx - floor
     backhaul_sinr = np.where(relayed, backhaul_sinr, np.nan)
 
-    ca = capacity_bps(access_sinr, bw, mcs)
-    cb = capacity_bps(np.where(relayed, backhaul_sinr, np.inf), bw, mcs)
+    ca = capacity_bps(access_sinr, bw, DEFAULT_MCS)
+    cb = capacity_bps(np.where(relayed, backhaul_sinr, np.inf), bw, DEFAULT_MCS)
     if mode == Mode.HD:
         with np.errstate(invalid="ignore"):  # 0/0 where both hops are in outage
             split = (1.0 - scenario.guard_overhead) * ca * cb / (ca + cb)
@@ -409,7 +408,7 @@ def ue_throughput(
     return thr, access_sinr, backhaul_sinr
 
 
-def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
+def run_drop(scenario, seed, modes=ALL_MODES):
     """One deployment drop: schedule every UE once, evaluate every mode.
 
     Scheduling is max-SNR and mode-independent, so per-UE serving decisions
@@ -465,7 +464,7 @@ def run_drop(scenario, seed, modes=ALL_MODES, mcs=DEFAULT_MCS):
         rows = slice(k * n_ue, (k + 1) * n_ue)
         thr, access_sinr, backhaul_sinr = ue_throughput(
             mode, relayed, access_rx, backhaul_rx[serving], dli_noise,
-            noise_plus_dbm(floor, residual)[serving, beam], scenario, mcs,
+            noise_plus_dbm(floor, residual)[serving, beam], scenario,
         )
         cols["throughput_bps"][rows] = thr
         cols["access_sinr_db"][rows] = access_sinr

@@ -60,9 +60,11 @@ def _parsed_bounds(cls):
 
 def check_bounds(obj):
     """Raise FieldError naming the first field of obj outside its bounds;
-    NaN is outside every bound."""
+    NaN is outside every bound, None (an optional field unset) inside."""
     for name, bounds, clauses in _parsed_bounds(type(obj)):
         value = getattr(obj, name)
+        if value is None:
+            continue
         for compare, limit in clauses:
             if not compare(value, limit):
                 raise FieldError(name, f"must be {bounds}, got {value!r}")

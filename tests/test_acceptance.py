@@ -18,6 +18,7 @@ import pytest
 from fdiab.cli import chain_params_for_node, main
 from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, demodulate, estimate_channel_ls, symbol_rows,
+    symbol_spectra,
 )
 from fdiab.rf import (
     AdcModel,
@@ -29,10 +30,8 @@ from fdiab.rf import (
     thermal_noise,
 )
 from fdiab.sic import (
-    apply_analog_canceller,
-    apply_digital_sic,
+    HammersteinRegressors,
     fit_hammerstein,
-    hammerstein_basis,
     run_link_chains,
     tune_two_tap,
 )
@@ -143,7 +142,7 @@ def test_criterion_4_hammerstein_sic():
     pattern = AntennaPattern()
     delays, gains = si_channel(geom, pattern, pattern, ReflectorConfig(), rng=chan_rng)
     h_bins = np.exp(-2j * np.pi * np.outer(CFG.bin_freqs_hz(), delays)) @ gains
-    rx = apply_frequency_response(pa_out, h_bins, CFG) + thermal_noise(
+    rx = apply_frequency_response(symbol_spectra(pa_out, CFG), h_bins, CFG) + thermal_noise(
         tx.size, noise_model, substream(2024, "c4-noise")
     )
     # The samples a fit at alignment 8 takes: each useful part less its last 8.
@@ -153,8 +152,8 @@ def test_criterion_4_hammerstein_sic():
     assert fits_gray_zone(si_dbm, floor)
 
     rx_adc, _ = adc_quantize(rx, AdcModel())
-    fifth = fit_hammerstein(tx, rx_adc, (1, 3, 5), memory_len=20, alignment=8, cfg=CFG)
-    linear = fit_hammerstein(tx, rx_adc, (1,), memory_len=20, alignment=8, cfg=CFG)
+    fifth = fit_hammerstein(HammersteinRegressors(tx, (1, 3, 5), 20, 8, CFG, ridge=1e-8), rx_adc)
+    linear = fit_hammerstein(HammersteinRegressors(tx, (1,), 20, 8, CFG, ridge=1e-8), rx_adc)
     res5_dbm = 10 * np.log10(fifth.training_residual_power) + 30
     res1_dbm = 10 * np.log10(linear.training_residual_power) + 30
     gap = res1_dbm - res5_dbm

@@ -468,16 +468,29 @@ class TestExitCodes:
         assert rc == 0
 
     @pytest.mark.parametrize(
-        "flag, value, field",
+        "command, flag, value, field",
         [
-            ("--set", "bandwidth_hz=NaN", "bandwidth_hz"),
-            ("--set", "donor.tx_power_dbm=Infinity", "donor.tx_power_dbm"),
+            ("system-sim", "--set", "bandwidth_hz=NaN", "bandwidth_hz"),
+            ("system-sim", "--set", "donor.tx_power_dbm=Infinity", "donor.tx_power_dbm"),
             # An empty grid value is one value, the empty string.
-            ("--grid", "iab_nodes.*.antenna_separation_m=", "iab_nodes[0].antenna_separation_m"),
+            ("sweep", "--grid", "iab_nodes.*.antenna_separation_m=",
+             "iab_nodes[0].antenna_separation_m"),
+            # Powers past the README's limits, which would overflow a float.
+            ("system-sim", "--set", "iab_nodes.*.pattern.boresight_gain_dbi=1e6",
+             "iab_nodes[0].pattern.boresight_gain_dbi"),
+            ("link-sim", "--set", "iab_nodes.*.pattern.boresight_gain_dbi=1e6",
+             "iab_nodes[0].pattern.boresight_gain_dbi"),
+            ("sweep", "--grid", "iab_nodes.*.pattern.boresight_gain_dbi=1e6",
+             "iab_nodes[0].pattern.boresight_gain_dbi"),
+            ("system-sim", "--set", "iab_nodes.*.tx_power_dbm=1e6", "iab_nodes[0].tx_power_dbm"),
+            ("system-sim", "--set", "iab_nodes.*.residual_si_dbm=1e6",
+             "iab_nodes[0].residual_si_dbm"),
+            ("system-sim", "--set", "access_shadow_sigma_db=1e6", "access_shadow_sigma_db"),
         ],
     )
-    def test_non_finite_override_is_1(self, scenario_path, tmp_path, capsys, flag, value, field):
-        command = "sweep" if flag == "--grid" else "system-sim"
+    def test_non_finite_or_too_large_override_is_1(
+        self, scenario_path, tmp_path, capsys, command, flag, value, field
+    ):
         rc = main(
             [command, "--scenario", scenario_path, "--seed", "1",
              "--out", str(tmp_path / "o"), flag, value] + SMALL

@@ -13,6 +13,7 @@ from fdiab.ofdm import (
     modulate,
     qpsk_symbols,
     symbol_rows,
+    symbol_spectra,
 )
 from fdiab.util import substream
 
@@ -131,14 +132,15 @@ class TestApplyChannel:
         def response(freqs):
             return np.exp(-2j * np.pi * np.outer(freqs, delays)) @ gains
 
-        rx = apply_frequency_response(modulate(grid, CFG), response(CFG.bin_freqs_hz()), CFG)
+        spectra = symbol_spectra(modulate(grid, CFG), CFG)
+        rx = apply_frequency_response(spectra, response(CFG.bin_freqs_hz()), CFG)
         got = demodulate(rx, CFG)
         expect = grid * response(CFG.subcarrier_freqs_hz())
         assert np.max(np.abs(got - expect)) < 1e-10
 
     def test_bad_response_shape(self):
         with pytest.raises(ValueError):
-            apply_frequency_response(np.zeros(CFG.symbol_len, complex), np.ones(10), CFG)
+            apply_frequency_response(np.zeros((1, CFG.fft_size), complex), np.ones(10), CFG)
 
 
 class TestChannelEstimation:
@@ -212,7 +214,7 @@ class TestZeroCp:
     def test_frequency_response_keeps_the_length(self):
         x = build_frame(self.CFG0, 3, substream(1, "cp0"))
         h = np.exp(-2j * np.pi * np.arange(16) / 16)
-        assert apply_frequency_response(x, h, self.CFG0).shape == (48,)
+        assert apply_frequency_response(symbol_spectra(x, self.CFG0), h, self.CFG0).shape == (48,)
 
     def test_round_trip(self):
         grid = qpsk_symbols(substream(2, "cp0"), (3, 12))
@@ -251,7 +253,7 @@ def test_symbol_layout_round_trips(cfg, n_symbols, lead, seed):
     useful = rng.standard_normal(lead + (n_symbols, cfg.fft_size)) + 0j
     assert np.array_equal(symbol_rows(join_with_cp(useful, cfg), cfg)[..., cfg.cp_len :], useful)
 
-    unit = apply_frequency_response(samples, np.ones(cfg.fft_size), cfg)
+    unit = apply_frequency_response(symbol_spectra(samples, cfg), np.ones(cfg.fft_size), cfg)
     assert unit.shape == samples.shape
     assert np.max(np.abs(unit - samples)) < 1e-12
     assert np.max(np.abs(demodulate(samples, cfg) - grid)) < 1e-10

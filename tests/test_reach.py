@@ -15,15 +15,8 @@ import fdiab
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.json")
 
-SPAN_TARGET = "a span target of perfbench/spans.py, which looks it up by name"
-
 UNREACHED_BY_DESIGN = {
-    "ofdm.apply_frequency_response": SPAN_TARGET,
-    "sic.apply_analog_canceller": SPAN_TARGET,
-    "sic.hammerstein_basis": SPAN_TARGET,
-    "sic.fit_hammerstein": SPAN_TARGET,
-    "sic.apply_digital_sic": SPAN_TARGET,
-    "sic._same_shape": "called only by the span targets fit_hammerstein and apply_digital_sic",
+    "sic.hammerstein_basis": "the explicit design matrix that tests check the fit against",
     "system.default_scenario": "imported by perfbench's tests",
     "scenario.load_scenario": "the scenario-file API",
     "scenario.save_scenario": "the scenario-file API",

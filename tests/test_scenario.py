@@ -71,6 +71,8 @@ def test_round_trip_shipped_scenario(tmp_path):
 finite = st.floats(-1e6, 1e6)
 positive = st.floats(1e-6, 1e12)
 non_negative = st.floats(0.0, 1e6)
+# Powers and gains in dB stop at their 100 dB upper bound.
+up_to_100 = st.floats(-1e6, 100.0)
 
 
 def ordered_pair(values):
@@ -79,7 +81,7 @@ def ordered_pair(values):
 
 patterns = st.builds(
     lambda floor, above, width, pol: AntennaPattern(floor + above, width, floor, pol),
-    finite,
+    st.floats(-1e6, 0.0),
     st.floats(1e-3, 100.0),
     positive,
     st.sampled_from(["V", "H"]),
@@ -99,7 +101,7 @@ scenarios = st.builds(
     donor=st.builds(
         Donor,
         position=positions,
-        tx_power_dbm=finite,
+        tx_power_dbm=up_to_100,
         pattern=patterns,
         sector_center_az_deg=azimuths,
     ),
@@ -108,10 +110,10 @@ scenarios = st.builds(
             IabNode,
             position=positions,
             antenna_separation_m=positive,
-            tx_power_dbm=finite,
+            tx_power_dbm=up_to_100,
             pattern=patterns,
             sector_center_az_deg=azimuths,
-            residual_si_dbm=st.none() | finite,
+            residual_si_dbm=st.none() | up_to_100,
         ),
         max_size=3,
     ).map(tuple),
@@ -127,7 +129,7 @@ scenarios = st.builds(
     noise_figure_db=non_negative,
     carrier_freq_hz=positive,
     guard_overhead=st.floats(0.0, 1.0, exclude_max=True),
-    access_shadow_sigma_db=non_negative,
+    access_shadow_sigma_db=st.floats(0.0, 100.0),
     full_sic_margin_db=finite,
     reflectors=st.none()
     | st.integers(0, 8).flatmap(

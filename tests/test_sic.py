@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdiab.geometry import ReflectorConfig, SiGeometry, si_channel, total_gain_db
-from fdiab.ofdm import OfdmConfig, apply_frequency_response, build_frame, symbol_rows
+from fdiab.ofdm import (
+    OfdmConfig, apply_frequency_response, build_frame, symbol_rows, symbol_spectra,
+)
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
     HammersteinModel,
+    HammersteinRegressors,
     LinkChainParams,
     ReductionReport,
     apply_analog_canceller,
@@ -106,9 +109,10 @@ class TestAnalogCanceller:
         rng = substream(1, "ac")
         x = build_frame(CFG, 4, rng)
         tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(0.7 + 0.1j, -0.2 + 0.4j))
-        rx = apply_analog_canceller(x, np.zeros_like(x), tt, CFG)
+        spectra = symbol_spectra(x, CFG)
+        rx = apply_analog_canceller(spectra, np.zeros_like(x), tt, CFG)
         # rx built as exactly the canceller's own regeneration
-        resid = apply_analog_canceller(x, -rx, tt, CFG)
+        resid = apply_analog_canceller(spectra, -rx, tt, CFG)
         rel = np.mean(np.abs(resid) ** 2) / np.mean(np.abs(rx) ** 2)
         assert rel < 1e-12  # at or below the numerical floor
 
@@ -116,14 +120,14 @@ class TestAnalogCanceller:
         rng = substream(2, "ac0")
         x = build_frame(CFG, 2, rng)
         tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(0.0, 0.0))
-        out = apply_analog_canceller(x, x, tt, CFG)
+        out = apply_analog_canceller(symbol_spectra(x, CFG), x, tt, CFG)
         assert np.allclose(out, x, atol=0)
 
     def test_shape_mismatch(self):
         tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(1.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rx: 2 symbols for a frame of 1"):
             apply_analog_canceller(
-                np.zeros(CFG.symbol_len, complex), np.zeros(2 * CFG.symbol_len, complex), tt, CFG
+                np.zeros((1, CFG.fft_size), complex), np.zeros(2 * CFG.symbol_len, complex), tt, CFG
             )
 
     def test_cancellation_depth_tracks_estimation_snr(self):
@@ -149,7 +153,18 @@ def integer_delay(x, delay_samples, gain, cfg=CFG):
     """x through one tap of gain at a whole number of samples' delay,
     circular per symbol."""
     h_bins = gain * np.exp(-2j * np.pi * cfg.bin_freqs_hz() * delay_samples / cfg.sample_rate_hz)
-    return apply_frequency_response(x, h_bins, cfg)
+    return apply_frequency_response(symbol_spectra(x, cfg), h_bins, cfg)
+
+
+def fit(x, y, orders=(1, 3, 5), memory_len=4, alignment=0, ridge=1e-8, *, cfg):
+    """fit_hammerstein of y, a receive stream of the OFDM frame x."""
+    return fit_hammerstein(HammersteinRegressors(x, orders, memory_len, alignment, cfg, ridge), y)
+
+
+def cancel(x, y, model, cfg):
+    """apply_digital_sic of model to y, a receive stream of the OFDM frame x."""
+    reg = HammersteinRegressors(x, model.orders, model.memory_len, model.alignment, cfg)
+    return apply_digital_sic(reg, y, model.coeffs)
 
 
 # A numerology with short symbols: 14 of them are fewer samples than two
@@ -163,7 +178,7 @@ class TestHammerstein:
         x = build_frame(CFG, 8, rng)
         y = integer_delay(x, 2, 0.6 - 0.2j)
         # ridge off: noiseless model identification should be exact
-        model = fit_hammerstein(x, y, memory_len=8, alignment=4, ridge=0.0, cfg=CFG)
+        model = fit(x, y, memory_len=8, alignment=4, ridge=0.0, cfg=CFG)
         norms = np.linalg.norm(model.coeffs, axis=1)
         assert norms[1] <= 1e-6 * norms[0]
         assert norms[2] <= 1e-6 * norms[0]
@@ -185,10 +200,10 @@ class TestHammerstein:
         y = y_clean + noise
         idx = fit_indices(CFG, x.size, 4)
 
-        full = fit_hammerstein(x, y, (1, 3, 5), memory_len=8, alignment=4, cfg=CFG)
+        full = fit(x, y, (1, 3, 5), memory_len=8, alignment=4, cfg=CFG)
         assert full.training_residual_power <= 1.05 * noise_power
 
-        lin = fit_hammerstein(x, y, (1,), memory_len=8, alignment=4, cfg=CFG)
+        lin = fit(x, y, (1,), memory_len=8, alignment=4, cfg=CFG)
         basis1 = hammerstein_basis(x, (1,), 8, 4, idx)
         target = (c3 * x * np.abs(x) ** 2)[idx - 1]  # the c3 term as received
         proj, *_ = np.linalg.lstsq(basis1, target, rcond=None)
@@ -212,23 +227,23 @@ class TestHammerstein:
 
         x_tiny, x_big, x_test = (build_frame(cfg, n, rng) for n in (1, 10, 100))
         with pytest.warns(RuntimeWarning, match="short"):
-            tiny = fit_hammerstein(
+            tiny = fit(
                 x_tiny, distorted(x_tiny), (1, 3, 5), memory_len=4, alignment=2, ridge=0.0, cfg=cfg
             )
         assert tiny.training_residual_power <= 1e-12 * tiny.training_power
 
-        big = fit_hammerstein(x_big, distorted(x_big), (1, 3, 5), memory_len=4, alignment=2, cfg=cfg)
+        big = fit(x_big, distorted(x_big), (1, 3, 5), memory_len=4, alignment=2, cfg=cfg)
         y_test = distorted(x_test)
-        r_tiny = np.mean(np.abs(apply_digital_sic(x_test, y_test, tiny, cfg)) ** 2)
-        r_big = np.mean(np.abs(apply_digital_sic(x_test, y_test, big, cfg)) ** 2)
+        r_tiny = np.mean(np.abs(cancel(x_test, y_test, tiny, cfg)) ** 2)
+        r_big = np.mean(np.abs(cancel(x_test, y_test, big, cfg)) ** 2)
         assert r_tiny > r_big
 
     def test_apply_consistent_with_fit(self):
         rng = substream(7, "happ")
         x = build_frame(CFG, 6, rng)
         y = 0.8 * x + 0.03 * x * np.abs(x) ** 4
-        model = fit_hammerstein(x, y, memory_len=6, alignment=2, cfg=CFG)
-        resid = apply_digital_sic(x, y, model, CFG)
+        model = fit(x, y, memory_len=6, alignment=2, cfg=CFG)
+        resid = cancel(x, y, model, CFG)
         assert np.mean(np.abs(resid) ** 2) == pytest.approx(
             model.training_residual_power, rel=1e-9
         )
@@ -236,14 +251,14 @@ class TestHammerstein:
     def test_zero_coefficients_identity(self):
         rng = substream(8, "hzero")
         x = build_frame(CFG, 2, rng)
-        model = fit_hammerstein(x, x, memory_len=4, cfg=CFG)
+        model = fit(x, x, memory_len=4, cfg=CFG)
         zeroed = type(model)(
             orders=model.orders,
             memory_len=model.memory_len,
             coeffs=np.zeros_like(model.coeffs),
             alignment=model.alignment,
         )
-        resid = apply_digital_sic(x, x, zeroed, CFG)
+        resid = cancel(x, x, zeroed, CFG)
         assert np.array_equal(resid, x[fit_indices(CFG, x.size, 0)])
 
     def test_generalizes_to_fresh_block(self):
@@ -258,8 +273,8 @@ class TestHammerstein:
                 + 1j * substream(11, "n", x.size).standard_normal(x.size)
             )
 
-        model = fit_hammerstein(train, channelize(train), memory_len=8, alignment=4, cfg=CFG)
-        resid = apply_digital_sic(test, channelize(test), model, CFG)
+        model = fit(train, channelize(train), memory_len=8, alignment=4, cfg=CFG)
+        resid = cancel(test, channelize(test), model, CFG)
         fresh = np.mean(np.abs(resid) ** 2)
         ratio_db = 10 * np.log10(fresh / model.training_residual_power)
         assert abs(ratio_db) < 1.0
@@ -269,7 +284,7 @@ class TestHammerstein:
         x = build_frame(CFG, 4, rng)
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
         idx = fit_indices(CFG, x.size, 2)
-        model = fit_hammerstein(x, y, memory_len=4, alignment=2, cfg=CFG)
+        model = fit(x, y, memory_len=4, alignment=2, cfg=CFG)
         basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
         c = model.coeffs.reshape(-1)
         grad = basis.conj().T @ (y[idx] - basis @ c) - model.ridge * c
@@ -281,7 +296,7 @@ class TestHammerstein:
         x = build_frame(CFG, 4, rng)
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
         idx = fit_indices(CFG, x.size, 2)
-        model = fit_hammerstein(x, y, memory_len=4, alignment=2, cfg=CFG)
+        model = fit(x, y, memory_len=4, alignment=2, cfg=CFG)
         basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
         c0 = model.coeffs.reshape(-1)
         r0 = np.mean(np.abs(y[idx] - basis @ c0) ** 2)
@@ -296,15 +311,15 @@ class TestHammerstein:
     def test_order_and_window_validation(self):
         x = np.ones(CFG.symbol_len, complex)
         with pytest.raises(ValueError, match="orders"):
-            fit_hammerstein(x, x, orders=(1, 3, 5, 7), memory_len=2, cfg=CFG)
+            fit(x, x, orders=(1, 3, 5, 7), memory_len=2, cfg=CFG)
         with pytest.raises(ValueError, match="orders"):
-            fit_hammerstein(x, x, orders=(2, 4), memory_len=2, cfg=CFG)
+            fit(x, x, orders=(2, 4), memory_len=2, cfg=CFG)
         with pytest.raises(ValueError, match="orders"):
-            fit_hammerstein(x, x, orders=(), memory_len=2, cfg=CFG)
+            fit(x, x, orders=(), memory_len=2, cfg=CFG)
         with pytest.raises(ValueError, match="alignment"):
-            fit_hammerstein(x, x, memory_len=2, alignment=2, cfg=CFG)
+            fit(x, x, memory_len=2, alignment=2, cfg=CFG)
         with pytest.raises(ValueError, match="alignment"):
-            fit_hammerstein(x, x, memory_len=2, alignment=-1, cfg=CFG)
+            fit(x, x, memory_len=2, alignment=-1, cfg=CFG)
 
 
 def explicit_fit(x, y, orders, memory_len, alignment, ridge, idx):
@@ -335,13 +350,13 @@ def ofdm_signals(seed, n_symbols, cfg=CFG):
 
 def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg):
     idx = fit_indices(cfg, x.size, alignment)
-    model = fit_hammerstein(x, y, orders, memory_len, alignment, ridge, cfg=cfg)
+    model = fit(x, y, orders, memory_len, alignment, ridge, cfg=cfg)
     basis, coeffs, eps, resid_power = explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
     scale = np.abs(coeffs).max()
     np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-8, atol=1e-8 * scale)
     assert model.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
     assert model.training_residual_power == pytest.approx(resid_power, rel=1e-9)
-    prediction = y[idx] - apply_digital_sic(x, y, model, cfg)
+    prediction = y[idx] - cancel(x, y, model, cfg)
     explicit = basis @ model.coeffs.reshape(-1)
     np.testing.assert_allclose(
         prediction, explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max()
@@ -388,7 +403,7 @@ class TestFrameLayoutRejections:
 
     def run_both(self, x, y, match, memory_len=20, alignment=8):
         with pytest.raises(ValueError, match=match):
-            fit_hammerstein(x, y, memory_len=memory_len, alignment=alignment, cfg=CFG)
+            fit(x, y, memory_len=memory_len, alignment=alignment, cfg=CFG)
         model = HammersteinModel(
             orders=(1, 3, 5),
             memory_len=memory_len,
@@ -396,7 +411,7 @@ class TestFrameLayoutRejections:
             alignment=alignment,
         )
         with pytest.raises(ValueError, match=match):
-            apply_digital_sic(x, y, model, CFG)
+            cancel(x, y, model, CFG)
 
     def test_stream_of_partial_symbols(self, signals):
         x, y = signals
@@ -422,9 +437,9 @@ class TestFrameLayoutRejections:
         cfg = OfdmConfig(fft_size=16, active_subcarriers=12, cp_len=4)
         x = np.tile(substream(41, "period").standard_normal(16) + 0j, 25)
         y = 0.5 * x + 0.1 * np.roll(x, 1)
-        fit_hammerstein(x, y, (1,), memory_len=5, cfg=cfg)
+        fit(x, y, (1,), memory_len=5, cfg=cfg)
         with pytest.raises(ValueError, match="^memory_len: .* reach 5 samples back"):
-            fit_hammerstein(x, y, (1,), memory_len=6, cfg=cfg)
+            fit(x, y, (1,), memory_len=6, cfg=cfg)
 
     def test_taps_must_fit_in_one_symbol(self):
         # 20 taps at alignment 15 reach only 4 samples back, but outspan the
@@ -432,7 +447,31 @@ class TestFrameLayoutRejections:
         cfg = OfdmConfig(fft_size=16, active_subcarriers=12, cp_len=4)
         x, y = ofdm_signals(33, 40, cfg)
         with pytest.raises(ValueError, match="^memory_len: .* at most 16 taps"):
-            fit_hammerstein(x, y, (1,), memory_len=20, alignment=15, cfg=cfg)
+            fit(x, y, (1,), memory_len=20, alignment=15, cfg=cfg)
+
+
+def test_rx_of_another_symbol_count_is_rejected_naming_it():
+    # Against a 3-symbol frame, a 1-symbol rx would broadcast into every
+    # symbol of the fit's target and of the residual.
+    x, y = ofdm_signals(30, 3)
+    short = y[: CFG.symbol_len]
+    reg = HammersteinRegressors(x, (1, 3, 5), 20, 8, CFG, ridge=1e-8)
+    with pytest.raises(ValueError, match="^rx: 1 symbols for a frame of 3"):
+        fit_hammerstein(reg, short)
+    with pytest.raises(ValueError, match="^rx: 1 symbols for a frame of 3"):
+        apply_digital_sic(reg, short, np.ones((3, 20), complex))
+    tt = TwoTapConfig(delays_s=(3e-9, 4e-9), gains=(1.0, 1.0))
+    with pytest.raises(ValueError, match="^rx: 1 symbols for a frame of 3"):
+        apply_analog_canceller(symbol_spectra(x, CFG), short, tt, CFG)
+
+
+def test_fit_needs_a_gram_and_the_canceller_coeffs_of_its_shape():
+    x, y = ofdm_signals(30, 3)
+    holdout = HammersteinRegressors(x, (1, 3, 5), 20, 8, CFG)
+    with pytest.raises(ValueError, match="^reg: built without a ridge"):
+        fit_hammerstein(holdout, y)
+    with pytest.raises(ValueError, match=r"^coeffs: expected shape \(3, 20\), got \(3, 19\)"):
+        apply_digital_sic(holdout, y, np.ones((3, 19), complex))
 
 
 @st.composite
@@ -474,7 +513,7 @@ class TestConditionWarning:
         useful = np.exp(2j * np.pi * substream(40, "phase").random((4, CFG.fft_size)))
         x = np.concatenate([useful[:, -CFG.cp_len :], useful], axis=1).ravel()
         with pytest.warns(RuntimeWarning, match="badly conditioned"):
-            fit_hammerstein(x, 0.5 * x, (1, 3), memory_len=4, ridge=0.0, cfg=CFG)
+            fit(x, 0.5 * x, (1, 3), memory_len=4, ridge=0.0, cfg=CFG)
 
     def test_default_chain_raises_no_warning(self):
         with warnings.catch_warnings():
