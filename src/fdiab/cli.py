@@ -172,10 +172,13 @@ def _write_columns(path, columns):
     Each chunk of CSV_CHUNK_ROWS rows is gathered from the columns' byte
     tables into one padded block, every cell at a fixed offset, and written
     with the padding dropped. Chunks bound the peak: a block for the whole
-    table would be several times the size of the text it holds.
+    table would be several times the size of the text it holds. The writer
+    owns columns and pops each one once its cell table and row index exist,
+    so callers take what they need from the dict before handing it over.
     """
+    header = (",".join(map(_csv_cell, columns)) + "\n").encode()
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    table = [_column_cells(*column, sep) for column, sep in zip(columns.items(), seps)]
+    table = [_column_cells(name, columns.pop(name), sep) for name, sep in zip(list(columns), seps)]
     if len(table) == 1:  # a lone empty field is written quoted
         cells = np.pad(table[0][0], ((0, 0), (2, 0)), constant_values=PAD)
         cells[(cells[:, 2:-1] == PAD).all(axis=1), :2] = ord('"')
@@ -187,7 +190,7 @@ def _write_columns(path, columns):
     slots = [block[:, e - w : e].view(f"V{w}")[:, 0] for w, e in zip(widths, np.cumsum(widths))]
     table = [(cells.view(f"V{w}")[:, 0], index) for w, (cells, index) in zip(widths, table)]
     with open(path, "wb") as fh:
-        fh.write((",".join(map(_csv_cell, columns)) + "\n").encode())
+        fh.write(header)
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
             n = min(CSV_CHUNK_ROWS, n_rows - lo)
             for slot, (cells, index) in zip(slots, table):
@@ -201,8 +204,8 @@ def _write_outputs(cfg, resolved_scenario, tables, **arguments):
     written and which also records the command's own arguments, as parsed.
 
     The directory is made once the first table is ready, so a run that fails
-    before then leaves none. Each table is let go once written, so a
-    generator can build the next one without it.
+    before then leaves none. The writer empties each table, so callers take
+    what they need from it first, and a generator builds the next without it.
     """
     outputs = []
     for name, columns in tables:
@@ -290,10 +293,10 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
 
     def tables():
         cols = run_drop(scenario, cfg.seed, modes=modes)
-        yield "throughput.csv", cols
         # run_drop's rows are mode-major: each mode's curve is one block of rows.
+        # The curves are taken first: the writer empties the drop as it goes.
         curves = [cdf(block) for block in np.split(cols["throughput_bps"], len(values))]
-        del cols  # lowers the peak RSS: cdf.csv is written without the drop alive
+        yield "throughput.csv", cols
         v, p = map(np.concatenate, zip(*curves))
         yield "cdf.csv", dict(zip(CDF_COLUMNS, (np.repeat(values, curves[0][0].size), v, p)))
 

@@ -16,7 +16,8 @@ from .geometry import (
 )
 from .rf import NoiseModel
 from .util import (
-    FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, under, watt_to_dbm,
+    SPEED_OF_LIGHT, FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, under,
+    watt_to_dbm,
 )
 
 
@@ -129,9 +130,9 @@ class IabNode(Donor):
         return (x, y, z - self.antenna_separation_m)
 
 
-# A system-sim call's traced allocations peak at about 1 KiB per UE (987 B
-# per UE between a 201 x 201 and a 301 x 301 grid, 10.1 MiB at 101 x 101).
-# The cap keeps that peak within a 2 GiB budget: 2,097,152 UEs, 1448 x 1448.
+# A system-sim call's traced allocations peak in run_drop, at 745 B per UE
+# between a 201 x 201 and a 301 x 301 grid (7.3 MiB at 101 x 101). The cap
+# budgets 1 KiB per UE within 2 GiB: 2,097,152 UEs, 1448 x 1448.
 MAX_UES = 2 * 2**30 // 1024
 
 
@@ -176,6 +177,13 @@ class Scenario:
 
     def __post_init__(self):
         check_bounds(self)
+        # Friis loss turns into a gain below c / (4 pi f): 0.85 mm at 28 GHz.
+        nearest = SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_freq_hz)
+        for i, d in enumerate(node.antenna_separation_m for node in self.iab_nodes):
+            if d < nearest:
+                where = f"at carrier_freq_hz {self.carrier_freq_hz:.4g}, where Friis loss is 0 dB"
+                msg = f"must be >= {nearest:.4g} m {where}, got {d!r}"
+                raise FieldError(f"iab_nodes[{i}].antenna_separation_m", msg)
         # A UE on a cell's position would have an access path of no length.
         # Every UE sits at height_m, so only a cell at that height can be hit.
         paths = ["donor"] + [f"iab_nodes[{i}]" for i in range(len(self.iab_nodes))]
@@ -476,7 +484,5 @@ def run_drop(scenario, seed, modes=ALL_MODES):
 def cdf(values):
     """Empirical CDF points (sorted value, P(X <= value))."""
     v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        return np.array([]), np.array([])
-    p = np.arange(1, v.size + 1) / v.size
+    p = np.arange(1, v.size + 1) / v.size  # both empty for no values
     return v, p

@@ -59,15 +59,17 @@ def _parsed_bounds(cls):
 
 
 def check_bounds(obj):
-    """Raise FieldError naming the first field of obj outside its bounds;
-    NaN is outside every bound, None (an optional field unset) inside."""
+    """Raise FieldError naming the first field of obj outside its bounds, and
+    its bounds up to the first one broken; NaN is outside every bound, None
+    (an optional field unset) inside."""
     for name, bounds, clauses in _parsed_bounds(type(obj)):
         value = getattr(obj, name)
         if value is None:
             continue
-        for compare, limit in clauses:
+        for k, (compare, limit) in enumerate(clauses):
             if not compare(value, limit):
-                raise FieldError(name, f"must be {bounds}, got {value!r}")
+                shown = ",".join(bounds.split(",")[: k + 1])
+                raise FieldError(name, f"must be {shown}, got {value!r}")
 
 
 def dbm_to_watt(dbm):

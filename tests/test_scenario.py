@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+import math
 import re
 import tracemalloc
 
@@ -17,7 +19,7 @@ from fdiab.scenario import (
     scenario_to_dict,
 )
 from fdiab.system import MAX_UES, Donor, IabNode, Scenario, UeGrid, default_scenario
-from fdiab.util import FieldError
+from fdiab.util import SPEED_OF_LIGHT, FieldError
 
 
 def test_minimal_file_gets_defaults(tmp_path):
@@ -73,6 +75,9 @@ positive = st.floats(1e-6, 1e12)
 non_negative = st.floats(0.0, 1e6)
 # Powers and gains in dB stop at their 100 dB upper bound.
 up_to_100 = st.floats(-1e6, 100.0)
+# Carriers from 1 GHz and separations from 3 cm keep every Friis loss >= 0 dB.
+carriers = st.floats(1e9, 1e12)
+separations = st.floats(0.03, 1e12)
 
 
 def ordered_pair(values):
@@ -109,7 +114,7 @@ scenarios = st.builds(
         st.builds(
             IabNode,
             position=positions,
-            antenna_separation_m=positive,
+            antenna_separation_m=separations,
             tx_power_dbm=up_to_100,
             pattern=patterns,
             sector_center_az_deg=azimuths,
@@ -126,8 +131,8 @@ scenarios = st.builds(
         height_m=non_negative,
     ),
     bandwidth_hz=positive,
-    noise_figure_db=non_negative,
-    carrier_freq_hz=positive,
+    noise_figure_db=st.floats(0.0, 100.0),
+    carrier_freq_hz=carriers,
     guard_overhead=st.floats(0.0, 1.0, exclude_max=True),
     access_shadow_sigma_db=st.floats(0.0, 100.0),
     full_sic_margin_db=finite,
@@ -229,6 +234,20 @@ def test_noise_bounds_hold_in_files():
     data = apply_overrides(scenario_to_dict(default_scenario()), ["noise_figure_db=-5"])
     with pytest.raises(ScenarioError, match="^noise_figure_db: must be >= 0, got -5.0"):
         scenario_from_dict(data)
+
+
+def test_separation_must_keep_free_space_loss_at_or_above_0_db():
+    sc = default_scenario()
+    at_0_db = SPEED_OF_LIGHT / (4 * math.pi * sc.carrier_freq_hz)  # 0.85 mm at 28 GHz
+    node = dataclasses.replace(sc.iab_nodes[1], antenna_separation_m=at_0_db * (1 + 1e-9))
+    assert dataclasses.replace(sc, iab_nodes=(sc.iab_nodes[0], node)).iab_nodes[1] == node
+    node = dataclasses.replace(node, antenna_separation_m=at_0_db * (1 - 1e-9))
+    message = (
+        r"^iab_nodes\[1\].antenna_separation_m: must be >= 0.000852 m at carrier_freq_hz 2.8e\+10,"
+        r" where Friis loss is 0 dB, got 0.000852"
+    )
+    with pytest.raises(FieldError, match=message):
+        dataclasses.replace(sc, iab_nodes=(sc.iab_nodes[0], node))
 
 
 def test_ue_grid_cap_is_checked_before_any_ue_is_laid_out():
