@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .geometry import SiGeometry
+from .geometry import SiGeometry, si_channel
 from .prototype import compare_prototype
 from .scenario import (
     ScenarioError,
@@ -40,23 +40,12 @@ from .scenario import (
 )
 from .sic import FRAME_FIELDS, LinkChainParams, ReductionReport, run_link_chain, run_link_chains
 from .system import ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop
-from .util import substream, under
+from .util import SPEED_OF_LIGHT, substream, under
 
 REDUCTION_COLUMNS = (
-    "node",
-    "antenna_separation_m",
-    "seed",
-    "tx_power_dbm",
-    "after_propagation_dbm",
-    "after_analog_dbm",
-    "after_digital_dbm",
-    "propagation_db",
-    "analog_db",
-    "digital_db",
-    "noise_floor_dbm",
-    "analog_applied",
-    "gray_zone_ok",
-    "digital_saturated",
+    "node", "antenna_separation_m", "seed", "tx_power_dbm", "after_propagation_dbm",
+    "after_analog_dbm", "after_digital_dbm", "propagation_db", "analog_db", "digital_db",
+    "noise_floor_dbm", "analog_applied", "gray_zone_ok", "digital_saturated",
     "holdout_residual_dbm",
 )
 
@@ -237,24 +226,38 @@ def _load_with_overrides(cfg):
     return data, scenario_from_dict(data)
 
 
-def chain_params_for_node(scenario, node):
-    """Link-chain inputs for one IAB node: the DU looks into its access
-    sector at the codebook's center elevation, the MT looks at the donor."""
-    az = scenario.sector_center_az(node)
-    du_dir = direction_from_angles(az, SECTOR_CENTER_EL_DEG)
-    geometry = SiGeometry(
-        antenna_separation_m=node.antenna_separation_m,
-        tx_orientation=tuple(float(c) for c in du_dir),
-        rx_orientation=scenario.mt_boresight(node),
-    )
-    return LinkChainParams(
-        geometry=geometry,
-        tx_pattern=node.pattern,
-        rx_pattern=node.pattern,
-        reflectors=scenario.reflectors,
-        noise=scenario.noise,
-        carrier_freq_hz=scenario.carrier_freq_hz,
-    )
+def chain_for_node(scenario, i):
+    """(LinkChainParams, si_taps) of IAB node i's link chain, where
+    si_taps(seed) draws the chain's SI channel at seed as si_channel does:
+    the DU looks into its access sector at the codebook's center elevation,
+    the MT at the donor, and the reflections come from
+    substream(substream(seed, "si-channel").integers(2**63), "si-reflections").
+    A separation or reflectors that could put a tap past the cyclic prefix are
+    rejected before any draw: the chain applies its channel circularly per
+    OFDM symbol."""
+    node, reflectors = scenario.iab_nodes[i], scenario.reflectors
+    pattern, carrier_freq_hz = node.pattern, scenario.carrier_freq_hz  # not the whole scenario
+    params = LinkChainParams(node.antenna_separation_m, noise=scenario.noise)
+    late_s, field = 0.0, f"iab_nodes[{i}].antenna_separation_m"
+    if reflectors is not None:
+        late_s, field = reflectors.delay_offset_range_s[1], "reflectors.delay_offset_range_s"
+    latest = node.antenna_separation_m / SPEED_OF_LIGHT + late_s
+    if latest >= params.ofdm.cp_duration_s:
+        raise ValueError(
+            f"{field} lets SI taps arrive up to {latest:.4g} s after transmission, past the "
+            f"{params.ofdm.cp_duration_s:.4g} s cyclic prefix"
+        )
+    du_dir = direction_from_angles(scenario.sector_center_az(node), SECTOR_CENTER_EL_DEG).tolist()
+    geometry = SiGeometry(node.antenna_separation_m, tuple(du_dir), scenario.mt_boresight(node))
+
+    def si_taps(seed):
+        rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
+        return under(
+            f"iab_nodes[{i}]", si_channel, geometry, pattern, pattern, reflectors,
+            rng=rng, carrier_freq_hz=carrier_freq_hz,
+        )
+
+    return params, si_taps
 
 
 def _node_seed(*path):
@@ -278,10 +281,10 @@ def _reduction_columns(nodes, seeds, reports):
 
 def cmd_link_sim(cfg):
     _, scenario = _load_with_overrides(cfg)
-    params = [chain_params_for_node(scenario, node) for node in scenario.iab_nodes]
-    nodes = range(len(params))
+    nodes = range(len(scenario.iab_nodes))
+    chains = [chain_for_node(scenario, i) for i in nodes]
     seeds = [_node_seed(cfg.seed, "link", i) for i in nodes]
-    reports = [under(f"iab_nodes[{i}]", run_link_chain, params[i], seeds[i]) for i in nodes]
+    reports = [run_link_chain(p, si_taps(seed), seed) for (p, si_taps), seed in zip(chains, seeds)]
     tables = [("reduction.csv", _reduction_columns(nodes, seeds, reports))]
     _write_outputs(cfg, scenario_to_dict(scenario), tables)
     return 0
@@ -337,8 +340,9 @@ def cmd_sweep(cfg, grid_specs, drops):
     cells whose chain inputs agree on the frame fields form one group that
     sends one frame (run_link_chains); groups run in the order of their first
     rows. A sweep of more than MAX_SWEEP_CHAINS chains is rejected before any
-    cell is built, and every cell's chain inputs are built, and so validated,
-    before the first chain runs.
+    cell is built, and every cell's chain parameters are built, and so
+    validated, before the first chain runs; a group draws its SI taps as it
+    runs.
     """
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
@@ -354,26 +358,28 @@ def cmd_sweep(cfg, grid_specs, drops):
             f" exceed the cap of {MAX_SWEEP_CHAINS}"
         )
     cells = list(itertools.product(*[[(k, v) for v in vals] for k, vals in grid]))
-    cell_params = []
+    cell_chains = []
     for assignment in cells:
         overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
         cell = scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), overrides))
-        cell_params.append([chain_params_for_node(cell, node) for node in cell.iab_nodes])
+        cell_chains.append([chain_for_node(cell, i) for i in range(len(cell.iab_nodes))])
     rows = [
         (ci, d, ni)
-        for ci, params in enumerate(cell_params)
+        for ci, chains in enumerate(cell_chains)
         for d in range(drops)
-        for ni in range(len(params))
+        for ni in range(len(chains))
     ]
     seeds = {(d, ni): _node_seed(cfg.seed, "sweep", d, ni) for _, d, ni in rows}
     groups = {}  # (drop, node, frame fields) -> the rows that send one frame
     for ci, d, ni in rows:
-        frame = tuple(getattr(cell_params[ci][ni], f) for f in FRAME_FIELDS)
+        frame = tuple(getattr(cell_chains[ci][ni][0], f) for f in FRAME_FIELDS)
         groups.setdefault((d, ni, frame), []).append((ci, d, ni))
     reports = {}
     for (d, ni, _), group in groups.items():
-        chains = [cell_params[ci][ni] for ci, _, _ in group]
-        reports.update(zip(group, under(f"iab_nodes[{ni}]", run_link_chains, chains, seeds[d, ni])))
+        seed = seeds[d, ni]
+        chains = [cell_chains[ci][ni] for ci, _, _ in group]
+        chains = ((params, si_taps(seed)) for params, si_taps in chains)  # drawn as read
+        reports.update(zip(group, run_link_chains(chains, seed)))
     cell, drop, node = np.array(rows, int).reshape(-1, 3).T
     columns = {"cell": cell, "drop": drop}
     for j, (key, _) in enumerate(grid):
@@ -403,21 +409,15 @@ def _parse_modes(spec):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="fdiab",
-        description="Full-duplex IAB simulator: SI reduction chains and throughput drops.",
-    )
+    description = "Full-duplex IAB simulator: SI reduction chains and throughput drops."
+    parser = argparse.ArgumentParser(prog="fdiab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed_required=True, with_scenario=True):
         if with_scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON path")
             p.add_argument(
-                "--set",
-                dest="overrides",
-                action="append",
-                default=[],
-                metavar="KEY=VALUE",
+                "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
                 help="override a scenario field (dotted path, '*' for list wildcards)",
             )
         seed_help = "experiment seed in [0, 2**64)" + ("" if seed_required else ", default 0")
@@ -428,26 +428,19 @@ def build_parser():
 
     p_sys = sub.add_parser("system-sim", help="run one throughput drop over all modes")
     common(p_sys)
-    p_sys.add_argument(
-        "--modes",
-        default=",".join(m.value for m in ALL_MODES),
-        help="comma-separated subset of modes",
-    )
+    all_modes = ",".join(m.value for m in ALL_MODES)
+    p_sys.add_argument("--modes", default=all_modes, help="comma-separated subset of modes")
 
     p_sweep = sub.add_parser("sweep", help="sweep link chains over a parameter grid")
     common(p_sweep)
     p_sweep.add_argument(
-        "--grid",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
+        "--grid", action="append", default=[], metavar="KEY=V1,V2,...",
         help="sweep axis over scenario fields (repeatable; cartesian product)",
     )
     p_sweep.add_argument("--drops", type=int, default=1, help="seeded drops per cell")
 
-    p_cmp = sub.add_parser(
-        "compare-prototype", help="simulated vs measured propagation suppression"
-    )
+    cmp_help = "simulated vs measured propagation suppression"
+    p_cmp = sub.add_parser("compare-prototype", help=cmp_help)
     common(p_cmp, seed_required=False, with_scenario=False)
 
     return parser

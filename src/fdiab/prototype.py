@@ -55,21 +55,11 @@ def simulate_suppression_db(separation_m, relative_azimuth_deg, seed):
     to the Tx. Suppression is Tx power minus total received SI power.
     """
     az = np.radians(relative_azimuth_deg)
-    geom = SiGeometry(
-        antenna_separation_m=separation_m,
-        tx_orientation=(1.0, 0.0, 0.0),
-        rx_orientation=(float(np.cos(az)), float(np.sin(az)), 0.0),
-    )
-    _, gains = si_channel(
-        geom,
-        PROTOTYPE_PATTERN,
-        PROTOTYPE_PATTERN,
-        ReflectorConfig(),
-        rng=substream(
-            substream(seed, "proto", separation_m, relative_azimuth_deg).integers(2**63),
-            "si-reflections",
-        ),
-    )
+    rx_dir = (float(np.cos(az)), float(np.sin(az)), 0.0)
+    geom = SiGeometry(separation_m, (1.0, 0.0, 0.0), rx_dir)
+    draw_seed = substream(seed, "proto", separation_m, relative_azimuth_deg).integers(2**63)
+    rng = substream(draw_seed, "si-reflections")
+    _, gains = si_channel(geom, PROTOTYPE_PATTERN, PROTOTYPE_PATTERN, ReflectorConfig(), rng=rng)
     return -total_gain_db(gains)
 
 

@@ -8,12 +8,12 @@ what is left. Per-domain reductions are reported in dB and must add up to the
 total.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel
 from .ofdm import (
     OfdmConfig,
     active_grid,
@@ -25,9 +25,8 @@ from .ofdm import (
     symbol_spectra,
 )
 from .rf import AdcModel, NoiseModel, PaModel, adc_quantize, fits_gray_zone, pa_apply, thermal_noise
-from .system import Scenario
 from .util import (
-    SPEED_OF_LIGHT, bounded, check_bounds, dbm_to_watt, mean_power_dbm, same_as, substream,
+    SPEED_OF_LIGHT, FieldError, bounded, check_bounds, dbm_to_watt, mean_power_dbm, substream,
     watt_to_dbm,
 )
 
@@ -68,9 +67,13 @@ class TwoTapConfig:
         return a1 * np.exp(-2j * np.pi * f * t1) + a2 * np.exp(-2j * np.pi * f * t2)
 
 
-def _check_delays_inside_cp(delays_s, cfg):
+def _check_inside_cp(delays_s, cfg, name):
+    """Raise, naming name, unless every delay of delays_s is shorter than the
+    CP: a channel applied circularly per OFDM symbol would wrap a later tap
+    around the symbol."""
     if max(delays_s) >= cfg.cp_duration_s:
-        raise ValueError("canceller delays must stay well inside the CP duration")
+        cp = f"the {cfg.cp_duration_s:.4g} s cyclic prefix"
+        raise ValueError(f"{name}: a delay of {max(delays_s):.4g} s is at or past {cp}")
 
 
 def tune_two_tap(si_freq_response, delays_s, cfg):
@@ -85,7 +88,7 @@ def tune_two_tap(si_freq_response, delays_s, cfg):
         raise ValueError("equal canceller delays make the system singular")
     if t1 > t2:  # LS is symmetric under permutation; store taps sorted
         t1, t2 = t2, t1
-    _check_delays_inside_cp((t1, t2), cfg)
+    _check_inside_cp((t1, t2), cfg, "delays_s")
     h = np.asarray(si_freq_response, dtype=complex)
     if h.shape != (cfg.active_subcarriers,):
         raise ValueError("si_freq_response must cover all active subcarriers")
@@ -112,7 +115,7 @@ def apply_analog_canceller(pa_spectra, rx, two_tap, cfg):
     OFDM symbol, exact under cyclic-prefix circularity because both delays
     sit far inside the CP.
     """
-    _check_delays_inside_cp(two_tap.delays_s, cfg)
+    _check_inside_cp(two_tap.delays_s, cfg, "two_tap.delays_s")
     _check_symbols(rx, pa_spectra.shape[-2], cfg)
     regen = apply_frequency_response(pa_spectra, two_tap.freq_response(cfg.bin_freqs_hz()), cfg)
     return np.subtract(rx, regen, out=regen)
@@ -363,51 +366,44 @@ def apply_digital_sic(reg, rx, coeffs):
 
 @dataclass(frozen=True)
 class LinkChainParams:
-    """Everything run_link_chain needs for one DU/MT link."""
+    """Everything run_link_chain needs for one DU/MT link but its SI channel.
 
-    geometry: SiGeometry
-    tx_pattern: AntennaPattern = AntennaPattern()
-    rx_pattern: AntennaPattern = AntennaPattern()
-    reflectors: ReflectorConfig | None = ReflectorConfig()
+    antenna_separation_m labels the report and keys the analog canceller's
+    delays (default_canceller_delays); a channel's direct tap arrives after
+    antenna_separation_m / c.
+    """
+
+    antenna_separation_m: float = bounded(MISSING, "> 0, < inf")
     ofdm: OfdmConfig = OfdmConfig()
     pa: PaModel = PaModel()
     adc: AdcModel = AdcModel()
     noise: NoiseModel = NoiseModel()
-    carrier_freq_hz: float = same_as(Scenario, "carrier_freq_hz")
     # PA driven with OFDM PAPR headroom below the CW compression input.
-    input_backoff_db: float = bounded(12.0, ">= 0")
+    input_backoff_db: float = bounded(12.0, ">= 0, < inf")
     # auto: engage the analog stage when the SI entering the ADC would either
     # violate the gray-zone rule or sit more than analog_engage_margin_db
     # above the floor (the digital stage's reliable depth).
     analog_mode: str = "auto"
-    analog_engage_margin_db: float = 50.0
+    analog_engage_margin_db: float = bounded(50.0, "> -inf, < inf")
     hammerstein_orders: tuple = (1, 3, 5)
-    hammerstein_memory: int = 20
-    hammerstein_alignment: int = 8
-    ridge: float = 1e-8
-    n_pilot_symbols: int = 2
-    n_data_symbols: int = 16
-    n_holdout_symbols: int = 8
-    ideal_fd: bool = False
+    hammerstein_memory: int = bounded(20, ">= 1")
+    hammerstein_alignment: int = bounded(8, ">= 0")
+    ridge: float = bounded(1e-8, ">= 0, < inf")
+    n_pilot_symbols: int = bounded(2, ">= 0")
+    n_data_symbols: int = bounded(16, ">= 0")
+    n_holdout_symbols: int = bounded(8, ">= 1")
 
     def __post_init__(self):
         if self.analog_mode not in ("auto", "on", "off"):
             raise ValueError("analog_mode must be auto, on or off")
-        for f in fields(self):
-            if f.type is float and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         check_bounds(self)
         # The analog stage is tuned from the pilots: with none, every power is NaN.
-        for name, low, high in (
-            ("n_pilot_symbols", 0 if self.analog_mode == "off" else 1, np.inf),
-            ("n_data_symbols", 0, np.inf),
-            ("n_holdout_symbols", 1, np.inf),
-            ("hammerstein_memory", 1, np.inf),
-            ("hammerstein_alignment", 0, self.hammerstein_memory - 1),
-            ("ridge", 0.0, np.inf),
-        ):
-            if not low <= getattr(self, name) <= high:
-                raise ValueError(f"{name} must lie in [{low}, {high}], got {getattr(self, name)}")
+        if self.analog_mode != "off" and self.n_pilot_symbols < 1:
+            msg = f"must be >= 1 unless analog_mode is off, got {self.n_pilot_symbols}"
+            raise FieldError("n_pilot_symbols", msg)
+        if self.hammerstein_alignment >= self.hammerstein_memory:
+            msg = f"must be < hammerstein_memory {self.hammerstein_memory}"
+            raise FieldError("hammerstein_alignment", f"{msg}, got {self.hammerstein_alignment}")
         n_train = self.n_pilot_symbols + self.n_data_symbols
         n_samples = n_train * (self.ofdm.fft_size - self.hammerstein_alignment)
         n_unknowns = len(self.hammerstein_orders) * self.hammerstein_memory
@@ -416,24 +412,11 @@ class LinkChainParams:
                 f"n_data_symbols: {n_train} training symbols give the fit {n_samples} "
                 f"samples for {n_unknowns} unknowns"
             )
-        if self.reflectors is not None:
-            # The chain applies the SI channel per OFDM symbol, circularly, so a
-            # tap past the CP would wrap around the symbol instead of leaking
-            # into the next one.
-            latest = self.geometry.antenna_separation_m / SPEED_OF_LIGHT + max(
-                self.reflectors.delay_offset_range_s
-            )
-            if latest >= self.ofdm.cp_duration_s:
-                raise ValueError(
-                    f"reflectors.delay_offset_range_s lets SI taps arrive up to {latest:.4g} s "
-                    f"after transmission, past the {self.ofdm.cp_duration_s:.4g} s cyclic prefix"
-                )
 
 
 # The LinkChainParams fields the DU frames read: the QPSK frames, the PA, the
 # thermal noise and the Hammerstein Gram. Chains that agree on them, at one
-# seed, send the same frames; each chain's SI channel, analog stage and ADC
-# read the rest.
+# seed, send the same frames; each chain's analog stage and ADC read the rest.
 FRAME_FIELDS = (
     "ofdm", "pa", "noise", "input_backoff_db", "n_pilot_symbols", "n_data_symbols",
     "n_holdout_symbols", "hammerstein_orders", "hammerstein_memory", "hammerstein_alignment",
@@ -463,15 +446,12 @@ class ReductionReport:
     holdout_residual_dbm: float
     antenna_separation_m: float
 
-    def total_reduction_db(self):
-        return self.tx_power_dbm - self.after_digital_dbm
-
     def validate(self, tol_db=0.01, monotone_eps_db=0.02):
         # Every comparison below is false for NaN, so it would pass them all.
         for f in fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} is not finite: {getattr(self, f.name)}")
-        if abs(sum(self.per_domain_db) - self.total_reduction_db()) > tol_db:
+        if abs(sum(self.per_domain_db) - (self.tx_power_dbm - self.after_digital_dbm)) > tol_db:
             raise ValueError("per-domain contributions do not sum to the total")
         chain = (
             self.tx_power_dbm,
@@ -507,22 +487,33 @@ def _send_frame(params, n_symbols, seed, part, ridge=None):
     return power_dbm, pa_spectra, noise, reg
 
 
-class _Link:
-    """One chain of a shared frame: its SI channel, and what its calibration
-    frame leaves for its holdout frame."""
+def _si_bins(si_taps, params):
+    """The SI channel si_taps, (delays_s, gains) as geometry.si_channel
+    returns them, on the FFT bins of params.ofdm. A ValueError names si_taps
+    unless they are finite, one delay per gain, at least one, in delay order,
+    the first at antenna_separation_m / c and every one inside the CP."""
+    delays, gains = map(np.asarray, si_taps)
+    if delays.ndim != 1 or delays.shape != gains.shape or not delays.size:
+        raise ValueError(f"si_taps: {delays.shape} delays for {gains.shape} gains, need one each")
+    if not (np.isfinite(delays).all() and np.isfinite(gains).all()):
+        raise ValueError("si_taps: delays and gains must be finite")
+    if (np.diff(delays) < 0).any():
+        raise ValueError("si_taps: delays must increase, the direct tap first")
+    _check_inside_cp(delays, params.ofdm, "si_taps")
+    direct_s = params.antenna_separation_m / SPEED_OF_LIGHT
+    if not math.isclose(delays[0], direct_s, rel_tol=1e-9):
+        sep = f"antenna_separation_m {params.antenna_separation_m!r} ({direct_s:.6g} s)"
+        raise ValueError(f"si_taps: the direct tap at {delays[0]:.6g} s contradicts {sep}")
+    return np.exp(-2j * np.pi * np.outer(params.ofdm.bin_freqs_hz(), delays)) @ gains
 
-    def __init__(self, params, seed):
-        self.params, self.h_bins, self.two_tap = params, None, None
-        if not params.ideal_fd:
-            delays, gains = si_channel(
-                params.geometry,
-                params.tx_pattern,
-                params.rx_pattern,
-                params.reflectors,
-                rng=substream(substream(seed, "si-channel").integers(2**63), "si-reflections"),
-                carrier_freq_hz=params.carrier_freq_hz,
-            )
-            self.h_bins = np.exp(-2j * np.pi * np.outer(params.ofdm.bin_freqs_hz(), delays)) @ gains
+
+class _Link:
+    """One chain of a shared frame: its SI channel (none under ideal FD), and
+    what its calibration frame leaves for its holdout frame."""
+
+    def __init__(self, params, si_taps):
+        self.params, self.two_tap = params, None
+        self.h_bins = None if si_taps is None else _si_bins(si_taps, params)
 
     def _received(self, pa_spectra, noise):
         """Thermal noise plus the PA output through the SI channel, less the
@@ -553,7 +544,7 @@ class _Link:
                 demodulate(rx[: p.n_pilot_symbols * cfg.symbol_len], cfg),
                 active_grid(pa_spectra[: p.n_pilot_symbols], cfg),
             )
-            delays = default_canceller_delays(p.geometry.antenna_separation_m)
+            delays = default_canceller_delays(p.antenna_separation_m)
             self.two_tap = tune_two_tap(h_hat, delays, cfg)
             rx = apply_analog_canceller(pa_spectra, rx, self.two_tap, cfg)
             self.after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
@@ -584,13 +575,14 @@ class _Link:
             gray_zone_ok=bool(gray_ok),
             digital_saturated=not gray_ok,
             holdout_residual_dbm=mean_power_dbm(resid),
-            antenna_separation_m=p.geometry.antenna_separation_m,
+            antenna_separation_m=p.antenna_separation_m,
         ).validate()
 
 
-def run_link_chains(params_seq, seed):
-    """run_link_chain(params, seed) for every params of params_seq, in order,
-    with the DU frame sent once.
+def run_link_chains(chains, seed):
+    """run_link_chain(params, si_taps, seed) for every (params, si_taps) pair
+    of chains, in order, with the DU frame sent once; chains may be an iterator
+    that draws each chain's taps as it is read.
 
     The chains must agree on FRAME_FIELDS, else a ValueError names the first
     field that differs. They then send the same frames: the QPSK draws, the PA,
@@ -600,18 +592,17 @@ def run_link_chains(params_seq, seed):
     stage, ADC, fit solve and holdout residual. The reports equal those of
     one run_link_chain call per element, bit for bit.
     """
-    params_seq = list(params_seq)
+    links = [_Link(params, si_taps) for params, si_taps in chains]  # each keeps only its bins
     for name in FRAME_FIELDS:
-        for i, p in enumerate(params_seq):
-            if getattr(p, name) != getattr(params_seq[0], name):
+        for i, p in enumerate(link.params for link in links):
+            if getattr(p, name) != getattr(links[0].params, name):
                 raise ValueError(
                     f"{name}: chains that share a frame must agree on it; element {i} has "
-                    f"{getattr(p, name)!r}, element 0 {getattr(params_seq[0], name)!r}"
+                    f"{getattr(p, name)!r}, element 0 {getattr(links[0].params, name)!r}"
                 )
-    if not params_seq:
+    if not links:
         return []
-    links = [_Link(p, seed) for p in params_seq]
-    first = params_seq[0]
+    first = links[0].params
     n_train = first.n_pilot_symbols + first.n_data_symbols
     tx_power_dbm, pa_spectra, noise, reg = _send_frame(first, n_train, seed, "train", first.ridge)
     for link in links:
@@ -622,13 +613,15 @@ def run_link_chains(params_seq, seed):
     return [link.report(pa_spectra, noise, reg, tx_power_dbm) for link in links]
 
 
-def run_link_chain(params, seed):
+def run_link_chain(params, si_taps, seed):
     """Execute propagation -> (optional) analog -> ADC -> digital for one link.
 
-    Deterministic per (params, seed). The analog stage is tuned from a
-    pilot-based estimate of the SI channel between the PA output and the MT;
+    si_taps is the link's SI channel, (delays_s, gains) as
+    geometry.si_channel returns them, or None for ideal FD: no SI at all.
+    Deterministic per (params, si_taps, seed). The analog stage is tuned from
+    a pilot-based estimate of the SI channel between the PA output and the MT;
     the digital stage is fit on the same calibration frame that the reported
     stage powers are measured on, with a separate holdout frame recorded for
     the generalization check. The one-element case of run_link_chains.
     """
-    return run_link_chains([params], seed)[0]
+    return run_link_chains([(params, si_taps)], seed)[0]

@@ -6,6 +6,7 @@ fibered backhaul, ideal FD (zero SI), FD with full SIC, FD with
 propagation-domain suppression only, and half duplex.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -184,16 +185,30 @@ class Scenario:
                 where = f"at carrier_freq_hz {self.carrier_freq_hz:.4g}, where Friis loss is 0 dB"
                 msg = f"must be >= {nearest:.4g} m {where}, got {d!r}"
                 raise FieldError(f"iab_nodes[{i}].antenna_separation_m", msg)
-        # A UE on a cell's position would have an access path of no length.
-        # Every UE sits at height_m, so only a cell at that height can be hit.
+        # A UE on a cell's position would have an access path of no length, and
+        # the other access paths and the backhaul hops clear c / (4 pi f) too.
+        # A cell's nearest UE sits at the grid's nearest x and nearest y.
+        grid = self.ue_grid
+        xs, ys = np.linspace(*grid.x_range, grid.nx), np.linspace(*grid.y_range, grid.ny)
         paths = ["donor"] + [f"iab_nodes[{i}]" for i in range(len(self.iab_nodes))]
-        for path, cell in zip(paths, self.cells()):
-            if cell.position[2] != self.ue_grid.height_m:
-                continue
-            hit = np.flatnonzero((self.ue_grid.positions() == cell.position).all(axis=1))
-            if hit.size:
-                where = f"{path}.position {list(cell.position)}"
-                raise FieldError("ue_grid", f"UE {hit[0]} lies on {where}")
+        links = []  # (length, what)
+        for path, cell in zip(paths, self.cells() if xs.size and ys.size else ()):
+            x, y, z = cell.position
+            ix, iy = np.argmin(np.abs(xs - x)), np.argmin(np.abs(ys - y))
+            length, ue = math.hypot(xs[ix] - x, ys[iy] - y, grid.height_m - z), iy * grid.nx + ix
+            if length == 0.0:
+                raise FieldError("ue_grid", f"UE {ue} lies on {path}.position {[x, y, z]}")
+            links.append((length, f"access path from {path} to UE {ue}"))
+        for path, node in zip(paths[1:], self.iab_nodes):
+            length = math.dist(node.mt_position(), self.donor.position)
+            if length == 0.0:
+                raise FieldError(path, f"its MT lies on donor.position {list(self.donor.position)}")
+            links.append((length, f"backhaul hop to {path}"))
+        length, what = min(links, default=(math.inf, ""))
+        if length < nearest:
+            msg = f"must be >= {SPEED_OF_LIGHT / (4.0 * np.pi * length):.4g} Hz, where the"
+            msg += f" {length:.4g} m {what} has 0 dB Friis loss, got {self.carrier_freq_hz!r}"
+            raise FieldError("carrier_freq_hz", msg)
 
     @property
     def noise(self):
@@ -327,9 +342,9 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
     )
 
 
-def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
-    """Residual SI after propagation-domain suppression only, per access beam
-    of the node's codebook beam_dirs (n, 3).
+def beam_si_taps(scenario, seed, node_idx, node, beam_dirs):
+    """The SI channel of each access beam of the node's codebook beam_dirs
+    (n, 3) in the drop at seed, as si_channel's (delays_s, gains) pairs.
 
     The reflected taps are redrawn per beam (the SI seen at the MT varies with
     the DU beam): the node's one stream, substream(seed, "si", node_idx),
@@ -338,15 +353,22 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
     """
     rx_dir = scenario.mt_boresight(node)
     rng = substream(seed, "si", node_idx)
-    out = []
-    for beam_dir in np.asarray(beam_dirs).tolist():
-        _, gains = under(
+    return [
+        under(
             f"iab_nodes[{node_idx}]", si_channel,
             SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir), node.pattern,
             node.pattern, scenario.reflectors, rng=rng, carrier_freq_hz=scenario.carrier_freq_hz,
         )
-        out.append(node.tx_power_dbm + total_gain_db(gains))
-    return np.array(out)
+        for beam_dir in np.asarray(beam_dirs).tolist()
+    ]
+
+
+def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
+    """Residual SI after propagation-domain suppression only, per access beam
+    of the node's codebook beam_dirs (n, 3): the node's transmit power through
+    each beam's SI channel, beam_si_taps."""
+    taps = beam_si_taps(scenario, seed, node_idx, node, beam_dirs)
+    return np.array([node.tx_power_dbm + total_gain_db(gains) for _, gains in taps])
 
 
 def residual_si_dbm(scenario, mode, node, prop_residual_dbm):

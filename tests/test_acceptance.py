@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from fdiab.cli import chain_params_for_node, main
+from fdiab.cli import chain_for_node, main
 from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, demodulate, estimate_channel_ls, symbol_rows,
     symbol_spectra,
@@ -172,12 +172,10 @@ def test_criterion_5_fig4_structure():
     n_drops = 200
     separations = (2.0, 1.0, 0.1)
     reports = {d: [] for d in separations}
-    params = []
-    for d in separations:
-        sc = scenario_at(d)
-        params.append(chain_params_for_node(sc, sc.iab_nodes[0]))
+    chains = [chain_for_node(scenario_at(d), 0) for d in separations]
     for seed in range(n_drops):  # the three separations of a seed share its frame
-        for d, report in zip(separations, run_link_chains(params, seed)):
+        links = [(params, si_taps(seed)) for params, si_taps in chains]
+        for d, report in zip(separations, run_link_chains(links, seed)):
             reports[d].append(report)
 
     # (a) propagation-domain suppression strictly increases with separation

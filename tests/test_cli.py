@@ -251,7 +251,8 @@ class TestSweep:
             seed = int(substream(5, "sweep", d, n).integers(2**63))
             assert int(row["seed"]) == seed
             sc = scenarios[c]
-            report = run_link_chain(cli.chain_params_for_node(sc, sc.iab_nodes[n]), seed)
+            params, si_taps = cli.chain_for_node(sc, n)
+            report = run_link_chain(params, si_taps(seed), seed)
             want = {
                 "antenna_separation_m": report.antenna_separation_m,
                 "tx_power_dbm": report.tx_power_dbm,
@@ -483,6 +484,21 @@ class TestExitCodes:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["link-sim", "sweep"])
+    def test_direct_tap_past_cp_without_reflections_is_1_naming_the_separation(
+        self, scenario_path, tmp_path, capsys, command
+    ):
+        # The chain used to wrap the direct tap around the symbol unchecked.
+        rc = main(
+            [command, "--scenario", scenario_path, "--seed", "1", "--out", str(tmp_path / "o"),
+             "--set", "reflectors=null", "--set", "iab_nodes.*.antenna_separation_m=400"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdiab: iab_nodes[0].antenna_separation_m lets SI taps arrive up to")
+        assert "cyclic prefix" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, flag, value, field",
         [
@@ -558,6 +574,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("fdiab: iab_nodes[0].antenna_separation_m: must be >= ")
         assert f" m at carrier_freq_hz {carrier}, " in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["system-sim", "link-sim", "sweep"])
+    def test_carrier_where_an_access_path_has_friis_gain_is_1_naming_it(
+        self, tmp_path, capsys, command
+    ):
+        # With no node the separation rule has nothing to check; UE 214 sits
+        # 128.5 m below the donor. The drop used to write 6,215 dB SNRs.
+        rc = main(
+            [command, "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", "iab_nodes=[]", "--set", "carrier_freq_hz=1e-300"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdiab: carrier_freq_hz: must be >= 1.857e+05 Hz, where the 128.5 m")
+        assert " access path from donor to UE 214 " in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_oversized_ue_grid_is_1_naming_it(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,13 +95,18 @@ patterns = st.builds(
 positions = st.tuples(finite, finite, finite)
 azimuths = st.none() | finite
 
-def ue_on_a_cell(kwargs):
-    ues = kwargs["ue_grid"].positions()
-    cells = (kwargs["donor"], *kwargs["iab_nodes"])
-    return any((ues == c.position).all(axis=1).any() for c in cells)
+def link_under_friis_distance(kwargs):
+    """A UE on a cell, or an access path or a backhaul hop shorter than
+    c / (4 pi f), where the Friis loss is 0 dB."""
+    nearest = SPEED_OF_LIGHT / (4 * math.pi * kwargs["carrier_freq_hz"])
+    ues, donor, nodes = kwargs["ue_grid"].positions(), kwargs["donor"], kwargs["iab_nodes"]
+    access = [np.linalg.norm(ues - np.asarray(c.position), axis=1) for c in (donor, *nodes)]
+    hops = [math.dist(node.mt_position(), donor.position) for node in nodes]
+    return any(a.size and a.min() < nearest for a in access) or any(h < nearest for h in hops)
 
 
-# Scenario keyword arguments first: Scenario itself rejects a UE on a cell.
+# Scenario keyword arguments first: Scenario itself rejects a UE on a cell
+# and a link shorter than c / (4 pi f).
 scenarios = st.builds(
     dict,
     donor=st.builds(
@@ -146,7 +152,7 @@ scenarios = st.builds(
             rel_power_range_db=ordered_pair(finite),
         )
     ),
-).filter(lambda kwargs: not ue_on_a_cell(kwargs)).map(lambda kwargs: Scenario(**kwargs))
+).filter(lambda kwargs: not link_under_friis_distance(kwargs)).map(lambda kw: Scenario(**kw))
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,6 +254,38 @@ def test_separation_must_keep_free_space_loss_at_or_above_0_db():
     )
     with pytest.raises(FieldError, match=message):
         dataclasses.replace(sc, iab_nodes=(sc.iab_nodes[0], node))
+
+
+@pytest.mark.parametrize(
+    "nodes, length, link",
+    [
+        # No node: one UE 10 m below the donor, the access path the only link.
+        ((), 10.0, "access path from donor to UE 0"),
+        # A node's MT 5 m above the donor: shorter than its 10 m separation.
+        ((IabNode(position=(0.0, 0.0, 116.5), antenna_separation_m=10.0),), 5.0,
+         "backhaul hop to iab_nodes[0]"),
+    ],
+    ids=["access-path", "backhaul-hop"],
+)
+def test_carrier_must_keep_every_link_at_or_above_0_db_friis_loss(nodes, length, link):
+    grid = UeGrid(nx=1, ny=1, x_range=(0.0, 1.0), y_range=(0.0, 1.0), height_m=91.5)
+    far = UeGrid(nx=1, ny=1, x_range=(1e3, 2e3), y_range=(0.0, 1.0))
+    sc = Scenario(donor=Donor(position=(0.0, 0.0, 101.5)), iab_nodes=nodes,
+                  ue_grid=grid if not nodes else far)
+    at_0_db = SPEED_OF_LIGHT / (4 * math.pi * length)
+    assert dataclasses.replace(sc, carrier_freq_hz=at_0_db * (1 + 1e-9)).iab_nodes == nodes
+    carrier = at_0_db * (1 - 1e-9)
+    message = f"carrier_freq_hz: must be >= {at_0_db:.4g} Hz, where the {length:g} m {link} has"
+    message += f" 0 dB Friis loss, got {carrier!r}"
+    with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(sc, carrier_freq_hz=carrier)
+
+
+def test_mt_on_the_donor_is_rejected_naming_both():
+    node = IabNode(position=(-150.0, 0.0, 131.0), antenna_separation_m=1.0)
+    message = r"^iab_nodes\[1\]: its MT lies on donor\.position \[-150\.0, 0\.0, 130\.0\]$"
+    with pytest.raises(FieldError, match=message):
+        dataclasses.replace(default_scenario(), iab_nodes=(default_scenario().iab_nodes[0], node))
 
 
 def test_ue_grid_cap_is_checked_before_any_ue_is_laid_out():
@@ -363,6 +401,8 @@ def test_single_field_mutation_loads_or_names_its_field(keys, value):
         scenario_from_dict(data)
     except ScenarioError as e:
         named = [str(e).split(": ", 1)[0]]
-        # The UE rule names the grid and the cell it hits.
+        # The UE rule names the grid and the cell it hits, the separation rule
+        # the node's separation and the carrier it is measured at.
         named += re.findall(r"lies on (\S+) \[", str(e))
+        named += re.findall(r" at (carrier_freq_hz) ", str(e))
         assert any(related(path_text(keys), n) for n in named if n), str(e)

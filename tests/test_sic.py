@@ -1,16 +1,18 @@
 import dataclasses
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab.geometry import ReflectorConfig, SiGeometry, si_channel, total_gain_db
+from fdiab.geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel, total_gain_db
 from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, symbol_rows, symbol_spectra,
 )
+from fdiab.cli import chain_for_node
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
     HammersteinModel,
@@ -27,7 +29,8 @@ from fdiab.sic import (
     tune_two_tap,
     TwoTapConfig,
 )
-from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
+from fdiab.system import beam_si_taps, default_scenario, propagation_residual_si_dbm, schedule_drop
+from fdiab.util import SPEED_OF_LIGHT, substream
 
 CFG = OfdmConfig()
 FREQS = CFG.subcarrier_freqs_hz()
@@ -506,6 +509,23 @@ def test_circular_route_matches_explicit_fit(seed, orders, layout, n_symbols, ri
     assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg)
 
 
+def chain(geometry, seed, reflectors=ReflectorConfig(), ideal_fd=False, **params):
+    """(LinkChainParams, SI taps) of a chain at seed whose channel has the SI
+    geometry geometry, default antenna patterns and the default carrier, and
+    draws reflectors from the stream a chain drew its channel from before it
+    took one: substream(substream(seed, "si-channel").integers(2**63),
+    "si-reflections"). No taps (ideal FD) if ideal_fd."""
+    rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
+    pattern = AntennaPattern()
+    taps = None if ideal_fd else si_channel(geometry, pattern, pattern, reflectors, rng=rng)
+    return LinkChainParams(geometry.antenna_separation_m, **params), taps
+
+
+def run_chain(geometry, seed, **kwargs):
+    """run_link_chain at seed of chain(geometry, seed, **kwargs)."""
+    return run_link_chain(*chain(geometry, seed, **kwargs), seed)
+
+
 class TestConditionWarning:
     def test_collinear_branches_warn(self):
         # |x| = 1 makes psi_3 = x |x|^2 equal psi_1 up to rounding. The
@@ -518,62 +538,62 @@ class TestConditionWarning:
     def test_default_chain_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 3)
+            run_chain(SiGeometry(1.0), 3)
 
 
 class TestRunLinkChain:
     def test_deterministic(self):
-        p = LinkChainParams(geometry=SiGeometry(1.0))
-        assert run_link_chain(p, 5) == run_link_chain(p, 5)
-        assert run_link_chain(p, 5) != run_link_chain(p, 6)
+        p, taps = chain(SiGeometry(1.0), 5)
+        assert run_link_chain(p, taps, 5) == run_link_chain(p, taps, 5)
+        assert run_link_chain(p, taps, 5) != run_link_chain(p, taps, 6)
 
     def test_seed_outside_u64_rejected(self):
         # A 64-bit mask used to alias -1 with 2**64 - 1 and 2**64 with 0.
-        p = LinkChainParams(geometry=SiGeometry(1.0))
+        p, taps = chain(SiGeometry(1.0), 0)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-                run_link_chain(p, seed)
-        assert run_link_chain(p, 0) != run_link_chain(p, 2**64 - 1)
+                run_link_chain(p, taps, seed)
+        assert run_link_chain(p, taps, 0) != run_link_chain(p, taps, 2**64 - 1)
 
     def test_reflections_past_cp_rejected(self):
         # Taps past the CP used to wrap around the symbol: after_digital_dbm
         # read about -64 dBm at [1e-9, 2e-6] where about -90 is right.
-        message = r"reflectors\.delay_offset_range_s .* cyclic prefix"
-        for hi in (2e-6, 9e-6, CFG.cp_duration_s):
-            refl = ReflectorConfig(delay_offset_range_s=(1e-9, hi))
-            with pytest.raises(ValueError, match=message):
-                LinkChainParams(geometry=SiGeometry(1.0), reflectors=refl)
-        room = CFG.cp_duration_s - 1.0 / SPEED_OF_LIGHT
+        direct = 1.0 / SPEED_OF_LIGHT
+        for last in (direct + 2e-6, direct + 9e-6, CFG.cp_duration_s):
+            taps = ([direct, last], [1e-4, 1e-5])
+            with pytest.raises(ValueError, match=r"^si_taps: .* cyclic prefix"):
+                run_link_chain(LinkChainParams(1.0), taps, 3)
+        room = CFG.cp_duration_s - direct
         inside = ReflectorConfig(min_taps=6, delay_offset_range_s=(0.9 * room, 0.99 * room))
-        run_link_chain(LinkChainParams(geometry=SiGeometry(1.0), reflectors=inside), 3)
+        run_chain(SiGeometry(1.0), 3, reflectors=inside)
 
     def test_default_separations_skip_analog(self):
         for d in (1.0, 2.0):
-            r = run_link_chain(LinkChainParams(geometry=SiGeometry(d)), 11)
+            r = run_chain(SiGeometry(d), 11)
             assert not r.analog_applied
             assert r.per_domain_db[1] == 0.0  # skipped stage contributes nothing
             assert r.gray_zone_ok and not r.digital_saturated
             assert abs(r.after_digital_dbm - r.noise_floor_dbm) < 3.0
 
     def test_small_separation_engages_analog(self):
-        r = run_link_chain(LinkChainParams(geometry=SiGeometry(0.1)), 11)
+        r = run_chain(SiGeometry(0.1), 11)
         assert r.analog_applied
         assert r.per_domain_db[1] > 0.0
         assert abs(r.after_digital_dbm - r.noise_floor_dbm) < 3.0
 
     def test_ideal_fd_lands_on_noise_floor(self):
-        r = run_link_chain(LinkChainParams(geometry=SiGeometry(1.0), ideal_fd=True), 3)
+        r = run_link_chain(LinkChainParams(1.0), None, 3)
         assert r.after_digital_dbm == pytest.approx(r.noise_floor_dbm, abs=0.3)
 
     def test_saturation_flag_when_analog_disabled(self):
         geom = SiGeometry(0.1, tx_orientation=(0, 0, -1), rx_orientation=(0, 0, 1))
-        r = run_link_chain(LinkChainParams(geometry=geom, analog_mode="off"), 3)
+        r = run_chain(geom, 3, analog_mode="off")
         assert not r.gray_zone_ok and r.digital_saturated
         assert r.after_digital_dbm > r.noise_floor_dbm + 40.0
 
     def test_report_arithmetic_and_monotonicity(self):
         for seed in range(4):
-            r = run_link_chain(LinkChainParams(geometry=SiGeometry(0.5)), seed)
+            r = run_chain(SiGeometry(0.5), seed)
             assert sum(r.per_domain_db) == pytest.approx(
                 r.tx_power_dbm - r.after_digital_dbm, abs=0.01
             )
@@ -586,7 +606,7 @@ class TestRunLinkChain:
             assert all(b <= a + 0.02 for a, b in zip(stages, stages[1:]))
 
     def test_holdout_close_to_training_residual(self):
-        r = run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 21)
+        r = run_chain(SiGeometry(1.0), 21)
         assert abs(r.holdout_residual_dbm - r.after_digital_dbm) < 1.0
 
     @pytest.mark.parametrize("separations", [(0.1,), (0.1, 1.0, 2.0)], ids=["chain", "group"])
@@ -594,11 +614,11 @@ class TestRunLinkChain:
         # At 0.1 m the analog stage engages, the chain's largest path. Only
         # one frame's streams are alive at a time, and a group's chains keep
         # their own streams only while each runs.
-        params = [LinkChainParams(geometry=SiGeometry(d)) for d in separations]
-        run_link_chains(params, 3)
+        chains = [chain(SiGeometry(d), 3) for d in separations]
+        run_link_chains(chains, 3)
         tracemalloc.start()
         try:
-            reports = run_link_chains(params, 3)
+            reports = run_link_chains(chains, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -608,7 +628,7 @@ class TestRunLinkChain:
     def test_fig4_structure_single_seed(self):
         sups = {}
         for d in (2.0, 1.0, 0.1):
-            r = run_link_chain(LinkChainParams(geometry=SiGeometry(d)), 17)
+            r = run_chain(SiGeometry(d), 17)
             sups[d] = r.per_domain_db[0]
             assert abs(r.after_digital_dbm - r.noise_floor_dbm) < 6.0
         assert sups[2.0] > sups[1.0] > sups[0.1]
@@ -617,12 +637,12 @@ class TestRunLinkChain:
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**63 - 1), separation=st.floats(0.1, 3.0))
 def test_chain_property(seed, separation):
-    params = LinkChainParams(geometry=SiGeometry(separation))
-    report = run_link_chain(params, seed)
+    params, taps = chain(SiGeometry(separation), seed)
+    report = run_link_chain(params, taps, seed)
     report.validate()
     if not report.analog_applied:
         assert report.per_domain_db[1] == 0.0
-    assert run_link_chain(params, seed) == report
+    assert run_link_chain(params, taps, seed) == report
 
 
 # Slack for what the chain's propagation reading adds to the channel's own
@@ -645,20 +665,109 @@ def test_chain_propagation_matches_the_si_channel_gain(seed, separation):
     outside that range when a reflection trails the direct tap by much less
     than a sample (one draw in 40 put it 0.097 dB out), so the tolerance is
     the bins' spread of 10 log10 |H_k|^2 about the gain itself."""
-    params = LinkChainParams(SiGeometry(separation), analog_mode="off")
-    report = run_link_chain(params, seed)
-    rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
-    delays, gains = si_channel(
-        params.geometry, params.tx_pattern, params.rx_pattern, params.reflectors, rng=rng,
-        carrier_freq_hz=params.carrier_freq_hz,
-    )
-    h_bins = np.exp(-2j * np.pi * np.outer(params.ofdm.bin_freqs_hz(), delays)) @ gains
-    bins_db = 10.0 * np.log10(np.abs(h_bins) ** 2)
-    gain_db = total_gain_db(gains)
+    params, taps = chain(SiGeometry(separation), seed, analog_mode="off")
+    report = run_link_chain(params, taps, seed)
+    bins_db, spread_db = bins_spread_db(taps, params.ofdm)
     loss_db = report.tx_power_dbm - report.after_propagation_dbm
-    spread_db = np.max(np.abs(bins_db - gain_db))
-    assert abs(loss_db - (-gain_db)) <= spread_db + PROPAGATION_SLACK_DB
+    assert abs(loss_db - (-total_gain_db(taps[1]))) <= spread_db + PROPAGATION_SLACK_DB
     assert bins_db.min() - PROPAGATION_SLACK_DB <= -loss_db <= bins_db.max() + PROPAGATION_SLACK_DB
+
+
+def bins_spread_db(taps, cfg):
+    """(10 log10 |H_k|^2 on the FFT bins of cfg, their largest distance from
+    the taps' total gain) for the SI taps (delays_s, gains)."""
+    delays, gains = taps
+    h_bins = np.exp(-2j * np.pi * np.outer(cfg.bin_freqs_hz(), delays)) @ gains
+    bins_db = 10.0 * np.log10(np.abs(h_bins) ** 2)
+    return bins_db, np.max(np.abs(bins_db - total_gain_db(gains)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_chain_on_a_drop_beam_matches_its_propagation_residual(seed):
+    """The two levels on one channel: beam b of node i in the drop at seed,
+    its SI taps (beam_si_taps) fed to node i's link chain. The chain's
+    propagation_db is the drop's node.tx_power_dbm - prop_residual[i, b],
+    within the bins' spread of the taps' gain, as for the chain's own draw."""
+    sc = default_scenario()
+    beam_dirs = schedule_drop(sc, seed)[3]
+    for i, node in enumerate(sc.iab_nodes):
+        taps = beam_si_taps(sc, seed, i, node, beam_dirs[i + 1])
+        prop_residual = propagation_residual_si_dbm(sc, seed, i, node, beam_dirs[i + 1])
+        params, _ = chain_for_node(sc, i)
+        reports = run_link_chains([(params, t) for t in taps], seed)
+        assert len(reports) == len(prop_residual) == 16
+        for report, beam_taps, residual in zip(reports, taps, prop_residual):
+            _, spread_db = bins_spread_db(beam_taps, params.ofdm)
+            loss_db = node.tx_power_dbm - residual
+            assert abs(report.per_domain_db[0] - loss_db) <= spread_db + PROPAGATION_SLACK_DB
+
+
+DIRECT_1M_S = 1.0 / SPEED_OF_LIGHT
+
+
+@pytest.mark.parametrize(
+    "delays, gains, message",
+    [
+        ([DIRECT_1M_S, 2 * DIRECT_1M_S], [1e-4], "delays for"),
+        ([], [], "delays for"),
+        ([DIRECT_1M_S, np.nan], [1e-4, 1e-5], "finite"),
+        ([DIRECT_1M_S, 2 * DIRECT_1M_S], [1e-4, complex(np.inf, 0.0)], "finite"),
+        ([DIRECT_1M_S, 0.5 * DIRECT_1M_S], [1e-4, 1e-5], "increase"),
+        ([DIRECT_1M_S, CFG.cp_duration_s], [1e-4, 1e-5], "cyclic prefix"),
+        ([2 * DIRECT_1M_S], [1e-4], "contradicts antenna_separation_m"),
+    ],
+    ids=["unequal-lengths", "no-taps", "nan-delay", "inf-gain", "out-of-order", "at-cp",
+         "direct-delay-contradicts-separation"],
+)
+def test_chain_rejects_taps_naming_them(delays, gains, message):
+    with pytest.raises(ValueError, match=f"^si_taps: .*{message}"):
+        run_link_chain(LinkChainParams(1.0), (np.array(delays), np.array(gains)), 3)
+    # Before any frame is sent, in a group too.
+    good = chain(SiGeometry(1.0), 3)
+    with mock.patch("fdiab.sic.build_frame") as build_frame:
+        with pytest.raises(ValueError, match="^si_taps: "):
+            run_link_chains([good, (good[0], (np.array(delays), np.array(gains)))], 3)
+    build_frame.assert_not_called()
+
+
+def test_chain_knows_no_propagation_model():
+    """The chain takes its SI channel as an input: LinkChainParams holds no
+    channel model, and fdiab.sic imports neither fdiab.system nor
+    fdiab.geometry."""
+    import ast
+    import inspect
+
+    import fdiab.sic
+
+    model = {"geometry", "tx_pattern", "rx_pattern", "reflectors", "carrier_freq_hz", "ideal_fd"}
+    assert not model & {f.name for f in dataclasses.fields(LinkChainParams)}
+    tree = ast.parse(inspect.getsource(fdiab.sic))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported.isdisjoint({"system", "geometry"})
+    assert "si_channel" not in vars(fdiab.sic) and "Scenario" not in vars(fdiab.sic)
+
+
+# The reports of LinkChainParams(geometry=SiGeometry(separation),
+# ideal_fd=True, analog_mode=mode) at seed, as astuple, before the chain took
+# its SI channel as an input.
+IDEAL_FD_REPORTS = [
+    (1.0, "auto", 3, (
+        31.966914044224808, -90.25136520189761, -90.25136520189761, -90.2704804686785,
+        (122.21827924612242, 0.0, 0.019115266780886486), -90.20818753952375, False, True,
+        False, -90.17539475149952, 1.0,
+    )),
+    (0.1, "on", 8, (
+        31.976380177493922, -90.2330391642925, -90.2327218855644, -90.24788065923278,
+        (122.20941934178643, -0.00031727872810449753, 0.015158773668375147),
+        -90.20818753952375, True, True, False, -90.15388768572898, 0.1,
+    )),
+]
+
+
+@pytest.mark.parametrize("separation, mode, seed, report", IDEAL_FD_REPORTS)
+def test_chain_without_a_channel_is_the_former_ideal_fd_chain(separation, mode, seed, report):
+    got = run_link_chain(LinkChainParams(separation, analog_mode=mode), None, seed)
+    assert dataclasses.astuple(got) == report
 
 
 @settings(max_examples=6, deadline=None)
@@ -676,11 +785,11 @@ def test_chain_propagation_matches_the_si_channel_gain(seed, separation):
     ),
 )
 def test_shared_frame_chains_equal_one_chain_each(seed, chains):
-    params = [
-        LinkChainParams(geometry=SiGeometry(d), analog_mode=mode, ideal_fd=ideal, reflectors=refl)
+    links = [
+        chain(SiGeometry(d), seed, reflectors=refl, ideal_fd=ideal, analog_mode=mode)
         for d, mode, ideal, refl in chains
     ]
-    assert run_link_chains(params, seed) == [run_link_chain(p, seed) for p in params]
+    assert run_link_chains(links, seed) == [run_link_chain(p, taps, seed) for p, taps in links]
 
 
 @pytest.mark.parametrize(
@@ -695,8 +804,8 @@ def test_shared_frame_chains_equal_one_chain_each(seed, chains):
     ],
 )
 def test_shared_frame_rejects_mixed_frame_fields_by_name(field, change):
-    base = LinkChainParams(geometry=SiGeometry(1.0))
-    other = dataclasses.replace(base, geometry=SiGeometry(2.0), **change)
+    base = chain(SiGeometry(1.0), 3)
+    other = chain(SiGeometry(2.0), 3, **change)
     with pytest.raises(ValueError, match=f"^{field}: chains that share a frame must agree"):
         run_link_chains([base, base, other], 3)
     assert run_link_chains([], 3) == []
@@ -727,9 +836,9 @@ class TestLinkChainParamsBounds:
             ("input_backoff_db", float("nan")),
             ("input_backoff_db", float("inf")),
             ("analog_engage_margin_db", float("nan")),
-            ("carrier_freq_hz", float("inf")),
-            ("carrier_freq_hz", -1.0),
-            ("carrier_freq_hz", 0.0),
+            ("antenna_separation_m", float("inf")),
+            ("antenna_separation_m", -1.0),
+            ("antenna_separation_m", 0.0),
             ("input_backoff_db", -1.0),
             ("n_data_symbols", -2),
             # No training symbols: the chain used to take the mean of an
@@ -744,46 +853,34 @@ class TestLinkChainParamsBounds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{field}"):
-                LinkChainParams(geometry=SiGeometry(0.1), **kwargs)
-
-    def test_carrier_declared_once_with_the_scenario(self):
-        # The scenario's carrier field is the one declaration of its default
-        # and its bounds; the chain reads it.
-        from fdiab.system import default_scenario
-
-        assert LinkChainParams(geometry=SiGeometry(0.1)).carrier_freq_hz == (
-            default_scenario().carrier_freq_hz
-        )
-        with pytest.raises(FieldError, match="^carrier_freq_hz: must be > 0, got -1.0"):
-            LinkChainParams(geometry=SiGeometry(0.1), carrier_freq_hz=-1.0)
+                LinkChainParams(**{"antenna_separation_m": 0.1, **kwargs})
 
     def test_pilots_only_needed_when_analog_can_engage(self):
         for mode in ("auto", "on"):
             with pytest.raises(ValueError, match="n_pilot_symbols"):
-                LinkChainParams(geometry=SiGeometry(0.1), analog_mode=mode, n_pilot_symbols=0)
+                LinkChainParams(0.1, analog_mode=mode, n_pilot_symbols=0)
         with pytest.raises(ValueError, match="n_pilot_symbols"):
-            LinkChainParams(geometry=SiGeometry(0.1), analog_mode="off", n_pilot_symbols=-1)
-        params = LinkChainParams(geometry=SiGeometry(1.0), analog_mode="off", n_pilot_symbols=0)
-        run_link_chain(params, 3)
+            LinkChainParams(0.1, analog_mode="off", n_pilot_symbols=-1)
+        run_chain(SiGeometry(1.0), 3, analog_mode="off", n_pilot_symbols=0)
 
     def test_bounds_are_inclusive(self):
-        params = LinkChainParams(
-            geometry=SiGeometry(1.0),
+        run_chain(
+            SiGeometry(1.0),
+            3,
             n_holdout_symbols=1,
             hammerstein_memory=4,
             hammerstein_alignment=3,
             ridge=0.0,
         )
-        run_link_chain(params, 3)
-        LinkChainParams(geometry=SiGeometry(1.0), hammerstein_memory=1, hammerstein_alignment=0)
+        LinkChainParams(1.0, hammerstein_memory=1, hammerstein_alignment=0)
         # As many fit samples as unknowns: 12 for 2 orders x 6 taps.
-        LinkChainParams(geometry=SiGeometry(1.0), **TINY_FRAME, hammerstein_orders=(1, 3))
+        LinkChainParams(1.0, **TINY_FRAME, hammerstein_orders=(1, 3))
 
 
 class TestReportValidation:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_link_chain(LinkChainParams(geometry=SiGeometry(1.0)), 3)
+        return run_chain(SiGeometry(1.0), 3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
