@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .geometry import SiGeometry, si_channel
 from .prototype import compare_prototype
 from .scenario import (
     ScenarioError,
@@ -39,8 +38,10 @@ from .scenario import (
     scenario_to_dict,
 )
 from .sic import FRAME_FIELDS, LinkChainParams, ReductionReport, run_link_chain, run_link_chains
-from .system import ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop
-from .util import SPEED_OF_LIGHT, substream, under
+from .system import (
+    ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps, run_drop,
+)
+from .util import SPEED_OF_LIGHT, substream
 
 REDUCTION_COLUMNS = (
     "node", "antenna_separation_m", "seed", "tx_power_dbm", "after_propagation_dbm",
@@ -228,15 +229,14 @@ def _load_with_overrides(cfg):
 
 def chain_for_node(scenario, i):
     """(LinkChainParams, si_taps) of IAB node i's link chain, where
-    si_taps(seed) draws the chain's SI channel at seed as si_channel does:
-    the DU looks into its access sector at the codebook's center elevation,
-    the MT at the donor, and the reflections come from
+    si_taps(seed) draws the chain's SI channel at seed (system.node_si_taps)
+    with the DU looking into its access sector at the codebook's center
+    elevation and the reflections drawn from
     substream(substream(seed, "si-channel").integers(2**63), "si-reflections").
     A separation or reflectors that could put a tap past the cyclic prefix are
     rejected before any draw: the chain applies its channel circularly per
     OFDM symbol."""
     node, reflectors = scenario.iab_nodes[i], scenario.reflectors
-    pattern, carrier_freq_hz = node.pattern, scenario.carrier_freq_hz  # not the whole scenario
     params = LinkChainParams(node.antenna_separation_m, noise=scenario.noise)
     late_s, field = 0.0, f"iab_nodes[{i}].antenna_separation_m"
     if reflectors is not None:
@@ -247,15 +247,11 @@ def chain_for_node(scenario, i):
             f"{field} lets SI taps arrive up to {latest:.4g} s after transmission, past the "
             f"{params.ofdm.cp_duration_s:.4g} s cyclic prefix"
         )
-    du_dir = direction_from_angles(scenario.sector_center_az(node), SECTOR_CENTER_EL_DEG).tolist()
-    geometry = SiGeometry(node.antenna_separation_m, tuple(du_dir), scenario.mt_boresight(node))
+    du_dirs = direction_from_angles(scenario.sector_center_az(node), SECTOR_CENTER_EL_DEG)[None]
 
     def si_taps(seed):
         rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
-        return under(
-            f"iab_nodes[{i}]", si_channel, geometry, pattern, pattern, reflectors,
-            rng=rng, carrier_freq_hz=carrier_freq_hz,
-        )
+        return node_si_taps(scenario, i, du_dirs, rng)[0]
 
     return params, si_taps
 

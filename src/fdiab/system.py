@@ -342,32 +342,37 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
     )
 
 
-def beam_si_taps(scenario, seed, node_idx, node, beam_dirs):
-    """The SI channel of each access beam of the node's codebook beam_dirs
-    (n, 3) in the drop at seed, as si_channel's (delays_s, gains) pairs.
-
-    The reflected taps are redrawn per beam (the SI seen at the MT varies with
-    the DU beam): the node's one stream, substream(seed, "si", node_idx),
-    is read by its beams one after another in codebook order. The MT keeps
-    pointing at the donor.
-    """
+def node_si_taps(scenario, node_idx, du_dirs, rng):
+    """The SI channel of IAB node node_idx with its DU beam along each
+    direction of du_dirs (n, 3) in turn and its MT pointing at the donor, as
+    si_channel's (delays_s, gains) pairs; each direction draws its
+    reflections from the Generator rng after the one before it."""
+    node = scenario.iab_nodes[node_idx]
     rx_dir = scenario.mt_boresight(node)
-    rng = substream(seed, "si", node_idx)
     return [
         under(
             f"iab_nodes[{node_idx}]", si_channel,
-            SiGeometry(node.antenna_separation_m, tuple(beam_dir), rx_dir), node.pattern,
+            SiGeometry(node.antenna_separation_m, tuple(du_dir), rx_dir), node.pattern,
             node.pattern, scenario.reflectors, rng=rng, carrier_freq_hz=scenario.carrier_freq_hz,
         )
-        for beam_dir in np.asarray(beam_dirs).tolist()
+        for du_dir in np.asarray(du_dirs).tolist()
     ]
+
+
+def beam_si_taps(scenario, seed, node_idx, beam_dirs):
+    """node_si_taps of each access beam of node node_idx's codebook
+    beam_dirs (n, 3) in the drop at seed. The reflected taps are redrawn per
+    beam (the SI seen at the MT varies with the DU beam): the node's one
+    stream, substream(seed, "si", node_idx), is read by its beams one after
+    another in codebook order."""
+    return node_si_taps(scenario, node_idx, beam_dirs, substream(seed, "si", node_idx))
 
 
 def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
     """Residual SI after propagation-domain suppression only, per access beam
     of the node's codebook beam_dirs (n, 3): the node's transmit power through
     each beam's SI channel, beam_si_taps."""
-    taps = beam_si_taps(scenario, seed, node_idx, node, beam_dirs)
+    taps = beam_si_taps(scenario, seed, node_idx, beam_dirs)
     return np.array([node.tx_power_dbm + total_gain_db(gains) for _, gains in taps])
 
 

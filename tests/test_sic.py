@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import tracemalloc
 import warnings
 from unittest import mock
@@ -8,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdiab.sic
+from fdiab.cli import chain_for_node
 from fdiab.geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel, total_gain_db
 from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, symbol_rows, symbol_spectra,
 )
-from fdiab.cli import chain_for_node
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
     HammersteinModel,
@@ -691,7 +694,7 @@ def test_chain_on_a_drop_beam_matches_its_propagation_residual(seed):
     sc = default_scenario()
     beam_dirs = schedule_drop(sc, seed)[3]
     for i, node in enumerate(sc.iab_nodes):
-        taps = beam_si_taps(sc, seed, i, node, beam_dirs[i + 1])
+        taps = beam_si_taps(sc, seed, i, beam_dirs[i + 1])
         prop_residual = propagation_residual_si_dbm(sc, seed, i, node, beam_dirs[i + 1])
         params, _ = chain_for_node(sc, i)
         reports = run_link_chains([(params, t) for t in taps], seed)
@@ -734,11 +737,6 @@ def test_chain_knows_no_propagation_model():
     """The chain takes its SI channel as an input: LinkChainParams holds no
     channel model, and fdiab.sic imports neither fdiab.system nor
     fdiab.geometry."""
-    import ast
-    import inspect
-
-    import fdiab.sic
-
     model = {"geometry", "tx_pattern", "rx_pattern", "reflectors", "carrier_freq_hz", "ideal_fd"}
     assert not model & {f.name for f in dataclasses.fields(LinkChainParams)}
     tree = ast.parse(inspect.getsource(fdiab.sic))
