@@ -29,7 +29,6 @@ from .rf import (
     pa_apply,
 )
 from .sic import (
-    HammersteinModel,
     HammersteinRegressors,
     LinkChainParams,
     ReductionReport,
@@ -45,7 +44,6 @@ from .system import (
     ALL_MODES,
     Donor,
     IabNode,
-    McsTable,
     Mode,
     Scenario,
     UeGrid,

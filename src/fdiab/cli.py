@@ -37,7 +37,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .sic import FRAME_FIELDS, LinkChainParams, ReductionReport, run_link_chain, run_link_chains
+from .sic import LinkChainParams, ReductionReport, run_link_chain, run_link_chains
 from .system import (
     ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps, run_drop,
 )
@@ -321,10 +321,10 @@ def _parse_grid(specs):
     return grid
 
 
-# A sweep's traced allocations grow by about 1.2 KB per chain, reports and CSV
-# tables included (1,202 B between 600 and 6,000 real chains; 1,192 B up to
-# 300,000 stand-ins). The cap keeps that in MAX_UES's 2 GiB budget at 1.25 KiB.
-MAX_SWEEP_CHAINS = 2 * 2**30 // 1280
+# A sweep's traced allocations grow by 21.6 KB per chain when one call runs
+# them all (1 drop, 1 node, 600 to 2,400 chains): each keeps its SI bins until
+# its holdout. The cap keeps that in MAX_UES's 2 GiB budget at 24 KiB a chain.
+MAX_SWEEP_CHAINS = 2 * 2**30 // (24 * 1024)
 
 
 def cmd_sweep(cfg, grid_specs, drops):
@@ -332,13 +332,13 @@ def cmd_sweep(cfg, grid_specs, drops):
     in (cell, drop, node) order.
 
     Node i of drop d is seeded from substream(seed, "sweep", d, i) in every
-    cell, so a drop compares its cells on common random numbers, and the
-    cells whose chain inputs agree on the frame fields form one group that
-    sends one frame (run_link_chains); groups run in the order of their first
-    rows. A sweep of more than MAX_SWEEP_CHAINS chains is rejected before any
-    cell is built, and every cell's chain parameters are built, and so
-    validated, before the first chain runs; a group draws its SI taps as it
-    runs.
+    cell, so a drop compares its cells on common random numbers, and each
+    (drop, node) runs its cells in one run_link_chains call, which shares a
+    frame among those that agree on its fields; calls run in the order of
+    their first rows. A sweep of more than MAX_SWEEP_CHAINS chains is
+    rejected before any cell is built, and every cell's chain parameters are
+    built, and so validated, before the first chain runs; a call draws its SI
+    taps as it runs.
     """
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
@@ -366,16 +366,12 @@ def cmd_sweep(cfg, grid_specs, drops):
         for ni in range(len(chains))
     ]
     seeds = {(d, ni): _node_seed(cfg.seed, "sweep", d, ni) for _, d, ni in rows}
-    groups = {}  # (drop, node, frame fields) -> the rows that send one frame
-    for ci, d, ni in rows:
-        frame = tuple(getattr(cell_chains[ci][ni][0], f) for f in FRAME_FIELDS)
-        groups.setdefault((d, ni, frame), []).append((ci, d, ni))
     reports = {}
-    for (d, ni, _), group in groups.items():
-        seed = seeds[d, ni]
-        chains = [cell_chains[ci][ni] for ci, _, _ in group]
+    for (d, ni), seed in seeds.items():  # one run_link_chains call per (drop, node)
+        cis = [ci for ci, node_chains in enumerate(cell_chains) if ni < len(node_chains)]
+        chains = (cell_chains[ci][ni] for ci in cis)
         chains = ((params, si_taps(seed)) for params, si_taps in chains)  # drawn as read
-        reports.update(zip(group, run_link_chains(chains, seed)))
+        reports.update(zip([(ci, d, ni) for ci in cis], run_link_chains(chains, seed)))
     cell, drop, node = np.array(rows, int).reshape(-1, 3).T
     columns = {"cell": cell, "drop": drop}
     for j, (key, _) in enumerate(grid):

@@ -121,7 +121,9 @@ def adc_quantize(samples, adc, scale=None):
 class NoiseModel:
     """Thermal noise floor: -174 dBm/Hz plus bandwidth and noise figure."""
 
-    bandwidth_hz: float = bounded(120e6, "> 0")
+    # -174 dBm/Hz is kT at 290 K, valid while hf << kT; a band B wide reaches at
+    # least B in frequency, and at 1 THz the quantum correction is 0.36 dB.
+    bandwidth_hz: float = bounded(120e6, "> 0, <= 1e12")
     noise_figure_db: float = bounded(3.0, ">= 0, <= 100")
 
     __post_init__ = check_bounds

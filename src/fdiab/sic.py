@@ -27,7 +27,6 @@ from .ofdm import (
 from .rf import AdcModel, NoiseModel, PaModel, adc_quantize, fits_gray_zone, pa_apply, thermal_noise
 from .util import (
     SPEED_OF_LIGHT, FieldError, bounded, check_bounds, dbm_to_watt, mean_power_dbm, substream,
-    watt_to_dbm,
 )
 
 # Fixed canceller delays used in the reference configurations; for other
@@ -124,42 +123,27 @@ def apply_analog_canceller(pa_spectra, rx, two_tap, cfg):
 # ---------------------------------------------------------------------------
 # Digital-domain nonlinear canceller (parallel Hammerstein, odd orders)
 # ---------------------------------------------------------------------------
+# One static branch per order, each with an FIR of memory_len taps shifted
+# alignment samples toward negative delays (effective delays [-alignment,
+# memory_len-1-alignment]), which keeps sub-sample SI path delays well inside
+# the window; the coefficients are an (n_orders, memory_len) array.
 
 
-@dataclass(frozen=True)
-class HammersteinModel:
-    """Parallel-Hammerstein canceller: odd-order static branches with FIRs.
-
-    coeffs has one row per order branch and memory_len columns. alignment
-    shifts the tap window by that many samples toward negative delays, so
-    branch taps cover effective delays [-alignment, memory_len-1-alignment];
-    that keeps sub-sample SI path delays well inside the modeled window.
-    """
-
-    orders: tuple
-    memory_len: int
-    coeffs: np.ndarray
-    alignment: int = 0
-    ridge: float = 0.0
-    training_residual_power: float = 0.0
-    training_power: float = 0.0
-
-    def __post_init__(self):
-        _check_structure(self.orders, self.memory_len, self.alignment)
-        if self.coeffs.shape != (len(self.orders), self.memory_len):
-            raise ValueError("coeffs must be (n_orders, memory_len)")
+def _check_orders(orders, name):
+    # Odd orders only (baseband-relevant distortion); the model tops out at
+    # the fifth order, lower-order subsets serve as baselines. A tuple: a frame
+    # key hashes it.
+    if (
+        not isinstance(orders, tuple)
+        or len(orders) == 0
+        or any(p not in (1, 3, 5) for p in orders)
+        or any(a >= b for a, b in zip(orders, orders[1:]))
+    ):
+        raise FieldError(name, f"must be a tuple of increasing odd integers <= 5, got {orders!r}")
 
 
 def _check_structure(orders, memory_len, alignment):
-    # Odd orders only (baseband-relevant distortion); the model tops out at
-    # the fifth order, lower-order subsets serve as baselines.
-    if (
-        len(orders) == 0
-        or max(orders) > 5
-        or any(p % 2 == 0 or p < 1 for p in orders)
-        or any(a >= b for a, b in zip(orders, orders[1:]))
-    ):
-        raise ValueError("orders must be increasing odd integers capped at 5")
+    _check_orders(orders, "orders")
     if memory_len < 1:
         raise ValueError(f"memory_len must be >= 1, got {memory_len}")
     if not 0 <= alignment < memory_len:
@@ -281,7 +265,7 @@ class HammersteinRegressors:
     def __init__(self, tx, orders, memory_len, alignment, cfg, ridge=None):
         _check_structure(orders, memory_len, alignment)
         _check_frame(tx, cfg, memory_len, alignment)
-        self.orders, self.memory_len, self.alignment = tuple(orders), memory_len, alignment
+        self.orders, self.memory_len, self.alignment = orders, memory_len, alignment
         self.cfg, self.gram = cfg, None
         psi = _branch_signals(tx, orders)
         if ridge is None:
@@ -319,9 +303,10 @@ def _target(reg, rx):
 
 
 def fit_hammerstein(reg, rx):
-    """Ridge-regularized LS fit of the parallel-Hammerstein canceller to rx, a
-    receive stream of the frame of reg, over its samples
-    _fit_samples(rx, reg.cfg, reg.alignment); reg must hold a Gram.
+    """The (n_orders, memory_len) coefficients of the ridge-regularized LS fit
+    of the parallel-Hammerstein canceller to rx, a receive stream of the frame
+    of reg, over its samples _fit_samples(rx, reg.cfg, reg.alignment); reg
+    must hold a Gram.
 
     The ridge is scaled by the trace-normalized basis Gram; the odd-order
     branches are highly correlated and the tiny ridge stabilizes the solve
@@ -329,19 +314,8 @@ def fit_hammerstein(reg, rx):
     """
     if reg.gram is None:
         raise ValueError("reg: built without a ridge, it holds no Gram to fit with")
-    target = _target(reg, rx)
-    rhs = _rhs(reg.spectra, target, reg.memory_len, reg.alignment)
-    coeffs = np.linalg.solve(reg.gram, rhs).reshape(len(reg.orders), reg.memory_len)
-    resid = apply_digital_sic(reg, rx, coeffs)
-    return HammersteinModel(
-        orders=reg.orders,
-        memory_len=reg.memory_len,
-        coeffs=coeffs,
-        alignment=reg.alignment,
-        ridge=reg.ridge,
-        training_residual_power=float(np.mean(np.abs(resid) ** 2)),
-        training_power=float(np.mean(np.abs(target) ** 2)),
-    )
+    rhs = _rhs(reg.spectra, _target(reg, rx), reg.memory_len, reg.alignment)
+    return np.linalg.solve(reg.gram, rhs).reshape(len(reg.orders), reg.memory_len)
 
 
 def apply_digital_sic(reg, rx, coeffs):
@@ -395,8 +369,9 @@ class LinkChainParams:
 
     def __post_init__(self):
         if self.analog_mode not in ("auto", "on", "off"):
-            raise ValueError("analog_mode must be auto, on or off")
+            raise FieldError("analog_mode", f"must be auto, on or off, got {self.analog_mode!r}")
         check_bounds(self)
+        _check_orders(self.hammerstein_orders, "hammerstein_orders")
         # The analog stage is tuned from the pilots: with none, every power is NaN.
         if self.analog_mode != "off" and self.n_pilot_symbols < 1:
             msg = f"must be >= 1 unless analog_mode is off, got {self.n_pilot_symbols}"
@@ -408,10 +383,8 @@ class LinkChainParams:
         n_samples = n_train * (self.ofdm.fft_size - self.hammerstein_alignment)
         n_unknowns = len(self.hammerstein_orders) * self.hammerstein_memory
         if n_samples < n_unknowns:
-            raise ValueError(
-                f"n_data_symbols: {n_train} training symbols give the fit {n_samples} "
-                f"samples for {n_unknowns} unknowns"
-            )
+            msg = f"{n_train} training symbols give the fit {n_samples} samples"
+            raise FieldError("n_data_symbols", f"{msg} for {n_unknowns} unknowns")
 
 
 # The LinkChainParams fields the DU frames read: the QPSK frames, the PA, the
@@ -550,25 +523,25 @@ class _Link:
             self.after_analog_dbm = mean_power_dbm(_fit_samples(rx, cfg, align))
         rx_adc, self.agc_scale = adc_quantize(rx, p.adc)
         del rx  # lowers the peak memory of the fit, which needs only rx_adc
-        self.model = fit_hammerstein(reg, rx_adc)
+        self.coeffs = fit_hammerstein(reg, rx_adc)
+        self.after_digital_dbm = mean_power_dbm(apply_digital_sic(reg, rx_adc, self.coeffs))
 
     def report(self, pa_spectra, noise, reg, tx_power_dbm):
         """The chain's ReductionReport, its holdout residual taken on the
         holdout frame."""
         p = self.params
         rx_adc, _ = adc_quantize(self._received(pa_spectra, noise), p.adc, scale=self.agc_scale)
-        resid = apply_digital_sic(reg, rx_adc, self.model.coeffs)
-        after_digital_dbm = float(watt_to_dbm(self.model.training_residual_power))
+        resid = apply_digital_sic(reg, rx_adc, self.coeffs)
         gray_ok = fits_gray_zone(self.after_analog_dbm, p.noise.floor_dbm, p.adc.effective_range_db)
         return ReductionReport(
             tx_power_dbm=tx_power_dbm,
             after_propagation_dbm=self.after_prop_dbm,
             after_analog_dbm=self.after_analog_dbm,
-            after_digital_dbm=after_digital_dbm,
+            after_digital_dbm=self.after_digital_dbm,
             per_domain_db=(
                 tx_power_dbm - self.after_prop_dbm,
                 self.after_prop_dbm - self.after_analog_dbm,
-                self.after_analog_dbm - after_digital_dbm,
+                self.after_analog_dbm - self.after_digital_dbm,
             ),
             noise_floor_dbm=float(p.noise.floor_dbm),
             analog_applied=self.two_tap is not None,
@@ -581,36 +554,35 @@ class _Link:
 
 def run_link_chains(chains, seed):
     """run_link_chain(params, si_taps, seed) for every (params, si_taps) pair
-    of chains, in order, with the DU frame sent once; chains may be an iterator
-    that draws each chain's taps as it is read.
+    of chains, in order; chains may be an iterator that draws each chain's
+    taps as it is read.
 
-    The chains must agree on FRAME_FIELDS, else a ValueError names the first
-    field that differs. They then send the same frames: the QPSK draws, the PA,
-    the thermal noise, the spectra of the PA output and of the Hammerstein
-    branches, and the Gram with its ridge, conditioning check and warnings are
-    computed once per frame. Each chain runs only its own SI channel, analog
-    stage, ADC, fit solve and holdout residual. The reports equal those of
-    one run_link_chain call per element, bit for bit.
+    The chains that agree on FRAME_FIELDS share one train/holdout frame pair,
+    sent once per distinct FRAME_FIELDS key, in the order of its first chain.
+    Of a frame, the QPSK draws, the PA, the thermal noise, the spectra of the
+    PA output and of the Hammerstein branches, and the Gram with its ridge,
+    conditioning check and warnings are computed once. Each chain runs only
+    its own SI channel, analog stage, ADC, fit solve and holdout residual.
+    The reports equal those of one run_link_chain call per element, bit for
+    bit.
     """
     links = [_Link(params, si_taps) for params, si_taps in chains]  # each keeps only its bins
-    for name in FRAME_FIELDS:
-        for i, p in enumerate(link.params for link in links):
-            if getattr(p, name) != getattr(links[0].params, name):
-                raise ValueError(
-                    f"{name}: chains that share a frame must agree on it; element {i} has "
-                    f"{getattr(p, name)!r}, element 0 {getattr(links[0].params, name)!r}"
-                )
-    if not links:
-        return []
-    first = links[0].params
-    n_train = first.n_pilot_symbols + first.n_data_symbols
-    tx_power_dbm, pa_spectra, noise, reg = _send_frame(first, n_train, seed, "train", first.ridge)
+    groups = {}  # FRAME_FIELDS key -> the links that share its frames
     for link in links:
-        link.calibrate(pa_spectra, noise, reg)
-    # The holdout frame is built once the fits are done, to bound the peak.
-    del pa_spectra, noise, reg
-    _, pa_spectra, noise, reg = _send_frame(first, first.n_holdout_symbols, seed, "holdout")
-    return [link.report(pa_spectra, noise, reg, tx_power_dbm) for link in links]
+        groups.setdefault(tuple(getattr(link.params, f) for f in FRAME_FIELDS), []).append(link)
+    reports = {}
+    for group in groups.values():
+        p = group[0].params
+        n_train = p.n_pilot_symbols + p.n_data_symbols
+        tx_power_dbm, pa_spectra, noise, reg = _send_frame(p, n_train, seed, "train", p.ridge)
+        for link in group:
+            link.calibrate(pa_spectra, noise, reg)
+        # The holdout frame is built once the fits are done, to bound the peak.
+        del pa_spectra, noise, reg
+        _, pa_spectra, noise, reg = _send_frame(p, p.n_holdout_symbols, seed, "holdout")
+        for link in group:
+            reports[link] = link.report(pa_spectra, noise, reg, tx_power_dbm)
+    return [reports[link] for link in links]
 
 
 def run_link_chain(params, si_taps, seed):

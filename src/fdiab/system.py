@@ -62,34 +62,17 @@ def codebook_angles(sector_center_az_deg):
     return az, np.repeat(SECTOR_CENTER_EL_DEG + el_steps, N_BEAMS_AZ)
 
 
-@dataclass(frozen=True)
-class McsTable:
-    """Discrete adaptive-modulation lookup: SINR threshold to efficiency."""
-
-    thresholds_db: tuple
-    efficiencies_bps_hz: tuple
-
-    def __post_init__(self):
-        t = np.asarray(self.thresholds_db)
-        e = np.asarray(self.efficiencies_bps_hz)
-        if t.shape != e.shape or t.size == 0:
-            raise ValueError("thresholds and efficiencies must match and be non-empty")
-        if np.any(np.diff(t) <= 0) or np.any(np.diff(e) <= 0):
-            raise ValueError("thresholds and efficiencies must be strictly increasing")
-
-
-# 15-entry CQI-style table: standard NR CQI table-1 efficiencies with SINR
-# thresholds spaced linearly from -6.7 dB to 19.8 dB.
-DEFAULT_MCS = McsTable(
-    thresholds_db=tuple(np.round(np.linspace(-6.7, 19.8, 15), 4)),
-    efficiencies_bps_hz=(
-        0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.9141,
-        2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
-    ),
+# 15-entry CQI-style MCS table, SINR threshold to efficiency, both strictly
+# increasing: standard NR CQI table-1 efficiencies with SINR thresholds
+# spaced linearly from -6.7 dB to 19.8 dB.
+MCS_THRESHOLDS_DB = tuple(np.round(np.linspace(-6.7, 19.8, 15), 4))
+MCS_EFFICIENCIES_BPS_HZ = (
+    0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.9141,
+    2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
 )
 
 
-def capacity_bps(sinr_db, bandwidth_hz, mcs):
+def capacity_bps(sinr_db, bandwidth_hz):
     """Bandwidth times the efficiency of the best MCS whose threshold is met,
     elementwise.
 
@@ -99,8 +82,8 @@ def capacity_bps(sinr_db, bandwidth_hz, mcs):
     sinr = np.asarray(sinr_db, float)
     if np.isnan(sinr).any():
         raise ValueError("sinr_db must not be NaN")
-    eff = np.concatenate(([0.0], mcs.efficiencies_bps_hz))  # eff[0]: outage
-    return bandwidth_hz * eff[np.searchsorted(mcs.thresholds_db, sinr, side="right")]
+    eff = np.concatenate(([0.0], MCS_EFFICIENCIES_BPS_HZ))  # eff[0]: outage
+    return bandwidth_hz * eff[np.searchsorted(MCS_THRESHOLDS_DB, sinr, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +414,8 @@ def ue_throughput(
         backhaul_sinr = backhaul_rx - floor
     backhaul_sinr = np.where(relayed, backhaul_sinr, np.nan)
 
-    ca = capacity_bps(access_sinr, bw, DEFAULT_MCS)
-    cb = capacity_bps(np.where(relayed, backhaul_sinr, np.inf), bw, DEFAULT_MCS)
+    ca = capacity_bps(access_sinr, bw)
+    cb = capacity_bps(np.where(relayed, backhaul_sinr, np.inf), bw)
     if mode == Mode.HD:
         with np.errstate(invalid="ignore"):  # 0/0 where both hops are in outage
             split = (1.0 - scenario.guard_overhead) * ca * cb / (ca + cb)

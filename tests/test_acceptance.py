@@ -31,6 +31,7 @@ from fdiab.rf import (
 )
 from fdiab.sic import (
     HammersteinRegressors,
+    apply_digital_sic,
     fit_hammerstein,
     run_link_chains,
     tune_two_tap,
@@ -38,7 +39,7 @@ from fdiab.sic import (
 from fdiab.geometry import SiGeometry, si_channel, AntennaPattern, ReflectorConfig
 from fdiab.prototype import PAPER_MEAN_SUPPRESSION_DB, compare_prototype, reference_dataset
 from fdiab.scenario import save_scenario
-from fdiab.system import DEFAULT_MCS, Mode, UeGrid, capacity_bps, default_scenario, run_drop, ue_throughput
+from fdiab.system import Mode, UeGrid, capacity_bps, default_scenario, run_drop, ue_throughput
 from fdiab.util import dbm_to_watt, mean_power_dbm, substream
 
 CFG = OfdmConfig()
@@ -118,14 +119,15 @@ def test_criterion_3_two_tap_canceller():
     ok(3, f"matched recovery at numerical floor; MC depth {mean_depth:.2f} dB at 20 dB est. SNR")
 
 
-def brute_force_residual_power(tx, rx, model, idx):
-    """Independent Hammerstein predictor: explicit per-branch, per-tap sums."""
+def brute_force_residual_power(tx, rx, reg, coeffs, idx):
+    """Independent Hammerstein predictor: explicit per-branch, per-tap sums of
+    coeffs, fit against the regressors reg."""
     pred = np.zeros(idx.size, dtype=complex)
     env = np.abs(tx)
-    for bi, p in enumerate(model.orders):
+    for bi, p in enumerate(reg.orders):
         psi = tx * env ** (p - 1)
-        for m in range(model.memory_len):
-            pred += model.coeffs[bi, m] * psi[idx - (m - model.alignment)]
+        for m in range(reg.memory_len):
+            pred += coeffs[bi, m] * psi[idx - (m - reg.alignment)]
     return float(np.mean(np.abs(rx[idx] - pred) ** 2))
 
 
@@ -152,17 +154,18 @@ def test_criterion_4_hammerstein_sic():
     assert fits_gray_zone(si_dbm, floor)
 
     rx_adc, _ = adc_quantize(rx, AdcModel())
-    fifth = fit_hammerstein(HammersteinRegressors(tx, (1, 3, 5), 20, 8, CFG, ridge=1e-8), rx_adc)
-    linear = fit_hammerstein(HammersteinRegressors(tx, (1,), 20, 8, CFG, ridge=1e-8), rx_adc)
-    res5_dbm = 10 * np.log10(fifth.training_residual_power) + 30
-    res1_dbm = 10 * np.log10(linear.training_residual_power) + 30
+    reg5 = HammersteinRegressors(tx, (1, 3, 5), 20, 8, CFG, ridge=1e-8)
+    reg1 = HammersteinRegressors(tx, (1,), 20, 8, CFG, ridge=1e-8)
+    fifth, linear = fit_hammerstein(reg5, rx_adc), fit_hammerstein(reg1, rx_adc)
+    res5_dbm = mean_power_dbm(apply_digital_sic(reg5, rx_adc, fifth))
+    res1_dbm = mean_power_dbm(apply_digital_sic(reg1, rx_adc, linear))
     gap = res1_dbm - res5_dbm
     assert gap >= 10.0
     assert res5_dbm - floor <= 3.0
 
-    oracle = brute_force_residual_power(tx, rx_adc, fifth, idx)
+    oracle = brute_force_residual_power(tx, rx_adc, reg5, fifth, idx)
     assert 10 * np.log10(oracle) + 30 == pytest.approx(res5_dbm, abs=0.1)
-    oracle_lin = brute_force_residual_power(tx, rx_adc, linear, idx)
+    oracle_lin = brute_force_residual_power(tx, rx_adc, reg1, linear, idx)
     assert 10 * np.log10(oracle_lin) + 30 == pytest.approx(res1_dbm, abs=0.1)
     ok(4, f"fifth-order beats linear-only by {gap:.1f} dB; residual floor+"
           f"{res5_dbm - floor:.2f} dB; oracle agrees to 0.1 dB")

@@ -520,6 +520,10 @@ class TestExitCodes:
             ("system-sim", "--set", "access_shadow_sigma_db=1e6", "access_shadow_sigma_db"),
             ("system-sim", "--set", "noise_figure_db=1e6", "noise_figure_db"),
             ("link-sim", "--set", "noise_figure_db=1e6", "noise_figure_db"),
+            # Past the 1 THz where the thermal noise model stops: link-sim used
+            # to blame the chain, system-sim to write SNRs of -2,887 dB.
+            ("system-sim", "--set", "bandwidth_hz=1e300", "bandwidth_hz"),
+            ("link-sim", "--set", "bandwidth_hz=1e300", "bandwidth_hz"),
         ],
     )
     def test_non_finite_or_too_large_override_is_1(
@@ -762,6 +766,30 @@ class TestArgumentBounds:
         else:
             assert rc == 0
             assert len(read(out / "sweep.csv").splitlines()) == 1 + cells * drops * n_nodes
+
+    def test_sweep_cap_covers_a_call_that_holds_every_chain(self, tmp_path):
+        """MAX_SWEEP_CHAINS budgets 24 KiB a chain within 2 GiB. A chain adds
+        the most in a one-drop, one-node sweep, whose one run_link_chains call
+        keeps every chain's SI bins until its holdout frame."""
+        scenario = default_scenario()
+        path = tmp_path / "s.json"
+        save_scenario(dataclasses.replace(scenario, iab_nodes=scenario.iab_nodes[:1]), path)
+
+        def peak(n_cells):
+            values = ",".join(f"{d:.4f}" for d in np.linspace(0.5, 2.0, n_cells))
+            argv = ["sweep", "--scenario", str(path), "--seed", "0",
+                    "--grid", f"iab_nodes.*.antenna_separation_m={values}",
+                    "--out", str(tmp_path / str(n_cells))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the caches a first sweep fills
+        assert (peak(100) - peak(25)) / 75 <= 24 * 1024  # 22.3 KB at 25 to 100
+        assert cli.MAX_SWEEP_CHAINS * 24 * 1024 <= 2 * 2**30
 
     @pytest.mark.parametrize("command", ["link-sim", "system-sim", "sweep"])
     def test_seed_is_required_where_it_has_no_default(

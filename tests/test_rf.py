@@ -146,6 +146,11 @@ class TestNoise:
             NoiseModel(noise_figure_db=-5.0)
         with pytest.raises(FieldError, match="^bandwidth_hz: must be > 0"):
             NoiseModel(bandwidth_hz=0.0)
+        # Above 1 THz, kT no longer gives the noise density.
+        assert NoiseModel(bandwidth_hz=1e12).floor_dbm == pytest.approx(-51.0)
+        msg = r"^bandwidth_hz: must be > 0, <= 1e12, got 1010000000000\.0"
+        with pytest.raises(FieldError, match=msg):
+            NoiseModel(bandwidth_hz=1.01e12)
 
     def test_thermal_noise_power(self):
         model = NoiseModel(120e6, 3.0)

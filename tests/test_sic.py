@@ -18,7 +18,6 @@ from fdiab.ofdm import (
 )
 from fdiab.rf import NoiseModel
 from fdiab.sic import (
-    HammersteinModel,
     HammersteinRegressors,
     LinkChainParams,
     ReductionReport,
@@ -33,7 +32,7 @@ from fdiab.sic import (
     TwoTapConfig,
 )
 from fdiab.system import beam_si_taps, default_scenario, propagation_residual_si_dbm, schedule_drop
-from fdiab.util import SPEED_OF_LIGHT, substream
+from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
 
 CFG = OfdmConfig()
 FREQS = CFG.subcarrier_freqs_hz()
@@ -163,14 +162,23 @@ def integer_delay(x, delay_samples, gain, cfg=CFG):
 
 
 def fit(x, y, orders=(1, 3, 5), memory_len=4, alignment=0, ridge=1e-8, *, cfg):
-    """fit_hammerstein of y, a receive stream of the OFDM frame x."""
-    return fit_hammerstein(HammersteinRegressors(x, orders, memory_len, alignment, cfg, ridge), y)
+    """(the HammersteinRegressors of the OFDM frame x, the coefficients
+    fit_hammerstein fits against them to y, a receive stream of x)."""
+    reg = HammersteinRegressors(x, orders, memory_len, alignment, cfg, ridge)
+    return reg, fit_hammerstein(reg, y)
 
 
-def cancel(x, y, model, cfg):
-    """apply_digital_sic of model to y, a receive stream of the OFDM frame x."""
-    reg = HammersteinRegressors(x, model.orders, model.memory_len, model.alignment, cfg)
-    return apply_digital_sic(reg, y, model.coeffs)
+def cancel(x, y, reg, coeffs):
+    """apply_digital_sic of coeffs, fit against the regressors reg, to y, a
+    receive stream of the OFDM frame x in reg's layout."""
+    x_reg = HammersteinRegressors(x, reg.orders, reg.memory_len, reg.alignment, reg.cfg)
+    return apply_digital_sic(x_reg, y, coeffs)
+
+
+def training_residual_power(reg, y, coeffs):
+    """Mean power of what coeffs leave of y, the receive stream they were fit
+    to against reg."""
+    return np.mean(np.abs(apply_digital_sic(reg, y, coeffs)) ** 2)
 
 
 # A numerology with short symbols: 14 of them are fewer samples than two
@@ -184,8 +192,8 @@ class TestHammerstein:
         x = build_frame(CFG, 8, rng)
         y = integer_delay(x, 2, 0.6 - 0.2j)
         # ridge off: noiseless model identification should be exact
-        model = fit(x, y, memory_len=8, alignment=4, ridge=0.0, cfg=CFG)
-        norms = np.linalg.norm(model.coeffs, axis=1)
+        _, coeffs = fit(x, y, memory_len=8, alignment=4, ridge=0.0, cfg=CFG)
+        norms = np.linalg.norm(coeffs, axis=1)
         assert norms[1] <= 1e-6 * norms[0]
         assert norms[2] <= 1e-6 * norms[0]
 
@@ -206,15 +214,15 @@ class TestHammerstein:
         y = y_clean + noise
         idx = fit_indices(CFG, x.size, 4)
 
-        full = fit(x, y, (1, 3, 5), memory_len=8, alignment=4, cfg=CFG)
-        assert full.training_residual_power <= 1.05 * noise_power
+        reg, full = fit(x, y, (1, 3, 5), memory_len=8, alignment=4, cfg=CFG)
+        assert training_residual_power(reg, y, full) <= 1.05 * noise_power
 
-        lin = fit(x, y, (1,), memory_len=8, alignment=4, cfg=CFG)
+        reg_lin, lin = fit(x, y, (1,), memory_len=8, alignment=4, cfg=CFG)
         basis1 = hammerstein_basis(x, (1,), 8, 4, idx)
         target = (c3 * x * np.abs(x) ** 2)[idx - 1]  # the c3 term as received
         proj, *_ = np.linalg.lstsq(basis1, target, rcond=None)
         oracle = np.mean(np.abs(target - basis1 @ proj) ** 2)
-        assert 10 * np.log10(lin.training_residual_power / oracle) == pytest.approx(
+        assert 10 * np.log10(training_residual_power(reg_lin, y, lin) / oracle) == pytest.approx(
             0.0, abs=0.5
         )
         c3_power = np.mean(np.abs(target) ** 2)
@@ -232,39 +240,37 @@ class TestHammerstein:
             )
 
         x_tiny, x_big, x_test = (build_frame(cfg, n, rng) for n in (1, 10, 100))
+        y_tiny = distorted(x_tiny)
         with pytest.warns(RuntimeWarning, match="short"):
-            tiny = fit(
-                x_tiny, distorted(x_tiny), (1, 3, 5), memory_len=4, alignment=2, ridge=0.0, cfg=cfg
+            reg_tiny, tiny = fit(
+                x_tiny, y_tiny, (1, 3, 5), memory_len=4, alignment=2, ridge=0.0, cfg=cfg
             )
-        assert tiny.training_residual_power <= 1e-12 * tiny.training_power
+        training_power = np.mean(np.abs(y_tiny[fit_indices(cfg, x_tiny.size, 2)]) ** 2)
+        assert training_residual_power(reg_tiny, y_tiny, tiny) <= 1e-12 * training_power
 
-        big = fit(x_big, distorted(x_big), (1, 3, 5), memory_len=4, alignment=2, cfg=cfg)
+        reg_big, big = fit(x_big, distorted(x_big), (1, 3, 5), memory_len=4, alignment=2, cfg=cfg)
         y_test = distorted(x_test)
-        r_tiny = np.mean(np.abs(cancel(x_test, y_test, tiny, cfg)) ** 2)
-        r_big = np.mean(np.abs(cancel(x_test, y_test, big, cfg)) ** 2)
+        r_tiny = np.mean(np.abs(cancel(x_test, y_test, reg_tiny, tiny)) ** 2)
+        r_big = np.mean(np.abs(cancel(x_test, y_test, reg_big, big)) ** 2)
         assert r_tiny > r_big
 
     def test_apply_consistent_with_fit(self):
         rng = substream(7, "happ")
         x = build_frame(CFG, 6, rng)
         y = 0.8 * x + 0.03 * x * np.abs(x) ** 4
-        model = fit(x, y, memory_len=6, alignment=2, cfg=CFG)
-        resid = cancel(x, y, model, CFG)
+        # The canceller's own regressors, built without a Gram, cancel as the
+        # fit's do.
+        reg, coeffs = fit(x, y, memory_len=6, alignment=2, cfg=CFG)
+        resid = cancel(x, y, reg, coeffs)
         assert np.mean(np.abs(resid) ** 2) == pytest.approx(
-            model.training_residual_power, rel=1e-9
+            training_residual_power(reg, y, coeffs), rel=1e-9
         )
 
     def test_zero_coefficients_identity(self):
         rng = substream(8, "hzero")
         x = build_frame(CFG, 2, rng)
-        model = fit(x, x, memory_len=4, cfg=CFG)
-        zeroed = type(model)(
-            orders=model.orders,
-            memory_len=model.memory_len,
-            coeffs=np.zeros_like(model.coeffs),
-            alignment=model.alignment,
-        )
-        resid = cancel(x, x, zeroed, CFG)
+        reg, coeffs = fit(x, x, memory_len=4, cfg=CFG)
+        resid = cancel(x, x, reg, np.zeros_like(coeffs))
         assert np.array_equal(resid, x[fit_indices(CFG, x.size, 0)])
 
     def test_generalizes_to_fresh_block(self):
@@ -279,10 +285,11 @@ class TestHammerstein:
                 + 1j * substream(11, "n", x.size).standard_normal(x.size)
             )
 
-        model = fit(train, channelize(train), memory_len=8, alignment=4, cfg=CFG)
-        resid = cancel(test, channelize(test), model, CFG)
+        y_train = channelize(train)
+        reg, coeffs = fit(train, y_train, memory_len=8, alignment=4, cfg=CFG)
+        resid = cancel(test, channelize(test), reg, coeffs)
         fresh = np.mean(np.abs(resid) ** 2)
-        ratio_db = 10 * np.log10(fresh / model.training_residual_power)
+        ratio_db = 10 * np.log10(fresh / training_residual_power(reg, y_train, coeffs))
         assert abs(ratio_db) < 1.0
 
     def test_ls_optimality_gradient(self):
@@ -290,10 +297,10 @@ class TestHammerstein:
         x = build_frame(CFG, 4, rng)
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
         idx = fit_indices(CFG, x.size, 2)
-        model = fit(x, y, memory_len=4, alignment=2, cfg=CFG)
-        basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
-        c = model.coeffs.reshape(-1)
-        grad = basis.conj().T @ (y[idx] - basis @ c) - model.ridge * c
+        reg, coeffs = fit(x, y, memory_len=4, alignment=2, cfg=CFG)
+        basis = hammerstein_basis(x, reg.orders, reg.memory_len, reg.alignment, idx)
+        c = coeffs.reshape(-1)
+        grad = basis.conj().T @ (y[idx] - basis @ c) - reg.ridge * c
         scale = np.linalg.norm(basis.conj().T @ y[idx])
         assert np.linalg.norm(grad) < 1e-6 * scale
 
@@ -302,9 +309,9 @@ class TestHammerstein:
         x = build_frame(CFG, 4, rng)
         y = 0.7 * x + 0.04 * x * np.abs(x) ** 2
         idx = fit_indices(CFG, x.size, 2)
-        model = fit(x, y, memory_len=4, alignment=2, cfg=CFG)
-        basis = hammerstein_basis(x, model.orders, model.memory_len, model.alignment, idx)
-        c0 = model.coeffs.reshape(-1)
+        reg, coeffs = fit(x, y, memory_len=4, alignment=2, cfg=CFG)
+        basis = hammerstein_basis(x, reg.orders, reg.memory_len, reg.alignment, idx)
+        c0 = coeffs.reshape(-1)
         r0 = np.mean(np.abs(y[idx] - basis @ c0) ** 2)
         perturb_rng = substream(14, "hconv2")
         for _ in range(10):
@@ -356,14 +363,14 @@ def ofdm_signals(seed, n_symbols, cfg=CFG):
 
 def assert_matches_explicit_fit(x, y, orders, memory_len, alignment, ridge, cfg):
     idx = fit_indices(cfg, x.size, alignment)
-    model = fit(x, y, orders, memory_len, alignment, ridge, cfg=cfg)
+    reg, fitted = fit(x, y, orders, memory_len, alignment, ridge, cfg=cfg)
     basis, coeffs, eps, resid_power = explicit_fit(x, y, orders, memory_len, alignment, ridge, idx)
     scale = np.abs(coeffs).max()
-    np.testing.assert_allclose(model.coeffs, coeffs, rtol=1e-8, atol=1e-8 * scale)
-    assert model.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
-    assert model.training_residual_power == pytest.approx(resid_power, rel=1e-9)
-    prediction = y[idx] - cancel(x, y, model, cfg)
-    explicit = basis @ model.coeffs.reshape(-1)
+    np.testing.assert_allclose(fitted, coeffs, rtol=1e-8, atol=1e-8 * scale)
+    assert reg.ridge == pytest.approx(eps, rel=1e-12, abs=0.0)
+    assert training_residual_power(reg, y, fitted) == pytest.approx(resid_power, rel=1e-9)
+    prediction = y[idx] - cancel(x, y, reg, fitted)
+    explicit = basis @ fitted.reshape(-1)
     np.testing.assert_allclose(
         prediction, explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max()
     )
@@ -410,14 +417,8 @@ class TestFrameLayoutRejections:
     def run_both(self, x, y, match, memory_len=20, alignment=8):
         with pytest.raises(ValueError, match=match):
             fit(x, y, memory_len=memory_len, alignment=alignment, cfg=CFG)
-        model = HammersteinModel(
-            orders=(1, 3, 5),
-            memory_len=memory_len,
-            coeffs=np.ones((3, memory_len), complex),
-            alignment=alignment,
-        )
-        with pytest.raises(ValueError, match=match):
-            cancel(x, y, model, CFG)
+        with pytest.raises(ValueError, match=match):  # the canceller's regressors, no Gram
+            HammersteinRegressors(x, (1, 3, 5), memory_len, alignment, CFG)
 
     def test_stream_of_partial_symbols(self, signals):
         x, y = signals
@@ -768,6 +769,15 @@ def test_chain_without_a_channel_is_the_former_ideal_fd_chain(separation, mode, 
     assert dataclasses.astuple(got) == report
 
 
+# Frame fields a chain may change: chains that agree on them share a frame.
+FRAMES = [
+    {},
+    dict(noise=NoiseModel(noise_figure_db=6.0)),
+    dict(input_backoff_db=10.0),
+    dict(n_holdout_symbols=4),
+]
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -777,35 +787,29 @@ def test_chain_without_a_channel_is_the_former_ideal_fd_chain(separation, mode, 
             st.sampled_from(["auto", "on", "off"]),
             st.booleans(),
             st.sampled_from([None, ReflectorConfig(max_taps=2)]),
+            st.sampled_from(FRAMES),
         ),
         min_size=1,
-        max_size=3,
+        max_size=4,
     ),
 )
 def test_shared_frame_chains_equal_one_chain_each(seed, chains):
     links = [
-        chain(SiGeometry(d), seed, reflectors=refl, ideal_fd=ideal, analog_mode=mode)
-        for d, mode, ideal, refl in chains
+        chain(SiGeometry(d), seed, reflectors=refl, ideal_fd=ideal, analog_mode=mode, **frame)
+        for d, mode, ideal, refl, frame in chains
     ]
     assert run_link_chains(links, seed) == [run_link_chain(p, taps, seed) for p, taps in links]
 
 
-@pytest.mark.parametrize(
-    "field, change",
-    [
-        ("noise", dict(noise=NoiseModel(noise_figure_db=6.0))),
-        ("input_backoff_db", dict(input_backoff_db=10.0)),
-        ("n_holdout_symbols", dict(n_holdout_symbols=4)),
-        ("hammerstein_memory", dict(hammerstein_memory=12)),
-        # Both differ: the first frame field in FRAME_FIELDS is named.
-        ("noise", dict(ridge=1e-6, noise=NoiseModel(noise_figure_db=6.0))),
-    ],
-)
-def test_shared_frame_rejects_mixed_frame_fields_by_name(field, change):
+def test_one_frame_pair_per_frame_key_in_order_of_first_use():
     base = chain(SiGeometry(1.0), 3)
-    other = chain(SiGeometry(2.0), 3, **change)
-    with pytest.raises(ValueError, match=f"^{field}: chains that share a frame must agree"):
-        run_link_chains([base, base, other], 3)
+    other = chain(SiGeometry(2.0), 3, **FRAMES[3])
+    links = [other, base, other, base]
+    with mock.patch("fdiab.sic.build_frame", side_effect=fdiab.sic.build_frame) as build_frame:
+        reports = run_link_chains(links, 3)
+    # A train frame of 2 + 16 symbols, then the holdout frame, per key.
+    assert [c.args[1] for c in build_frame.call_args_list] == [18, 4, 18, 8]
+    assert reports == [run_link_chain(p, taps, 3) for p, taps in links]
     assert run_link_chains([], 3) == []
 
 
@@ -844,14 +848,22 @@ class TestLinkChainParamsBounds:
             ("n_data_symbols", dict(analog_mode="off", n_pilot_symbols=0, n_data_symbols=0)),
             # One 16-point symbol less 4 aligned samples: 12 samples for 18 unknowns.
             ("n_data_symbols", dict(TINY_FRAME, hammerstein_orders=(1, 3, 5))),
+            # Rejected when the chain is built, not once its frames are sent.
+            ("hammerstein_orders", (2,)),
+            ("hammerstein_orders", (1, 3, 5, 7)),
+            ("hammerstein_orders", (3, 1)),
+            ("hammerstein_orders", ()),
+            ("hammerstein_orders", [1, 3, 5]),  # a list would not hash as a frame key
+            ("analog_mode", "x"),
         ],
     )
     def test_rejected_by_name(self, field, value):
         kwargs = value if isinstance(value, dict) else {field: value}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{field}"):
+            with pytest.raises(FieldError, match=f"^{field}: ") as excinfo:
                 LinkChainParams(**{"antenna_separation_m": 0.1, **kwargs})
+        assert excinfo.value.path == field
 
     def test_pilots_only_needed_when_analog_can_engage(self):
         for mode in ("auto", "on"):

@@ -18,10 +18,10 @@ from fdiab.geometry import (
 )
 from fdiab.system import (
     ALL_MODES,
-    DEFAULT_MCS,
     Donor,
     IabNode,
-    McsTable,
+    MCS_EFFICIENCIES_BPS_HZ,
+    MCS_THRESHOLDS_DB,
     Mode,
     Scenario,
     UeGrid,
@@ -124,8 +124,8 @@ def reference_lin_sum_dbm(*levels_dbm):
 
 def reference_capacity(sinr_db, sc):
     assert not math.isnan(sinr_db)
-    i = int(np.searchsorted(DEFAULT_MCS.thresholds_db, sinr_db, side="right")) - 1
-    return 0.0 if i < 0 else sc.bandwidth_hz * DEFAULT_MCS.efficiencies_bps_hz[i]
+    i = int(np.searchsorted(MCS_THRESHOLDS_DB, sinr_db, side="right")) - 1
+    return 0.0 if i < 0 else sc.bandwidth_hz * MCS_EFFICIENCIES_BPS_HZ[i]
 
 
 def reference_residual_dbm(sc, seed, ni, node):
@@ -209,37 +209,36 @@ def reference_row(sc, seed, mode, ci, bi, access_rx, ue, u):
 
 class TestMcs:
     def test_default_table_shape(self):
-        assert len(DEFAULT_MCS.thresholds_db) == 15
-        assert DEFAULT_MCS.thresholds_db[0] == pytest.approx(-6.7)
-        assert DEFAULT_MCS.thresholds_db[-1] == pytest.approx(19.8)
-        assert DEFAULT_MCS.efficiencies_bps_hz[0] == 0.1523
-        assert DEFAULT_MCS.efficiencies_bps_hz[-1] == 5.5547
+        assert len(MCS_THRESHOLDS_DB) == 15
+        assert MCS_THRESHOLDS_DB[0] == pytest.approx(-6.7)
+        assert MCS_THRESHOLDS_DB[-1] == pytest.approx(19.8)
+        assert MCS_EFFICIENCIES_BPS_HZ[0] == 0.1523
+        assert MCS_EFFICIENCIES_BPS_HZ[-1] == 5.5547
 
     def test_outage_below_first_threshold(self):
-        assert capacity_bps(-6.71, BW, DEFAULT_MCS) == 0.0
+        assert capacity_bps(-6.71, BW) == 0.0
 
     def test_infinite_sinr_gets_max(self):
-        assert capacity_bps(np.inf, BW, DEFAULT_MCS) == BW * 5.5547
+        assert capacity_bps(np.inf, BW) == BW * 5.5547
 
     def test_threshold_is_closed_lower_bound(self):
-        t = DEFAULT_MCS.thresholds_db[3]
-        at = capacity_bps(t, BW, DEFAULT_MCS)
-        below = capacity_bps(t - 1e-9, BW, DEFAULT_MCS)
-        assert at == BW * DEFAULT_MCS.efficiencies_bps_hz[3]
-        assert below == BW * DEFAULT_MCS.efficiencies_bps_hz[2]
+        t = MCS_THRESHOLDS_DB[3]
+        at = capacity_bps(t, BW)
+        below = capacity_bps(t - 1e-9, BW)
+        assert at == BW * MCS_EFFICIENCIES_BPS_HZ[3]
+        assert below == BW * MCS_EFFICIENCIES_BPS_HZ[2]
 
     def test_array_input_and_nan_rejection(self):
-        sinr = np.array([-10.0, DEFAULT_MCS.thresholds_db[3], np.inf])
-        out = capacity_bps(sinr, BW, DEFAULT_MCS)
-        assert out.tolist() == [0.0, BW * DEFAULT_MCS.efficiencies_bps_hz[3], BW * 5.5547]
+        sinr = np.array([-10.0, MCS_THRESHOLDS_DB[3], np.inf])
+        out = capacity_bps(sinr, BW)
+        assert out.tolist() == [0.0, BW * MCS_EFFICIENCIES_BPS_HZ[3], BW * 5.5547]
         with pytest.raises(ValueError, match="NaN"):
-            capacity_bps(np.array([0.0, np.nan]), BW, DEFAULT_MCS)
+            capacity_bps(np.array([0.0, np.nan]), BW)
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            McsTable((0.0, 0.0), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            McsTable((0.0, 1.0), (2.0, 1.0))
+    def test_table_is_increasing_and_one_efficiency_per_threshold(self):
+        assert len(MCS_THRESHOLDS_DB) == len(MCS_EFFICIENCIES_BPS_HZ)
+        assert np.all(np.diff(MCS_THRESHOLDS_DB) > 0)
+        assert np.all(np.diff(MCS_EFFICIENCIES_BPS_HZ) > 0)
 
 
 class TestCodebook:
@@ -530,7 +529,7 @@ class TestUeThroughput:
     def test_hd_even_split_halves_capacity(self):
         sc, rx = self.equal_capacity_inputs()
         floor = sc.noise.floor_dbm
-        c = capacity_bps(21.0, sc.bandwidth_hz, DEFAULT_MCS)
+        c = capacity_bps(21.0, sc.bandwidth_hz)
         thr, _, _ = ue_throughput(Mode.HD, True, rx, rx, floor, floor, sc)
         assert thr == pytest.approx(c / 2.0, rel=1e-12)
 
@@ -566,8 +565,8 @@ class TestUeThroughput:
         thr, a_sinr, b_sinr = ue_throughput(
             Mode.FD_FULL, True, rx, floor + 9.0, floor, floor, sc
         )
-        assert thr <= capacity_bps(a_sinr, sc.bandwidth_hz, DEFAULT_MCS)
-        assert thr == capacity_bps(b_sinr, sc.bandwidth_hz, DEFAULT_MCS)
+        assert thr <= capacity_bps(a_sinr, sc.bandwidth_hz)
+        assert thr == capacity_bps(b_sinr, sc.bandwidth_hz)
 
     def test_donor_served_ignores_mode(self):
         sc, rx = self.equal_capacity_inputs()
@@ -625,8 +624,8 @@ class TestRunDrop:
             # down an MCS step (the Fig. 5 DLI performance loss).
             loss = d["ideal_fd"] < d["hd"] - 1e-9
             ideal = cols["mode"] == Mode.IDEAL_FD.value
-            c_clean = capacity_bps(cols["access_snr_db"][ideal][loss], sc.bandwidth_hz, DEFAULT_MCS)
-            c_dli = capacity_bps(cols["access_sinr_db"][ideal][loss], sc.bandwidth_hz, DEFAULT_MCS)
+            c_clean = capacity_bps(cols["access_snr_db"][ideal][loss], sc.bandwidth_hz)
+            c_dli = capacity_bps(cols["access_sinr_db"][ideal][loss], sc.bandwidth_hz)
             assert np.all(c_dli < c_clean)
 
     @settings(max_examples=25, deadline=None)
@@ -667,8 +666,8 @@ class TestRunDrop:
         sc = small_scenario()
         cols = run_drop(sc, 3, modes=(Mode.FD_PROP_ONLY,))
         relayed = cols["serving_cell"] > 0
-        ca = capacity_bps(cols["access_sinr_db"][relayed], sc.bandwidth_hz, DEFAULT_MCS)
-        cb = capacity_bps(cols["backhaul_sinr_db"][relayed], sc.bandwidth_hz, DEFAULT_MCS)
+        ca = capacity_bps(cols["access_sinr_db"][relayed], sc.bandwidth_hz)
+        cb = capacity_bps(cols["backhaul_sinr_db"][relayed], sc.bandwidth_hz)
         assert np.all(cols["throughput_bps"][relayed] <= ca + 1e-9)
         assert np.all(cols["throughput_bps"][relayed] <= cb + 1e-9)
 
