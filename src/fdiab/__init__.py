@@ -14,6 +14,7 @@ from .geometry import (
     ReflectorConfig,
     SiGeometry,
     antenna_gain_dbi,
+    direct_si_taps,
     fspl_db,
     rx_dbm,
     si_channel,

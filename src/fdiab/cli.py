@@ -41,7 +41,7 @@ from .sic import LinkChainParams, ReductionReport, run_link_chain, run_link_chai
 from .system import (
     ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps, run_drop,
 )
-from .util import SPEED_OF_LIGHT, substream
+from .util import SPEED_OF_LIGHT, FieldError, substream
 
 REDUCTION_COLUMNS = (
     "node", "antenna_separation_m", "seed", "tx_power_dbm", "after_propagation_dbm",
@@ -237,7 +237,10 @@ def chain_for_node(scenario, i):
     rejected before any draw: the chain applies its channel circularly per
     OFDM symbol."""
     node, reflectors = scenario.iab_nodes[i], scenario.reflectors
-    params = LinkChainParams(node.antenna_separation_m, noise=scenario.noise)
+    try:
+        params = LinkChainParams(node.antenna_separation_m, noise=scenario.noise)
+    except FieldError as e:  # the scenario holds the noise model's fields at its top level
+        raise FieldError(e.path.removeprefix("noise."), e.message) from None
     late_s, field = 0.0, f"iab_nodes[{i}].antenna_separation_m"
     if reflectors is not None:
         late_s, field = reflectors.delay_offset_range_s[1], "reflectors.delay_offset_range_s"
@@ -321,10 +324,10 @@ def _parse_grid(specs):
     return grid
 
 
-# A sweep's traced allocations grow by 21.6 KB per chain when one call runs
-# them all (1 drop, 1 node, 600 to 2,400 chains): each keeps its SI bins until
-# its holdout. The cap keeps that in MAX_UES's 2 GiB budget at 24 KiB a chain.
-MAX_SWEEP_CHAINS = 2 * 2**30 // (24 * 1024)
+# A sweep's traced allocations grow by 5.4-5.6 KB per chain when one call runs
+# them all (1 drop, 1 node, 25 to 4,800 chains): each keeps its cell, SI taps and
+# fit until its holdout. The cap keeps that in MAX_UES's 2 GiB at 8 KiB a chain.
+MAX_SWEEP_CHAINS = 2 * 2**30 // (8 * 1024)
 
 
 def cmd_sweep(cfg, grid_specs, drops):

@@ -5,7 +5,6 @@ reflections, of the Generator passed in, so channel realizations are
 bit-reproducible and safe to evaluate concurrently.
 """
 
-import math
 from dataclasses import MISSING, dataclass
 
 import numpy as np
@@ -111,9 +110,10 @@ class SiGeometry:
 
     The DU (tx) sits antenna_separation_m above the MT (rx) along +z, so the
     direct SI ray leaves the DU toward -z and arrives at the MT from +z.
-    Orientations are boresight direction vectors in the same frame; the
-    defaults point both antennas at the horizon (90 degrees off the mast
-    axis). cross_pol_isolation_db is 0 for co-polarized antennas.
+    Orientations are boresight direction vectors in the same frame, one (3,)
+    vector or (n, 3) rows, tx rows broadcast against rx rows; the defaults
+    point both antennas at the horizon (90 degrees off the mast axis).
+    cross_pol_isolation_db is 0 for co-polarized antennas.
     """
 
     antenna_separation_m: float = bounded(MISSING, "> 0, < inf")
@@ -124,7 +124,7 @@ class SiGeometry:
     def __post_init__(self):
         check_bounds(self)
         for name in ("tx_orientation", "rx_orientation"):
-            if not all(map(math.isfinite, getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise FieldError(name, f"must be finite, got {getattr(self, name)!r}")
 
 
@@ -159,47 +159,51 @@ def total_gain_db(gains):
     return float(10.0 * np.log10(np.sum(np.abs(gains) ** 2)))
 
 
-def si_channel(geom, tx_pat, rx_pat, reflector_cfg=None, rng=None, carrier_freq_hz=28e9):
-    """SI channel impulse response for one DU/MT pair, as two arrays
-    (delays_s, gains): the taps' delays in seconds and complex gains.
-
-    Tap 0 is the direct path at delay d/c with amplitude set by Friis loss,
+def direct_si_taps(geom, tx_pat, rx_pat, carrier_freq_hz=28e9):
+    """The direct SI tap of each broadcast row of geom's tx and rx
+    orientations, as one (delay_s, amp, gain) triple per row: the delay d/c,
+    which every row shares, the amplitude set by Friis loss,
     cross-polarization isolation and both off-boresight antenna gains along
-    the mast axis. With reflector_cfg set, random reflection taps drawn from
-    the Generator rng follow it: the tap count, then the delays, powers and
-    phases. Identical inputs and rng state give bit-identical output. A
-    direct tap whose power underflows to 0 raises FieldError at "pattern".
-    """
-    if reflector_cfg is not None and rng is None:
-        raise ValueError("si_channel: reflector_cfg needs rng, the Generator of its draws")
+    the mast axis, and the complex gain amp * exp(-2j*pi*f*d/c). A row whose
+    tap power underflows to 0 raises FieldError at "pattern"."""
     d = geom.antenna_separation_m
-    direct_delay = d / SPEED_OF_LIGHT
-    # Off-boresight angles toward the other antenna: DU looks down the mast
-    # (-z), MT looks up (+z).
-    theta_tx, theta_rx = angle_between_deg(
-        (geom.tx_orientation, geom.rx_orientation), ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
-    )
+    delay = d / SPEED_OF_LIGHT
+    # Off-boresight angles toward the other antenna, (2, n, 3) rows against
+    # (2, 1, 3) axes: DU looks down the mast (-z), MT looks up (+z).
+    rows = np.broadcast_arrays(*map(np.atleast_2d, (geom.tx_orientation, geom.rx_orientation)))
+    theta_tx, theta_rx = angle_between_deg(rows, [[(0.0, 0.0, -1.0)], [(0.0, 0.0, 1.0)]])
     amp_db = (
         -fspl_db(d, carrier_freq_hz)
         - geom.cross_pol_isolation_db
         + antenna_gain_dbi(tx_pat, theta_tx)
         + antenna_gain_dbi(rx_pat, theta_rx)
     )
-    direct_amp = 10.0 ** (amp_db / 20.0)
-    if direct_amp**2 == 0.0:  # every tap's gain is a fraction of the direct tap's
-        msg = f"gives the direct SI path {amp_db:.4g} dB, which carries no power"
-        raise FieldError("pattern", msg)
-    direct_gain = direct_amp * np.exp(-2j * np.pi * carrier_freq_hz * direct_delay)
-    delays, gains = np.array([direct_delay]), np.array([direct_gain])
+    # Python's pow per row: numpy's SIMD power can round the last bit differently.
+    amps = [10.0 ** x for x in (amp_db / 20.0).tolist()]
+    for amp, db in zip(amps, amp_db.tolist()):
+        if amp**2 == 0.0:  # every tap's gain is a fraction of the direct tap's
+            msg = f"gives the direct SI path {db:.4g} dB, which carries no power"
+            raise FieldError("pattern", msg)
+    phasor = np.exp(-2j * np.pi * carrier_freq_hz * delay)
+    return [(delay, amp, amp * phasor) for amp in amps]
 
+
+def si_channel(direct_tap, reflector_cfg=None, rng=None):
+    """One beam's SI channel as two arrays (delays_s, gains), the taps'
+    delays in seconds and complex gains: direct_tap, a (delay_s, amp, gain)
+    triple of direct_si_taps, then, with reflector_cfg set, reflections drawn
+    from the Generator rng (the tap count, then the delays, powers and
+    phases). Identical inputs and rng state give bit-identical output."""
+    if reflector_cfg is not None and rng is None:
+        raise ValueError("si_channel: reflector_cfg needs rng, the Generator of its draws")
+    delay, amp, gain = direct_tap
+    delays, gains = np.array([delay]), np.array([gain])
     if reflector_cfg is not None:
         k = int(rng.integers(reflector_cfg.min_taps, reflector_cfg.max_taps + 1))
         if k > 0:
             lo, hi = reflector_cfg.delay_offset_range_s
-            delays = np.append(delays, np.sort(direct_delay + rng.uniform(lo, hi, size=k)))
+            delays = np.concatenate((delays, np.sort(delay + rng.uniform(lo, hi, size=k))))
             rel_db = rng.uniform(*reflector_cfg.rel_power_range_db, size=k)
             phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-            gains = np.append(gains, direct_amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases))
-
+            gains = np.concatenate((gains, amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases)))
     return delays, gains
-

@@ -10,11 +10,14 @@ from the simulated one, so the report makes no pass/fail claim.
 
 import numpy as np
 
-from .geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel, total_gain_db
+from .geometry import (
+    AntennaPattern, ReflectorConfig, SiGeometry, direct_si_taps, si_channel, total_gain_db,
+)
 from .util import substream
 
 # Measured mean propagation-domain SI suppression per antenna separation.
 PAPER_MEAN_SUPPRESSION_DB = {2.0: 100.125, 1.0: 97.26, 0.1: 82.18}
+_SEPARATIONS_M = sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True)  # the datasets' row order
 
 # Lens antennas used on the prototype.
 PROTOTYPE_PATTERN = AntennaPattern(
@@ -32,35 +35,38 @@ def reference_dataset():
     reconstructed, one row per (separation, azimuth). Per-separation means
     equal the measured values to double precision because the spread comes
     in exact +-pairs."""
-    seps = sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True)
     measured = []
-    for sep in seps:
+    for sep in _SEPARATIONS_M:
         rng = substream(_DATASET_SEED, "spread", sep)
         mags = np.round(rng.uniform(0.4, _MAX_SPREAD_DB, size=len(_AZIMUTHS_DEG) // 2), 2)
         offsets = np.concatenate([mags, -mags])
         rng.shuffle(offsets)
         measured.append(PAPER_MEAN_SUPPRESSION_DB[sep] + offsets)
     return {
-        "separation_m": np.repeat(seps, len(_AZIMUTHS_DEG)),
-        "relative_azimuth_deg": np.tile(_AZIMUTHS_DEG, len(seps)),
+        "separation_m": np.repeat(_SEPARATIONS_M, len(_AZIMUTHS_DEG)),
+        "relative_azimuth_deg": np.tile(_AZIMUTHS_DEG, len(_SEPARATIONS_M)),
         "measured_suppression_db": np.concatenate(measured),
-        "reconstructed": np.ones(len(seps) * len(_AZIMUTHS_DEG), bool),
+        "reconstructed": np.ones(len(_SEPARATIONS_M) * len(_AZIMUTHS_DEG), bool),
     }
 
 
-def simulate_suppression_db(separation_m, relative_azimuth_deg, seed):
-    """Propagation-only suppression at the prototype's parameters.
+def simulate_suppression_db(separation_m, relative_azimuths_deg, seed):
+    """Propagation-only suppression at the prototype's parameters, one value
+    per relative azimuth, from one direct_si_taps pass over them all.
 
     Both antennas point at the horizon; the Rx is rotated in azimuth relative
     to the Tx. Suppression is Tx power minus total received SI power.
     """
-    az = np.radians(relative_azimuth_deg)
-    rx_dir = (float(np.cos(az)), float(np.sin(az)), 0.0)
-    geom = SiGeometry(separation_m, (1.0, 0.0, 0.0), rx_dir)
-    draw_seed = substream(seed, "proto", separation_m, relative_azimuth_deg).integers(2**63)
-    rng = substream(draw_seed, "si-reflections")
-    _, gains = si_channel(geom, PROTOTYPE_PATTERN, PROTOTYPE_PATTERN, ReflectorConfig(), rng=rng)
-    return -total_gain_db(gains)
+    az = np.radians(relative_azimuths_deg)
+    rx_dirs = np.stack([np.cos(az), np.sin(az), np.zeros_like(az)], axis=-1)
+    geom = SiGeometry(separation_m, (1.0, 0.0, 0.0), rx_dirs)
+    taps = direct_si_taps(geom, PROTOTYPE_PATTERN, PROTOTYPE_PATTERN)
+    out = []
+    for azimuth, tap in zip(relative_azimuths_deg, taps):
+        draw_seed = substream(seed, "proto", separation_m, azimuth).integers(2**63)
+        _, gains = si_channel(tap, ReflectorConfig(), substream(draw_seed, "si-reflections"))
+        out.append(-total_gain_db(gains))
+    return np.array(out)
 
 
 def compare_prototype(seed=0):
@@ -71,8 +77,8 @@ def compare_prototype(seed=0):
     ascending, measured_mean_db, simulated_mean_db and delta_db.
     """
     ref = reference_dataset()
-    pairs = zip(ref["separation_m"].tolist(), ref["relative_azimuth_deg"].tolist())
-    simulated = np.array([simulate_suppression_db(sep, az, seed) for sep, az in pairs])
+    sims = [simulate_suppression_db(sep, _AZIMUTHS_DEG, seed) for sep in _SEPARATIONS_M]
+    simulated = np.concatenate(sims)
     rows = {c: ref[c] for c in ("separation_m", "relative_azimuth_deg", "measured_suppression_db")}
     rows.update(simulated_suppression_db=simulated, reconstructed=ref["reconstructed"])
     seps = np.unique(ref["separation_m"])

@@ -385,6 +385,14 @@ class LinkChainParams:
         if n_samples < n_unknowns:
             msg = f"{n_train} training symbols give the fit {n_samples} samples"
             raise FieldError("n_data_symbols", f"{msg} for {n_unknowns} unknowns")
+        # The PA puts out at most its drive, input_p1db_dbm - input_backoff_db,
+        # through its linear gain; every stage reads at least the noise floor.
+        out_dbm, noise = self.pa.p1db_dbm + 1.0 - self.input_backoff_db, self.noise
+        if noise.floor_dbm >= out_dbm:
+            limit, nf = out_dbm - noise.floor_dbm + noise.noise_figure_db, noise.noise_figure_db
+            msg = f"must be < {limit:.4g} at bandwidth_hz {noise.bandwidth_hz:.4g}, where the noise"
+            msg += f" floor reaches the PA's {out_dbm:.4g} dBm linear output, got {nf!r}"
+            raise FieldError("noise.noise_figure_db", msg)
 
 
 # The LinkChainParams fields the DU frames read: the QPSK frames, the PA, the
@@ -460,11 +468,11 @@ def _send_frame(params, n_symbols, seed, part, ridge=None):
     return power_dbm, pa_spectra, noise, reg
 
 
-def _si_bins(si_taps, params):
+def _checked_taps(si_taps, params):
     """The SI channel si_taps, (delays_s, gains) as geometry.si_channel
-    returns them, on the FFT bins of params.ofdm. A ValueError names si_taps
-    unless they are finite, one delay per gain, at least one, in delay order,
-    the first at antenna_separation_m / c and every one inside the CP."""
+    returns them, as two arrays. A ValueError names si_taps unless they are
+    finite, one delay per gain, at least one, in delay order, the first at
+    antenna_separation_m / c and every one inside the CP of params.ofdm."""
     delays, gains = map(np.asarray, si_taps)
     if delays.ndim != 1 or delays.shape != gains.shape or not delays.size:
         raise ValueError(f"si_taps: {delays.shape} delays for {gains.shape} gains, need one each")
@@ -477,16 +485,17 @@ def _si_bins(si_taps, params):
     if not math.isclose(delays[0], direct_s, rel_tol=1e-9):
         sep = f"antenna_separation_m {params.antenna_separation_m!r} ({direct_s:.6g} s)"
         raise ValueError(f"si_taps: the direct tap at {delays[0]:.6g} s contradicts {sep}")
-    return np.exp(-2j * np.pi * np.outer(params.ofdm.bin_freqs_hz(), delays)) @ gains
+    return delays, gains
 
 
 class _Link:
     """One chain of a shared frame: its SI channel (none under ideal FD), and
-    what its calibration frame leaves for its holdout frame."""
+    what its calibration frame leaves for its holdout frame. It keeps the
+    channel's taps and forms their FFT-bin response only to receive a frame."""
 
     def __init__(self, params, si_taps):
         self.params, self.two_tap = params, None
-        self.h_bins = None if si_taps is None else _si_bins(si_taps, params)
+        self.si_taps = None if si_taps is None else _checked_taps(si_taps, params)
 
     def _received(self, pa_spectra, noise):
         """Thermal noise plus the PA output through the SI channel, less the
@@ -494,8 +503,10 @@ class _Link:
         place: under ideal FD it is the shared noise itself."""
         cfg = self.params.ofdm
         rx = noise
-        if self.h_bins is not None:
-            rx = apply_frequency_response(pa_spectra, self.h_bins, cfg)
+        if self.si_taps is not None:
+            delays, gains = self.si_taps
+            h_bins = np.exp(-2j * np.pi * np.outer(cfg.bin_freqs_hz(), delays)) @ gains
+            rx = apply_frequency_response(pa_spectra, h_bins, cfg)
             rx += noise
         if self.two_tap is not None:
             rx = apply_analog_canceller(pa_spectra, rx, self.two_tap, cfg)
@@ -566,7 +577,7 @@ def run_link_chains(chains, seed):
     The reports equal those of one run_link_chain call per element, bit for
     bit.
     """
-    links = [_Link(params, si_taps) for params, si_taps in chains]  # each keeps only its bins
+    links = [_Link(params, si_taps) for params, si_taps in chains]  # each keeps only its taps
     groups = {}  # FRAME_FIELDS key -> the links that share its frames
     for link in links:
         groups.setdefault(tuple(getattr(link.params, f) for f in FRAME_FIELDS), []).append(link)

@@ -13,7 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
-    AntennaPattern, ReflectorConfig, SiGeometry, fspl_db, rx_dbm, si_channel, total_gain_db,
+    AntennaPattern, ReflectorConfig, SiGeometry, direct_si_taps, fspl_db, rx_dbm, si_channel,
+    total_gain_db,
 )
 from .rf import NoiseModel
 from .util import (
@@ -328,34 +329,24 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
 def node_si_taps(scenario, node_idx, du_dirs, rng):
     """The SI channel of IAB node node_idx with its DU beam along each
     direction of du_dirs (n, 3) in turn and its MT pointing at the donor, as
-    si_channel's (delays_s, gains) pairs; each direction draws its
-    reflections from the Generator rng after the one before it."""
+    si_channel's (delays_s, gains) pairs. One direct_si_taps pass evaluates
+    every direction's direct tap; then each direction draws its reflections
+    from the Generator rng after the one before it."""
     node = scenario.iab_nodes[node_idx]
-    rx_dir = scenario.mt_boresight(node)
-    return [
-        under(
-            f"iab_nodes[{node_idx}]", si_channel,
-            SiGeometry(node.antenna_separation_m, tuple(du_dir), rx_dir), node.pattern,
-            node.pattern, scenario.reflectors, rng=rng, carrier_freq_hz=scenario.carrier_freq_hz,
-        )
-        for du_dir in np.asarray(du_dirs).tolist()
-    ]
-
-
-def beam_si_taps(scenario, seed, node_idx, beam_dirs):
-    """node_si_taps of each access beam of node node_idx's codebook
-    beam_dirs (n, 3) in the drop at seed. The reflected taps are redrawn per
-    beam (the SI seen at the MT varies with the DU beam): the node's one
-    stream, substream(seed, "si", node_idx), is read by its beams one after
-    another in codebook order."""
-    return node_si_taps(scenario, node_idx, beam_dirs, substream(seed, "si", node_idx))
+    geom = SiGeometry(node.antenna_separation_m, du_dirs, scenario.mt_boresight(node))
+    f = scenario.carrier_freq_hz
+    taps = under(f"iab_nodes[{node_idx}]", direct_si_taps, geom, node.pattern, node.pattern, f)
+    return [si_channel(tap, scenario.reflectors, rng) for tap in taps]
 
 
 def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
     """Residual SI after propagation-domain suppression only, per access beam
-    of the node's codebook beam_dirs (n, 3): the node's transmit power through
-    each beam's SI channel, beam_si_taps."""
-    taps = beam_si_taps(scenario, seed, node_idx, beam_dirs)
+    of the node's codebook beam_dirs (n, 3) in the drop at seed: the node's
+    transmit power through each beam's SI channel (node_si_taps). The
+    reflected taps are redrawn per beam (the SI seen at the MT varies with
+    the DU beam): the node's one stream, substream(seed, "si", node_idx), is
+    read by its beams one after another in codebook order."""
+    taps = node_si_taps(scenario, node_idx, beam_dirs, substream(seed, "si", node_idx))
     return np.array([node.tx_power_dbm + total_gain_db(gains) for _, gains in taps])
 
 

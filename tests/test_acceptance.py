@@ -36,7 +36,7 @@ from fdiab.sic import (
     run_link_chains,
     tune_two_tap,
 )
-from fdiab.geometry import SiGeometry, si_channel, AntennaPattern, ReflectorConfig
+from fdiab.geometry import SiGeometry, direct_si_taps, si_channel, AntennaPattern, ReflectorConfig
 from fdiab.prototype import PAPER_MEAN_SUPPRESSION_DB, compare_prototype, reference_dataset
 from fdiab.scenario import save_scenario
 from fdiab.system import Mode, UeGrid, capacity_bps, default_scenario, run_drop, ue_throughput
@@ -142,7 +142,8 @@ def test_criterion_4_hammerstein_sic():
     geom = SiGeometry(antenna_separation_m=1.0)
     chan_rng = substream(substream(2024, "c4-chan").integers(2**63), "si-reflections")
     pattern = AntennaPattern()
-    delays, gains = si_channel(geom, pattern, pattern, ReflectorConfig(), rng=chan_rng)
+    (direct,) = direct_si_taps(geom, pattern, pattern)
+    delays, gains = si_channel(direct, ReflectorConfig(), chan_rng)
     h_bins = np.exp(-2j * np.pi * np.outer(CFG.bin_freqs_hz(), delays)) @ gains
     rx = apply_frequency_response(symbol_spectra(pa_out, CFG), h_bins, CFG) + thermal_noise(
         tx.size, noise_model, substream(2024, "c4-noise")

@@ -538,6 +538,26 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("command", ["link-sim", "sweep"])
+    def test_noise_floor_at_the_pa_output_is_1_naming_it(self, tmp_path, capsys, command):
+        # -174 + 120 + 100 = 46 dBm of noise against the PA's linear output,
+        # 43 + 1 - 12 = 32 dBm: no stage could read below the noise.
+        rc = main(
+            [command, "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", "bandwidth_hz=1e12", "--set", "noise_figure_db=100"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdiab: noise_figure_db: must be < 86 at bandwidth_hz 1e+12")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        # 20 dB lower the floor sits 6 dB under the PA output, and the chain runs.
+        rc = main(
+            ["link-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "ok"),
+             "--set", "bandwidth_hz=1e12", "--set", "noise_figure_db=80"]
+        )
+        assert rc == 0
+
     @pytest.mark.parametrize("command", ["system-sim", "link-sim", "sweep"])
     @pytest.mark.parametrize("node, path", [("*", "iab_nodes[0]"), ("1", "iab_nodes[1]")])
     def test_pattern_leaving_the_si_channel_no_power_is_1_naming_it(
@@ -768,9 +788,9 @@ class TestArgumentBounds:
             assert len(read(out / "sweep.csv").splitlines()) == 1 + cells * drops * n_nodes
 
     def test_sweep_cap_covers_a_call_that_holds_every_chain(self, tmp_path):
-        """MAX_SWEEP_CHAINS budgets 24 KiB a chain within 2 GiB. A chain adds
+        """MAX_SWEEP_CHAINS budgets 8 KiB a chain within 2 GiB. A chain adds
         the most in a one-drop, one-node sweep, whose one run_link_chains call
-        keeps every chain's SI bins until its holdout frame."""
+        keeps every chain's SI taps and fit until its holdout frame."""
         scenario = default_scenario()
         path = tmp_path / "s.json"
         save_scenario(dataclasses.replace(scenario, iab_nodes=scenario.iab_nodes[:1]), path)
@@ -788,8 +808,8 @@ class TestArgumentBounds:
                 tracemalloc.stop()
 
         peak(2)  # the caches a first sweep fills
-        assert (peak(100) - peak(25)) / 75 <= 24 * 1024  # 22.3 KB at 25 to 100
-        assert cli.MAX_SWEEP_CHAINS * 24 * 1024 <= 2 * 2**30
+        assert (peak(100) - peak(25)) / 75 <= 8 * 1024  # 5.4 KB at 25 to 100
+        assert cli.MAX_SWEEP_CHAINS * 8 * 1024 <= 2 * 2**30
 
     @pytest.mark.parametrize("command", ["link-sim", "system-sim", "sweep"])
     def test_seed_is_required_where_it_has_no_default(

@@ -11,6 +11,7 @@ from fdiab.geometry import (
     SiGeometry,
     angle_between_deg,
     antenna_gain_dbi,
+    direct_si_taps,
     fspl_db,
     rx_dbm,
     si_channel,
@@ -95,6 +96,12 @@ reflector_configs = st.integers(0, 8).flatmap(
 directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
 
 
+def channel(geom, cfg=None, rng=None):
+    """The SI channel of geom's one direct tap, with PAT at both ends."""
+    (tap,) = direct_si_taps(geom, PAT, PAT)
+    return si_channel(tap, cfg, rng)
+
+
 class TestSiChannelOutput:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -106,7 +113,7 @@ class TestSiChannelOutput:
     )
     def test_invariants(self, d, tx, rx, cfg, seed):
         geom = SiGeometry(d, tx_orientation=tx, rx_orientation=rx)
-        delays, gains = si_channel(geom, PAT, PAT, cfg, rng=np.random.default_rng(seed))
+        delays, gains = channel(geom, cfg, np.random.default_rng(seed))
         assert delays.shape == gains.shape
         assert 1 + cfg.min_taps <= len(delays) <= 1 + cfg.max_taps
         direct = d / SPEED_OF_LIGHT
@@ -124,12 +131,12 @@ class TestSiChannelOutput:
         # sum_i g_i exp(-j 2 pi f tau_i), summed tap by tap.
         f = np.fft.fftfreq(64, d=1.0 / 122.88e6)
         cfg = ReflectorConfig(min_taps=1)
-        delays, gains = si_channel(SiGeometry(d), PAT, PAT, cfg, rng=np.random.default_rng(seed))
+        delays, gains = channel(SiGeometry(d), cfg, np.random.default_rng(seed))
         h = np.exp(-2j * np.pi * np.outer(f, delays)) @ gains
         expect = [sum(g * np.exp(-2j * np.pi * fk * t) for t, g in zip(delays, gains)) for fk in f]
         np.testing.assert_allclose(h, expect, rtol=0.0, atol=1e-12 * np.sum(np.abs(gains)))
         # A lone direct tap is a pure delay: |h| = |g| at every f.
-        delays, gains = si_channel(SiGeometry(d), PAT, PAT, None)
+        delays, gains = channel(SiGeometry(d))
         h = np.exp(-2j * np.pi * np.outer(f, delays)) @ gains
         np.testing.assert_allclose(h, gains[0] * np.exp(-2j * np.pi * f * delays[0]), rtol=1e-12)
         np.testing.assert_allclose(np.abs(h), np.abs(gains[0]), rtol=1e-12)
@@ -142,8 +149,8 @@ class TestSiChannelOutput:
             with pytest.raises(FieldError, match=r"^delay_offset_range_s: .*0 < lo < hi"):
                 ReflectorConfig(delay_offset_range_s=bad)
         deaf = AntennaPattern(beamwidth_3db_deg=0.01, sidelobe_floor_dbi=-10000.0)
-        with pytest.raises(ValueError, match="carries no power"):
-            si_channel(SiGeometry(1.0), deaf, deaf, None)
+        with pytest.raises(FieldError, match="^pattern: .*carries no power"):
+            direct_si_taps(SiGeometry(1.0), deaf, deaf)
 
 
 def direct_tap_gain_db(gains):
@@ -154,38 +161,38 @@ class TestSiChannel:
     def test_boresight_aligned_suppression(self):
         # DU looks straight down the mast at the MT and vice versa.
         geom = SiGeometry(1.0, tx_orientation=(0, 0, -1), rx_orientation=(0, 0, 1))
-        _, gains = si_channel(geom, PAT, PAT, None)
+        _, gains = channel(geom)
         assert len(gains) == 1
         assert -direct_tap_gain_db(gains) == pytest.approx(61.3907 - 40.0, abs=5e-4)
 
     def test_sidelobe_pointing_suppression(self):
         geom = SiGeometry(1.0)  # default horizon pointing, 90 deg off the mast
-        _, gains = si_channel(geom, PAT, PAT, None)
+        _, gains = channel(geom)
         assert -direct_tap_gain_db(gains) == pytest.approx(61.3907 + 20.0, abs=5e-4)
 
     def test_direct_tap_delay(self):
         geom = SiGeometry(0.1)
-        delays, _ = si_channel(geom, PAT, PAT, None)
+        delays, _ = channel(geom)
         assert delays[0] == pytest.approx(0.1 / SPEED_OF_LIGHT, rel=1e-12)
 
     def test_deterministic_per_seed(self):
         geom = SiGeometry(1.0)
-        a = si_channel(geom, PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(42))
-        b = si_channel(geom, PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(42))
+        a = channel(geom, ReflectorConfig(), np.random.default_rng(42))
+        b = channel(geom, ReflectorConfig(), np.random.default_rng(42))
         assert all(map(np.array_equal, a, b))  # bit-identical taps
-        c = si_channel(geom, PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(43))
+        c = channel(geom, ReflectorConfig(), np.random.default_rng(43))
         assert not all(map(np.array_equal, a, c))
 
     def test_cross_pol_adds_exactly(self):
-        _, base = si_channel(SiGeometry(1.0), PAT, PAT, None)
-        _, iso = si_channel(SiGeometry(1.0, cross_pol_isolation_db=17.0), PAT, PAT, None)
+        _, base = channel(SiGeometry(1.0))
+        _, iso = channel(SiGeometry(1.0, cross_pol_isolation_db=17.0))
         delta = direct_tap_gain_db(base) - direct_tap_gain_db(iso)
         assert delta == pytest.approx(17.0, abs=1e-9)
 
     def test_suppression_monotone_in_separation(self):
         seps = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0]
         cirs = [
-            si_channel(SiGeometry(d), PAT, PAT, ReflectorConfig(), rng=np.random.default_rng(7))
+            channel(SiGeometry(d), ReflectorConfig(), np.random.default_rng(7))
             for d in seps
         ]
         sup = [-direct_tap_gain_db(gains) for _, gains in cirs]
@@ -196,7 +203,7 @@ class TestSiChannel:
         found_multi = False
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            delays, gains = si_channel(SiGeometry(1.0), PAT, PAT, cfg, rng=rng)
+            delays, gains = channel(SiGeometry(1.0), cfg, rng)
             direct_delay, direct_gain = delays[0], gains[0]
             assert 1 <= len(delays) - 1 <= cfg.max_taps
             assert np.all(np.diff(delays) > 0)
@@ -221,11 +228,115 @@ class TestSiChannel:
             ("cross_pol_isolation_db", float("nan")),
             ("tx_orientation", (float("nan"), 0.0, 0.0)),
             ("rx_orientation", (1.0, float("inf"), 0.0)),
+            ("tx_orientation", ((1.0, 0.0, 0.0), (0.0, float("nan"), 1.0))),
         ],
     )
     def test_non_finite_geometry_rejected_by_name(self, field, value):
         with pytest.raises(FieldError, match=f"^{field}: must be"):
             SiGeometry(**{"antenna_separation_m": 1.0, field: value})
+
+
+def per_pair_si_channel(d, tx_dir, rx_dir, tx_pat, rx_pat, xpol_db, f, cfg, rng):
+    """The SI channel of one (DU, MT) orientation pair, written out as the
+    model states it: off-boresight angles toward the other antenna from
+    component-wise dot products in Python floats, amplitude -Friis - cross-pol
+    + tx gain + rx gain in that order through Python's pow, and then the
+    reflections' count, delays, powers and phases drawn from rng."""
+
+    def off_deg(u, axis):
+        u0, u1, u2 = (float(c) for c in u)
+        a0, a1, a2 = axis
+        norms = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2) * math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+        cos = min(max((u0 * a0 + u1 * a1 + u2 * a2) / norms, -1.0), 1.0)
+        return float(np.degrees(np.arccos(cos)))
+
+    def gain_dbi(pat, theta):
+        x = abs(theta) / pat.beamwidth_3db_deg
+        return max(-12.0 * (x * x) + pat.boresight_gain_dbi, pat.sidelobe_floor_dbi)
+
+    delay = d / SPEED_OF_LIGHT
+    amp_db = (
+        -fspl_db(d, f)
+        - xpol_db
+        + gain_dbi(tx_pat, off_deg(tx_dir, (0.0, 0.0, -1.0)))
+        + gain_dbi(rx_pat, off_deg(rx_dir, (0.0, 0.0, 1.0)))
+    )
+    amp = 10.0 ** (amp_db / 20.0)
+    delays, gains = [delay], [amp * np.exp(-2j * np.pi * f * delay)]
+    if cfg is not None:
+        k = int(rng.integers(cfg.min_taps, cfg.max_taps + 1))
+        if k > 0:
+            delays.extend(np.sort(delay + rng.uniform(*cfg.delay_offset_range_s, size=k)))
+            rel_db = rng.uniform(*cfg.rel_power_range_db, size=k)
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
+            gains.extend(amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases))
+    return np.array(delays), np.array(gains)
+
+
+# Narrow and wide mainlobes; the wide ones leave most offsets unclamped.
+node_patterns = st.sampled_from(
+    [PAT, AntennaPattern(19.86, 13.4), AntennaPattern(15.0, 170.0, -60.0, "H"),
+     AntennaPattern(8.0, 120.0, -20.0)]
+)
+
+
+class TestNodePass:
+    """A node's SI channels as node_si_taps builds them: one direct_si_taps
+    pass over every DU orientation, then one si_channel call per beam in
+    order on the node's one stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.floats(0.01, 10.0),
+        tx_dirs=st.lists(directions, min_size=1, max_size=16),
+        rx_dir=directions,
+        rx_per_beam=st.booleans(),
+        pats=st.tuples(node_patterns, node_patterns),
+        xpol_db=st.sampled_from([0.0, 17.0]) | st.floats(0.0, 40.0),
+        f=st.sampled_from([3.5e9, 28e9]) | st.floats(1e9, 100e9),
+        cfg=st.sampled_from(
+            [None, ReflectorConfig(max_taps=0), ReflectorConfig(min_taps=6, max_taps=6),
+             ReflectorConfig(min_taps=9, max_taps=12)]
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    # A 170-degree mainlobe at offsets where it is not clamped.
+    @example(
+        d=1.0, tx_dirs=[(1.0, 0.0, -0.3), (0.2, 0.1, -1.0), (1.0, 0.0, 0.0)],
+        rx_dir=(1.0, 0.0, 0.5), rx_per_beam=False,
+        pats=(AntennaPattern(15.0, 170.0, -60.0, "H"),) * 2, xpol_db=0.0, f=28e9,
+        cfg=ReflectorConfig(min_taps=9, max_taps=12), seed=7,
+    )
+    def test_beams_match_the_per_pair_formula(
+        self, d, tx_dirs, rx_dir, rx_per_beam, pats, xpol_db, f, cfg, seed
+    ):
+        rx_dirs = [tuple(-c if i % 2 else c for c in rx_dir) for i in range(len(tx_dirs))]
+        rx = np.array(rx_dirs) if rx_per_beam else rx_dir
+        geom = SiGeometry(d, np.array(tx_dirs), rx, cross_pol_isolation_db=xpol_db)
+        rng = np.random.default_rng(seed)
+        got = [si_channel(tap, cfg, rng) for tap in direct_si_taps(geom, *pats, f)]
+        assert len(got) == len(tx_dirs)
+        # The oracle reads one stream beam after beam: beam b's draws follow
+        # beam b - 1's.
+        oracle_rng = np.random.default_rng(seed)
+        for b, tx_dir in enumerate(tx_dirs):
+            rx_b = rx_dirs[b] if rx_per_beam else rx_dir
+            want = per_pair_si_channel(d, tx_dir, rx_b, *pats, xpol_db, f, cfg, oracle_rng)
+            for got_part, want_part in zip(got[b], want):
+                assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got_part.view(np.uint64), want_part.view(np.uint64)), b
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_rejections_name_their_fields(self):
+        (tap,) = direct_si_taps(SiGeometry(1.0), PAT, PAT)
+        with pytest.raises(ValueError, match=r"\brng\b"):
+            si_channel(tap, ReflectorConfig())
+        # One deaf row of several fails the pass at "pattern".
+        wide = AntennaPattern(20.0, 1.0, -10000.0)
+        rows = np.array([(0.0, 0.0, -1.0), (1.0, 0.0, 0.0)])
+        with pytest.raises(FieldError, match="^pattern: gives the direct SI path .* no power"):
+            direct_si_taps(SiGeometry(1.0, rows, (0.0, 0.0, 1.0)), wide, wide)
+        assert len(direct_si_taps(SiGeometry(1.0, rows[:1], (0.0, 0.0, 1.0)), wide, wide)) == 1
 
 
 def per_pair_rx_dbm(tx_pos, tx_power_dbm, pat, beam_dir, rx_pos, rx_gain_dbi, shadow_db):

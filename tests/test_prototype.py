@@ -49,7 +49,7 @@ def test_prototype_pattern_values():
 
 def test_simulated_suppression_monotone_in_separation():
     sims = [
-        np.mean([simulate_suppression_db(sep, az, seed=1) for az in range(-180, 180, 30)])
+        np.mean(simulate_suppression_db(sep, range(-180, 180, 30), seed=1))
         for sep in (0.1, 1.0, 2.0)
     ]
     assert sims[0] < sims[1] < sims[2]

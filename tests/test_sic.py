@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import fdiab.sic
 from fdiab.cli import chain_for_node
-from fdiab.geometry import AntennaPattern, ReflectorConfig, SiGeometry, si_channel, total_gain_db
+from fdiab.geometry import (
+    AntennaPattern, ReflectorConfig, SiGeometry, direct_si_taps, si_channel, total_gain_db,
+)
 from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, symbol_rows, symbol_spectra,
 )
@@ -31,7 +33,9 @@ from fdiab.sic import (
     tune_two_tap,
     TwoTapConfig,
 )
-from fdiab.system import beam_si_taps, default_scenario, propagation_residual_si_dbm, schedule_drop
+from fdiab.system import (
+    default_scenario, node_si_taps, propagation_residual_si_dbm, schedule_drop,
+)
 from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
 
 CFG = OfdmConfig()
@@ -520,8 +524,8 @@ def chain(geometry, seed, reflectors=ReflectorConfig(), ideal_fd=False, **params
     took one: substream(substream(seed, "si-channel").integers(2**63),
     "si-reflections"). No taps (ideal FD) if ideal_fd."""
     rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
-    pattern = AntennaPattern()
-    taps = None if ideal_fd else si_channel(geometry, pattern, pattern, reflectors, rng=rng)
+    (direct,) = direct_si_taps(geometry, AntennaPattern(), AntennaPattern())
+    taps = None if ideal_fd else si_channel(direct, reflectors, rng)
     return LinkChainParams(geometry.antenna_separation_m, **params), taps
 
 
@@ -689,13 +693,13 @@ def bins_spread_db(taps, cfg):
 @pytest.mark.parametrize("seed", range(10))
 def test_chain_on_a_drop_beam_matches_its_propagation_residual(seed):
     """The two levels on one channel: beam b of node i in the drop at seed,
-    its SI taps (beam_si_taps) fed to node i's link chain. The chain's
+    its SI taps (node_si_taps on the node's drop stream) fed to node i's link chain. The chain's
     propagation_db is the drop's node.tx_power_dbm - prop_residual[i, b],
     within the bins' spread of the taps' gain, as for the chain's own draw."""
     sc = default_scenario()
     beam_dirs = schedule_drop(sc, seed)[3]
     for i, node in enumerate(sc.iab_nodes):
-        taps = beam_si_taps(sc, seed, i, beam_dirs[i + 1])
+        taps = node_si_taps(sc, i, beam_dirs[i + 1], substream(seed, "si", i))
         prop_residual = propagation_residual_si_dbm(sc, seed, i, node, beam_dirs[i + 1])
         params, _ = chain_for_node(sc, i)
         reports = run_link_chains([(params, t) for t in taps], seed)

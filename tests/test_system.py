@@ -11,6 +11,7 @@ from fdiab.geometry import (
     ReflectorConfig,
     SiGeometry,
     antenna_gain_dbi,
+    direct_si_taps,
     fspl_db,
     rx_dbm,
     si_channel,
@@ -31,13 +32,14 @@ from fdiab.system import (
     default_scenario,
     direction_from_angles,
     dli_power_dbm,
+    node_si_taps,
     noise_plus_dbm,
     propagation_residual_si_dbm,
     run_drop,
     schedule_drop,
     ue_throughput,
 )
-from fdiab.util import SPEED_OF_LIGHT, substream
+from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
 
 BW = 120e6
 
@@ -439,21 +441,15 @@ class TestPropagationResidual:
                     tx_orientation=tuple(beam_dir),
                     rx_orientation=tuple(mt_to_donor / np.linalg.norm(mt_to_donor)),
                 )
-                _, gains = si_channel(
-                    geom,
-                    node.pattern,
-                    node.pattern,
-                    reflectors,
-                    rng=rng,
-                    carrier_freq_hz=sc.carrier_freq_hz,
-                )
+                (tap,) = direct_si_taps(geom, node.pattern, node.pattern, sc.carrier_freq_hz)
+                _, gains = si_channel(tap, reflectors, rng)
                 expected.append(node.tx_power_dbm + total_gain_db(gains))
             assert expected == reference_residual_dbm(sc, seed, ni, node)
             assert got[ni].tolist() == expected
             # Reflections draw only from the Generator si_channel is given.
             if reflectors is not None:
                 with pytest.raises(ValueError, match=r"\brng\b"):
-                    si_channel(geom, node.pattern, node.pattern, reflectors)
+                    si_channel(tap, reflectors)
 
         # Node 0's residuals, alone and as its UEs' backhaul SINR in a drop,
         # do not depend on node 1.
@@ -480,6 +476,20 @@ class TestPropagationResidual:
                 propagation_residual_si_dbm(no_taps, seed, ni, node, dirs),
                 propagation_residual_si_dbm(off, seed, ni, node, dirs),
             )
+
+
+    def test_node_pass_rejections_name_their_fields(self):
+        sc = small_scenario()
+        dirs = reference_directions(sc, 2)
+        dirs[3, 1] = np.nan
+        with pytest.raises(FieldError, match=r"^tx_orientation: must be finite"):
+            node_si_taps(sc, 1, dirs, substream(0, "si", 1))
+        with pytest.raises(ValueError, match=r"\brng\b"):
+            node_si_taps(sc, 0, reference_directions(sc, 1), None)
+        deaf = AntennaPattern(beamwidth_3db_deg=0.01, sidelobe_floor_dbi=-10000.0)
+        nodes = (sc.iab_nodes[0], dataclasses.replace(sc.iab_nodes[1], pattern=deaf))
+        with pytest.raises(FieldError, match=r"^iab_nodes\[1\]\.pattern: .* no power"):
+            node_si_taps(dataclasses.replace(sc, iab_nodes=nodes), 1, dirs[:3], None)
 
 
 class TestDli:
