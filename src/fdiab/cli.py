@@ -91,46 +91,57 @@ def _distinct(keys):
     """(sorted distinct values of keys, int32 index of each key's value);
     floats are keyed on their bit pattern.
 
-    No sort of the whole column where the keys allow: an integer column that
-    spans fewer steps than it has rows is indexed by value - min, and a column
-    whose runs of equal keys at least halve it is reduced to the runs' heads.
+    One argsort ranks the keys, a key's rank counting the changes in the
+    sorted keys up to it; a column whose runs of equal keys at least halve it
+    is ranked by the runs' heads.
     """
     n = keys.size
-    if keys.dtype.kind in "iu" and n and int(keys.max()) - int(lo := keys.min()) < n:
-        step = (keys - lo).view(f"u{keys.itemsize}")  # in [0, n): a narrow int may wrap
-        present = np.zeros(n, bool)
-        present[step] = True
-        rank = np.cumsum(present, dtype=np.int32) - 1
-        return np.flatnonzero(present).astype(keys.dtype) + lo, rank[step]
     bits = keys.view(np.uint64) if keys.dtype.kind == "f" else keys
-    run_starts = np.ones(n, bool)
-    run_starts[1:] = bits[1:] != bits[:-1]
-    heads = np.flatnonzero(run_starts)
-    if 2 * heads.size > n:
-        uniq, inverse = np.unique(bits, return_inverse=True)
-        return uniq.view(keys.dtype), inverse.astype(np.int32)
-    uniq, inverse = np.unique(bits[heads], return_inverse=True)
-    return uniq.view(keys.dtype), np.repeat(inverse.astype(np.int32), np.diff(np.append(heads, n)))
+    changes = np.ones(n, bool)
+    changes[1:] = bits[1:] != bits[:-1]
+    heads = np.flatnonzero(changes)
+    if 0 < 2 * heads.size <= n:
+        uniq, index = _distinct(keys[heads])
+        return uniq, np.repeat(index, np.diff(np.append(heads, n)))
+    order = bits.argsort()
+    ranked = bits[order]
+    changes[1:] = ranked[1:] != ranked[:-1]
+    index = np.empty(n, np.int32)
+    index[order] = np.cumsum(changes, dtype=np.int32) - 1
+    return ranked[changes].view(keys.dtype), index
 
 
-def _column_cells(name, values, sep):
-    """One column as ((n, width) uint8 table of its n distinct cells in UTF-8,
-    each padded with PAD and followed by the one-byte sep, int32 index of
-    each row's cell).
-
-    A column is a numpy array of bools, integers, floats or text; anything
-    else raises TypeError naming the column. Each distinct value is
-    formatted once; floats are keyed on their bit pattern, so -0.0 stays
-    "-0", and NaN marks an absent value (an empty cell). Numbers are
-    formatted in one pass at a width that holds any of them, floats as
-    "%-19.12g", and the space padding becomes PAD.
-    """
+def _lookup(name, column, n_rows):
+    """(values, rows or None) of column, an array or a (values, rows) lookup of
+    n_rows rows (None: any); a TypeError or ValueError names a bad column."""
+    values, rows = column if isinstance(column, tuple) and len(column) == 2 else (column, None)
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind not in ("b", "i", "u", "f", "U"):
         got = f"dtype {values.dtype}" if kind else type(values).__name__
         raise TypeError(
             f"column {name!r}: expected a numpy bool, int, float or str array, got {got}"
         )
+    if values.ndim != 1 or rows is not None and not (
+        isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1
+        and (not rows.size or 0 <= rows.min() and rows.max() < values.size)
+    ):
+        raise ValueError(f"column {name!r}: needs 1-D values and 1-D rows in [0, {values.size})")
+    if n_rows not in (None, len(values if rows is None else rows)):
+        raise ValueError(f"column {name!r}: expected {n_rows} rows, as the first column has")
+    return values, rows
+
+
+def _column_cells(values, sep):
+    """A column's values as ((n, width) uint8 table of their n distinct cells
+    in UTF-8, each padded with PAD and followed by the one-byte sep, int32
+    index of each value's cell).
+
+    Each distinct value is formatted once; floats are keyed on their bit
+    pattern, so -0.0 stays "-0", and NaN marks an absent value (an empty
+    cell). Numbers are formatted in one pass at a width that holds any of
+    them, floats as "%-19.12g", and the space padding becomes PAD.
+    """
+    kind = values.dtype.kind
     if kind in ("i", "u", "f"):
         uniq, index = _distinct(np.ascontiguousarray(values, np.float64) if kind == "f" else values)
         if kind == "f":
@@ -159,33 +170,42 @@ def _write_columns(path, columns):
     """CSV from a dict of equal-length columns, in the dict's order, with the
     bytes csv.writer(lineterminator="\n") would write, in UTF-8.
 
+    A column is an array or a (values, rows) lookup that writes values[rows],
+    checked before the file is opened; lookups of one values object and one
+    separator share one cell table, so each value is formatted once.
     Each chunk of CSV_CHUNK_ROWS rows is gathered from the columns' byte
     tables into one padded block, every cell at a fixed offset, and written
     with the padding dropped. Chunks bound the peak: a block for the whole
     table would be several times the size of the text it holds. The writer
-    owns columns and pops each one once its cell table and row index exist,
-    so callers take what they need from the dict before handing it over.
+    owns columns and lets each go once its cell table exists: callers take what
+    they need from the dict first.
     """
     header = (",".join(map(_csv_cell, columns)) + "\n").encode()
-    seps = [b","] * (len(columns) - 1) + [b"\n"]
-    table = [_column_cells(name, columns.pop(name), sep) for name, sep in zip(list(columns), seps)]
+    shared, table, n_rows = {}, [], None  # keys: id(values); the dict held all values at once
+    for name, sep in zip(list(columns), [b","] * (len(columns) - 1) + [b"\n"]):
+        values, rows = _lookup(name, columns.pop(name), n_rows)
+        n_rows = len(values if rows is None else rows)
+        if (id(values), sep) not in shared:
+            shared[id(values), sep] = _column_cells(values, sep)
+        table.append((*shared[id(values), sep], rows))
+    del values  # the values go with the last column that reads them
     if len(table) == 1:  # a lone empty field is written quoted
         cells = np.pad(table[0][0], ((0, 0), (2, 0)), constant_values=PAD)
         cells[(cells[:, 2:-1] == PAD).all(axis=1), :2] = ord('"')
-        table[0] = cells, table[0][1]
-    n_rows = len(table[0][1])
-    widths = [cells.shape[1] for cells, _ in table]
+        table[0] = cells, *table[0][1:]
+    widths = [cells.shape[1] for cells, _, _ in table]
     block = np.empty((min(CSV_CHUNK_ROWS, n_rows), sum(widths)), np.uint8)
     # Each cell as one void item, so a gather copies whole cells.
     slots = [block[:, e - w : e].view(f"V{w}")[:, 0] for w, e in zip(widths, np.cumsum(widths))]
-    table = [(cells.view(f"V{w}")[:, 0], index) for w, (cells, index) in zip(widths, table)]
+    table = [(cells.view(f"V{w}")[:, 0], *rest) for w, (cells, *rest) in zip(widths, table)]
     with open(path, "wb") as fh:
         fh.write(header)
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            n = min(CSV_CHUNK_ROWS, n_rows - lo)
-            for slot, (cells, index) in zip(slots, table):
-                slot[:n] = cells[index[lo : lo + n]]
-            fh.write(block[:n].tobytes().translate(None, b"\xff"))
+            hi = min(lo + CSV_CHUNK_ROWS, n_rows)
+            for slot, (cells, inner, rows) in zip(slots, table):
+                index = inner[lo:hi] if rows is None else inner[rows[lo:hi]]
+                slot[: hi - lo] = cells.take(index.astype(np.intp))
+            fh.write(block[: hi - lo].tobytes().translate(None, b"\xff"))
 
 
 def _write_outputs(cfg, resolved_scenario, tables, **arguments):
@@ -203,7 +223,6 @@ def _write_outputs(cfg, resolved_scenario, tables, **arguments):
             os.makedirs(cfg.output_dir, exist_ok=True)
         _write_columns(os.path.join(cfg.output_dir, name), columns)
         outputs.append(name)
-        del columns
     sidecar = {
         "tool": "fdiab",
         "version": __version__,
@@ -295,12 +314,23 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
 
     def tables():
         cols = run_drop(scenario, cfg.seed, modes=modes)
-        # run_drop's rows are mode-major: each mode's curve is one block of rows.
-        # The curves are taken first: the writer empties the drop as it goes.
-        curves = [cdf(block) for block in np.split(cols["throughput_bps"], len(values))]
+        # run_drop's rows are mode-major: each per-UE value goes to the writer once,
+        # with the rows that repeat it; access_sinr_db adds those unlike the SNR's.
+        n = cols["ue_id"].size // (k := len(values))
+        cols["mode"] = mode = np.array(values), np.repeat(np.arange(k), n)
+        ue = np.tile(np.arange(n), k)
+        curves = [cdf(block) for block in np.split(cols["throughput_bps"], k)]
+        for name in ("ue_id", "serving_cell", "beam"):
+            cols[name] = cols[name][:n].copy(), ue
+        snr, sinr = cols["access_snr_db"][:n], cols["access_sinr_db"]
+        other = (sinr.reshape(k, n).view(np.uint64) != snr.view(np.uint64)).ravel()
+        level, sinr_rows = np.concatenate([snr, sinr[other]]), ue.copy()
+        sinr_rows[other] = n + np.arange(level.size - n)
+        cols["access_snr_db"], cols["access_sinr_db"] = (level, ue), (level, sinr_rows)
+        del snr, sinr  # the drop's arrays go as the writer pops them
         yield "throughput.csv", cols
-        v, p = map(np.concatenate, zip(*curves))
-        yield "cdf.csv", dict(zip(CDF_COLUMNS, (np.repeat(values, curves[0][0].size), v, p)))
+        v = np.concatenate([c[0] for c in curves])
+        yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, v, (curves[0][1], ue))))
 
     _write_outputs(cfg, scenario_to_dict(scenario), tables(), modes=values)
     return 0
