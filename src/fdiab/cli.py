@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
+from .numtext import PAD, number_cells
 from .prototype import compare_prototype
 from .scenario import (
     ScenarioError,
@@ -39,7 +40,8 @@ from .scenario import (
 )
 from .sic import LinkChainParams, ReductionReport, run_link_chain, run_link_chains
 from .system import (
-    ALL_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps, run_drop,
+    ALL_MODES, FD_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps,
+    run_drop,
 )
 from .util import SPEED_OF_LIGHT, FieldError, substream
 
@@ -63,11 +65,6 @@ class RunConfig:
 
 
 CSV_CHUNK_ROWS = 8192
-
-# Pads the byte tables of CSV cells. UTF-8 never writes it, so dropping every
-# PAD byte from a row leaves exactly its cells' bytes, NUL included.
-PAD = 0xFF
-_SPACE_TO_PAD = bytes.maketrans(b" ", b"\xff")
 
 
 def _fmt(value):
@@ -138,27 +135,12 @@ def _column_cells(values, sep):
 
     Each distinct value is formatted once; floats are keyed on their bit
     pattern, so -0.0 stays "-0", and NaN marks an absent value (an empty
-    cell). Numbers are formatted in one pass at a width that holds any of
-    them, floats as "%-19.12g", and the space padding becomes PAD.
+    cell). Numbers go to numtext.number_cells, text through the csv module.
     """
     kind = values.dtype.kind
     if kind in ("i", "u", "f"):
         uniq, index = _distinct(np.ascontiguousarray(values, np.float64) if kind == "f" else values)
-        if kind == "f":
-            fmt = "%-19.12g"
-        else:  # as wide as the lowest or the highest value's text
-            fmt = "%%-%dd" % max(map(len, map(str, uniq[[0, -1]].tolist() if uniq.size else [0])))
-        text = ((fmt + sep.decode()) * uniq.size % tuple(uniq.tolist())).encode()
-        cells = np.frombuffer(bytearray(text.translate(_SPACE_TO_PAD)), np.uint8)
-        cells = cells.reshape(uniq.size, len(fmt % 0) + 1)
-        if kind == "f":  # NaN cells go empty; the left-justified text ends by width
-            cells[np.isnan(uniq), :-1] = PAD
-            width = cells.shape[1] - 1
-            while width and (cells[:, width - 1] == PAD).all():
-                width -= 1
-            cells[:, width] = cells[:, -1]
-            cells = cells[:, : width + 1]
-        return cells, index
+        return number_cells(uniq, sep), index
     uniq, index = _distinct(values)
     raw = [c.encode() for c in map(_fmt if kind == "b" else _csv_cell, uniq.tolist())]
     width = max(map(len, raw), default=0)
@@ -315,10 +297,18 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
     def tables():
         cols = run_drop(scenario, cfg.seed, modes=modes)
         # run_drop's rows are mode-major: each per-UE value goes to the writer once,
-        # with the rows that repeat it; access_sinr_db adds those unlike the SNR's.
+        # with the rows that repeat it; access_sinr_db adds those unlike the SNR's,
+        # and dli_power_dbm is an FD mode's block plus the NaN of the other modes.
         n = cols["ue_id"].size // (k := len(values))
-        cols["mode"] = mode = np.array(values), np.repeat(np.arange(k), n)
-        ue = np.tile(np.arange(n), k)
+        # Row arrays are int32, half the bytes of the default int64.
+        cols["mode"] = mode = np.array(values), np.repeat(np.arange(k, dtype=np.int32), n)
+        ue = np.tile(np.arange(n, dtype=np.int32), k)
+        fd = [Mode(m) in FD_MODES for m in modes]
+        j = fd.index(True) if True in fd else 0  # without an FD mode every block is NaN
+        cols["dli_power_dbm"] = (
+            np.append(cols["dli_power_dbm"][j * n : (j + 1) * n], np.nan),
+            np.where(np.repeat(fd, n), ue, n),
+        )
         curves = [cdf(block) for block in np.split(cols["throughput_bps"], k)]
         for name in ("ue_id", "serving_cell", "beam"):
             cols[name] = cols[name][:n].copy(), ue

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab import cli
+from fdiab import cli, numtext
 from fdiab.cli import _write_columns, main
 from fdiab.scenario import (
     apply_overrides, read_scenario_file, save_scenario, scenario_from_dict, scenario_to_dict,
 )
 from fdiab.sic import run_link_chain
-from fdiab.system import ALL_MODES, cdf, default_scenario, run_drop
+from fdiab.system import ALL_MODES, FD_MODES, Mode, cdf, default_scenario, run_drop
 from fdiab.util import substream
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.json")
@@ -927,15 +927,33 @@ def tables(draw):
     return {f"c{i}": draw(COLUMN_KINDS[kind](n)) for i, kind in enumerate(kinds)}
 
 
+CHUNK_ROWS = st.one_of(st.integers(1, 30), st.just(cli.CSV_CHUNK_ROWS))
+
+
+def through_the_kernel():
+    """numtext's crossover at 0: every number column, however short, takes the kernel."""
+    return mock.patch.object(numtext, "CROSSOVER", 0)
+
+
+def assert_matches_csv_writer(columns, chunk_rows):
+    # Small chunks put chunk edges inside the table.
+    with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows), tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        _write_columns(path, dict(columns))
+        assert read(path) == reference_csv(columns)
+
+
 class TestWriteColumns:
     @settings(max_examples=300, deadline=None)
-    @given(columns=tables(), chunk_rows=st.one_of(st.integers(1, 30), st.just(cli.CSV_CHUNK_ROWS)))
+    @given(columns=tables(), chunk_rows=CHUNK_ROWS)
     def test_matches_csv_writer(self, columns, chunk_rows):
-        # Small chunks put chunk edges inside the table.
-        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows), tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "t.csv")
-            _write_columns(path, dict(columns))
-            assert read(path) == reference_csv(columns)
+        assert_matches_csv_writer(columns, chunk_rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=tables(), chunk_rows=CHUNK_ROWS)
+    def test_matches_csv_writer_through_the_kernel(self, columns, chunk_rows):
+        with through_the_kernel():
+            assert_matches_csv_writer(columns, chunk_rows)
 
     @pytest.mark.parametrize(
         "values",
@@ -1022,7 +1040,7 @@ class TestWriteColumns:
         # system-sim hands the drop over as lookups, and its copies of the
         # first blocks free the drop's tiles. Each write of a 101x101 call
         # peaks below what the drop's plain columns took: 7.21 MiB traced
-        # for throughput.csv and 5.12 MiB for cdf.csv (now 6.53-6.62 and 4.81).
+        # for throughput.csv and 5.12 MiB for cdf.csv (now 6.07 and 4.22 at seed 0).
         peaks, write = {}, cli._write_columns
 
         def traced_write(path, columns):
@@ -1082,20 +1100,26 @@ def lookup_tables(draw):
     return columns, plain
 
 
+def assert_lookup_writes_its_expansion(columns, plain, chunk_rows):
+    chunks = mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows)
+    with chunks, tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("lookup.csv", "plain.csv")]
+        _write_columns(paths[0], dict(columns))
+        _write_columns(paths[1], dict(plain))
+        assert read(paths[0]) == read(paths[1]) == reference_csv(plain)
+
+
 class TestLookupColumns:
     @settings(max_examples=200, deadline=None)
-    @given(
-        drawn=lookup_tables(),
-        chunk_rows=st.one_of(st.integers(1, 30), st.just(cli.CSV_CHUNK_ROWS)),
-    )
+    @given(drawn=lookup_tables(), chunk_rows=CHUNK_ROWS)
     def test_lookup_writes_its_expansion(self, drawn, chunk_rows):
-        columns, plain = drawn
-        chunks = mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows)
-        with chunks, tempfile.TemporaryDirectory() as tmp:
-            paths = [os.path.join(tmp, name) for name in ("lookup.csv", "plain.csv")]
-            _write_columns(paths[0], dict(columns))
-            _write_columns(paths[1], dict(plain))
-            assert read(paths[0]) == read(paths[1]) == reference_csv(plain)
+        assert_lookup_writes_its_expansion(*drawn, chunk_rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=lookup_tables(), chunk_rows=CHUNK_ROWS)
+    def test_lookup_writes_its_expansion_through_the_kernel(self, drawn, chunk_rows):
+        with through_the_kernel():
+            assert_lookup_writes_its_expansion(*drawn, chunk_rows)
 
     def test_lookups_of_one_values_object_share_its_cells(self, tmp_path):
         values = np.array([1.5, -0.0, np.nan, 1e300])
@@ -1180,6 +1204,12 @@ class TestSystemSimLookups:
         # first mode's probabilities.
         for name in ("ue_id", "serving_cell", "beam", "access_snr_db"):
             assert cols[name].tobytes() == np.tile(cols[name][:n], k).tobytes(), name
+        # Every FD mode's DLI block is the same array; the other modes' are NaN.
+        fd = [Mode(m) in FD_MODES for m in modes]
+        dli = cols["dli_power_dbm"].reshape(k, n)
+        for block, is_fd in zip(dli, fd):
+            want = dli[fd.index(True)].tobytes() if is_fd else np.full(n, np.nan).tobytes()
+            assert block.tobytes() == want
         curves = [cdf(block) for block in np.split(cols["throughput_bps"], k)]
         assert all(np.array_equal(p, curves[0][1]) for _, p in curves)
         plain_cdf = {
@@ -1191,3 +1221,96 @@ class TestSystemSimLookups:
         _write_columns(tmp_path / "cdf.csv", plain_cdf)
         for name in ("throughput.csv", "cdf.csv"):
             assert read(out / name) == read(tmp_path / name), name
+
+    def test_101x101_bytes_do_not_depend_on_the_crossover(self, tmp_path):
+        # Crossover 0 sends every number column through the numpy kernel, the
+        # 21-value throughputs included; above every column size, none.
+        argv = ["system-sim", "--scenario", SCENARIO, "--seed", "3",
+                "--set", "ue_grid.nx=101", "--set", "ue_grid.ny=101"]
+        for crossover in (0, 10**9):
+            with mock.patch.object(numtext, "CROSSOVER", crossover):
+                assert main(argv + ["--out", str(tmp_path / str(crossover))]) == 0
+        for name in ("throughput.csv", "cdf.csv"):
+            assert read(tmp_path / "0" / name) == read(tmp_path / str(10**9) / name), name
+
+
+# numtext's kernel: the cells of a column's distinct values, with PAD dropped,
+# read as format(v, ".12g") (NaN empty) and str(v).
+
+# Short decimals, ties at the 12th digit among them, and values next to the
+# fixed notation's edges.
+DECIMALS = st.builds(lambda m, k: m / 10.0**k, st.integers(-(10**13), 10**13), st.integers(0, 17))
+KERNEL_FLOATS = st.one_of(
+    FLOATS, st.floats(1e-5, 1e12), st.floats(-1e12, -1e-5), DECIMALS,
+    st.integers(-19, 15).map(lambda k: float(f"1e{k}")).flatmap(
+        lambda p: st.sampled_from([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+    ),
+)
+KERNEL_INTS = st.one_of(
+    st.integers(-(10**12), 10**12), st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([0, -1, 9, 10, -10, 99, 100, 10**12, -(10**12), 10**12 + 1, -(10**12) - 1]),
+)
+
+
+def kernel_text(values):
+    """Each value's cell from _column_cells with the kernel's crossover at 0."""
+    with through_the_kernel():
+        cells, index = cli._column_cells(values, b",")
+    assert cells.shape[0] == 0 or (cells[:, -1] == ord(",")).all()
+    text = cells.tobytes().translate(None, b"\xff").decode().split(",")[:-1]
+    return [text[i] for i in index]
+
+
+class TestNumberCells:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(KERNEL_FLOATS, max_size=40).map(lambda v: np.array(v, float)))
+    def test_floats_read_as_format_12g(self, values):
+        assert kernel_text(values) == reference_cells(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(KERNEL_INTS, max_size=40).map(lambda v: np.array(v, np.int64)),
+            st.lists(st.integers(0, 2**64 - 1), max_size=10).map(lambda v: np.array(v, np.uint64)),
+            st.lists(st.integers(0, 10**12 + 1), max_size=10).map(lambda v: np.array(v, np.uint64)),
+        )
+    )
+    def test_ints_read_as_str(self, values):
+        assert kernel_text(values) == reference_cells(values)
+
+    @pytest.mark.parametrize(
+        "value",
+        [float(f"1e{k}") for k in range(-5, 14)]
+        + [9.999999999995, 999999999999.5, 99999.99999995, 123456789012.5, 9.99999999999951e-05],
+    )
+    def test_edges(self, value):
+        # The value, its neighbours, and their negatives: powers of ten cross
+        # the fixed/scientific edges, the others carry into a 13th digit, tie
+        # or round up to 1e-4.
+        near = [value, np.nextafter(value, 0), np.nextafter(value, np.inf)]
+        values = np.array(near + [-v for v in near])
+        assert kernel_text(values) == reference_cells(values)
+
+    def test_only_unproved_values_go_through_percent(self):
+        # Ties and values within GUARD of one, zeros, subnormals, NaN, inf and
+        # the scientific range are the "%" pass's; fixed notation is the
+        # kernel's, with values that carry into the next power of ten
+        # (9.99999999999951e-05 rounds to 0.0001) among it.
+        kernel = [1.5, -0.001, 9.99999999999951e-05, 99999.9999999996, 123.456, 0.1]
+        percent = [123456789012.5, 99999.99999995, 0.0, -0.0, 5e-324, np.nan, np.inf, 1e12, 9.9e-5]
+        values = np.array(kernel + percent)
+        seen, real = [], numtext._percent_cells
+
+        def recorded(uniq, sep):
+            seen.extend(uniq.tolist())
+            return real(uniq, sep)
+
+        with mock.patch.object(numtext, "_percent_cells", recorded):
+            assert kernel_text(values) == reference_cells(values)
+        assert sorted(map(repr, seen)) == sorted(map(repr, percent))
+
+    def test_columns_below_the_crossover_take_percent(self):
+        values = np.arange(numtext.CROSSOVER - 1, dtype=float) / 7
+        with mock.patch.object(numtext, "_float_cells") as kernel:
+            cli._column_cells(values, b",")
+        kernel.assert_not_called()

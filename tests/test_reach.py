@@ -1,9 +1,12 @@
 """Every function and method defined in src/fdiab is reached by a command.
 
-link-sim, system-sim, a 2-cell sweep, compare-prototype and one rejected
-sweep run in-process under sys.setprofile. A function that none of them calls
-is a second route into math the commands reach some other way, kept alive by
-its tests; it goes, or it goes on UNREACHED_BY_DESIGN with its reason.
+link-sim, system-sim on a 5x5 and a 46x46 grid, a 2-cell sweep,
+compare-prototype and one rejected sweep run in-process under sys.setprofile.
+The 46x46 drop's 2,116 UEs put its ue_id and SNR columns past
+numtext.CROSSOVER, so the writer's numpy kernel runs for ints and floats. A
+function that none of them calls is a second route into math the commands
+reach some other way, kept alive by its tests; it goes, or it goes on
+UNREACHED_BY_DESIGN with its reason.
 """
 
 import importlib
@@ -59,6 +62,7 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
     runs = [
         (["link-sim", *scenario], 0),
         (["system-sim", *scenario, "--set", "ue_grid.nx=5", "--set", "ue_grid.ny=5"], 0),
+        (["system-sim", *scenario, "--set", "ue_grid.nx=46", "--set", "ue_grid.ny=46"], 0),
         (["sweep", *scenario, "--grid", "iab_nodes.*.antenna_separation_m=0.1,2"], 0),
         (["compare-prototype"], 0),
         # A rejected value is a path of every command: it exits 1 naming its field.
