@@ -297,27 +297,25 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
     def tables():
         cols = run_drop(scenario, cfg.seed, modes=modes)
         # run_drop's rows are mode-major: each per-UE value goes to the writer once,
-        # with the rows that repeat it; access_sinr_db adds those unlike the SNR's,
-        # and dli_power_dbm is an FD mode's block plus the NaN of the other modes.
+        # with the rows that repeat it. A relayed UE's row in an FD mode reads its
+        # DLI and its SINR with DLI, the same in every FD mode; every other row a
+        # NaN DLI and the SNR.
         n = cols["ue_id"].size // (k := len(values))
         # Row arrays are int32, half the bytes of the default int64.
         cols["mode"] = mode = np.array(values), np.repeat(np.arange(k, dtype=np.int32), n)
         ue = np.tile(np.arange(n, dtype=np.int32), k)
         fd = [Mode(m) in FD_MODES for m in modes]
-        j = fd.index(True) if True in fd else 0  # without an FD mode every block is NaN
-        cols["dli_power_dbm"] = (
-            np.append(cols["dli_power_dbm"][j * n : (j + 1) * n], np.nan),
-            np.where(np.repeat(fd, n), ue, n),
-        )
+        j = fd.index(True) if True in fd else 0  # an FD mode's block
+        relayed = np.flatnonzero((cols["serving_cell"][:n] > 0) & (True in fd))
+        rank = np.full(k * n, relayed.size, np.int32)  # the NaN after the relayed DLIs
+        rank.reshape(k, n)[np.ix_(fd, relayed)] = np.arange(relayed.size)
+        cols["dli_power_dbm"] = np.append(cols["dli_power_dbm"][j * n + relayed], np.nan), rank
+        level = np.append(cols["access_snr_db"][:n], cols["access_sinr_db"][j * n + relayed])
+        cols["access_snr_db"] = level, ue
+        cols["access_sinr_db"] = level, np.where(rank < relayed.size, n + rank, ue)
         curves = [cdf(block) for block in np.split(cols["throughput_bps"], k)]
         for name in ("ue_id", "serving_cell", "beam"):
             cols[name] = cols[name][:n].copy(), ue
-        snr, sinr = cols["access_snr_db"][:n], cols["access_sinr_db"]
-        other = (sinr.reshape(k, n).view(np.uint64) != snr.view(np.uint64)).ravel()
-        level, sinr_rows = np.concatenate([snr, sinr[other]]), ue.copy()
-        sinr_rows[other] = n + np.arange(level.size - n)
-        cols["access_snr_db"], cols["access_sinr_db"] = (level, ue), (level, sinr_rows)
-        del snr, sinr  # the drop's arrays go as the writer pops them
         yield "throughput.csv", cols
         v = np.concatenate([c[0] for c in curves])
         yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, v, (curves[0][1], ue))))

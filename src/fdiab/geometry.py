@@ -45,11 +45,13 @@ class AntennaPattern:
             raise FieldError("", "boresight_gain_dbi must exceed sidelobe_floor_dbi")
 
 
-def antenna_gain_dbi(pattern, offset_deg):
-    """Pattern gain in dBi at an angular offset (degrees) from boresight."""
-    # One fresh array worked in place; from a 0-d input, a faster numpy scalar.
-    off = np.abs(np.asarray(offset_deg, dtype=float))
-    off /= pattern.beamwidth_3db_deg
+def antenna_gain_dbi(pattern, offset_deg, out=None):
+    """Pattern gain in dBi at an angular offset (degrees) from boresight; with
+    out, a float array of offset_deg's shape (offset_deg itself, say), the
+    gains are written into it."""
+    # One array worked in place; from a 0-d input, a faster numpy scalar. The
+    # offset needs no abs, as a quotient's sign leaves its square as it is.
+    off = np.divide(offset_deg, pattern.beamwidth_3db_deg, out=out, dtype=float)
     off *= off
     off *= -12.0
     off += pattern.boresight_gain_dbi  # boresight - 12 * (offset / beamwidth)**2, bit for bit
@@ -58,29 +60,29 @@ def antenna_gain_dbi(pattern, offset_deg):
 
 
 def _dot(u, v):
-    """Dot product over the last axis as u0*v0 + u1*v1 + u2*v2, in that order,
-    summed in place in the first product: the one rounding rule for angles
-    and path lengths. A BLAS ddot rounds some of these sums differently in
-    the last bit."""
-    out = u[..., 0] * v[..., 0]
-    out += u[..., 1] * v[..., 1]
-    out += u[..., 2] * v[..., 2]
-    return out
+    """(u0*v0 + u1*v1 + u2*v2 over the last axis, summed in that order in the
+    first product, an array, 0-d for two vectors; the array of its shape that
+    held the other products): the one rounding rule for angles and path
+    lengths. A BLAS ddot rounds some of these sums differently in the last bit."""
+    out = np.asarray(u[..., 0] * v[..., 0])
+    term = np.empty_like(out)
+    out += np.multiply(u[..., 1], v[..., 1], out=term)
+    out += np.multiply(u[..., 2], v[..., 2], out=term)
+    return out, term
 
 
 def angle_between_deg(u, v):
     """Angle in degrees between direction vectors, elementwise over the
     broadcast rows of (..., 3) arrays; a float for two vectors."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    u_norm, v_norm = np.sqrt(_dot(u, u)), np.sqrt(_dot(v, v))
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    u_norm, v_norm = np.sqrt(_dot(u, u)[0]), np.sqrt(_dot(v, v)[0])
     if not (u_norm.all() and v_norm.all()):
         raise ValueError("direction vectors must be nonzero")
-    out = _dot(u, v)
-    out /= u_norm * v_norm
-    into = out if out.ndim else None  # an array is worked in place
-    out = np.minimum(np.maximum(out, -1.0, out=into), 1.0, out=into)
-    out = np.degrees(np.arccos(out, out=into), out=into)
+    out, scratch = _dot(u, v)  # the only arrays of the broadcast shape made
+    out /= np.multiply(u_norm, v_norm, out=scratch)
+    np.clip(out, -1.0, 1.0, out=out)
+    np.arccos(out, out=out)
+    out *= 180.0 / np.pi  # np.degrees' own formula, so the same bits
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,9 +96,11 @@ def rx_dbm(tx_pos, tx_power_dbm, tx_pattern, beam_dirs, rx_pos, freq_hz, rx_gain
     (beams, 1, 3) against (n, 3) gives every (beam, receiver) pair, and one
     beam and one receiver a float. Coincident positions raise in fspl_db.
     """
-    los = np.asarray(rx_pos, float) - np.asarray(tx_pos, float)
-    path_loss = fspl_db(np.sqrt(_dot(los, los)), freq_hz)
-    out = np.asarray(antenna_gain_dbi(tx_pattern, angle_between_deg(beam_dirs, los)))
+    # Column-major, so each line-of-sight component is one contiguous array.
+    los = np.subtract(np.asarray(rx_pos, float), np.asarray(tx_pos, float), order="F")
+    path_loss = fspl_db(np.sqrt(_dot(los, los)[0]), freq_hz)
+    out = np.asarray(angle_between_deg(beam_dirs, los))
+    out = np.asarray(antenna_gain_dbi(tx_pattern, out, out=out))
     np.add(tx_power_dbm, out, out=out)
     out += rx_gain_dbi
     out -= path_loss

@@ -442,7 +442,13 @@ class ReductionReport:
         )
         for a, b in zip(chain, chain[1:]):
             if b > a + monotone_eps_db:
-                raise ValueError("stage power increased along the chain")
+                # A rise to within the scatter of a frame's noise power (0.5 dB: 15
+                # standard deviations over the default 18,288 fit samples) is the noise's.
+                if b > self.noise_floor_dbm + 0.5:
+                    raise ValueError("stage power increased along the chain")
+                msg = f"puts the noise floor at {self.noise_floor_dbm:.4g} dBm, so close to"
+                msg += f" the PA's {self.tx_power_dbm:.4g} dBm output that it lifts a stage"
+                raise FieldError("noise_figure_db", f"{msg} above the one before it")
         return self
 
 

@@ -9,6 +9,7 @@ propagation-domain suppression only, and half duplex.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -243,8 +244,8 @@ def noise_plus_dbm(floor_dbm, levels_dbm):
     them differently from libm in the last bit.
     """
     exponents = (np.asarray(levels_dbm, float) - 30.0) / 10.0
-    watts = [10.0 ** x for x in exponents.ravel().tolist()]
-    return watt_to_dbm(dbm_to_watt(floor_dbm) + np.reshape(watts, exponents.shape))
+    watts = np.fromiter(map(pow, repeat(10.0), exponents.ravel().tolist()), float, exponents.size)
+    return watt_to_dbm(dbm_to_watt(floor_dbm) + watts.reshape(exponents.shape))
 
 
 def _access_shadows_db(scenario, seed, n_cells, n_ue):
@@ -291,11 +292,22 @@ def schedule_drop(scenario, seed):
             cell.position, cell.tx_power_dbm, cell.pattern, beam_dirs[ci][:, np.newaxis],
             ues, scenario.carrier_freq_hz, UE_GAIN_DBI, shadows[ci],
         )
-        best_beam[ci] = np.argmax(rx, axis=0)
+        best_beam[ci] = _first_max(rx)
         best_rx[ci] = rx[best_beam[ci], ue]
 
-    serving = np.argmax(best_rx, axis=0)
+    serving = _first_max(best_rx)
     return serving, best_beam[serving, ue], best_rx[serving, ue], beam_dirs, shadows
+
+
+def _first_max(table):
+    """np.argmax(table, axis=0), NaN counting as the maximum, from reductions
+    along the rows, a few times faster than a strided argmax: the column max,
+    then the largest weighted hit, rows - i for a hit in row i."""
+    hit = table == (best := table.max(axis=0))
+    if np.isnan(best).any():  # max propagates NaN, which equals nothing
+        hit |= np.isnan(table)
+    weights = np.arange(len(table), 0, -1, dtype=np.min_scalar_type(len(table)))[:, np.newaxis]
+    return np.subtract(len(table), np.max(hit * weights, axis=0), dtype=np.intp)
 
 
 def backhaul_rx_power_dbm(scenario, node):
@@ -448,11 +460,10 @@ def run_drop(scenario, seed, modes=ALL_MODES):
 
     ues = scenario.ue_grid.positions()
     floor = scenario.noise.floor_dbm
-    dli = np.full(n_ue, np.nan)
-    dli[relayed] = dli_power_dbm(
-        scenario, mt[serving[relayed]], ues[relayed], shadows[0, relayed]
-    )
-    dli_noise = noise_plus_dbm(floor, dli)  # the same in every FD mode
+    dli, dli_noise = np.full((2, n_ue), np.nan)  # of relayed UEs only
+    idx = np.flatnonzero(relayed)
+    dli[idx] = dli_power_dbm(scenario, mt.take(serving[idx], 0), ues.take(idx, 0), shadows[0, idx])
+    dli_noise[idx] = noise_plus_dbm(floor, dli[idx])  # the same in every FD mode
 
     n_rows = len(modes) * n_ue
     cols = {
@@ -466,14 +477,15 @@ def run_drop(scenario, seed, modes=ALL_MODES):
         "dli_power_dbm": np.empty(n_rows),
         "throughput_bps": np.empty(n_rows),
     }
+    cell_beam = serving * prop_residual.shape[1] + beam
     for k, mode in enumerate(modes):
         residual = np.full(prop_residual.shape, np.nan)
         for ni, node in enumerate(nodes):
             residual[ni + 1] = residual_si_dbm(scenario, mode, node, prop_residual[ni + 1])
         rows = slice(k * n_ue, (k + 1) * n_ue)
         thr, access_sinr, backhaul_sinr = ue_throughput(
-            mode, relayed, access_rx, backhaul_rx[serving], dli_noise,
-            noise_plus_dbm(floor, residual)[serving, beam], scenario,
+            mode, relayed, access_rx, backhaul_rx.take(serving), dli_noise,
+            noise_plus_dbm(floor, residual).take(cell_beam), scenario,
         )
         cols["throughput_bps"][rows] = thr
         cols["access_sinr_db"][rows] = access_sinr

@@ -553,6 +553,18 @@ class TestExitCodes:
         assert err.startswith("fdiab: noise_figure_db: must be < 86 at bandwidth_hz 1e+12")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+        # 0.01 dB under the linear bound the floor still sits above the PA's
+        # 31.98 dBm mean OFDM output, and the noise lifts the propagation stage
+        # above it: the chain's check names the field too.
+        rc = main(
+            [command, "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", "bandwidth_hz=1e12", "--set", "noise_figure_db=85.99"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fdiab: noise_figure_db: puts the noise floor at 31.99 dBm")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
         # 20 dB lower the floor sits 6 dB under the PA output, and the chain runs.
         rc = main(
             ["link-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path / "ok"),
@@ -1195,10 +1207,24 @@ class TestSystemSimLookups:
         out = tmp_path / "out"
         argv = ["system-sim", "--scenario", SCENARIO, "--seed", "5", "--out", str(out),
                 "--modes", ",".join(names)]
-        assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+        handed = []  # throughput.csv's access columns, as the writer gets them
+
+        def write_columns(path, columns):
+            if "access_sinr_db" in columns:
+                handed.extend((columns["access_snr_db"], columns["access_sinr_db"]))
+            return _write_columns(path, columns)
+
+        with mock.patch.object(cli, "_write_columns", write_columns):
+            assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         scenario = scenario_from_dict(apply_overrides(read_scenario_file(SCENARIO), overrides))
         cols = run_drop(scenario, 5, modes=modes)
         k, n = len(names), cols["ue_id"].size // len(names)
+        # One access level per UE, plus the SINR with DLI of each relayed UE
+        # once, however many FD modes share it.
+        (level, snr_rows), (sinr_level, _) = handed
+        fd = any(Mode(m) in FD_MODES for m in modes)
+        assert sinr_level is level and snr_rows.tolist() == list(range(n)) * k
+        assert level.size == n + fd * int((cols["serving_cell"][:n] > 0).sum())
         # The layout the lookups are built from: the mode-independent columns
         # are tiles of their first block, and every mode's curve has the
         # first mode's probabilities.

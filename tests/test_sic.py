@@ -933,3 +933,13 @@ class TestReportValidation:
         with pytest.raises(ValueError, match="not finite"):
             ReductionReport(**fields).validate()
         assert report.validate() is report
+
+    @pytest.mark.parametrize("above_floor_db, path", [(0.5, "noise_figure_db"), (0.51, "")])
+    def test_rise_to_the_noise_names_the_noise_figure(self, report, above_floor_db, path):
+        # A propagation stage 0.1 dB above the PA output: within the noise's
+        # scatter of the floor the rise is the noise's, beyond it the chain's.
+        rise = dict(after_propagation_dbm=report.tx_power_dbm + 0.1)
+        rise["noise_floor_dbm"] = rise["after_propagation_dbm"] - above_floor_db
+        with pytest.raises(ValueError, match="stage power increased|lifts a stage") as info:
+            dataclasses.replace(report, **rise).validate()
+        assert getattr(info.value, "path", "") == path

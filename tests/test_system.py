@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fdiab.geometry import (
     AntennaPattern,
@@ -39,6 +40,7 @@ from fdiab.system import (
     schedule_drop,
     ue_throughput,
 )
+from fdiab.system import _first_max
 from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
 
 BW = 120e6
@@ -385,6 +387,47 @@ class TestScheduling:
         assert np.array_equal(serving, want_serving)
         assert np.array_equal(beam, want_beam)
         assert rx.tobytes() == want_rx.tobytes()
+
+    @pytest.mark.parametrize("case", ["default-101x101", "co-sited-0.2deg-111x111"])
+    def test_full_size_grids_match_the_tensor_argmax(self, case):
+        # The property above stops at 6 x 6 UEs. The default grid at full size,
+        # and a co-sited, unshadowed pair of 0.2 degree cells, in which most UEs
+        # tie on every (cell, beam) pair at the sidelobe floor.
+        if case.startswith("default"):
+            sc = dataclasses.replace(default_scenario(), ue_grid=UeGrid(nx=101, ny=101))
+        else:
+            pattern = AntennaPattern(beamwidth_3db_deg=0.2)
+            site = (-100.0, 0.0, 50.0)
+            sc = Scenario(
+                donor=Donor(position=site, pattern=pattern),
+                iab_nodes=(IabNode(position=site, pattern=pattern),),
+                ue_grid=UeGrid(nx=111, ny=111),
+                access_shadow_sigma_db=0.0,
+            )
+        serving, beam, rx, _, _ = schedule_drop(sc, 0)
+        want_serving, want_beam, want_rx = tensor_schedule(sc, 0)
+        assert serving.tobytes() == want_serving.tobytes()
+        assert beam.tobytes() == want_beam.tobytes()
+        assert rx.tobytes() == want_rx.tobytes()
+        if not case.startswith("default"):
+            assert (serving == 0).all() and (beam == 0).mean() > 0.9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.tuples(st.integers(1, 17), st.integers(0, 12)).flatmap(
+            lambda shape: arrays(float, shape, elements=st.sampled_from(
+                [np.nan, -np.inf, -1.5, -0.0, 0.0, 2.0, np.inf]
+            ))
+        )
+    )
+    # A NaN power picks the column's first NaN.
+    @example(table=np.array([[1.0, np.nan, 3.0], [np.nan, 2.0, np.nan], [np.nan, np.nan, 4.0]]))
+    def test_first_max_is_argmax_with_ties_and_nan(self, table):
+        # Few distinct values, so columns tie; NaN counts as the maximum, and
+        # -0.0 ties with 0.0, as in np.argmax.
+        got = _first_max(table)
+        assert got.dtype == np.intp
+        assert got.tobytes() == np.argmax(table, axis=0).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 40), extra=st.integers(1, 40))
