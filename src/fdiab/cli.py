@@ -12,7 +12,8 @@ ready and then writes a run.json sidecar with the fully resolved
 configuration, seed, tool version and the files written; a run that fails
 before its first table leaves no directory. Outputs are byte-identical for
 identical (scenario, seed, version), timestamp aside. Exit codes: 0 success,
-1 validation failure, 2 I/O failure.
+1 validation failure, 2 I/O failure. The link chain (fdiab.sic, and with it
+fdiab.ofdm) and fdiab.prototype are imported by the commands that run them.
 """
 
 import argparse
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .numtext import PAD, number_cells
-from .prototype import compare_prototype
 from .scenario import (
     ScenarioError,
     apply_overrides,
@@ -38,7 +38,6 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .sic import LinkChainParams, ReductionReport, run_link_chain, run_link_chains
 from .system import (
     ALL_MODES, FD_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps,
     run_drop,
@@ -237,6 +236,8 @@ def chain_for_node(scenario, i):
     A separation or reflectors that could put a tap past the cyclic prefix are
     rejected before any draw: the chain applies its channel circularly per
     OFDM symbol."""
+    from .sic import LinkChainParams
+
     node, reflectors = scenario.iab_nodes[i], scenario.reflectors
     try:
         params = LinkChainParams(node.antenna_separation_m, noise=scenario.noise)
@@ -268,6 +269,8 @@ def _node_seed(*path):
 def _reduction_columns(nodes, seeds, reports):
     """reduction.csv's columns: one row per report, the chain of node
     nodes[k] run at seeds[k]."""
+    from .sic import ReductionReport
+
     columns = {
         f.name: np.array([getattr(r, f.name) for r in reports], f.type)
         for f in fields(ReductionReport)
@@ -280,6 +283,8 @@ def _reduction_columns(nodes, seeds, reports):
 
 
 def cmd_link_sim(cfg):
+    from .sic import run_link_chain
+
     _, scenario = _load_with_overrides(cfg)
     nodes = range(len(scenario.iab_nodes))
     chains = [chain_for_node(scenario, i) for i in nodes]
@@ -361,6 +366,8 @@ def cmd_sweep(cfg, grid_specs, drops):
     built, and so validated, before the first chain runs; a call draws its SI
     taps as it runs.
     """
+    from .sic import run_link_chains
+
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
     base, scenario = _load_with_overrides(cfg)
@@ -405,6 +412,8 @@ def cmd_sweep(cfg, grid_specs, drops):
 
 
 def cmd_compare_prototype(cfg):
+    from .prototype import compare_prototype
+
     rows, summary = compare_prototype(seed=cfg.seed)
     _write_outputs(cfg, None, [("compare_prototype.csv", rows), ("compare_summary.csv", summary)])
     return 0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import bounded, check_bounds
+from .util import FieldError, bounded, check_bounds
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,11 @@ class OfdmConfig:
 
     def __post_init__(self):
         check_bounds(self)
-        if self.active_subcarriers >= self.fft_size:
-            raise ValueError("active_subcarriers must be < fft_size (DC stays unused)")
-        if self.active_subcarriers % 2 != 0:
-            raise ValueError("active_subcarriers must be even (centered around DC)")
-        if not (0 <= self.cp_len < self.fft_size):
-            raise ValueError("cp_len must lie in [0, fft_size)")
+        n, active = self.fft_size, self.active_subcarriers
+        if active >= n or active % 2 != 0:  # centered around DC, which stays unused
+            raise FieldError("active_subcarriers", f"must be even and < fft_size {n}, got {active}")
+        if not (0 <= self.cp_len < n):
+            raise FieldError("cp_len", f"must lie in [0, fft_size {n}), got {self.cp_len}")
 
     @property
     def sample_rate_hz(self):

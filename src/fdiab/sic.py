@@ -57,7 +57,7 @@ class TwoTapConfig:
     def __post_init__(self):
         t1, t2 = self.delays_s
         if not (0.0 <= t1 < t2):
-            raise ValueError("need 0 <= tau1 < tau2")
+            raise FieldError("delays_s", f"need 0 <= tau1 < tau2, got {self.delays_s!r}")
 
     def freq_response(self, freqs_hz):
         f = np.asarray(freqs_hz, dtype=float)
@@ -145,9 +145,9 @@ def _check_orders(orders, name):
 def _check_structure(orders, memory_len, alignment):
     _check_orders(orders, "orders")
     if memory_len < 1:
-        raise ValueError(f"memory_len must be >= 1, got {memory_len}")
+        raise FieldError("memory_len", f"must be >= 1, got {memory_len}")
     if not 0 <= alignment < memory_len:
-        raise ValueError(f"alignment must lie in [0, memory_len), got {alignment}")
+        raise FieldError("alignment", f"must lie in [0, memory_len {memory_len}), got {alignment}")
 
 
 def _branch_signals(tx, orders):

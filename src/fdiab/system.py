@@ -116,8 +116,8 @@ class IabNode(Donor):
         return (x, y, z - self.antenna_separation_m)
 
 
-# A system-sim call's traced allocations peak in run_drop, at 745 B per UE
-# between a 201 x 201 and a 301 x 301 grid (7.3 MiB at 101 x 101). The cap
+# A system-sim call's traced allocations peak in run_drop, at 760 B per UE
+# between a 201 x 201 and a 301 x 301 grid (7.40 MiB at 101 x 101). The cap
 # budgets 1 KiB per UE within 2 GiB: 2,097,152 UEs, 1448 x 1448.
 MAX_UES = 2 * 2**30 // 1024
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiab import cli, numtext
+from fdiab import cli, numtext, sic
 from fdiab.cli import _write_columns, main
 from fdiab.scenario import (
     apply_overrides, read_scenario_file, save_scenario, scenario_from_dict, scenario_to_dict,
@@ -119,7 +119,7 @@ class TestSystemSim:
             ]
 
     def test_101x101_call_peaks_in_the_drop_not_the_writer(self, tmp_path):
-        # Measured: 7.3 MiB traced, run_drop's own peak; holding the drop's
+        # Measured: 7.40 MiB traced, run_drop's own peak; holding the drop's
         # columns through the throughput.csv write took it to 10.3 MiB.
         out = tmp_path / "o"
         argv = ["system-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(out),
@@ -468,9 +468,11 @@ class TestExitCodes:
         assert "reflectors.delay_offset_range_s" in err and "cyclic prefix" in err
         assert not (tmp_path / "o").exists()
         # A sweep whose second cell puts the direct tap past the CP fails
-        # while its cells' chain inputs are built, before any chain runs.
-        chains = mock.Mock(side_effect=cli.run_link_chains)
-        monkeypatch.setattr(cli, "run_link_chains", chains)
+        # while its cells' chain inputs are built, before any chain runs. The
+        # sweep imports run_link_chains from fdiab.sic as it starts, so the
+        # patch goes on that module.
+        chains = mock.Mock(side_effect=sic.run_link_chains)
+        monkeypatch.setattr(sic, "run_link_chains", chains)
         rc = main(
             ["sweep", "--scenario", scenario_path, "--seed", "1", "--out", str(tmp_path / "w"),
              "--grid", "iab_nodes.*.antenna_separation_m=1,400"]

@@ -461,6 +461,28 @@ class TestFrameLayoutRejections:
             fit(x, y, (1,), memory_len=20, alignment=15, cfg=cfg)
 
 
+@pytest.mark.parametrize(
+    "build, path",
+    [
+        (lambda: OfdmConfig(active_subcarriers=1024), "active_subcarriers"),
+        (lambda: OfdmConfig(active_subcarriers=791), "active_subcarriers"),
+        (lambda: OfdmConfig(cp_len=1024), "cp_len"),
+        (lambda: OfdmConfig(cp_len=-1), "cp_len"),
+        (lambda: TwoTapConfig((2e-9, 1e-9), (0j, 0j)), "delays_s"),
+        (lambda: TwoTapConfig((-1e-9, 1e-9), (0j, 0j)), "delays_s"),
+        (lambda: hammerstein_basis(np.ones(64), (1,), 0, 0, [32]), "memory_len"),
+        (lambda: hammerstein_basis(np.ones(64), (1,), 4, 4, [32]), "alignment"),
+        (lambda: HammersteinRegressors(np.ones(1164), (1,), 4, -1, CFG), "alignment"),
+    ],
+    ids=["active-fills-fft", "active-odd", "cp-fills-fft", "cp-negative", "delays-reversed",
+         "delay-negative", "memory-0", "alignment-at-memory", "regressors-alignment-negative"],
+)
+def test_chain_config_errors_name_their_field(build, path):
+    with pytest.raises(FieldError) as excinfo:
+        build()
+    assert excinfo.value.path == path
+
+
 def test_rx_of_another_symbol_count_is_rejected_naming_it():
     # Against a 3-symbol frame, a 1-symbol rx would broadcast into every
     # symbol of the fit's target and of the residual.
