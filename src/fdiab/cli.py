@@ -300,30 +300,33 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
     values = [Mode(m).value for m in modes]
 
     def tables():
-        cols = run_drop(scenario, cfg.seed, modes=modes)
-        # run_drop's rows are mode-major: each per-UE value goes to the writer once,
-        # with the rows that repeat it. A relayed UE's row in an FD mode reads its
-        # DLI and its SINR with DLI, the same in every FD mode; every other row a
-        # NaN DLI and the SNR.
-        n = cols["ue_id"].size // (k := len(values))
-        # Row arrays are int32, half the bytes of the default int64.
-        cols["mode"] = mode = np.array(values), np.repeat(np.arange(k, dtype=np.int32), n)
+        drop = run_drop(scenario, cfg.seed, modes=modes)
+        # throughput.csv: a row per (mode, UE), mode-major; the writer gets each per-UE value
+        # once, with int32 rows (half an int64's bytes). A relayed UE's FD rows share its DLI
+        # and SINR with DLI (np.argmax(fd): the first FD row); other rows a NaN DLI, the SNR.
+        k, n = drop["throughput_bps"].shape
+        sorted_bps, probs = zip(*map(cdf, drop["throughput_bps"]))  # a curve per mode
+        mode = np.array(values), np.repeat(np.arange(k, dtype=np.int32), n)
         ue = np.tile(np.arange(n, dtype=np.int32), k)
         fd = [Mode(m) in FD_MODES for m in modes]
-        j = fd.index(True) if True in fd else 0  # an FD mode's block
-        relayed = np.flatnonzero((cols["serving_cell"][:n] > 0) & (True in fd))
+        relayed = np.flatnonzero((drop["serving_cell"] > 0) & any(fd))
         rank = np.full(k * n, relayed.size, np.int32)  # the NaN after the relayed DLIs
         rank.reshape(k, n)[np.ix_(fd, relayed)] = np.arange(relayed.size)
-        cols["dli_power_dbm"] = np.append(cols["dli_power_dbm"][j * n + relayed], np.nan), rank
-        level = np.append(cols["access_snr_db"][:n], cols["access_sinr_db"][j * n + relayed])
-        cols["access_snr_db"] = level, ue
-        cols["access_sinr_db"] = level, np.where(rank < relayed.size, n + rank, ue)
-        curves = [cdf(block) for block in np.split(cols["throughput_bps"], k)]
-        for name in ("ue_id", "serving_cell", "beam"):
-            cols[name] = cols[name][:n].copy(), ue
+        level = np.append(drop["access_snr_db"], drop["access_sinr_db"][np.argmax(fd), relayed])
+        cols = {
+            "mode": mode,
+            "ue_id": (np.arange(n), ue),
+            "serving_cell": (drop["serving_cell"], ue),
+            "beam": (drop["beam"], ue),
+            "access_snr_db": (level, ue),
+            "access_sinr_db": (level, np.where(rank < relayed.size, n + rank, ue)),
+            "backhaul_sinr_db": drop["backhaul_sinr_db"].ravel(),
+            "dli_power_dbm": (np.append(drop["dli_power_dbm"][relayed], np.nan), rank),
+            "throughput_bps": drop["throughput_bps"].ravel(),
+        }
+        del drop, level, rank  # so the writer frees each column once it is read
         yield "throughput.csv", cols
-        v = np.concatenate([c[0] for c in curves])
-        yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, v, (curves[0][1], ue))))
+        yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, np.concatenate(sorted_bps), (probs[0], ue))))
 
     _write_outputs(cfg, scenario_to_dict(scenario), tables(), modes=values)
     return 0
@@ -420,14 +423,18 @@ def cmd_compare_prototype(cfg):
 
 
 def _parse_modes(spec):
-    """--modes value -> tuple of Mode; an empty or repeating selection is an error."""
-    modes = [Mode(m.strip()) for m in spec.split(",") if m.strip()]
-    if not modes:
+    """--modes value -> tuple of Mode; an empty, unknown or repeated selection is an error."""
+    names = [m.strip() for m in spec.split(",") if m.strip()]
+    if not names:
         raise ValueError(f"--modes {spec!r} selects no mode")
-    repeated = sorted({m.value for m in modes if modes.count(m) > 1})
+    valid = [m.value for m in ALL_MODES]
+    unknown = [m for m in names if m not in valid]
+    if unknown:
+        raise ValueError(f"--modes {spec!r} names {unknown[0]!r}, not one of {', '.join(valid)}")
+    repeated = sorted({m for m in names if names.count(m) > 1})
     if repeated:
         raise ValueError(f"--modes {spec!r} repeats {', '.join(repeated)}")
-    return tuple(modes)
+    return tuple(map(Mode, names))
 
 
 def build_parser():

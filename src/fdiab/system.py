@@ -116,8 +116,8 @@ class IabNode(Donor):
         return (x, y, z - self.antenna_separation_m)
 
 
-# A system-sim call's traced allocations peak in run_drop, at 760 B per UE
-# between a 201 x 201 and a 301 x 301 grid (7.40 MiB at 101 x 101). The cap
+# A system-sim call's traced allocations peak in run_drop, at 528 B per UE
+# between a 201 x 201 and a 301 x 301 grid (5.18 MiB at 101 x 101). The cap
 # budgets 1 KiB per UE within 2 GiB: 2,097,152 UEs, 1448 x 1448.
 MAX_UES = 2 * 2**30 // 1024
 
@@ -436,15 +436,14 @@ def run_drop(scenario, seed, modes=ALL_MODES):
     are shared across the mode comparison, as in the reference topology.
     Deterministic per (scenario, seed).
 
-    Returns the columns of throughput.csv, in its order, as numpy arrays:
-    one row per (mode, UE), in the order of `modes` and by ue_id within a
-    mode; serving_cell 0 is the donor. NaN marks a value that does not
-    apply: the backhaul SINR of donor-served and fibered rows, and the DLI
-    of those and of HD rows.
+    Returns a dict of numpy arrays, UEs by ue_id. Per UE, shape (n,):
+    serving_cell (0 is the donor), beam, access_snr_db and dli_power_dbm,
+    NaN for donor-served UEs. Per mode, shape (k, n), row k for modes[k]:
+    access_sinr_db, backhaul_sinr_db, NaN for donor-served UEs and in the
+    fibered mode, and throughput_bps. The DLI enters the FD modes only.
     """
     modes = [Mode(m) for m in modes]
     serving, beam, access_rx, beam_dirs, shadows = schedule_drop(scenario, seed)
-    n_ue = serving.size
     relayed = serving > 0
     nodes = scenario.iab_nodes
 
@@ -460,38 +459,31 @@ def run_drop(scenario, seed, modes=ALL_MODES):
 
     ues = scenario.ue_grid.positions()
     floor = scenario.noise.floor_dbm
-    dli, dli_noise = np.full((2, n_ue), np.nan)  # of relayed UEs only
+    dli, dli_noise = np.full((2, serving.size), np.nan)  # of relayed UEs only
     idx = np.flatnonzero(relayed)
     dli[idx] = dli_power_dbm(scenario, mt.take(serving[idx], 0), ues.take(idx, 0), shadows[0, idx])
     dli_noise[idx] = noise_plus_dbm(floor, dli[idx])  # the same in every FD mode
 
-    n_rows = len(modes) * n_ue
-    cols = {
-        "mode": np.repeat([m.value for m in modes], n_ue),
-        "ue_id": np.tile(np.arange(n_ue), len(modes)),
-        "serving_cell": np.tile(serving, len(modes)),
-        "beam": np.tile(beam, len(modes)),
-        "access_snr_db": np.tile(access_rx - floor, len(modes)),
-        "access_sinr_db": np.empty(n_rows),
-        "backhaul_sinr_db": np.empty(n_rows),
-        "dli_power_dbm": np.empty(n_rows),
-        "throughput_bps": np.empty(n_rows),
-    }
+    shape = (len(modes), serving.size)  # three arrays, so each can be let go on its own
+    thr, access_sinr, backhaul_sinr = np.empty(shape), np.empty(shape), np.empty(shape)
     cell_beam = serving * prop_residual.shape[1] + beam
     for k, mode in enumerate(modes):
         residual = np.full(prop_residual.shape, np.nan)
         for ni, node in enumerate(nodes):
             residual[ni + 1] = residual_si_dbm(scenario, mode, node, prop_residual[ni + 1])
-        rows = slice(k * n_ue, (k + 1) * n_ue)
-        thr, access_sinr, backhaul_sinr = ue_throughput(
+        thr[k], access_sinr[k], backhaul_sinr[k] = ue_throughput(
             mode, relayed, access_rx, backhaul_rx.take(serving), dli_noise,
             noise_plus_dbm(floor, residual).take(cell_beam), scenario,
         )
-        cols["throughput_bps"][rows] = thr
-        cols["access_sinr_db"][rows] = access_sinr
-        cols["backhaul_sinr_db"][rows] = backhaul_sinr
-        cols["dli_power_dbm"][rows] = dli if mode in FD_MODES else np.nan
-    return cols
+    return {
+        "serving_cell": serving,
+        "beam": beam,
+        "access_snr_db": access_rx - floor,
+        "dli_power_dbm": dli,
+        "access_sinr_db": access_sinr,
+        "backhaul_sinr_db": backhaul_sinr,
+        "throughput_bps": thr,
+    }
 
 
 def cdf(values):

@@ -216,8 +216,7 @@ def test_criterion_6_fig5_orderings():
     for sep in (1.0, 0.1):
         sc = scenario_at(sep)
         for seed in seeds:
-            cols = run_drop(sc, seed)
-            d = {m.value: cols["throughput_bps"][cols["mode"] == m.value] for m in Mode}
+            d = dict(zip((m.value for m in Mode), run_drop(sc, seed)["throughput_bps"]))
             for mode, thr in d.items():
                 pooled[sep][mode].extend(thr)
             assert np.all(d["fibered"] >= d["ideal_fd"] - 1e-9)

@@ -118,9 +118,25 @@ class TestSystemSim:
                 (v, format(i / n, ".12g")) for i, v in enumerate(values, 1)
             ]
 
+    def test_mode_subset_writes_the_full_runs_rows_of_its_modes(self, tmp_path):
+        # A selection in its own order, an FD mode first, gives each mode the
+        # rows the full run gives it, byte for byte, in both files.
+        runs = {}
+        for name, extra in (("full", []), ("subset", ["--modes", "fd_prop_only,hd"])):
+            argv = ["system-sim", "--scenario", SCENARIO, "--seed", "0",
+                    "--out", str(tmp_path / name)] + extra
+            assert main(argv) == 0
+            runs[name] = {f: read(tmp_path / name / f).splitlines(True)
+                          for f in ("throughput.csv", "cdf.csv")}
+        for f, subset in runs["subset"].items():
+            full = runs["full"][f]
+            want = [r for m in (b"fd_prop_only,", b"hd,") for r in full if r.startswith(m)]
+            assert len(want) == 2 * 21 * 21
+            assert subset == full[:1] + want, f
+
     def test_101x101_call_peaks_in_the_drop_not_the_writer(self, tmp_path):
-        # Measured: 7.40 MiB traced, run_drop's own peak; holding the drop's
-        # columns through the throughput.csv write took it to 10.3 MiB.
+        # Measured: 5.18 MiB traced, run_drop's own peak; holding the drop's
+        # arrays through the throughput.csv write took it to 6.85 MiB.
         out = tmp_path / "o"
         argv = ["system-sim", "--scenario", SCENARIO, "--seed", "0", "--out", str(out),
                 "--set", "ue_grid.nx=101", "--set", "ue_grid.ny=101"]
@@ -132,7 +148,7 @@ class TestSystemSim:
             tracemalloc.stop()
         assert rc == 0
         assert read(out / "throughput.csv").count(b"\n") == 1 + 5 * 101 * 101
-        assert peak < 8.5 * 2**20
+        assert peak < 6.5 * 2**20
 
 
 class TestSidecar:
@@ -675,6 +691,20 @@ class TestArgumentBounds:
         assert "repeats hd" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("modes, name", [("foo", "foo"), ("hd, FD_FULL", "FD_FULL")])
+    def test_unknown_mode_is_1_naming_it_and_the_modes(
+        self, scenario_path, tmp_path, capsys, modes, name
+    ):
+        rc = main(
+            ["system-sim", "--scenario", scenario_path, "--seed", "3",
+             "--out", str(tmp_path / "o"), "--modes", modes] + SMALL
+        )
+        assert rc == 1
+        valid = "fibered, ideal_fd, fd_full, fd_prop_only, hd"
+        want = f"fdiab: --modes {modes!r} names {name!r}, not one of {valid}\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_grid_key_is_1(self, scenario_path, tmp_path, capsys):
         # Two axes on one key would both write it; the first axis's values
         # would run nowhere.
@@ -881,6 +911,25 @@ def reference_csv(columns):
     return buf.getvalue().encode()
 
 
+def throughput_rows(drop, modes):
+    """throughput.csv's columns as plain arrays, expanded from a run_drop
+    result over modes: one row per (mode, UE), mode-major, with a UE's DLI
+    in its FD-mode rows only."""
+    k, n = drop["throughput_bps"].shape
+    fd = np.array([Mode(m) in FD_MODES for m in modes]).reshape(k, 1)
+    return {
+        "mode": np.repeat([Mode(m).value for m in modes], n),
+        "ue_id": np.tile(np.arange(n), k),
+        "serving_cell": np.tile(drop["serving_cell"], k),
+        "beam": np.tile(drop["beam"], k),
+        "access_snr_db": np.tile(drop["access_snr_db"], k),
+        "access_sinr_db": drop["access_sinr_db"].ravel(),
+        "backhaul_sinr_db": drop["backhaul_sinr_db"].ravel(),
+        "dli_power_dbm": np.where(fd, drop["dli_power_dbm"], np.nan).ravel(),
+        "throughput_bps": drop["throughput_bps"].ravel(),
+    }
+
+
 SPECIAL_FLOATS = [
     0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310,
     1e300, -1e-300, 1e12, 123456789012.5, 0.1,
@@ -1031,16 +1080,16 @@ class TestWriteColumns:
 
     def test_owned_drop_is_let_go_column_by_column(self, tmp_path):
         # The writer owns the dict it is given and pops each column once its
-        # cell table exists, so the columns' bytes go as the tables come. On a
-        # 101x101 drop (5.45 MiB of columns) it peaks 0.3 MiB above what was
-        # traced at the call; holding the columns to the end took 4.8 MiB.
+        # cell table exists, so the columns' bytes go as the tables come. On the
+        # plain mode-major columns of a 101x101 drop (5.45 MiB) it peaks 0.3 MiB
+        # above what was traced at the call; holding them to the end took 4.8 MiB.
         data = apply_overrides(
             scenario_to_dict(default_scenario()), ["ue_grid.nx=101", "ue_grid.ny=101"]
         )
         scenario = scenario_from_dict(data)
         tracemalloc.start()
         try:
-            columns = run_drop(scenario, 0)  # the dict is the columns' only reference
+            columns = throughput_rows(run_drop(scenario, 0), ALL_MODES)  # their only reference
             total = sum(values.nbytes for values in columns.values())
             at_call = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -1051,10 +1100,11 @@ class TestWriteColumns:
         assert columns == {}
         assert peak - at_call < total / 4
 
-        # system-sim hands the drop over as lookups, and its copies of the
-        # first blocks free the drop's tiles. Each write of a 101x101 call
-        # peaks below what the drop's plain columns took: 7.21 MiB traced
-        # for throughput.csv and 5.12 MiB for cdf.csv (now 6.07 and 4.22 at seed 0).
+        # system-sim hands the drop over as lookups and keeps none of its
+        # arrays while it writes. Each write of a 101x101 call peaks below what
+        # plain mode-major columns took: 7.21 MiB traced for throughput.csv and
+        # 5.12 MiB for cdf.csv. Now 5.17 and 2.80 at seed 0; holding the drop's
+        # arrays through the writes took them to 6.88 and 5.10.
         peaks, write = {}, cli._write_columns
 
         def traced_write(path, columns):
@@ -1070,7 +1120,7 @@ class TestWriteColumns:
                 assert main(argv) == 0
         finally:
             tracemalloc.stop()
-        assert peaks["throughput.csv"] <= 7.2 * 2**20 and peaks["cdf.csv"] <= 5.1 * 2**20
+        assert peaks["throughput.csv"] <= 6.0 * 2**20 and peaks["cdf.csv"] <= 3.5 * 2**20
 
     def test_runs_of_strings_and_repeated_floats(self, tmp_path):
         columns = {
@@ -1189,7 +1239,8 @@ class TestLookupColumns:
 
 class TestSystemSimLookups:
     """system-sim hands the writer each per-UE value once, as lookups built
-    from run_drop's mode-major layout; it writes what the plain columns do."""
+    from run_drop's per-UE and per-mode arrays; it writes what the plain
+    mode-major columns do."""
 
     @pytest.mark.parametrize(
         "overrides, modes",
@@ -1219,33 +1270,24 @@ class TestSystemSimLookups:
         with mock.patch.object(cli, "_write_columns", write_columns):
             assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         scenario = scenario_from_dict(apply_overrides(read_scenario_file(SCENARIO), overrides))
-        cols = run_drop(scenario, 5, modes=modes)
-        k, n = len(names), cols["ue_id"].size // len(names)
+        drop = run_drop(scenario, 5, modes=modes)
+        k, n = drop["throughput_bps"].shape
+        assert k == len(names)
         # One access level per UE, plus the SINR with DLI of each relayed UE
         # once, however many FD modes share it.
         (level, snr_rows), (sinr_level, _) = handed
         fd = any(Mode(m) in FD_MODES for m in modes)
         assert sinr_level is level and snr_rows.tolist() == list(range(n)) * k
-        assert level.size == n + fd * int((cols["serving_cell"][:n] > 0).sum())
-        # The layout the lookups are built from: the mode-independent columns
-        # are tiles of their first block, and every mode's curve has the
-        # first mode's probabilities.
-        for name in ("ue_id", "serving_cell", "beam", "access_snr_db"):
-            assert cols[name].tobytes() == np.tile(cols[name][:n], k).tobytes(), name
-        # Every FD mode's DLI block is the same array; the other modes' are NaN.
-        fd = [Mode(m) in FD_MODES for m in modes]
-        dli = cols["dli_power_dbm"].reshape(k, n)
-        for block, is_fd in zip(dli, fd):
-            want = dli[fd.index(True)].tobytes() if is_fd else np.full(n, np.nan).tobytes()
-            assert block.tobytes() == want
-        curves = [cdf(block) for block in np.split(cols["throughput_bps"], k)]
+        assert level.size == n + fd * int((drop["serving_cell"] > 0).sum())
+        # Every mode's curve has n points, so the first mode's probabilities.
+        curves = [cdf(row) for row in drop["throughput_bps"]]
         assert all(np.array_equal(p, curves[0][1]) for _, p in curves)
         plain_cdf = {
             "mode": np.repeat(names, n),
             "throughput_bps": np.concatenate([v for v, _ in curves]),
             "cdf": np.concatenate([p for _, p in curves]),
         }
-        _write_columns(tmp_path / "throughput.csv", cols)
+        _write_columns(tmp_path / "throughput.csv", throughput_rows(drop, modes))
         _write_columns(tmp_path / "cdf.csv", plain_cdf)
         for name in ("throughput.csv", "cdf.csv"):
             assert read(out / name) == read(tmp_path / name), name

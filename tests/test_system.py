@@ -20,6 +20,7 @@ from fdiab.geometry import (
 )
 from fdiab.system import (
     ALL_MODES,
+    FD_MODES,
     Donor,
     IabNode,
     MCS_EFFICIENCIES_BPS_HZ,
@@ -62,9 +63,9 @@ def one_ue_grid(pos):
     return UeGrid(nx=1, ny=1, x_range=(x, x), y_range=(y, y), height_m=z)
 
 
-def per_mode(cols, field):
-    """{mode value: column of field over ue_id} for a run_drop result."""
-    return {m: cols[field][cols["mode"] == m] for m in np.unique(cols["mode"])}
+def per_mode(drop, field, modes=ALL_MODES):
+    """{mode value: row of field over ue_id} for a run_drop result over modes."""
+    return {Mode(m).value: row for m, row in zip(modes, drop[field])}
 
 
 def columns_equal(a, b):
@@ -507,7 +508,7 @@ class TestPropagationResidual:
         assert on_node_0.any()
         assert np.array_equal(after["serving_cell"], before["serving_cell"])
         assert np.array_equal(
-            after["backhaul_sinr_db"][on_node_0], before["backhaul_sinr_db"][on_node_0]
+            after["backhaul_sinr_db"][:, on_node_0], before["backhaul_sinr_db"][:, on_node_0]
         )
 
         # A stream that yields no taps gives every beam its reflection-free value.
@@ -565,11 +566,14 @@ class TestDli:
 
     def test_hd_mode_excludes_dli(self):
         sc = small_scenario()
-        cols = run_drop(sc, 1, modes=(Mode.HD,))
-        assert np.isnan(cols["dli_power_dbm"]).all()
-        relayed = cols["serving_cell"] > 0
+        drop = run_drop(sc, 1, modes=(Mode.HD,))
+        relayed = drop["serving_cell"] > 0
         assert relayed.any()
-        assert np.array_equal(cols["access_sinr_db"][relayed], cols["access_snr_db"][relayed])
+        # The drop reports the DLI each relayed UE would see; HD leaves it out.
+        assert np.isfinite(drop["dli_power_dbm"][relayed]).all()
+        assert np.isnan(drop["dli_power_dbm"][~relayed]).all()
+        (hd_sinr,) = drop["access_sinr_db"]
+        assert np.array_equal(hd_sinr[relayed], drop["access_snr_db"][relayed])
 
 
 class TestUeThroughput:
@@ -636,49 +640,59 @@ class TestRunDrop:
 
     def test_record_count_and_modes(self):
         sc = small_scenario()
-        cols = run_drop(sc, 1)
-        assert {len(c) for c in cols.values()} == {81 * len(ALL_MODES)}
-        # mode-major, ue_id-minor
-        assert cols["mode"].tolist() == [m.value for m in ALL_MODES for _ in range(81)]
-        assert cols["ue_id"].tolist() == list(range(81)) * len(ALL_MODES)
+        drop = run_drop(sc, 1)
+        per_ue = ("serving_cell", "beam", "access_snr_db", "dli_power_dbm")
+        per_mode_fields = ("access_sinr_db", "backhaul_sinr_db", "throughput_bps")
+        assert list(drop) == [*per_ue, *per_mode_fields]
+        assert {drop[f].shape for f in per_ue} == {(81,)}
+        # one row per mode, in the order asked for
+        assert {drop[f].shape for f in per_mode_fields} == {(len(ALL_MODES), 81)}
+        modes = (Mode.HD, Mode.FIBERED)
+        hd_first = run_drop(sc, 1, modes=modes)
+        for f in per_mode_fields:
+            want = drop[f][[ALL_MODES.index(m) for m in modes]]
+            assert np.array_equal(hd_first[f], want, equal_nan=True), f
 
     def test_empty_ue_set(self):
         sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=0, ny=0))
-        cols = run_drop(sc, 1)
-        assert cols.keys() == run_drop(small_scenario(), 1).keys()
-        assert all(len(c) == 0 for c in cols.values())
+        drop = run_drop(sc, 1)
+        assert drop.keys() == run_drop(small_scenario(), 1).keys()
+        assert all(c.shape[-1] == 0 for c in drop.values())
 
     @pytest.mark.parametrize("seed", [0, 7, 123456789])
     def test_matches_per_ue_reference(self, seed):
         sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=4, ny=3))
-        cols = run_drop(sc, seed)
+        drop = run_drop(sc, seed)
         serving, beam, access_rx, _, _ = schedule_drop(sc, seed)
         ues = sc.ue_grid.positions()
         assert (serving > 0).any() and (serving == 0).any()
-        fields = ("access_sinr_db", "backhaul_sinr_db", "dli_power_dbm", "throughput_bps")
         for k, mode in enumerate(ALL_MODES):
             for u in range(ues.shape[0]):
-                row = k * ues.shape[0] + u
                 expected = reference_row(
                     sc, seed, mode, int(serving[u]), int(beam[u]), float(access_rx[u]), ues[u], u
                 )
-                got = [None if np.isnan(cols[f][row]) else cols[f][row] for f in fields]
+                # The DLI is per UE and enters the FD modes only.
+                dli = drop["dli_power_dbm"][u] if mode in FD_MODES else np.nan
+                a_sinr, b_sinr, thr = (
+                    drop[f][k, u] for f in ("access_sinr_db", "backhaul_sinr_db", "throughput_bps")
+                )
+                got = [None if np.isnan(v) else v for v in (a_sinr, b_sinr, dli, thr)]
                 assert got == list(expected), (mode, u)
 
     def test_dominance_orderings(self):
         for seed in (0, 1):
             sc = small_scenario()
-            cols = run_drop(sc, seed)
-            d = per_mode(cols, "throughput_bps")
+            drop = run_drop(sc, seed)
+            d = per_mode(drop, "throughput_bps")
             assert np.all(d["fibered"] >= d["ideal_fd"])
             assert np.all(d["ideal_fd"] >= d["fd_full"])
             assert np.all(d["fd_full"] >= d["fd_prop_only"])
             # IdealFD >= HD except where the DLI knocked the access link
             # down an MCS step (the Fig. 5 DLI performance loss).
             loss = d["ideal_fd"] < d["hd"] - 1e-9
-            ideal = cols["mode"] == Mode.IDEAL_FD.value
-            c_clean = capacity_bps(cols["access_snr_db"][ideal][loss], sc.bandwidth_hz)
-            c_dli = capacity_bps(cols["access_sinr_db"][ideal][loss], sc.bandwidth_hz)
+            ideal = ALL_MODES.index(Mode.IDEAL_FD)
+            c_clean = capacity_bps(drop["access_snr_db"][loss], sc.bandwidth_hz)
+            c_dli = capacity_bps(drop["access_sinr_db"][ideal][loss], sc.bandwidth_hz)
             assert np.all(c_dli < c_clean)
 
     @settings(max_examples=25, deadline=None)
@@ -698,9 +712,9 @@ class TestRunDrop:
     def test_dli_gap_exists(self):
         # some relayed UEs with DLI above the floor lose throughput vs fibered
         sc = small_scenario()
-        cols = run_drop(sc, 2)
-        thr = per_mode(cols, "throughput_bps")
-        dli = per_mode(cols, "dli_power_dbm")["ideal_fd"]
+        drop = run_drop(sc, 2)
+        thr = per_mode(drop, "throughput_bps")
+        dli = drop["dli_power_dbm"]
         strong_dli = dli > sc.noise.floor_dbm  # False where NaN (not relayed)
         assert strong_dli.any()  # DLI-exposed UEs exist in the default layout
         # and the DLI gap shows for at least some of them
@@ -710,19 +724,20 @@ class TestRunDrop:
         sc = small_scenario(separation=0.1)
         hd, prop = [], []
         for seed in range(3):
-            d = per_mode(run_drop(sc, seed, modes=(Mode.HD, Mode.FD_PROP_ONLY)), "throughput_bps")
+            modes = (Mode.HD, Mode.FD_PROP_ONLY)
+            d = per_mode(run_drop(sc, seed, modes=modes), "throughput_bps", modes)
             hd.extend(d["hd"])
             prop.extend(d["fd_prop_only"])
         assert np.median(hd) > np.median(prop)
 
     def test_relayed_throughput_bounded_by_each_link(self):
         sc = small_scenario()
-        cols = run_drop(sc, 3, modes=(Mode.FD_PROP_ONLY,))
-        relayed = cols["serving_cell"] > 0
-        ca = capacity_bps(cols["access_sinr_db"][relayed], sc.bandwidth_hz)
-        cb = capacity_bps(cols["backhaul_sinr_db"][relayed], sc.bandwidth_hz)
-        assert np.all(cols["throughput_bps"][relayed] <= ca + 1e-9)
-        assert np.all(cols["throughput_bps"][relayed] <= cb + 1e-9)
+        drop = run_drop(sc, 3, modes=(Mode.FD_PROP_ONLY,))
+        relayed = drop["serving_cell"] > 0
+        ca = capacity_bps(drop["access_sinr_db"][0, relayed], sc.bandwidth_hz)
+        cb = capacity_bps(drop["backhaul_sinr_db"][0, relayed], sc.bandwidth_hz)
+        assert np.all(drop["throughput_bps"][0, relayed] <= ca + 1e-9)
+        assert np.all(drop["throughput_bps"][0, relayed] <= cb + 1e-9)
 
 
 class TestCdf:
