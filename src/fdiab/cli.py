@@ -8,18 +8,16 @@ Commands
 
 Every command hands its tables, as (file name, dict of numpy columns) pairs,
 to _write_outputs, which makes the output directory once the first table is
-ready and then writes a run.json sidecar with the fully resolved
-configuration, seed, tool version and the files written; a run that fails
-before its first table leaves no directory. Outputs are byte-identical for
-identical (scenario, seed, version), timestamp aside. Exit codes: 0 success,
-1 validation failure, 2 I/O failure. The link chain (fdiab.sic, and with it
-fdiab.ofdm) and fdiab.prototype are imported by the commands that run them.
+ready, writes them (csvtable) and then a run.json sidecar with the fully
+resolved configuration, seed, tool version and the files written; a run that
+fails before its first table leaves no directory. Outputs are byte-identical
+for identical (scenario, seed, version), timestamp aside. Exit codes: 0
+success, 1 validation failure, 2 I/O failure. Only the commands that run the
+link chain (fdiab.sic, fdiab.ofdm) or fdiab.prototype import them.
 """
 
 import argparse
-import csv
 import datetime
-import io
 import itertools
 import json
 import math
@@ -29,8 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__
-from .numtext import PAD, number_cells
+from . import __version__, csvtable
 from .scenario import (
     ScenarioError,
     apply_overrides,
@@ -63,132 +60,6 @@ class RunConfig:
     overrides: tuple
 
 
-CSV_CHUNK_ROWS = 8192
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
-def _csv_cell(text):
-    """text as the csv module writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
-def _distinct(keys):
-    """(sorted distinct values of keys, int32 index of each key's value);
-    floats are keyed on their bit pattern.
-
-    One argsort ranks the keys, a key's rank counting the changes in the
-    sorted keys up to it; a column whose runs of equal keys at least halve it
-    is ranked by the runs' heads.
-    """
-    n = keys.size
-    bits = keys.view(np.uint64) if keys.dtype.kind == "f" else keys
-    changes = np.ones(n, bool)
-    changes[1:] = bits[1:] != bits[:-1]
-    heads = np.flatnonzero(changes)
-    if 0 < 2 * heads.size <= n:
-        uniq, index = _distinct(keys[heads])
-        return uniq, np.repeat(index, np.diff(np.append(heads, n)))
-    order = bits.argsort()
-    ranked = bits[order]
-    changes[1:] = ranked[1:] != ranked[:-1]
-    index = np.empty(n, np.int32)
-    index[order] = np.cumsum(changes, dtype=np.int32) - 1
-    return ranked[changes].view(keys.dtype), index
-
-
-def _lookup(name, column, n_rows):
-    """(values, rows or None) of column, an array or a (values, rows) lookup of
-    n_rows rows (None: any); a TypeError or ValueError names a bad column."""
-    values, rows = column if isinstance(column, tuple) and len(column) == 2 else (column, None)
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
-    if kind not in ("b", "i", "u", "f", "U"):
-        got = f"dtype {values.dtype}" if kind else type(values).__name__
-        raise TypeError(
-            f"column {name!r}: expected a numpy bool, int, float or str array, got {got}"
-        )
-    if values.ndim != 1 or rows is not None and not (
-        isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 1
-        and (not rows.size or 0 <= rows.min() and rows.max() < values.size)
-    ):
-        raise ValueError(f"column {name!r}: needs 1-D values and 1-D rows in [0, {values.size})")
-    if n_rows not in (None, len(values if rows is None else rows)):
-        raise ValueError(f"column {name!r}: expected {n_rows} rows, as the first column has")
-    return values, rows
-
-
-def _column_cells(values, sep):
-    """A column's values as ((n, width) uint8 table of their n distinct cells
-    in UTF-8, each padded with PAD and followed by the one-byte sep, int32
-    index of each value's cell).
-
-    Each distinct value is formatted once; floats are keyed on their bit
-    pattern, so -0.0 stays "-0", and NaN marks an absent value (an empty
-    cell). Numbers go to numtext.number_cells, text through the csv module.
-    """
-    kind = values.dtype.kind
-    if kind in ("i", "u", "f"):
-        uniq, index = _distinct(np.ascontiguousarray(values, np.float64) if kind == "f" else values)
-        return number_cells(uniq, sep), index
-    uniq, index = _distinct(values)
-    raw = [c.encode() for c in map(_fmt if kind == "b" else _csv_cell, uniq.tolist())]
-    width = max(map(len, raw), default=0)
-    padded = b"".join(r.ljust(width, b"\xff") + sep for r in raw)
-    return np.frombuffer(padded, np.uint8).reshape(len(raw), width + 1), index
-
-
-def _write_columns(path, columns):
-    """CSV from a dict of equal-length columns, in the dict's order, with the
-    bytes csv.writer(lineterminator="\n") would write, in UTF-8.
-
-    A column is an array or a (values, rows) lookup that writes values[rows],
-    checked before the file is opened; lookups of one values object and one
-    separator share one cell table, so each value is formatted once.
-    Each chunk of CSV_CHUNK_ROWS rows is gathered from the columns' byte
-    tables into one padded block, every cell at a fixed offset, and written
-    with the padding dropped. Chunks bound the peak: a block for the whole
-    table would be several times the size of the text it holds. The writer
-    owns columns and lets each go once its cell table exists: callers take what
-    they need from the dict first.
-    """
-    header = (",".join(map(_csv_cell, columns)) + "\n").encode()
-    shared, table, n_rows = {}, [], None  # keys: id(values); the dict held all values at once
-    for name, sep in zip(list(columns), [b","] * (len(columns) - 1) + [b"\n"]):
-        values, rows = _lookup(name, columns.pop(name), n_rows)
-        n_rows = len(values if rows is None else rows)
-        if (id(values), sep) not in shared:
-            shared[id(values), sep] = _column_cells(values, sep)
-        table.append((*shared[id(values), sep], rows))
-    del values  # the values go with the last column that reads them
-    if len(table) == 1:  # a lone empty field is written quoted
-        cells = np.pad(table[0][0], ((0, 0), (2, 0)), constant_values=PAD)
-        cells[(cells[:, 2:-1] == PAD).all(axis=1), :2] = ord('"')
-        table[0] = cells, *table[0][1:]
-    widths = [cells.shape[1] for cells, _, _ in table]
-    block = np.empty((min(CSV_CHUNK_ROWS, n_rows), sum(widths)), np.uint8)
-    # Each cell as one void item, so a gather copies whole cells.
-    slots = [block[:, e - w : e].view(f"V{w}")[:, 0] for w, e in zip(widths, np.cumsum(widths))]
-    table = [(cells.view(f"V{w}")[:, 0], *rest) for w, (cells, *rest) in zip(widths, table)]
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            hi = min(lo + CSV_CHUNK_ROWS, n_rows)
-            for slot, (cells, inner, rows) in zip(slots, table):
-                index = inner[lo:hi] if rows is None else inner[rows[lo:hi]]
-                slot[: hi - lo] = cells.take(index.astype(np.intp))
-            fh.write(block[: hi - lo].tobytes().translate(None, b"\xff"))
-
-
 def _write_outputs(cfg, resolved_scenario, tables, **arguments):
     """Write each (file name, columns) pair of tables as a CSV in
     cfg.output_dir, then the run.json sidecar, whose outputs are the names
@@ -202,7 +73,7 @@ def _write_outputs(cfg, resolved_scenario, tables, **arguments):
     for name, columns in tables:
         if not outputs:
             os.makedirs(cfg.output_dir, exist_ok=True)
-        _write_columns(os.path.join(cfg.output_dir, name), columns)
+        csvtable.write_columns(os.path.join(cfg.output_dir, name), columns)
         outputs.append(name)
     sidecar = {
         "tool": "fdiab",
@@ -338,8 +209,11 @@ def _parse_grid(specs):
         if "=" not in spec:
             raise ScenarioError(f"grid {spec!r}", "expected key=v1,v2,...")
         key, raw = spec.split("=", 1)
-        if any(k == key for k, _ in grid):
-            raise ScenarioError("", f"--grid repeats key {key!r}")
+        for other, _ in grid:  # overlap: over the shorter key, each segment pair is equal or *
+            if other == key:
+                raise ScenarioError("", f"--grid repeats key {key!r}")
+            if all(a == b or "*" in (a, b) for a, b in zip(key.split("."), other.split("."))):
+                raise ScenarioError("", f"--grid keys {other!r} and {key!r} overlap")
         values = []
         for part in raw.split(","):
             try:
@@ -406,7 +280,7 @@ def cmd_sweep(cfg, grid_specs, drops):
     cell, drop, node = np.array(rows, int).reshape(-1, 3).T
     columns = {"cell": cell, "drop": drop}
     for j, (key, _) in enumerate(grid):
-        columns[key] = np.array([_fmt(cells[ci][j][1]) for ci in cell.tolist()], str)
+        columns[key] = np.array([csvtable.format_value(c[j][1]) for c in cells], str)[cell]
     row_seeds = [seeds[d, ni] for _, d, ni in rows]
     columns.update(_reduction_columns(node, row_seeds, [reports[r] for r in rows]))
     tables = [("sweep.csv", columns)]

@@ -186,18 +186,23 @@ def _fit_samples(x, cfg, alignment):
     return symbol_rows(x, cfg)[..., cfg.cp_len : cfg.symbol_len - alignment]
 
 
+def _check_window(memory, align, cfg, path="memory_len"):
+    """The reach of memory taps at alignment align that fit an OFDM symbol of
+    layout cfg: at most its CP, and at most fft_size taps; a FieldError at path
+    otherwise."""
+    reach = memory - 1 - align
+    if reach > cfg.cp_len or memory > cfg.fft_size:
+        msg = f"reach {reach} samples back; a symbol allows {cfg.cp_len} (its CP) and at most"
+        raise FieldError(path, f"{memory} taps at alignment {align} {msg} {cfg.fft_size} taps")
+    return reach
+
+
 def _check_frame(tx, cfg, memory_len, alignment):
     """Raise unless every tap of the fit's samples is a circular shift within
     its symbol: a tap may reach back into the CP, which must then repeat the
     symbol's tail bit for bit."""
     rows = symbol_rows(tx, cfg, "tx_baseband")
-    reach = memory_len - 1 - alignment
-    if reach > cfg.cp_len or memory_len > cfg.fft_size:
-        raise ValueError(
-            f"memory_len: {memory_len} taps at alignment {alignment} reach {reach} samples back; "
-            f"a symbol allows {cfg.cp_len} (its CP) and at most {cfg.fft_size} taps"
-        )
-    first = cfg.cp_len - reach  # the first CP sample a tap reads
+    first = cfg.cp_len - _check_window(memory_len, alignment, cfg)  # the first CP sample read
     if not np.array_equal(rows[..., first : cfg.cp_len], rows[..., first + cfg.fft_size :]):
         raise ValueError("tx_baseband: a CP differs from its symbol's tail within the taps' reach")
 
@@ -376,12 +381,14 @@ class LinkChainParams:
         if self.analog_mode != "off" and self.n_pilot_symbols < 1:
             msg = f"must be >= 1 unless analog_mode is off, got {self.n_pilot_symbols}"
             raise FieldError("n_pilot_symbols", msg)
-        if self.hammerstein_alignment >= self.hammerstein_memory:
-            msg = f"must be < hammerstein_memory {self.hammerstein_memory}"
-            raise FieldError("hammerstein_alignment", f"{msg}, got {self.hammerstein_alignment}")
+        memory, align = self.hammerstein_memory, self.hammerstein_alignment
+        if align >= memory:
+            msg = f"must be < hammerstein_memory {memory}, got {align}"
+            raise FieldError("hammerstein_alignment", msg)
+        _check_window(memory, align, self.ofdm, "hammerstein_memory")
         n_train = self.n_pilot_symbols + self.n_data_symbols
-        n_samples = n_train * (self.ofdm.fft_size - self.hammerstein_alignment)
-        n_unknowns = len(self.hammerstein_orders) * self.hammerstein_memory
+        n_samples = n_train * (self.ofdm.fft_size - align)
+        n_unknowns = len(self.hammerstein_orders) * memory
         if n_samples < n_unknowns:
             msg = f"{n_train} training symbols give the fit {n_samples} samples"
             raise FieldError("n_data_symbols", f"{msg} for {n_unknowns} unknowns")

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -81,6 +82,31 @@ def test_a_command_loads_only_the_layers_it_runs(argv, needs, never, tmp_path):
     modules = set(json.loads(modules))
     assert needs <= modules
     assert not never & modules
+
+
+# CPython's parser grows its token array in steps of 4,096 tokens: cli.py past
+# the step raised the compile peak of every fresh process by about 0.23 MiB.
+PARSER_TOKEN_STEP = 4096
+
+
+def parser_tokens(path):
+    """The tokens the parser reads of a module: tokenize's, less comments and
+    non-logical newlines."""
+    with open(path) as fh:
+        tokens = tokenize.generate_tokens(fh.readline)
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+
+
+def test_system_sim_modules_stay_under_the_parser_token_step(tmp_path):
+    argv = ["system-sim", *RUN, "--set", "ue_grid.nx=2", "--set", "ue_grid.ny=2"]
+    res = fresh(["-c", LOAD, json.dumps([a.format(out=tmp_path / "o") for a in argv]), SCENARIO])
+    assert res.returncode == 0, res.stderr
+    modules = ["fdiab", *json.loads(res.stdout.splitlines()[-1])]
+    assert {"fdiab.cli", "fdiab.csvtable", "fdiab.system", "fdiab.util"} <= set(modules)
+    paths = {m: os.path.join(SRC, *m.split(".")) + ".py" for m in modules}
+    paths["fdiab"] = os.path.join(SRC, "fdiab", "__init__.py")
+    tokens = {m: parser_tokens(path) for m, path in paths.items()}
+    assert {m: n for m, n in tokens.items() if n >= PARSER_TOKEN_STEP} == {}
 
 
 def test_public_names_are_their_submodules_objects(monkeypatch):

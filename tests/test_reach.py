@@ -3,7 +3,7 @@
 link-sim, system-sim on a 5x5 and a 46x46 grid, a 2-cell sweep,
 compare-prototype and one rejected sweep run in-process under sys.setprofile.
 The 46x46 drop's 2,116 UEs put its ue_id and SNR columns past
-numtext.CROSSOVER, so the writer's numpy kernel runs for ints and floats. A
+csvtable.CROSSOVER, so the writer's numpy kernel runs for ints and floats. A
 function that none of them calls is a second route into math the commands
 reach some other way, kept alive by its tests; it goes, or it goes on
 UNREACHED_BY_DESIGN with its reason.

@@ -880,6 +880,11 @@ class TestLinkChainParamsBounds:
             ("hammerstein_orders", (3, 1)),
             ("hammerstein_orders", ()),
             ("hammerstein_orders", [1, 3, 5]),  # a list would not hash as a frame key
+            # A tap window the OFDM symbol cannot hold, before the chain runs:
+            # 200 taps at alignment 8 reach 191 samples back, past the 140-sample
+            # CP; 2,000 taps at alignment 1,500 outspan the 1,024-point symbol.
+            ("hammerstein_memory", 200),
+            ("hammerstein_memory", dict(hammerstein_memory=2000, hammerstein_alignment=1500)),
             ("analog_mode", "x"),
         ],
     )
@@ -909,6 +914,8 @@ class TestLinkChainParamsBounds:
             ridge=0.0,
         )
         LinkChainParams(1.0, hammerstein_memory=1, hammerstein_alignment=0)
+        # 149 taps at alignment 8 reach 140 samples back: the whole CP.
+        LinkChainParams(1.0, hammerstein_memory=149)
         # As many fit samples as unknowns: 12 for 2 orders x 6 taps.
         LinkChainParams(1.0, **TINY_FRAME, hammerstein_orders=(1, 3))
 
