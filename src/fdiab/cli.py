@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__, csvtable
+from .geometry import SiGeometry, direct_si_taps, si_channel
 from .scenario import (
     ScenarioError,
     apply_overrides,
@@ -36,10 +37,9 @@ from .scenario import (
     scenario_to_dict,
 )
 from .system import (
-    ALL_MODES, FD_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, node_si_taps,
-    run_drop,
+    ALL_MODES, FD_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop,
 )
-from .util import SPEED_OF_LIGHT, FieldError, substream
+from .util import SPEED_OF_LIGHT, FieldError, substream, under
 
 REDUCTION_COLUMNS = (
     "node", "antenna_separation_m", "seed", "tx_power_dbm", "after_propagation_dbm",
@@ -100,13 +100,13 @@ def _load_with_overrides(cfg):
 
 def chain_for_node(scenario, i):
     """(LinkChainParams, si_taps) of IAB node i's link chain, where
-    si_taps(seed) draws the chain's SI channel at seed (system.node_si_taps)
-    with the DU looking into its access sector at the codebook's center
-    elevation and the reflections drawn from
+    si_taps(seed) draws the chain's SI channel at seed as system.node_si_taps
+    does, with the DU looking into its access sector at the codebook's center
+    elevation: the direct tap, evaluated here once, then reflections from
     substream(substream(seed, "si-channel").integers(2**63), "si-reflections").
-    A separation or reflectors that could put a tap past the cyclic prefix are
-    rejected before any draw: the chain applies its channel circularly per
-    OFDM symbol."""
+    A separation or reflectors that could put a tap past the cyclic prefix
+    (the chain applies its channel circularly per OFDM symbol), or a direct
+    tap of no power, are rejected before any draw."""
     from .sic import LinkChainParams
 
     node, reflectors = scenario.iab_nodes[i], scenario.reflectors
@@ -124,10 +124,13 @@ def chain_for_node(scenario, i):
             f"{params.ofdm.cp_duration_s:.4g} s cyclic prefix"
         )
     du_dirs = direction_from_angles(scenario.sector_center_az(node), SECTOR_CENTER_EL_DEG)[None]
+    geom = SiGeometry(node.antenna_separation_m, du_dirs, scenario.mt_boresight(node))
+    f = scenario.carrier_freq_hz
+    (tap,) = under(f"iab_nodes[{i}]", direct_si_taps, geom, node.pattern, node.pattern, f)
 
     def si_taps(seed):
         rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
-        return node_si_taps(scenario, i, du_dirs, rng)[0]
+        return si_channel(tap, reflectors, rng)
 
     return params, si_taps
 
@@ -270,7 +273,7 @@ def cmd_sweep(cfg, grid_specs, drops):
         for d in range(drops)
         for ni in range(len(chains))
     ]
-    seeds = {(d, ni): _node_seed(cfg.seed, "sweep", d, ni) for _, d, ni in rows}
+    seeds = {k: _node_seed(cfg.seed, "sweep", *k) for k in dict.fromkeys(r[1:] for r in rows)}
     reports = {}
     for (d, ni), seed in seeds.items():  # one run_link_chains call per (drop, node)
         cis = [ci for ci, node_chains in enumerate(cell_chains) if ni < len(node_chains)]

@@ -99,7 +99,9 @@ def modulate(grid, cfg):
     grid = _as_grid(grid, cfg)
     scale = cfg.fft_size / np.sqrt(cfg.active_subcarriers)
     spectrum = np.zeros(grid.shape[:-1] + (cfg.fft_size,), dtype=complex)
-    spectrum[..., cfg.active_bins()] = grid
+    half = cfg.active_subcarriers // 2  # active_bins: the negative half, then the positive
+    spectrum[..., cfg.fft_size - half :] = grid[..., :half]
+    spectrum[..., 1 : half + 1] = grid[..., half:]
     return join_with_cp(np.fft.ifft(spectrum, axis=-1) * scale, cfg)
 
 
@@ -151,11 +153,12 @@ def estimate_channel_ls(rx_grid, pilot_grid):
     return np.mean(rx / pilots, axis=0)
 
 
+_QPSK = ((np.arange(4) // 2 * 2 - 1) + 1j * (np.arange(4) % 2 * 2 - 1)) / np.sqrt(2.0)
+
+
 def qpsk_symbols(rng, shape):
-    """Unit-power QPSK points drawn uniformly."""
-    re = rng.integers(0, 2, size=shape) * 2 - 1
-    im = rng.integers(0, 2, size=shape) * 2 - 1
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Unit-power QPSK points drawn uniformly: _QPSK[2 * re + im] of 0/1 draws re, then im."""
+    return _QPSK[rng.integers(0, 2, size=shape) * 2 + rng.integers(0, 2, size=shape)]
 
 
 def build_frame(cfg, n_symbols, rng):

@@ -113,7 +113,7 @@ def adc_quantize(samples, adc, scale=None):
     rails += 0.5
     rails *= step
     np.clip(rails, -top, top, out=rails)
-    u /= scale
+    rails *= 1.0 / scale  # u /= scale's bits: numpy's complex / real multiplies by 1 / real
     return u, scale
 
 

@@ -462,15 +462,15 @@ class ReductionReport:
 def _send_frame(params, n_symbols, seed, part, ridge=None):
     """The DU's frame part of seed as the chains that share it read it:
     (PA output power over the fit's samples, symbol_spectra of the PA output,
-    thermal noise, HammersteinRegressors of the tx baseband, with the Gram if
-    ridge is given). Every draw comes from substream(seed, "frame-" + part)
-    and substream(seed, "noise-" + part); the noise is drawn once the
-    time-domain frame is let go, to bound the peak."""
+    thermal noise, HammersteinRegressors of the tx baseband), with the power
+    and the Gram if ridge is given, else None and no Gram. Every draw comes from
+    substream(seed, "frame-" + part) and substream(seed, "noise-" + part); the
+    noise is drawn once the time-domain frame is let go, to bound the peak."""
     cfg, align = params.ofdm, params.hammerstein_alignment
     tx = build_frame(cfg, n_symbols, substream(seed, "frame-" + part))
     tx *= np.sqrt(dbm_to_watt(params.pa.input_p1db_dbm - params.input_backoff_db))
     pa_out = pa_apply(tx, params.pa)
-    power_dbm = mean_power_dbm(_fit_samples(pa_out, cfg, align))
+    power_dbm = None if ridge is None else mean_power_dbm(_fit_samples(pa_out, cfg, align))
     pa_spectra = symbol_spectra(pa_out, cfg)
     del pa_out
     orders, memory = params.hammerstein_orders, params.hammerstein_memory
@@ -479,6 +479,16 @@ def _send_frame(params, n_symbols, seed, part, ridge=None):
     del tx
     noise = thermal_noise(n_samples, params.noise, substream(seed, "noise-" + part))
     return power_dbm, pa_spectra, noise, reg
+
+
+def _si_bins(delays, gains, cfg):
+    """exp(-2j pi f delays) @ gains over the FFT bins f of cfg. Past bin n/2 a ramp is its mirror's
+    conjugate: the same bits, as fftfreq negates f exactly and exp(-iy) is conj(exp(iy))."""
+    n, h = cfg.fft_size, cfg.fft_size // 2 + 1
+    ramps = np.empty((n, delays.size), dtype=complex)
+    ramps[:h] = np.exp(-2j * np.pi * np.outer(cfg.bin_freqs_hz()[:h], delays))
+    ramps[h:] = ramps[n - h : 0 : -1].conj()
+    return ramps @ gains
 
 
 def _checked_taps(si_taps, params):
@@ -517,9 +527,7 @@ class _Link:
         cfg = self.params.ofdm
         rx = noise
         if self.si_taps is not None:
-            delays, gains = self.si_taps
-            h_bins = np.exp(-2j * np.pi * np.outer(cfg.bin_freqs_hz(), delays)) @ gains
-            rx = apply_frequency_response(pa_spectra, h_bins, cfg)
+            rx = apply_frequency_response(pa_spectra, _si_bins(*self.si_taps, cfg), cfg)
             rx += noise
         if self.two_tap is not None:
             rx = apply_analog_canceller(pa_spectra, rx, self.two_tap, cfg)

@@ -606,6 +606,27 @@ class TestExitCodes:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_sweep_cell_leaving_the_si_channel_no_power_is_1_before_any_chain(
+        self, scenario_path, tmp_path, capsys, monkeypatch
+    ):
+        # Node 1's direct tap underflows in the second cell alone. Each cell's
+        # direct taps are evaluated as its chain inputs are built, so the sweep
+        # fails there, before any chain runs (patched as in the CP case above).
+        chains = mock.Mock(side_effect=sic.run_link_chains)
+        monkeypatch.setattr(sic, "run_link_chains", chains)
+        rc = main(
+            ["sweep", "--scenario", scenario_path, "--seed", "0", "--out", str(tmp_path / "o"),
+             "--set", "iab_nodes.1.pattern.beamwidth_3db_deg=0.01",
+             "--grid", "iab_nodes.1.pattern.sidelobe_floor_dbi=-10,-10000"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "fdiab: iab_nodes[1].pattern: gives the direct SI path -2.006e+04 dB,"
+            " which carries no power\n"
+        )
+        assert not (tmp_path / "o").exists()
+        assert chains.call_count == 0
+
     @pytest.mark.parametrize(
         "command, flag, value, carrier",
         [

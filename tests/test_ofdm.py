@@ -202,6 +202,18 @@ class TestFrame:
         assert samples.size == 4 * CFG.symbol_len
         assert np.max(np.abs(demodulate(samples, CFG) - grid)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(4, 792), (7,), (2, 0)])
+    def test_qpsk_points_are_the_division_of_the_same_draws(self, shape):
+        """Bit for bit the points (+-1 +- 1j) / sqrt(2) of the in-phase, then
+        the quadrature draws, with the Generator left in the same state."""
+        rng, ref = substream(5, "qpsk"), substream(5, "qpsk")
+        re, im = ref.integers(0, 2, size=shape), ref.integers(0, 2, size=shape)
+        want = ((re * 2 - 1) + 1j * (im * 2 - 1)) / np.sqrt(2.0)
+        got = qpsk_symbols(rng, shape)
+        assert got.shape == shape and got.dtype == complex
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestZeroCp:
     """Without a CP a symbol is its useful part alone."""

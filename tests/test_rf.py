@@ -93,6 +93,28 @@ class TestAdc:
         z, _ = adc_quantize(y, adc, scale=scale)
         assert np.array_equal(y, z)
 
+    @pytest.mark.parametrize("louder_db", [None, 0.0, 12.0], ids=["agc", "agc-scale", "clipping"])
+    def test_rescale_is_the_division_by_the_scale_bit_for_bit(self, louder_db):
+        """The rails come back in input units exactly as u /= scale puts them,
+        with the AGC's own scale or one given (louder_db above it, clipping)."""
+        adc = AdcModel()
+        rng = substream(6, "adc-rescale")
+        x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        x *= 10 ** rng.uniform(-3, 1, 4096)
+        scale = None if louder_db is None else adc_quantize(x, adc)[1] * 10 ** (louder_db / 20)
+        y, applied = adc_quantize(x, adc, scale=scale)
+        u = x * applied
+        rails = u.view(np.float64)
+        rails /= adc.step
+        np.floor(rails, out=rails)
+        rails += 0.5
+        rails *= adc.step
+        top = adc.full_scale_amplitude - adc.step / 2.0
+        np.clip(rails, -top, top, out=rails)
+        u /= applied
+        assert scale is None or applied == scale
+        assert np.array_equal(y.view(np.uint64), u.view(np.uint64))
+
     def test_zero_input_bypass(self):
         y, scale = adc_quantize(np.zeros(16, dtype=complex), AdcModel())
         assert np.all(y == 0) and scale == 1.0

@@ -712,6 +712,23 @@ def bins_spread_db(taps, cfg):
     return bins_db, np.max(np.abs(bins_db - total_gain_db(gains)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(fft_size=st.sampled_from([64, 1023, 1024]), data=st.data())
+def test_si_bins_equal_every_bins_own_ramps_bit_for_bit(fft_size, data):
+    """The SI response from bins 0..n/2 and their conjugates is the response
+    of every bin's own phase ramps, for 1-13 taps anywhere inside the CP, at
+    an even and an odd FFT size (which has no Nyquist bin)."""
+    cfg = OfdmConfig(fft_size, 48, data.draw(st.integers(1, fft_size - 1)))
+    k = data.draw(st.integers(1, 13))
+    in_cp = st.floats(0.0, cfg.cp_duration_s, exclude_max=True)
+    delays = np.sort(data.draw(st.lists(in_cp, min_size=k, max_size=k)))
+    gain = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    gains = np.array(data.draw(st.lists(gain, min_size=k, max_size=k)), complex)
+    want = np.exp(-2j * np.pi * np.outer(cfg.bin_freqs_hz(), delays)) @ gains
+    got = fdiab.sic._si_bins(delays, gains, cfg)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_chain_on_a_drop_beam_matches_its_propagation_residual(seed):
     """The two levels on one channel: beam b of node i in the drop at seed,
