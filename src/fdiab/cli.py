@@ -1,7 +1,7 @@
 """Command-line runner: scenario ingestion, experiment orchestration, CSV output.
 
 Commands
-    link-sim           per-node SI reduction chain -> reduction.csv
+    link-sim           per-node SI reduction chain, sweep's one-cell, one-drop case -> reduction.csv
     system-sim         throughput drop over all modes -> throughput.csv, cdf.csv
     sweep              link chains over a parameter grid -> sweep.csv
     compare-prototype  simulated vs measured suppression -> compare_prototype.csv
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__, csvtable
-from .geometry import SiGeometry, direct_si_taps, si_channel
+from .geometry import si_channel
 from .scenario import (
     ScenarioError,
     apply_overrides,
@@ -36,10 +36,8 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .system import (
-    ALL_MODES, FD_MODES, Mode, SECTOR_CENTER_EL_DEG, cdf, direction_from_angles, run_drop,
-)
-from .util import SPEED_OF_LIGHT, FieldError, substream, under
+from .system import ALL_MODES, FD_MODES, Mode, cdf, node_direct_taps, run_drop
+from .util import SPEED_OF_LIGHT, FieldError, substream
 
 REDUCTION_COLUMNS = (
     "node", "antenna_separation_m", "seed", "tx_power_dbm", "after_propagation_dbm",
@@ -100,13 +98,12 @@ def _load_with_overrides(cfg):
 
 def chain_for_node(scenario, i):
     """(LinkChainParams, si_taps) of IAB node i's link chain, where
-    si_taps(seed) draws the chain's SI channel at seed as system.node_si_taps
-    does, with the DU looking into its access sector at the codebook's center
-    elevation: the direct tap, evaluated here once, then reflections from
-    substream(substream(seed, "si-channel").integers(2**63), "si-reflections").
-    A separation or reflectors that could put a tap past the cyclic prefix
-    (the chain applies its channel circularly per OFDM symbol), or a direct
-    tap of no power, are rejected before any draw."""
+    si_taps(seed) draws the SI channel of the node's first codebook beam in
+    the drop at seed: si_channel of its direct tap, evaluated here once, on
+    the node's drop stream substream(seed, "si", i), which that beam reads
+    first (system.node_si_taps). A separation or reflectors that could put a
+    tap past the cyclic prefix (the chain applies its channel circularly per
+    OFDM symbol), or a direct tap of no power, are rejected before any draw."""
     from .sic import LinkChainParams
 
     node, reflectors = scenario.iab_nodes[i], scenario.reflectors
@@ -123,14 +120,10 @@ def chain_for_node(scenario, i):
             f"{field} lets SI taps arrive up to {latest:.4g} s after transmission, past the "
             f"{params.ofdm.cp_duration_s:.4g} s cyclic prefix"
         )
-    du_dirs = direction_from_angles(scenario.sector_center_az(node), SECTOR_CENTER_EL_DEG)[None]
-    geom = SiGeometry(node.antenna_separation_m, du_dirs, scenario.mt_boresight(node))
-    f = scenario.carrier_freq_hz
-    (tap,) = under(f"iab_nodes[{i}]", direct_si_taps, geom, node.pattern, node.pattern, f)
+    tap = node_direct_taps(scenario, i, scenario.codebook(node))[0]
 
     def si_taps(seed):
-        rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
-        return si_channel(tap, reflectors, rng)
+        return si_channel(tap, reflectors, substream(seed, "si", i))
 
     return params, si_taps
 
@@ -157,15 +150,11 @@ def _reduction_columns(nodes, seeds, reports):
 
 
 def cmd_link_sim(cfg):
-    from .sic import run_link_chain
-
-    _, scenario = _load_with_overrides(cfg)
-    nodes = range(len(scenario.iab_nodes))
-    chains = [chain_for_node(scenario, i) for i in nodes]
-    seeds = [_node_seed(cfg.seed, "link", i) for i in nodes]
-    reports = [run_link_chain(p, si_taps(seed), seed) for (p, si_taps), seed in zip(chains, seeds)]
-    tables = [("reduction.csv", _reduction_columns(nodes, seeds, reports))]
-    _write_outputs(cfg, scenario_to_dict(scenario), tables)
+    """reduction.csv: the rows of a sweep with no grid and one drop, less
+    their cell and drop columns."""
+    scenario, _, columns = _sweep(cfg, [], 1)
+    del columns["cell"], columns["drop"]
+    _write_outputs(cfg, scenario_to_dict(scenario), [("reduction.csv", columns)])
     return 0
 
 
@@ -233,9 +222,9 @@ def _parse_grid(specs):
 MAX_SWEEP_CHAINS = 2 * 2**30 // (8 * 1024)
 
 
-def cmd_sweep(cfg, grid_specs, drops):
-    """sweep.csv: every node of every grid cell over drops seeded drops, rows
-    in (cell, drop, node) order.
+def _sweep(cfg, grid_specs, drops):
+    """(scenario, grid, columns of sweep.csv): every node of every grid cell
+    over drops seeded drops, rows in (cell, drop, node) order.
 
     Node i of drop d is seeded from substream(seed, "sweep", d, i) in every
     cell, so a drop compares its cells on common random numbers, and each
@@ -286,6 +275,11 @@ def cmd_sweep(cfg, grid_specs, drops):
         columns[key] = np.array([csvtable.format_value(c[j][1]) for c in cells], str)[cell]
     row_seeds = [seeds[d, ni] for _, d, ni in rows]
     columns.update(_reduction_columns(node, row_seeds, [reports[r] for r in rows]))
+    return scenario, grid, columns
+
+
+def cmd_sweep(cfg, grid_specs, drops):
+    scenario, grid, columns = _sweep(cfg, grid_specs, drops)
     tables = [("sweep.csv", columns)]
     _write_outputs(cfg, scenario_to_dict(scenario), tables, grid=grid, drops=drops)
     return 0

@@ -1,11 +1,10 @@
-"""Reference dataset from the 28 GHz rooftop measurement campaign and the
+"""The 28 GHz rooftop measurement campaign's mean suppressions and the
 comparison run against the simulated propagation-only chain.
 
-Only the three per-separation mean suppressions are measured ground truth;
-the per-azimuth rows are reconstructed to match those means exactly with a
-qualitative +-8 dB spread, and every row carries a reconstructed flag.
-The measurement environment (surrounding reflectors, absorbing mast) differs
-from the simulated one, so the report makes no pass/fail claim.
+Only the three per-separation mean suppressions are measured, so the
+comparison sets the simulated per-azimuth values beside them only through
+their means. The measurement environment (surrounding reflectors, absorbing
+mast) differs from the simulated one, so the report makes no pass/fail claim.
 """
 
 import numpy as np
@@ -17,7 +16,7 @@ from .util import substream
 
 # Measured mean propagation-domain SI suppression per antenna separation.
 PAPER_MEAN_SUPPRESSION_DB = {2.0: 100.125, 1.0: 97.26, 0.1: 82.18}
-_SEPARATIONS_M = sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True)  # the datasets' row order
+_SEPARATIONS_M = sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True)  # compare_prototype.csv's order
 
 # Lens antennas used on the prototype.
 PROTOTYPE_PATTERN = AntennaPattern(
@@ -25,29 +24,6 @@ PROTOTYPE_PATTERN = AntennaPattern(
 )
 
 _AZIMUTHS_DEG = tuple(float(a) for a in range(-180, 180, 10))  # 36 points
-_DATASET_SEED = 20260408
-_MAX_SPREAD_DB = 8.0
-
-
-def reference_dataset():
-    """Shipped per-azimuth dataset as columns of compare_prototype.csv:
-    separation_m, relative_azimuth_deg, measured_suppression_db and
-    reconstructed, one row per (separation, azimuth). Per-separation means
-    equal the measured values to double precision because the spread comes
-    in exact +-pairs."""
-    measured = []
-    for sep in _SEPARATIONS_M:
-        rng = substream(_DATASET_SEED, "spread", sep)
-        mags = np.round(rng.uniform(0.4, _MAX_SPREAD_DB, size=len(_AZIMUTHS_DEG) // 2), 2)
-        offsets = np.concatenate([mags, -mags])
-        rng.shuffle(offsets)
-        measured.append(PAPER_MEAN_SUPPRESSION_DB[sep] + offsets)
-    return {
-        "separation_m": np.repeat(_SEPARATIONS_M, len(_AZIMUTHS_DEG)),
-        "relative_azimuth_deg": np.tile(_AZIMUTHS_DEG, len(_SEPARATIONS_M)),
-        "measured_suppression_db": np.concatenate(measured),
-        "reconstructed": np.ones(len(_SEPARATIONS_M) * len(_AZIMUTHS_DEG), bool),
-    }
 
 
 def simulate_suppression_db(separation_m, relative_azimuths_deg, seed):
@@ -70,23 +46,25 @@ def simulate_suppression_db(separation_m, relative_azimuths_deg, seed):
 
 
 def compare_prototype(seed=0):
-    """Measured vs simulated suppression, row by row plus per-separation means.
+    """Simulated suppression per azimuth, and measured against simulated per separation.
 
-    Returns the columns of compare_prototype.csv, the reference dataset with
-    simulated_suppression_db, and of compare_summary.csv: separation_m
-    ascending, measured_mean_db, simulated_mean_db and delta_db.
+    Returns the columns of compare_prototype.csv, separation_m,
+    relative_azimuth_deg and simulated_suppression_db, one row per
+    (separation, azimuth), and of compare_summary.csv: separation_m
+    ascending, measured_mean_db (PAPER_MEAN_SUPPRESSION_DB),
+    simulated_mean_db and delta_db.
     """
-    ref = reference_dataset()
     sims = [simulate_suppression_db(sep, _AZIMUTHS_DEG, seed) for sep in _SEPARATIONS_M]
-    simulated = np.concatenate(sims)
-    rows = {c: ref[c] for c in ("separation_m", "relative_azimuth_deg", "measured_suppression_db")}
-    rows.update(simulated_suppression_db=simulated, reconstructed=ref["reconstructed"])
-    seps = np.unique(ref["separation_m"])
-    at = [ref["separation_m"] == sep for sep in seps]
-    measured_mean = np.array([np.mean(ref["measured_suppression_db"][m]) for m in at])
-    simulated_mean = np.array([np.mean(simulated[m]) for m in at])
+    rows = {
+        "separation_m": np.repeat(_SEPARATIONS_M, len(_AZIMUTHS_DEG)),
+        "relative_azimuth_deg": np.tile(_AZIMUTHS_DEG, len(_SEPARATIONS_M)),
+        "simulated_suppression_db": np.concatenate(sims),
+    }
+    seps = _SEPARATIONS_M[::-1]
+    measured_mean = np.array([PAPER_MEAN_SUPPRESSION_DB[sep] for sep in seps])
+    simulated_mean = np.array([np.mean(sim) for sim in sims[::-1]])
     summary = {
-        "separation_m": seps,
+        "separation_m": np.array(seps),
         "measured_mean_db": measured_mean,
         "simulated_mean_db": simulated_mean,
         "delta_db": simulated_mean - measured_mean,

@@ -210,6 +210,11 @@ class Scenario:
         x, y, _ = cell.position
         return float(np.degrees(np.arctan2(cy - y, cx - x)))
 
+    def codebook(self, cell):
+        """The (16, 3) unit pointing vectors of the cell's access beams, in
+        codebook order."""
+        return direction_from_angles(*codebook_angles(self.sector_center_az(cell)))
+
     def mt_boresight(self, node):
         """Unit vector from the node's MT to the donor, where the MT points."""
         v = np.asarray(self.donor.position, float) - np.asarray(node.mt_position(), float)
@@ -277,9 +282,7 @@ def schedule_drop(scenario, seed):
     ues = scenario.ue_grid.positions()
     n_ue = ues.shape[0]
     cells = scenario.cells()
-    beam_dirs = np.stack(
-        [direction_from_angles(*codebook_angles(scenario.sector_center_az(c))) for c in cells]
-    )
+    beam_dirs = np.stack([scenario.codebook(c) for c in cells])
     shadows = _access_shadows_db(scenario, seed, len(cells), n_ue)
 
     # Each cell's first best beam per UE, from one (beam, UE) broadcast per cell;
@@ -338,16 +341,23 @@ def dli_power_dbm(scenario, mt_pos, ue_pos, shadow_db):
     )
 
 
-def node_si_taps(scenario, node_idx, du_dirs, rng):
-    """The SI channel of IAB node node_idx with its DU beam along each
-    direction of du_dirs (n, 3) in turn and its MT pointing at the donor, as
-    si_channel's (delays_s, gains) pairs. One direct_si_taps pass evaluates
-    every direction's direct tap; then each direction draws its reflections
-    from the Generator rng after the one before it."""
+def node_direct_taps(scenario, node_idx, du_dirs):
+    """The direct SI tap of IAB node node_idx with its DU beam along each
+    direction of du_dirs (n, 3) and its MT pointing at the donor: one
+    direct_si_taps pass, whose errors name the node."""
     node = scenario.iab_nodes[node_idx]
     geom = SiGeometry(node.antenna_separation_m, du_dirs, scenario.mt_boresight(node))
     f = scenario.carrier_freq_hz
-    taps = under(f"iab_nodes[{node_idx}]", direct_si_taps, geom, node.pattern, node.pattern, f)
+    return under(f"iab_nodes[{node_idx}]", direct_si_taps, geom, node.pattern, node.pattern, f)
+
+
+def node_si_taps(scenario, node_idx, du_dirs, rng):
+    """The SI channel of IAB node node_idx with its DU beam along each
+    direction of du_dirs (n, 3) in turn and its MT pointing at the donor, as
+    si_channel's (delays_s, gains) pairs: node_direct_taps, then each
+    direction draws its reflections from the Generator rng after the one
+    before it."""
+    taps = node_direct_taps(scenario, node_idx, du_dirs)
     return [si_channel(tap, scenario.reflectors, rng) for tap in taps]
 
 

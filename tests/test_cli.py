@@ -73,6 +73,18 @@ class TestLinkSim:
             outs[1] / "run.json"
         )
 
+    @pytest.mark.parametrize("seed", ["0", "123456789"])
+    def test_is_the_sweep_of_one_cell_and_one_drop(self, tmp_path, seed):
+        """reduction.csv is, byte for byte, the sweep.csv of no grid and one
+        drop at the same seed less its first two columns, cell and drop."""
+        args = ["--scenario", SCENARIO, "--seed", seed]
+        assert main(["link-sim", *args, "--out", str(tmp_path / "link")]) == 0
+        assert main(["sweep", *args, "--drops", "1", "--out", str(tmp_path / "sweep")]) == 0
+        sweep = read(tmp_path / "sweep" / "sweep.csv").decode().splitlines(keepends=True)
+        assert sweep[0].startswith("cell,drop,node,")
+        rows = "".join(line.split(",", 2)[2] for line in sweep)
+        assert read(tmp_path / "link" / "reduction.csv").decode() == rows
+
 
 class TestSystemSim:
     def test_outputs_and_determinism(self, scenario_path, tmp_path):
@@ -293,19 +305,19 @@ class TestSweep:
 # sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1:
 GOLDEN_SWEEP = """\
 cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
-0,0,0.1,0,0.1,3408044606088226153,31.9732127774,-30.6786592232,-43.6919776427,-90.1779774496,62.6518720006,13.0133184196,46.4859998069,-90.2081875395,true,true,false,-90.1709781781
-0,0,0.1,1,0.1,2803755670168787654,31.968210688,-29.1829601204,-47.0418772459,-90.010308796,61.1511708084,17.8589171255,42.96843155,-90.2081875395,true,true,false,-90.0550324844
-1,0,1,0,1,3408044606088226153,31.9732127774,-50.2906861635,-50.2906861635,-90.1715786206,82.2638989409,0,39.8808924572,-90.2081875395,false,true,false,-90.1729868194
-1,0,1,1,1,2803755670168787654,31.968210688,-49.091809919,-49.091809919,-90.1793486708,81.060020607,0,41.0875387518,-90.2081875395,false,true,false,-90.2137962469
-2,0,2,0,2,3408044606088226153,31.9732127774,-53.9177298636,-53.9177298636,-90.1965851431,85.890942641,0,36.2788552795,-90.2081875395,false,true,false,-90.1872278142
-2,0,2,1,2,2803755670168787654,31.968210688,-55.3678141877,-55.3678141877,-90.1973901189,87.3360248757,0,34.8295759313,-90.2081875395,false,true,false,-90.2314954288
+0,0,0.1,0,0.1,3408044606088226153,31.9732127774,-29.4177090325,-90.1751543928,-90.1990781818,61.3909218099,60.7574453603,0.0239237890409,-90.2081875395,true,true,false,-90.188333358
+0,0,0.1,1,0.1,2803755670168787654,31.968210688,-29.7895996638,-55.8618137931,-90.1551641809,61.7578103518,26.0722141293,34.2933503878,-90.2081875395,true,true,false,-90.1868808015
+1,0,1,0,1,3408044606088226153,31.9732127774,-49.4173478375,-49.4173478375,-90.1720639287,81.3905606149,0,40.7547160912,-90.2081875395,false,true,false,-90.1705055259
+1,0,1,1,1,2803755670168787654,31.968210688,-49.724810657,-49.724810657,-90.169034849,81.693021345,0,40.444224192,-90.2081875395,false,true,false,-90.1998453119
+2,0,2,0,2,3408044606088226153,31.9732127774,-55.4383293077,-55.4383293077,-90.1971334004,87.4115420851,0,34.7588040927,-90.2081875395,false,true,false,-90.1840995504
+2,0,2,1,2,2803755670168787654,31.968210688,-55.037034302,-55.037034302,-90.1972956263,87.00524499,0,35.1602613243,-90.2081875395,false,true,false,-90.2298959203
 """
 
 # link-sim:
 GOLDEN_LINK = """\
 node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
-0,1,8028033113326539936,31.9762245029,-50.0326900248,-50.0326900248,-90.1597769094,82.0089145276,0,40.1270868846,-90.2081875395,false,true,false,-90.0953405334
-1,1,1858689254262361655,31.9766499026,-49.5513941166,-49.5513941166,-90.2324669939,81.5280440192,0,40.6810728774,-90.2081875395,false,true,false,-90.2153957194
+0,1,3408044606088226153,31.9732127774,-49.4173478375,-49.4173478375,-90.1720639287,81.3905606149,0,40.7547160912,-90.2081875395,false,true,false,-90.1705055259
+1,1,2803755670168787654,31.968210688,-49.724810657,-49.724810657,-90.169034849,81.693021345,0,40.444224192,-90.2081875395,false,true,false,-90.1998453119
 """
 
 # compare-prototype: simulated minus measured mean per separation.
@@ -406,7 +418,7 @@ class TestComparePrototype:
         out = tmp_path / "cmp"
         assert main(["compare-prototype", "--out", str(out)]) == 0
         lines = read(out / "compare_prototype.csv").decode().splitlines()
-        assert lines[0] == "separation_m,relative_azimuth_deg,measured_suppression_db,simulated_suppression_db,reconstructed"
+        assert lines[0] == "separation_m,relative_azimuth_deg,simulated_suppression_db"
         assert len(lines) == 1 + 108
         summary = read(out / "compare_summary.csv").decode().splitlines()
         assert len(summary) == 4

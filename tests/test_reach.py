@@ -20,6 +20,7 @@ SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.j
 
 UNREACHED_BY_DESIGN = {
     "sic.hammerstein_basis": "the explicit design matrix that tests check the fit against",
+    "sic.run_link_chain": "the library's one-chain call, which perfbench's span targets name",
     "system.default_scenario": "imported by perfbench's tests",
     "scenario.load_scenario": "the scenario-file API",
     "scenario.save_scenario": "the scenario-file API",

@@ -1,6 +1,9 @@
 import ast
+import csv
 import dataclasses
 import inspect
+import json
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdiab.sic
-from fdiab.cli import chain_for_node
+from fdiab.cli import chain_for_node, main
 from fdiab.geometry import (
     AntennaPattern, ReflectorConfig, SiGeometry, direct_si_taps, si_channel, total_gain_db,
 )
@@ -19,6 +22,7 @@ from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, symbol_rows, symbol_spectra,
 )
 from fdiab.rf import NoiseModel
+from fdiab.scenario import apply_overrides, read_scenario_file, scenario_from_dict
 from fdiab.sic import (
     HammersteinRegressors,
     LinkChainParams,
@@ -36,8 +40,9 @@ from fdiab.sic import (
 from fdiab.system import (
     default_scenario, node_si_taps, propagation_residual_si_dbm, schedule_drop,
 )
-from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
+from fdiab.util import SPEED_OF_LIGHT, FieldError, dbm_to_watt, substream, watt_to_dbm
 
+SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "default.json")
 CFG = OfdmConfig()
 FREQS = CFG.subcarrier_freqs_hz()
 
@@ -541,10 +546,11 @@ def test_circular_route_matches_explicit_fit(seed, orders, layout, n_symbols, ri
 
 def chain(geometry, seed, reflectors=ReflectorConfig(), ideal_fd=False, **params):
     """(LinkChainParams, SI taps) of a chain at seed whose channel has the SI
-    geometry geometry, default antenna patterns and the default carrier, and
-    draws reflectors from the stream a chain drew its channel from before it
-    took one: substream(substream(seed, "si-channel").integers(2**63),
-    "si-reflections"). No taps (ideal FD) if ideal_fd."""
+    geometry geometry, default antenna patterns and the default carrier. Its
+    reflectors come from a stream of this helper's own, which the fixed-seed
+    tests below read: substream(substream(seed, "si-channel").integers(2**63),
+    "si-reflections"). cli.chain_for_node draws from the drop's stream
+    instead. No taps (ideal FD) if ideal_fd."""
     rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
     (direct,) = direct_si_taps(geometry, AntennaPattern(), AntennaPattern())
     taps = None if ideal_fd else si_channel(direct, reflectors, rng)
@@ -688,7 +694,7 @@ PROPAGATION_SLACK_DB = 0.01
 def test_chain_propagation_matches_the_si_channel_gain(seed, separation):
     """The link level's propagation loss, tx_power_dbm - after_propagation_dbm,
     against the system level's -total_gain_db of the same channel, drawn from
-    the chain's stream.
+    chain()'s stream.
 
     The chain's received power is the PA spectrum's weighted mean of |H_k|^2,
     so it lies between the FFT bins' extremes. The total tap power can fall
@@ -734,7 +740,7 @@ def test_chain_on_a_drop_beam_matches_its_propagation_residual(seed):
     """The two levels on one channel: beam b of node i in the drop at seed,
     its SI taps (node_si_taps on the node's drop stream) fed to node i's link chain. The chain's
     propagation_db is the drop's node.tx_power_dbm - prop_residual[i, b],
-    within the bins' spread of the taps' gain, as for the chain's own draw."""
+    within the bins' spread of the taps' gain, as for chain()'s draw."""
     sc = default_scenario()
     beam_dirs = schedule_drop(sc, seed)[3]
     for i, node in enumerate(sc.iab_nodes):
@@ -747,6 +753,67 @@ def test_chain_on_a_drop_beam_matches_its_propagation_residual(seed):
             _, spread_db = bins_spread_db(beam_taps, params.ofdm)
             loss_db = node.tx_power_dbm - residual
             assert abs(report.per_domain_db[0] - loss_db) <= spread_db + PROPAGATION_SLACK_DB
+
+
+# With the default patterns every codebook beam's direct tap sits at the
+# sidelobe floor. At a 60 degree beamwidth the two elevation rows of the
+# codebook (beams 0-7 and 8-15) see different direct taps.
+@pytest.mark.parametrize("sets", [[], ["iab_nodes.*.pattern.beamwidth_3db_deg=60"]])
+def test_sweep_rows_run_the_drops_beam_0_channel(tmp_path, sets):
+    """One SI channel for both levels: every row of a 0.1/1/2 m sweep of two
+    drops ran, at its seed, the channel that the drop at that seed draws for
+    node i's first codebook beam (node_si_taps on substream(seed, "si", i)),
+    bit for bit, and its propagation_db is the drop's node.tx_power_dbm -
+    prop_residual[i, 0] within the bins' spread of the taps' gain."""
+    grid = "iab_nodes.*.antenna_separation_m=0.1,1,2"
+    argv = ["sweep", "--scenario", SCENARIO, "--seed", "0", "--drops", "2", "--grid", grid]
+    argv += [arg for value in sets for arg in ("--set", value)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    base = apply_overrides(read_scenario_file(SCENARIO), sets)
+    for row in rows:
+        override = f"iab_nodes.*.antenna_separation_m={row['antenna_separation_m']}"
+        cell = scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), [override]))
+        i, seed = int(row["node"]), int(row["seed"])
+        node, beam_dirs = cell.iab_nodes[i], schedule_drop(cell, seed)[3][i + 1]
+        params, si_taps = chain_for_node(cell, i)
+        got = si_taps(seed)
+        want = node_si_taps(cell, i, beam_dirs, substream(seed, "si", i))[0]
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        residual = propagation_residual_si_dbm(cell, seed, i, node, beam_dirs)[0]
+        _, spread_db = bins_spread_db(got, params.ofdm)
+        loss_db = node.tx_power_dbm - residual
+        assert abs(float(row["propagation_db"]) - loss_db) <= spread_db + PROPAGATION_SLACK_DB
+
+
+# How far the chain's after_propagation_dbm may sit from its closed form. Over
+# 1,200 draws of separation (0.05-3 m), node and seed on the default scenario,
+# where the SI after propagation sits 30-67 dB above the noise floor, it sat at
+# most 0.0050 dB off, with an RMS of 0.0005 dB below 0.5 m and of 0.0021 dB at
+# 2.5-3 m: the frame's noise, whose cross term with the SI grows as the SI
+# nears the floor. The property checks that domain only.
+PROPAGATION_ORACLE_DB = 0.01
+
+
+@settings(max_examples=40, deadline=None)
+@given(separation=st.floats(0.05, 3.0), node=st.integers(0, 1), seed=st.integers(0, 2**64 - 1))
+def test_propagation_stage_equals_its_closed_form(separation, node, seed):
+    """after_propagation_dbm is the power sum of the PA's output power
+    (tx_power_dbm) times mean |H|^2 over the 792 active subcarriers and the
+    noise floor, for H the response of the chain's SI taps."""
+    base = default_scenario()
+    nodes = [dataclasses.replace(n, antenna_separation_m=separation) for n in base.iab_nodes]
+    params, si_taps = chain_for_node(dataclasses.replace(base, iab_nodes=tuple(nodes)), node)
+    delays, gains = si_taps(seed)
+    report = run_link_chain(params, (delays, gains), seed)
+    freqs = params.ofdm.subcarrier_freqs_hz()
+    assert freqs.size == 792
+    h = np.exp(-2j * np.pi * np.outer(freqs, delays)) @ gains
+    si_w = dbm_to_watt(report.tx_power_dbm) * np.mean(np.abs(h) ** 2)
+    want_dbm = watt_to_dbm(si_w + dbm_to_watt(report.noise_floor_dbm))
+    assert abs(report.after_propagation_dbm - want_dbm) <= PROPAGATION_ORACLE_DB
 
 
 DIRECT_1M_S = 1.0 / SPEED_OF_LIGHT
