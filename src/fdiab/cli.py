@@ -252,9 +252,11 @@ def _sweep(cfg, grid_specs, drops):
         )
     cells = list(itertools.product(*[[(k, v) for v in vals] for k, vals in grid]))
     cell_chains = []
-    for assignment in cells:
-        overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
-        cell = scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), overrides))
+    for assignment in cells:  # with no grid, one empty assignment: the scenario as loaded
+        cell = scenario
+        if assignment:
+            overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
+            cell = scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), overrides))
         cell_chains.append([chain_for_node(cell, i) for i in range(len(cell.iab_nodes))])
     rows = [
         (ci, d, ni)

@@ -201,13 +201,16 @@ def si_channel(direct_tap, reflector_cfg=None, rng=None):
     if reflector_cfg is not None and rng is None:
         raise ValueError("si_channel: reflector_cfg needs rng, the Generator of its draws")
     delay, amp, gain = direct_tap
-    delays, gains = np.array([delay]), np.array([gain])
+    k = 0
     if reflector_cfg is not None:
         k = int(rng.integers(reflector_cfg.min_taps, reflector_cfg.max_taps + 1))
-        if k > 0:
-            lo, hi = reflector_cfg.delay_offset_range_s
-            delays = np.concatenate((delays, np.sort(delay + rng.uniform(lo, hi, size=k))))
-            rel_db = rng.uniform(*reflector_cfg.rel_power_range_db, size=k)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-            gains = np.concatenate((gains, amp * 10.0 ** (-rel_db / 20.0) * np.exp(1j * phases)))
+    delays, gains = np.empty(1 + k), np.empty(1 + k, complex)  # filled in place
+    delays[0], gains[0] = delay, gain
+    if k > 0:
+        np.add(rng.uniform(*reflector_cfg.delay_offset_range_s, size=k), delay, out=delays[1:])
+        delays[1:].sort()
+        # amp * 10 ** (-rel_db / 20) * exp(1j * phases), each step rounded as written there
+        scale = np.power(10.0, rng.uniform(*reflector_cfg.rel_power_range_db, size=k) / -20.0)
+        scale *= amp
+        np.multiply(scale, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=k)), out=gains[1:])
     return delays, gains

@@ -15,7 +15,6 @@ import numpy as np
 
 from .geometry import (
     AntennaPattern, ReflectorConfig, SiGeometry, direct_si_taps, fspl_db, rx_dbm, si_channel,
-    total_gain_db,
 )
 from .rf import NoiseModel
 from .util import (
@@ -158,7 +157,7 @@ class Scenario:
     carrier_freq_hz: float = bounded(28e9, "> 0")
     guard_overhead: float = bounded(0.1, ">= 0, < 1")
     access_shadow_sigma_db: float = bounded(4.0, ">= 0, <= 100")
-    full_sic_margin_db: float = 1.0
+    full_sic_margin_db: float = bounded(1.0, ">= -100, <= 100")
     reflectors: ReflectorConfig | None = field(default_factory=ReflectorConfig)
 
     def __post_init__(self):
@@ -271,10 +270,10 @@ def schedule_drop(scenario, seed):
     """Max-SNR association of the whole UE grid; ties go to the lowest
     (cell, beam) pair.
 
-    Returns (serving_cell, beam, access_rx_dbm, beam_dirs, shadow_db): the
-    first three per UE, the codebook directions beam_dirs[cell, beam], and
-    the shadowing of every (cell, UE) path, which the DLI reuses for the
-    donor's paths.
+    Returns (serving_cell, beam, access_rx_dbm, beam_dirs, shadow_db,
+    ue_pos): the first three per UE, the codebook directions
+    beam_dirs[cell, beam], the shadowing of every (cell, UE) path, which the
+    DLI reuses for the donor's paths, and the (n, 3) UE positions.
 
     Shadowing is a property of the cell-UE path, shared by all beams of the
     cell, so a uniform Tx power shift can never change the argmax decision.
@@ -299,7 +298,7 @@ def schedule_drop(scenario, seed):
         best_rx[ci] = rx[best_beam[ci], ue]
 
     serving = _first_max(best_rx)
-    return serving, best_beam[serving, ue], best_rx[serving, ue], beam_dirs, shadows
+    return serving, best_beam[serving, ue], best_rx[serving, ue], beam_dirs, shadows, ues
 
 
 def _first_max(table):
@@ -367,76 +366,54 @@ def propagation_residual_si_dbm(scenario, seed, node_idx, node, beam_dirs):
     transmit power through each beam's SI channel (node_si_taps). The
     reflected taps are redrawn per beam (the SI seen at the MT varies with
     the DU beam): the node's one stream, substream(seed, "si", node_idx), is
-    read by its beams one after another in codebook order."""
+    read by its beams one after another in codebook order.
+
+    The beams' tap powers lie in one table, each beam's behind a 0, and one
+    reduceat sums them: it adds a segment's first value to the pairwise sum
+    of the rest, so a segment sums as np.sum sums the beam, and each value is
+    total_gain_db's, bit for bit, whatever the tap counts."""
     taps = node_si_taps(scenario, node_idx, beam_dirs, substream(seed, "si", node_idx))
-    return np.array([node.tx_power_dbm + total_gain_db(gains) for _, gains in taps])
+    zero = np.zeros(1)
+    table = np.concatenate([g for _, gains in taps for g in (zero, gains)])
+    starts = np.cumsum([0] + [gains.size + 1 for _, gains in taps[:-1]])
+    return node.tx_power_dbm + 10.0 * np.log10(np.add.reduceat(np.abs(table) ** 2, starts))
 
 
-def residual_si_dbm(scenario, mode, node, prop_residual_dbm):
-    """Residual SI power entering the backhaul SINR for one node and mode,
-    elementwise over the node's propagation-only residuals."""
-    floor = scenario.noise.floor_dbm
-    if mode in (Mode.HD, Mode.FIBERED, Mode.IDEAL_FD):
+def residual_si_dbm(scenario, mode, floor_dbm, prop_residual_dbm):
+    """Residual SI power entering the backhaul SINR in an FD mode, over the
+    (cell, beam) table prop_residual_dbm of propagation-only residuals: -inf
+    (none) in ideal_fd, else a table of its shape."""
+    if mode == Mode.IDEAL_FD:
         return -np.inf
     if mode == Mode.FD_PROP_ONLY:
         return prop_residual_dbm
-    if mode == Mode.FD_FULL:
+    # Full chain lands the residual near the floor; it can never exceed
+    # what propagation alone already achieved.
+    residual = np.minimum(prop_residual_dbm, floor_dbm + scenario.full_sic_margin_db)
+    for ni, node in enumerate(scenario.iab_nodes):
         if node.residual_si_dbm is not None:
-            return node.residual_si_dbm
-        # Full chain lands the residual near the floor; it can never exceed
-        # what propagation alone already achieved.
-        return np.minimum(prop_residual_dbm, floor + scenario.full_sic_margin_db)
-    raise ValueError(f"unknown mode {mode}")
+            residual[ni + 1] = node.residual_si_dbm
+    return residual
 
 
-def ue_throughput(
-    mode,
-    relayed,
-    access_rx_dbm,
-    backhaul_rx_dbm,
-    access_noise_dbm,
-    backhaul_noise_dbm,
-    scenario,
-):
-    """Downlink throughput of each UE under one configuration.
+def ue_throughput(mode, relayed, access_bps, backhaul_bps, guard_overhead):
+    """Downlink throughput of each UE under one configuration, from the
+    capacities of its access and backhaul hops, per-UE arrays or scalars.
 
-    Every argument after mode is a per-UE array or a scalar. In FD modes a
-    relayed UE's access hop sees access_noise_dbm (noise plus DLI) and its
-    backhaul hop backhaul_noise_dbm (noise plus residual SI), power sums
-    from noise_plus_dbm; other modes see the noise floor. Returns the
-    arrays (throughput_bps, access_sinr_db, backhaul_sinr_db). Donor-served
-    and fibered UEs get their plain access capacity and a NaN backhaul SINR.
-    Relayed FD UEs are bottlenecked by min(access with DLI, backhaul with
-    residual SI). Relayed HD UEs time-share the two hops, optimal split,
-    charged the guard overhead: (1-g) * Ca*Cb / (Ca+Cb).
+    Donor-served and fibered UEs get their access capacity. Relayed FD UEs
+    are bottlenecked by min(access, backhaul). Relayed HD UEs time-share the
+    two hops, optimal split, charged the guard overhead:
+    (1-g) * Ca*Cb / (Ca+Cb).
     """
-    mode = Mode(mode)
-    floor = scenario.noise.floor_dbm
-    bw = scenario.bandwidth_hz
-    relayed = np.asarray(relayed, bool) & (mode != Mode.FIBERED)
-    access_rx = np.asarray(access_rx_dbm, float)
-    backhaul_rx = np.asarray(backhaul_rx_dbm, float)
-    access_snr = access_rx - floor
-
-    if mode in FD_MODES:
-        # DLI degrades the access link, residual SI the backhaul link.
-        access_sinr = np.where(relayed, access_rx - access_noise_dbm, access_snr)
-        backhaul_sinr = backhaul_rx - backhaul_noise_dbm
-    else:
-        access_sinr = access_snr
-        backhaul_sinr = backhaul_rx - floor
-    backhaul_sinr = np.where(relayed, backhaul_sinr, np.nan)
-
-    ca = capacity_bps(access_sinr, bw)
-    cb = capacity_bps(np.where(relayed, backhaul_sinr, np.inf), bw)
+    if mode == Mode.FIBERED:
+        return access_bps
     if mode == Mode.HD:
         with np.errstate(invalid="ignore"):  # 0/0 where both hops are in outage
-            split = (1.0 - scenario.guard_overhead) * ca * cb / (ca + cb)
-        relayed_thr = np.where((ca > 0.0) & (cb > 0.0), split, 0.0)
+            split = (1.0 - guard_overhead) * access_bps * backhaul_bps / (access_bps + backhaul_bps)
+        relayed_thr = np.where((access_bps > 0.0) & (backhaul_bps > 0.0), split, 0.0)
     else:
-        relayed_thr = np.minimum(ca, cb)
-    thr = np.where(relayed, relayed_thr, ca)
-    return thr, access_sinr, backhaul_sinr
+        relayed_thr = np.minimum(access_bps, backhaul_bps)
+    return np.where(relayed, relayed_thr, access_bps)
 
 
 def run_drop(scenario, seed, modes=ALL_MODES):
@@ -451,44 +428,62 @@ def run_drop(scenario, seed, modes=ALL_MODES):
     NaN for donor-served UEs. Per mode, shape (k, n), row k for modes[k]:
     access_sinr_db, backhaul_sinr_db, NaN for donor-served UEs and in the
     fibered mode, and throughput_bps. The DLI enters the FD modes only.
+
+    Modes share work, not results: each distinct SINR array, compared bit for
+    bit, goes through capacity_bps once. The access SNR serves hd and
+    fibered, the SINR with DLI the FD modes, and each backhaul SINR table per
+    (cell, beam) the modes that give it; ideal_fd's noise_plus_dbm(floor,
+    -inf) need not round back to hd's floor.
     """
     modes = [Mode(m) for m in modes]
-    serving, beam, access_rx, beam_dirs, shadows = schedule_drop(scenario, seed)
+    serving, beam, access_rx, beam_dirs, shadows, ues = schedule_drop(scenario, seed)
     relayed = serving > 0
     nodes = scenario.iab_nodes
+    floor = scenario.noise.floor_dbm
+    bw = scenario.bandwidth_hz
 
-    # Per-cell tables, indexed by serving cell; the donor has no backhaul.
+    # Per (cell, beam) tables, indexed by serving cell and beam; the donor has no backhaul.
     mt = np.array([scenario.donor.position] + [n.mt_position() for n in nodes])
-    backhaul_rx = np.full(len(beam_dirs), np.nan)
+    backhaul_rx = np.full(beam_dirs.shape[:2], np.nan)
     prop_residual = np.full(beam_dirs.shape[:2], np.nan)
     for ni, node in enumerate(nodes):
         backhaul_rx[ni + 1] = backhaul_rx_power_dbm(scenario, node)
         prop_residual[ni + 1] = propagation_residual_si_dbm(
             scenario, seed, ni, node, beam_dirs[ni + 1]
         )
+    cell_beam = serving * prop_residual.shape[1] + beam
 
-    ues = scenario.ue_grid.positions()
-    floor = scenario.noise.floor_dbm
-    dli, dli_noise = np.full((2, serving.size), np.nan)  # of relayed UEs only
+    dli = np.full(serving.size, np.nan)  # of relayed UEs only
     idx = np.flatnonzero(relayed)
     dli[idx] = dli_power_dbm(scenario, mt.take(serving[idx], 0), ues.take(idx, 0), shadows[0, idx])
-    dli_noise[idx] = noise_plus_dbm(floor, dli[idx])  # the same in every FD mode
+    snr = access_rx - floor
+    sinr = snr.copy()  # with the DLI that relayed UEs see in the FD modes
+    sinr[idx] = access_rx[idx] - noise_plus_dbm(floor, dli[idx])
+    snr_bps = capacity_bps(snr, bw)
+    sinr_bps = snr_bps.copy()
+    sinr_bps[idx] = capacity_bps(sinr[idx], bw)
 
+    backhaul_bps = {}  # the capacities of each distinct backhaul SINR table, by its bytes
     shape = (len(modes), serving.size)  # three arrays, so each can be let go on its own
-    thr, access_sinr, backhaul_sinr = np.empty(shape), np.empty(shape), np.empty(shape)
-    cell_beam = serving * prop_residual.shape[1] + beam
+    thr, access_sinr, backhaul_sinr = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
     for k, mode in enumerate(modes):
-        residual = np.full(prop_residual.shape, np.nan)
-        for ni, node in enumerate(nodes):
-            residual[ni + 1] = residual_si_dbm(scenario, mode, node, prop_residual[ni + 1])
-        thr[k], access_sinr[k], backhaul_sinr[k] = ue_throughput(
-            mode, relayed, access_rx, backhaul_rx.take(serving), dli_noise,
-            noise_plus_dbm(floor, residual).take(cell_beam), scenario,
-        )
+        access_sinr[k], ca = (sinr, sinr_bps) if mode in FD_MODES else (snr, snr_bps)
+        cb = None  # fibered UEs have no backhaul
+        if mode != Mode.FIBERED:
+            noise = floor
+            if mode in FD_MODES:
+                noise = noise_plus_dbm(floor, residual_si_dbm(scenario, mode, floor, prop_residual))
+            table = backhaul_rx - noise
+            if (key := table.tobytes()) not in backhaul_bps:
+                backhaul_bps[key] = np.zeros(table.shape)  # the donor's row is never read
+                backhaul_bps[key][1:] = capacity_bps(table[1:], bw)
+            backhaul_sinr[k] = table.take(cell_beam)
+            cb = backhaul_bps[key].take(cell_beam)
+        thr[k] = ue_throughput(mode, relayed, ca, cb, scenario.guard_overhead)
     return {
         "serving_cell": serving,
         "beam": beam,
-        "access_snr_db": access_rx - floor,
+        "access_snr_db": snr,
         "dli_power_dbm": dli,
         "access_sinr_db": access_sinr,
         "backhaul_sinr_db": backhaul_sinr,

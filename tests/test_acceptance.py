@@ -229,10 +229,9 @@ def test_criterion_6_fig5_orderings():
 
     # equal link capacities, 10% guard: ideal FD gains 1/(0.9*0.5) over HD
     sc = default_scenario()
-    floor = sc.noise.floor_dbm
-    rx = floor + 21.0
-    fd, _, _ = ue_throughput(Mode.IDEAL_FD, True, rx, rx, floor, floor, sc)
-    hd, _, _ = ue_throughput(Mode.HD, True, rx, rx, floor, floor, sc)
+    c = capacity_bps(21.0, sc.bandwidth_hz)
+    fd = ue_throughput(Mode.IDEAL_FD, True, c, c, sc.guard_overhead)
+    hd = ue_throughput(Mode.HD, True, c, c, sc.guard_overhead)
     ratio = fd / hd
     assert ratio == pytest.approx(1.0 / (0.9 * 0.5), rel=0.01)
     ok(6, f"pointwise orderings over {20 * 441 * 2} UE drops; at d=0.1 m HD median "

@@ -85,6 +85,18 @@ class TestLinkSim:
         rows = "".join(line.split(",", 2)[2] for line in sweep)
         assert read(tmp_path / "link" / "reduction.csv").decode() == rows
 
+    @pytest.mark.parametrize("argv, builds", [
+        (["link-sim"], 1),
+        (["sweep", "--grid", "iab_nodes.*.antenna_separation_m=0.1,1,2"], 1 + 3),
+    ])
+    def test_builds_the_scenario_once_and_each_grid_cell_once(
+        self, tmp_path, monkeypatch, argv, builds
+    ):
+        built = mock.Mock(wraps=scenario_from_dict)
+        monkeypatch.setattr(cli, "scenario_from_dict", built)
+        assert main([*argv, "--scenario", SCENARIO, "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert built.call_count == builds
+
 
 class TestSystemSim:
     def test_outputs_and_determinism(self, scenario_path, tmp_path):
@@ -127,20 +139,24 @@ class TestSystemSim:
                 (v, format(i / n, ".12g")) for i, v in enumerate(values, 1)
             ]
 
-    def test_mode_subset_writes_the_full_runs_rows_of_its_modes(self, tmp_path):
-        # A selection in its own order, an FD mode first, gives each mode the
-        # rows the full run gives it, byte for byte, in both files.
+    # A selection in its own order, an FD mode first, and each mode alone, so
+    # that no mode's rows can depend on which other modes ran.
+    @pytest.mark.parametrize("modes", ["fd_prop_only,hd", *(m.value for m in ALL_MODES)])
+    def test_mode_subset_writes_the_full_runs_rows_of_its_modes(self, tmp_path, modes):
+        # The selection gives each mode the rows the full run gives it, byte
+        # for byte, in both files.
         runs = {}
-        for name, extra in (("full", []), ("subset", ["--modes", "fd_prop_only,hd"])):
+        for name, extra in (("full", []), ("subset", ["--modes", modes])):
             argv = ["system-sim", "--scenario", SCENARIO, "--seed", "0",
                     "--out", str(tmp_path / name)] + extra
             assert main(argv) == 0
             runs[name] = {f: read(tmp_path / name / f).splitlines(True)
                           for f in ("throughput.csv", "cdf.csv")}
+        selected = [f"{m},".encode() for m in modes.split(",")]
         for f, subset in runs["subset"].items():
             full = runs["full"][f]
-            want = [r for m in (b"fd_prop_only,", b"hd,") for r in full if r.startswith(m)]
-            assert len(want) == 2 * 21 * 21
+            want = [r for m in selected for r in full if r.startswith(m)]
+            assert len(want) == len(selected) * 21 * 21
             assert subset == full[:1] + want, f
 
     def test_101x101_call_peaks_in_the_drop_not_the_writer(self, tmp_path):

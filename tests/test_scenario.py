@@ -141,7 +141,7 @@ scenarios = st.builds(
     carrier_freq_hz=carriers,
     guard_overhead=st.floats(0.0, 1.0, exclude_max=True),
     access_shadow_sigma_db=st.floats(0.0, 100.0),
-    full_sic_margin_db=finite,
+    full_sic_margin_db=st.floats(-100.0, 100.0),
     reflectors=st.none()
     | st.integers(0, 8).flatmap(
         lambda lo: st.builds(

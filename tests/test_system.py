@@ -28,6 +28,7 @@ from fdiab.system import (
     Mode,
     Scenario,
     UeGrid,
+    backhaul_rx_power_dbm,
     capacity_bps,
     cdf,
     codebook_angles,
@@ -292,7 +293,7 @@ class TestScheduling:
         # place a UE exactly on the boresight ray of beam (az 7.5, el -7.5)
         (target,) = np.flatnonzero((az == 7.5) & (el == -7.5))
         ue = np.array([0.0, 0.0, 100.0]) + 300.0 * direction_from_angles(7.5, -7.5)
-        serving, beam, _, _, _ = schedule_drop(
+        serving, beam, *_ = schedule_drop(
             dataclasses.replace(sc, ue_grid=one_ue_grid(ue)), 0
         )
         assert (serving[0], beam[0]) == (0, target)
@@ -308,7 +309,7 @@ class TestScheduling:
             ue_grid=one_ue_grid((50.0, 0.0, 40.0)),
             access_shadow_sigma_db=0.0,
         )
-        serving, beam, rx, _, _ = schedule_drop(sc, 0)
+        serving, beam, rx, *_ = schedule_drop(sc, 0)
         ue = sc.ue_grid.positions()[0]
         per_cell = [
             max(reference_rx_dbm(sc, 0, ci, d, ue, 0) for d in reference_directions(sc, ci))
@@ -319,7 +320,7 @@ class TestScheduling:
 
     def test_uniform_power_shift_keeps_decisions(self):
         sc = small_scenario()
-        serving, beam, _, _, _ = schedule_drop(sc, 3)
+        serving, beam, *_ = schedule_drop(sc, 3)
         shifted = dataclasses.replace(
             sc,
             donor=dataclasses.replace(sc.donor, tx_power_dbm=sc.donor.tx_power_dbm + 7.0),
@@ -328,17 +329,17 @@ class TestScheduling:
                 for n in sc.iab_nodes
             ),
         )
-        serving2, beam2, _, _, _ = schedule_drop(shifted, 3)
+        serving2, beam2, *_ = schedule_drop(shifted, 3)
         assert np.array_equal(serving, serving2)
         assert np.array_equal(beam, beam2)
 
     def test_vectorized_matches_scalar(self):
         sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=4, ny=3))
-        serving, beam, rx, beam_dirs, shadows = schedule_drop(sc, 9)
+        serving, beam, rx, beam_dirs, shadows, ues = schedule_drop(sc, 9)
         n_cells = len(sc.cells())
         for ci in range(n_cells):
             assert np.array_equal(beam_dirs[ci], reference_directions(sc, ci))
-        ues = sc.ue_grid.positions()
+        assert np.array_equal(ues, sc.ue_grid.positions())
         for u in range(ues.shape[0]):
             best = (-np.inf, 0, 0)
             for ci in range(n_cells):
@@ -383,7 +384,7 @@ class TestScheduling:
             ue_grid=UeGrid(nx=nx, ny=ny),
             access_shadow_sigma_db=sigma,
         )
-        serving, beam, rx, _, _ = schedule_drop(sc, seed)
+        serving, beam, rx, *_ = schedule_drop(sc, seed)
         want_serving, want_beam, want_rx = tensor_schedule(sc, seed)
         assert np.array_equal(serving, want_serving)
         assert np.array_equal(beam, want_beam)
@@ -405,7 +406,7 @@ class TestScheduling:
                 ue_grid=UeGrid(nx=111, ny=111),
                 access_shadow_sigma_db=0.0,
             )
-        serving, beam, rx, _, _ = schedule_drop(sc, 0)
+        serving, beam, rx, *_ = schedule_drop(sc, 0)
         want_serving, want_beam, want_rx = tensor_schedule(sc, 0)
         assert serving.tobytes() == want_serving.tobytes()
         assert beam.tobytes() == want_beam.tobytes()
@@ -466,9 +467,15 @@ class TestPropagationResidual:
                 ReflectorConfig(max_taps=0),
                 ReflectorConfig(min_taps=6, max_taps=6),
                 ReflectorConfig(min_taps=9, max_taps=12),
+                # Beams of fewer and of more than 8 taps, where np.sum's pairwise
+                # blocking changes: a row sum over zero-padded beams rounds differently.
+                ReflectorConfig(min_taps=0, max_taps=12),
             ]
         ),
     )
+    # Both nodes' padded row sums miss here.
+    @example(seed=0, separation=1.0, other_separation=1.0,
+             reflectors=ReflectorConfig(min_taps=0, max_taps=12))
     def test_matches_si_channel_per_beam(self, seed, separation, other_separation, reflectors):
         sc = small_scenario(separation, reflectors=reflectors)
         got = []
@@ -577,25 +584,15 @@ class TestDli:
 
 
 class TestUeThroughput:
-    def equal_capacity_inputs(self):
-        sc = dataclasses.replace(small_scenario(), guard_overhead=0.0)
-        floor = sc.noise.floor_dbm
-        rx = floor + 21.0  # above the top MCS threshold on both links
-        return sc, rx
+    C = capacity_bps(21.0, BW)  # the top MCS's capacity
 
     def test_hd_even_split_halves_capacity(self):
-        sc, rx = self.equal_capacity_inputs()
-        floor = sc.noise.floor_dbm
-        c = capacity_bps(21.0, sc.bandwidth_hz)
-        thr, _, _ = ue_throughput(Mode.HD, True, rx, rx, floor, floor, sc)
-        assert thr == pytest.approx(c / 2.0, rel=1e-12)
+        thr = ue_throughput(Mode.HD, True, self.C, self.C, 0.0)
+        assert thr == pytest.approx(self.C / 2.0, rel=1e-12)
 
     def test_ideal_fd_doubles_hd_with_guard(self):
-        sc, rx = self.equal_capacity_inputs()
-        sc = dataclasses.replace(sc, guard_overhead=0.1)
-        floor = sc.noise.floor_dbm
-        thr_fd, _, _ = ue_throughput(Mode.IDEAL_FD, True, rx, rx, floor, floor, sc)
-        thr_hd, _, _ = ue_throughput(Mode.HD, True, rx, rx, floor, floor, sc)
+        thr_fd = ue_throughput(Mode.IDEAL_FD, True, self.C, self.C, 0.1)
+        thr_hd = ue_throughput(Mode.HD, True, self.C, self.C, 0.1)
         assert thr_fd / thr_hd == pytest.approx(1.0 / (0.9 * 0.5), rel=1e-12)
 
     def test_noise_plus_dbm_sums_powers(self):
@@ -604,35 +601,41 @@ class TestUeThroughput:
         want = [floor, floor + 10 * np.log10(2.0), 10 * np.log10(10 ** -9.0 + 10 ** -6.0)]
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_prop_only_residual_shifts_backhaul_sinr(self):
-        sc, rx = self.equal_capacity_inputs()
+    def test_residual_shifts_backhaul_sinr(self):
+        sc = small_scenario()
         floor = sc.noise.floor_dbm
         residual = floor + 30.0
-        _, _, bh_sinr = ue_throughput(
-            Mode.FD_PROP_ONLY, True, rx, rx, floor, noise_plus_dbm(floor, residual), sc
-        )
-        # hand computation: SINR = rx - 10log10(noise + residual)
-        expected = rx - 10 * np.log10(10 ** (floor / 10) + 10 ** (residual / 10))
-        assert bh_sinr == pytest.approx(expected, abs=1e-9)
-        assert bh_sinr == pytest.approx(21.0 - 30.0, abs=0.01)
+        nodes = tuple(dataclasses.replace(n, residual_si_dbm=residual) for n in sc.iab_nodes)
+        sc = dataclasses.replace(sc, iab_nodes=nodes)
+        drop = run_drop(sc, 0, modes=[Mode.FD_FULL])
+        for ci, node in enumerate(nodes, 1):
+            on_node = drop["serving_cell"] == ci
+            assert on_node.any()
+            rx = backhaul_rx_power_dbm(sc, node)
+            # hand computation: SINR = rx - 10log10(noise + residual)
+            expected = rx - 10 * np.log10(10 ** (floor / 10) + 10 ** (residual / 10))
+            bh_sinr = drop["backhaul_sinr_db"][0, on_node]
+            assert bh_sinr == pytest.approx(expected, abs=1e-9)
+            assert bh_sinr == pytest.approx(rx - floor - 30.0, abs=0.01)
 
     def test_min_bottleneck(self):
-        sc, rx = self.equal_capacity_inputs()
-        floor = sc.noise.floor_dbm
-        thr, a_sinr, b_sinr = ue_throughput(
-            Mode.FD_FULL, True, rx, floor + 9.0, floor, floor, sc
-        )
-        assert thr <= capacity_bps(a_sinr, sc.bandwidth_hz)
-        assert thr == capacity_bps(b_sinr, sc.bandwidth_hz)
+        low = capacity_bps(9.0, BW)
+        assert ue_throughput(Mode.FD_FULL, True, self.C, low, 0.1) == low
+        assert ue_throughput(Mode.FD_PROP_ONLY, True, low, self.C, 0.1) == low
 
     def test_donor_served_ignores_mode(self):
-        sc, rx = self.equal_capacity_inputs()
-        floor = sc.noise.floor_dbm
-        outs = [ue_throughput(m, False, rx, None, floor, floor, sc)[0] for m in ALL_MODES]
-        assert np.unique(outs).size == 1
+        outs = [ue_throughput(m, False, self.C, 0.0, 0.1) for m in ALL_MODES]
+        assert outs == [self.C] * len(ALL_MODES)
+        # Fibered UEs, relayed or not, get their access capacity too.
+        assert ue_throughput(Mode.FIBERED, True, self.C, 0.0, 0.1) == self.C
 
 
 class TestRunDrop:
+    def test_nan_full_sic_margin_names_its_field(self):
+        # run_drop used to meet it as "sinr_db must not be NaN", which names no field.
+        with pytest.raises(FieldError, match=r"^full_sic_margin_db: must be >= -100, got nan"):
+            dataclasses.replace(default_scenario(), full_sic_margin_db=math.nan)
+
     def test_deterministic(self):
         sc = small_scenario()
         assert columns_equal(run_drop(sc, 4), run_drop(sc, 4))
@@ -659,11 +662,17 @@ class TestRunDrop:
         assert drop.keys() == run_drop(small_scenario(), 1).keys()
         assert all(c.shape[-1] == 0 for c in drop.values())
 
-    @pytest.mark.parametrize("seed", [0, 7, 123456789])
-    def test_matches_per_ue_reference(self, seed):
-        sc = dataclasses.replace(small_scenario(), ue_grid=UeGrid(nx=4, ny=3))
+    # At a 2.7 dB noise figure, ideal_fd's noise_plus_dbm(floor, -inf) is not
+    # hd's floor in the last bit, so the modes may not share its backhaul.
+    @pytest.mark.parametrize("seed, noise_figure_db", [
+        (0, 3.0), (7, 3.0), (123456789, 3.0), (0, 2.7), (7, 2.7),
+    ])
+    def test_matches_per_ue_reference(self, seed, noise_figure_db):
+        sc = dataclasses.replace(
+            small_scenario(), ue_grid=UeGrid(nx=4, ny=3), noise_figure_db=noise_figure_db
+        )
         drop = run_drop(sc, seed)
-        serving, beam, access_rx, _, _ = schedule_drop(sc, seed)
+        serving, beam, access_rx, *_ = schedule_drop(sc, seed)
         ues = sc.ue_grid.positions()
         assert (serving > 0).any() and (serving == 0).any()
         for k, mode in enumerate(ALL_MODES):
