@@ -6,11 +6,12 @@ Commands
     sweep              link chains over a parameter grid -> sweep.csv
     compare-prototype  simulated vs measured suppression -> compare_prototype.csv
 
-Every command hands its tables, as (file name, dict of numpy columns) pairs,
-to _write_outputs, which makes the output directory once the first table is
-ready, writes them (csvtable) and then a run.json sidecar with the fully
-resolved configuration, seed, tool version and the files written; a run that
-fails before its first table leaves no directory. Outputs are byte-identical
+Every command reads its arguments from argparse's namespace and hands its
+tables, as (file name, dict of numpy columns) pairs, to _write_outputs, which
+makes the output directory once the first table is ready, writes them
+(csvtable) and then a run.json sidecar with the fully resolved
+configuration, seed, tool version and the files written; a run that fails
+before its first table leaves no directory. Outputs are byte-identical
 for identical (scenario, seed, version), timestamp aside. Exit codes: 0
 success, 1 validation failure, 2 I/O failure. Only the commands that run the
 link chain (fdiab.sic, fdiab.ofdm) or fdiab.prototype import them.
@@ -23,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -36,7 +37,9 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .system import ALL_MODES, FD_MODES, Mode, cdf, node_direct_taps, run_drop
+from .system import (
+    ALL_MODES, FD_MODES, MEMORY_BUDGET_BYTES, Mode, cdf, node_direct_taps, run_drop,
+)
 from .util import SPEED_OF_LIGHT, FieldError, substream
 
 REDUCTION_COLUMNS = (
@@ -49,19 +52,10 @@ REDUCTION_COLUMNS = (
 CDF_COLUMNS = ("mode", "throughput_bps", "cdf")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario_path: str | None
-    seed: int
-    output_dir: str
-    overrides: tuple
-
-
-def _write_outputs(cfg, resolved_scenario, tables, **arguments):
-    """Write each (file name, columns) pair of tables as a CSV in
-    cfg.output_dir, then the run.json sidecar, whose outputs are the names
-    written and which also records the command's own arguments, as parsed.
+def _write_outputs(args, resolved_scenario, tables, **arguments):
+    """Write each (file name, columns) pair of tables as a CSV in args.out,
+    then the run.json sidecar, whose outputs are the names written and which
+    also records the command's own arguments, as parsed.
 
     The directory is made once the first table is ready, so a run that fails
     before then leaves none. The writer empties each table, so callers take
@@ -70,29 +64,29 @@ def _write_outputs(cfg, resolved_scenario, tables, **arguments):
     outputs = []
     for name, columns in tables:
         if not outputs:
-            os.makedirs(cfg.output_dir, exist_ok=True)
-        csvtable.write_columns(os.path.join(cfg.output_dir, name), columns)
+            os.makedirs(args.out, exist_ok=True)
+        csvtable.write_columns(os.path.join(args.out, name), columns)
         outputs.append(name)
     sidecar = {
         "tool": "fdiab",
         "version": __version__,
-        "command": cfg.command,
-        "scenario_path": cfg.scenario_path,
-        "seed": cfg.seed,
-        "overrides": list(cfg.overrides),
+        "command": args.command,
+        "scenario_path": args.scenario,
+        "seed": args.seed,
+        "overrides": args.overrides,
         "resolved_scenario": resolved_scenario,
         "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **arguments,
     }
-    with open(os.path.join(cfg.output_dir, "run.json"), "w") as fh:
+    with open(os.path.join(args.out, "run.json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _load_with_overrides(cfg):
-    """(scenario dict with cfg's overrides applied, the validated Scenario)."""
-    data = apply_overrides(read_scenario_file(cfg.scenario_path), cfg.overrides)
+def _load_with_overrides(args):
+    """(scenario dict with args.overrides applied, the validated Scenario)."""
+    data = apply_overrides(read_scenario_file(args.scenario), args.overrides)
     return data, scenario_from_dict(data)
 
 
@@ -149,21 +143,22 @@ def _reduction_columns(nodes, seeds, reports):
     return {c: columns[c] for c in REDUCTION_COLUMNS}
 
 
-def cmd_link_sim(cfg):
+def cmd_link_sim(args):
     """reduction.csv: the rows of a sweep with no grid and one drop, less
     their cell and drop columns."""
-    scenario, _, columns = _sweep(cfg, [], 1)
+    scenario, _, columns = _sweep(args, [], 1)
     del columns["cell"], columns["drop"]
-    _write_outputs(cfg, scenario_to_dict(scenario), [("reduction.csv", columns)])
+    _write_outputs(args, scenario_to_dict(scenario), [("reduction.csv", columns)])
     return 0
 
 
-def cmd_system_sim(cfg, modes=ALL_MODES):
-    _, scenario = _load_with_overrides(cfg)
-    values = [Mode(m).value for m in modes]
+def cmd_system_sim(args):
+    modes = _parse_modes(args.modes)
+    _, scenario = _load_with_overrides(args)
+    values = [m.value for m in modes]
 
     def tables():
-        drop = run_drop(scenario, cfg.seed, modes=modes)
+        drop = run_drop(scenario, args.seed, modes=modes)
         # throughput.csv: a row per (mode, UE), mode-major; the writer gets each per-UE value
         # once, with int32 rows (half an int64's bytes). A relayed UE's FD rows share its DLI
         # and SINR with DLI (np.argmax(fd): the first FD row); other rows a NaN DLI, the SNR.
@@ -171,7 +166,7 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
         sorted_bps, probs = zip(*map(cdf, drop["throughput_bps"]))  # a curve per mode
         mode = np.array(values), np.repeat(np.arange(k, dtype=np.int32), n)
         ue = np.tile(np.arange(n, dtype=np.int32), k)
-        fd = [Mode(m) in FD_MODES for m in modes]
+        fd = [m in FD_MODES for m in modes]
         relayed = np.flatnonzero((drop["serving_cell"] > 0) & any(fd))
         rank = np.full(k * n, relayed.size, np.int32)  # the NaN after the relayed DLIs
         rank.reshape(k, n)[np.ix_(fd, relayed)] = np.arange(relayed.size)
@@ -191,7 +186,7 @@ def cmd_system_sim(cfg, modes=ALL_MODES):
         yield "throughput.csv", cols
         yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, np.concatenate(sorted_bps), (probs[0], ue))))
 
-    _write_outputs(cfg, scenario_to_dict(scenario), tables(), modes=values)
+    _write_outputs(args, scenario_to_dict(scenario), tables(), modes=values)
     return 0
 
 
@@ -218,11 +213,11 @@ def _parse_grid(specs):
 
 # A sweep's traced allocations grow by 5.4-5.6 KB per chain when one call runs
 # them all (1 drop, 1 node, 25 to 4,800 chains): each keeps its cell, SI taps and
-# fit until its holdout. The cap keeps that in MAX_UES's 2 GiB at 8 KiB a chain.
-MAX_SWEEP_CHAINS = 2 * 2**30 // (8 * 1024)
+# fit until its holdout. The cap keeps that in the 2 GiB budget at 8 KiB a chain.
+MAX_SWEEP_CHAINS = MEMORY_BUDGET_BYTES // (8 * 1024)
 
 
-def _sweep(cfg, grid_specs, drops):
+def _sweep(args, grid_specs, drops):
     """(scenario, grid, columns of sweep.csv): every node of every grid cell
     over drops seeded drops, rows in (cell, drop, node) order.
 
@@ -239,7 +234,7 @@ def _sweep(cfg, grid_specs, drops):
 
     if drops < 1:
         raise ValueError(f"--drops must be >= 1, got {drops}")
-    base, scenario = _load_with_overrides(cfg)
+    base, scenario = _load_with_overrides(args)
     grid = _parse_grid(grid_specs)
     n_cells = math.prod(len(values) for _, values in grid)
     n_nodes = len(scenario.iab_nodes)
@@ -264,7 +259,7 @@ def _sweep(cfg, grid_specs, drops):
         for d in range(drops)
         for ni in range(len(chains))
     ]
-    seeds = {k: _node_seed(cfg.seed, "sweep", *k) for k in dict.fromkeys(r[1:] for r in rows)}
+    seeds = {k: _node_seed(args.seed, "sweep", *k) for k in dict.fromkeys(r[1:] for r in rows)}
     reports = {}
     for (d, ni), seed in seeds.items():  # one run_link_chains call per (drop, node)
         cis = [ci for ci, node_chains in enumerate(cell_chains) if ni < len(node_chains)]
@@ -280,18 +275,18 @@ def _sweep(cfg, grid_specs, drops):
     return scenario, grid, columns
 
 
-def cmd_sweep(cfg, grid_specs, drops):
-    scenario, grid, columns = _sweep(cfg, grid_specs, drops)
+def cmd_sweep(args):
+    scenario, grid, columns = _sweep(args, args.grid, args.drops)
     tables = [("sweep.csv", columns)]
-    _write_outputs(cfg, scenario_to_dict(scenario), tables, grid=grid, drops=drops)
+    _write_outputs(args, scenario_to_dict(scenario), tables, grid=grid, drops=args.drops)
     return 0
 
 
-def cmd_compare_prototype(cfg):
+def cmd_compare_prototype(args):
     from .prototype import compare_prototype
 
-    rows, summary = compare_prototype(seed=cfg.seed)
-    _write_outputs(cfg, None, [("compare_prototype.csv", rows), ("compare_summary.csv", summary)])
+    rows, summary = compare_prototype(seed=args.seed)
+    _write_outputs(args, None, [("compare_prototype.csv", rows), ("compare_summary.csv", summary)])
     return 0
 
 
@@ -344,29 +339,19 @@ def build_parser():
     cmp_help = "simulated vs measured propagation suppression"
     p_cmp = sub.add_parser("compare-prototype", help=cmp_help)
     common(p_cmp, seed_required=False, with_scenario=False)
+    p_cmp.set_defaults(scenario=None, overrides=[])  # as run.json records them
 
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        scenario_path=getattr(args, "scenario", None),
-        seed=args.seed,
-        output_dir=args.out,
-        overrides=tuple(getattr(args, "overrides", ())),
-    )
     try:
-        if not 0 <= cfg.seed < 2**64:
-            raise ValueError(f"--seed must be in [0, 2**64), got {cfg.seed}")
-        if args.command == "link-sim":
-            return cmd_link_sim(cfg)
-        if args.command == "system-sim":
-            return cmd_system_sim(cfg, modes=_parse_modes(args.modes))
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.grid, args.drops)
-        return cmd_compare_prototype(cfg)  # argparse admits no other command
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
+        command = {"link-sim": cmd_link_sim, "system-sim": cmd_system_sim, "sweep": cmd_sweep,
+                   "compare-prototype": cmd_compare_prototype}[args.command]
+        return command(args)
     except (ScenarioError, ValueError) as exc:
         print(f"fdiab: {exc}", file=sys.stderr)
         return 1

@@ -125,9 +125,7 @@ def _percent_cells(uniq, sep):
     cells = cells.reshape(uniq.size, len(fmt % 0) + 1)
     if uniq.dtype.kind == "f":  # NaN cells go empty; the left-justified text ends by width
         cells[np.isnan(uniq), :-1] = PAD
-        width = cells.shape[1] - 1
-        while width and (cells[:, width - 1] == PAD).all():
-            width -= 1
+        width = int((cells[:, :-1] != PAD).any(axis=0).sum())
         cells[:, width] = cells[:, -1]
         cells = cells[:, : width + 1]
     return cells

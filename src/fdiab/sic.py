@@ -29,20 +29,10 @@ from .util import (
     SPEED_OF_LIGHT, FieldError, bounded, check_bounds, dbm_to_watt, mean_power_dbm, substream,
 )
 
-# Fixed canceller delays used in the reference configurations; for other
-# separations the delays bracket the direct-path delay the same way.
-PAPER_CANCELLER_DELAYS_S = {
-    2.0: (6e-9, 8e-9),
-    1.0: (3e-9, 4e-9),
-    0.1: (0.3e-9, 0.4e-9),
-}
-
 
 def default_canceller_delays(separation_m):
-    """Two-tap delays for a given antenna separation."""
-    for d, delays in PAPER_CANCELLER_DELAYS_S.items():
-        if abs(separation_m - d) < 1e-9:
-            return delays
+    """Two-tap delays bracketing the direct SI path's delay tau: (0.9 tau,
+    1.2 tau), which gives the paper's pairs to within 0.1%."""
     tau = separation_m / SPEED_OF_LIGHT
     return (0.9 * tau, 1.2 * tau)
 

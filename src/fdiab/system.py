@@ -71,6 +71,8 @@ MCS_EFFICIENCIES_BPS_HZ = (
     0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.9141,
     2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
 )
+_THRESHOLDS = np.array(MCS_THRESHOLDS_DB)  # the tables as capacity_bps reads them
+_EFFICIENCY = np.array((0.0, *MCS_EFFICIENCIES_BPS_HZ))  # [0]: outage
 
 
 def capacity_bps(sinr_db, bandwidth_hz):
@@ -83,8 +85,7 @@ def capacity_bps(sinr_db, bandwidth_hz):
     sinr = np.asarray(sinr_db, float)
     if np.isnan(sinr).any():
         raise ValueError("sinr_db must not be NaN")
-    eff = np.concatenate(([0.0], MCS_EFFICIENCIES_BPS_HZ))  # eff[0]: outage
-    return bandwidth_hz * eff[np.searchsorted(MCS_THRESHOLDS_DB, sinr, side="right")]
+    return bandwidth_hz * _EFFICIENCY[np.searchsorted(_THRESHOLDS, sinr, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +116,13 @@ class IabNode(Donor):
         return (x, y, z - self.antenna_separation_m)
 
 
+# The traced memory a call may take: it sizes MAX_UES and cli.MAX_SWEEP_CHAINS.
+MEMORY_BUDGET_BYTES = 2 * 2**30
+
 # A system-sim call's traced allocations peak in run_drop, at 528 B per UE
 # between a 201 x 201 and a 301 x 301 grid (5.18 MiB at 101 x 101). The cap
 # budgets 1 KiB per UE within 2 GiB: 2,097,152 UEs, 1448 x 1448.
-MAX_UES = 2 * 2**30 // 1024
+MAX_UES = MEMORY_BUDGET_BYTES // 1024
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operato
 @functools.lru_cache(maxsize=None)
 def _parsed_bounds(cls):
     """(name, bounds, ((compare, limit), ...)) for each bounded field of cls,
-    parsed once per class: value objects such as SiGeometry are built per
-    beam."""
+    parsed once per class, not on each build of a value object (SiGeometry:
+    once per node in node_direct_taps, once per separation in prototype)."""
     out = []
     for f in fields(cls):
         if "bounds" in f.metadata:

@@ -243,6 +243,37 @@ class TestSidecar:
             cdf_modes = [row["mode"] for row in csv.DictReader(fh)]
         assert list(dict.fromkeys(cdf_modes)) == modes
 
+    COMMON_KEYS = {"tool", "version", "command", "scenario_path", "seed", "overrides",
+                   "resolved_scenario", "outputs", "timestamp"}
+
+    @pytest.mark.parametrize(
+        "argv, own_keys",
+        [
+            (["link-sim", "--scenario", SCENARIO], set()),
+            (["system-sim", "--scenario", SCENARIO] + SMALL, {"modes"}),
+            (["sweep", "--scenario", SCENARIO, "--grid", "noise_figure_db=3,4"],
+             {"grid", "drops"}),
+            (["compare-prototype"], set()),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_sidecar_keys(self, tmp_path, argv, own_keys):
+        """Every command's run.json has the common keys and its own arguments'."""
+        out = tmp_path / "o"
+        assert main(argv + ["--seed", "2", "--out", str(out)]) == 0
+        with open(out / "run.json") as fh:
+            side = json.load(fh)
+        assert set(side) == self.COMMON_KEYS | own_keys
+        assert side["command"] == argv[0] and side["seed"] == 2
+
+    def test_compare_prototype_records_no_scenario_and_no_overrides(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["compare-prototype", "--out", str(out)]) == 0
+        side = sidecar_without_timestamp(out / "run.json")
+        assert side["scenario_path"] is None and side["resolved_scenario"] is None
+        assert side["overrides"] == []
+
+
 class TestSweep:
     def test_grid_rows_and_monotone_propagation(self, scenario_path, tmp_path):
         out = tmp_path / "sweep"
@@ -321,8 +352,8 @@ class TestSweep:
 # sweep --grid iab_nodes.*.antenna_separation_m=0.1,1,2 --drops 1:
 GOLDEN_SWEEP = """\
 cell,drop,iab_nodes.*.antenna_separation_m,node,antenna_separation_m,seed,tx_power_dbm,after_propagation_dbm,after_analog_dbm,after_digital_dbm,propagation_db,analog_db,digital_db,noise_floor_dbm,analog_applied,gray_zone_ok,digital_saturated,holdout_residual_dbm
-0,0,0.1,0,0.1,3408044606088226153,31.9732127774,-29.4177090325,-90.1751543928,-90.1990781818,61.3909218099,60.7574453603,0.0239237890409,-90.2081875395,true,true,false,-90.188333358
-0,0,0.1,1,0.1,2803755670168787654,31.968210688,-29.7895996638,-55.8618137931,-90.1551641809,61.7578103518,26.0722141293,34.2933503878,-90.2081875395,true,true,false,-90.1868808015
+0,0,0.1,0,0.1,3408044606088226153,31.9732127774,-29.4177090325,-90.175173183,-90.1990749612,61.3909218099,60.7574641505,0.0239017782299,-90.2081875395,true,true,false,-90.1883137314
+0,0,0.1,1,0.1,2803755670168787654,31.968210688,-29.7895996638,-55.8621330802,-90.1542619711,61.7578103518,26.0725334164,34.2921288908,-90.2081875395,true,true,false,-90.1860255872
 1,0,1,0,1,3408044606088226153,31.9732127774,-49.4173478375,-49.4173478375,-90.1720639287,81.3905606149,0,40.7547160912,-90.2081875395,false,true,false,-90.1705055259
 1,0,1,1,1,2803755670168787654,31.968210688,-49.724810657,-49.724810657,-90.169034849,81.693021345,0,40.444224192,-90.2081875395,false,true,false,-90.1998453119
 2,0,2,0,2,3408044606088226153,31.9732127774,-55.4383293077,-55.4383293077,-90.1971334004,87.4115420851,0,34.7588040927,-90.2081875395,false,true,false,-90.1840995504

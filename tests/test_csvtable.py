@@ -431,3 +431,17 @@ class TestNumberCells:
         with mock.patch.object(csvtable, "_float_cells") as kernel:
             csvtable._column_cells(values, b",")
         kernel.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "values", [[], [np.nan], [np.nan] * 3, [np.nan, -1.5], [1e-300, np.nan, 2.0]]
+    )
+    def test_percent_cells_end_at_the_widest_text(self, values):
+        # The "%" pass of a float kernel column most often gets no value or
+        # only NaN, whose cells are then the separator alone.
+        values = np.array(values, float)
+        cells = csvtable._percent_cells(values, b",")
+        text = reference_cells(values)
+        assert cells.shape == (len(values), max(map(len, text), default=0) + 1)
+        assert [bytes(c).replace(csvtable._PADS, b"").decode() for c in cells] == [
+            t + "," for t in text
+        ]

@@ -64,11 +64,22 @@ def two_tap_residual_power(h, two_tap):
     return np.mean(np.abs(h - two_tap.freq_response(FREQS)) ** 2)
 
 
+# The paper's canceller delay pairs, by antenna separation.
+PAPER_CANCELLER_DELAYS_S = {0.1: (0.3e-9, 0.4e-9), 1.0: (3e-9, 4e-9), 2.0: (6e-9, 8e-9)}
+
+
 class TestTwoTapTuning:
-    def test_paper_delay_pairs(self):
-        assert default_canceller_delays(2.0) == (6e-9, 8e-9)
-        assert default_canceller_delays(1.0) == (3e-9, 4e-9)
-        assert default_canceller_delays(0.1) == (0.3e-9, 0.4e-9)
+    @pytest.mark.parametrize("separation, paper", PAPER_CANCELLER_DELAYS_S.items())
+    def test_rule_gives_the_paper_delay_pairs(self, separation, paper):
+        assert default_canceller_delays(separation) == pytest.approx(paper, rel=1e-3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(separation=st.floats(0.05, 3.0))
+    def test_delays_bracket_the_direct_path(self, separation):
+        tau = separation / SPEED_OF_LIGHT
+        t1, t2 = default_canceller_delays(separation)
+        assert t1 < tau < t2
+        assert (t1, t2) == pytest.approx((0.9 * tau, 1.2 * tau), rel=1e-15)
 
     def test_model_matched_recovery_is_exact(self):
         delays = (3e-9, 4e-9)
@@ -866,9 +877,9 @@ IDEAL_FD_REPORTS = [
         False, -90.17539475149952, 1.0,
     )),
     (0.1, "on", 8, (
-        31.976380177493922, -90.2330391642925, -90.2327218855644, -90.24788065923278,
-        (122.20941934178643, -0.00031727872810449753, 0.015158773668375147),
-        -90.20818753952375, True, True, False, -90.15388768572898, 0.1,
+        31.976380177493922, -90.2330391642925, -90.23272188556516, -90.24788134770488,
+        (122.20941934178643, -0.00031727872735132223, 0.015159462139720858),
+        -90.20818753952375, True, True, False, -90.15388874452017, 0.1,
     )),
 ]
 
