@@ -33,9 +33,12 @@ from .geometry import si_channel
 from .scenario import (
     ScenarioError,
     apply_overrides,
+    parse_setting,
+    parse_value,
     read_scenario_file,
     scenario_from_dict,
     scenario_to_dict,
+    set_value,
 )
 from .system import (
     ALL_MODES, FD_MODES, MEMORY_BUDGET_BYTES, Mode, cdf, node_direct_taps, run_drop,
@@ -191,23 +194,17 @@ def cmd_system_sim(args):
 
 
 def _parse_grid(specs):
+    """(key, values) of each --grid spec "key=v1,v2,...", each value parsed
+    as an override's is."""
     grid = []
     for spec in specs:
-        if "=" not in spec:
-            raise ScenarioError(f"grid {spec!r}", "expected key=v1,v2,...")
-        key, raw = spec.split("=", 1)
+        key, raw = parse_setting(spec, "grid", "key=v1,v2,...")
         for other, _ in grid:  # overlap: over the shorter key, each segment pair is equal or *
             if other == key:
                 raise ScenarioError("", f"--grid repeats key {key!r}")
             if all(a == b or "*" in (a, b) for a, b in zip(key.split("."), other.split("."))):
                 raise ScenarioError("", f"--grid keys {other!r} and {key!r} overlap")
-        values = []
-        for part in raw.split(","):
-            try:
-                values.append(json.loads(part))
-            except json.JSONDecodeError:
-                values.append(part)
-        grid.append((key, values))
+        grid.append((key, [parse_value(part) for part in raw.split(",")]))
     return grid
 
 
@@ -250,8 +247,10 @@ def _sweep(args, grid_specs, drops):
     for assignment in cells:  # with no grid, one empty assignment: the scenario as loaded
         cell = scenario
         if assignment:
-            overrides = [f"{k}={json.dumps(v)}" for k, v in assignment]
-            cell = scenario_from_dict(apply_overrides(json.loads(json.dumps(base)), overrides))
+            data = json.loads(json.dumps(base))  # a copy
+            for key, value in assignment:
+                set_value(data, key, value, "grid")
+            cell = scenario_from_dict(data)
         cell_chains.append([chain_for_node(cell, i) for i in range(len(cell.iab_nodes))])
     rows = [
         (ci, d, ni)

@@ -34,13 +34,11 @@ class AntennaPattern:
 
     boresight_gain_dbi: float = bounded(20.0, "<= 100")
     beamwidth_3db_deg: float = bounded(12.0, "> 0")
-    sidelobe_floor_dbi: float = -10.0
-    polarization: str = "V"
+    # Any finite depth: direct_si_taps rejects a floor at which a tap carries no power.
+    sidelobe_floor_dbi: float = bounded(-10.0, "> -inf, <= 100")
 
     def __post_init__(self):
         check_bounds(self)
-        if self.polarization not in ("V", "H"):
-            raise FieldError("polarization", f"must be 'V' or 'H', got {self.polarization!r}")
         if not self.boresight_gain_dbi > self.sidelobe_floor_dbi:
             raise FieldError("", "boresight_gain_dbi must exceed sidelobe_floor_dbi")
 
@@ -117,13 +115,11 @@ class SiGeometry:
     Orientations are boresight direction vectors in the same frame, one (3,)
     vector or (n, 3) rows, tx rows broadcast against rx rows; the defaults
     point both antennas at the horizon (90 degrees off the mast axis).
-    cross_pol_isolation_db is 0 for co-polarized antennas.
     """
 
     antenna_separation_m: float = bounded(MISSING, "> 0, < inf")
     tx_orientation: tuple = (1.0, 0.0, 0.0)
     rx_orientation: tuple = (1.0, 0.0, 0.0)
-    cross_pol_isolation_db: float = bounded(0.0, ">= 0, < inf")
 
     def __post_init__(self):
         check_bounds(self)
@@ -163,13 +159,13 @@ def total_gain_db(gains):
     return float(10.0 * np.log10(np.sum(np.abs(gains) ** 2)))
 
 
-def direct_si_taps(geom, tx_pat, rx_pat, carrier_freq_hz=28e9):
+def direct_si_taps(geom, tx_pat, rx_pat, carrier_freq_hz):
     """The direct SI tap of each broadcast row of geom's tx and rx
     orientations, as one (delay_s, amp, gain) triple per row: the delay d/c,
-    which every row shares, the amplitude set by Friis loss,
-    cross-polarization isolation and both off-boresight antenna gains along
-    the mast axis, and the complex gain amp * exp(-2j*pi*f*d/c). A row whose
-    tap power underflows to 0 raises FieldError at "pattern"."""
+    which every row shares, the amplitude set by Friis loss and both
+    off-boresight antenna gains along the mast axis, and the complex gain
+    amp * exp(-2j*pi*f*d/c) at carrier_freq_hz f. A row whose tap power
+    underflows to 0 raises FieldError at "pattern"."""
     d = geom.antenna_separation_m
     delay = d / SPEED_OF_LIGHT
     # Off-boresight angles toward the other antenna, (2, n, 3) rows against
@@ -178,7 +174,6 @@ def direct_si_taps(geom, tx_pat, rx_pat, carrier_freq_hz=28e9):
     theta_tx, theta_rx = angle_between_deg(rows, [[(0.0, 0.0, -1.0)], [(0.0, 0.0, 1.0)]])
     amp_db = (
         -fspl_db(d, carrier_freq_hz)
-        - geom.cross_pol_isolation_db
         + antenna_gain_dbi(tx_pat, theta_tx)
         + antenna_gain_dbi(rx_pat, theta_rx)
     )

@@ -17,6 +17,7 @@ from .util import substream
 # Measured mean propagation-domain SI suppression per antenna separation.
 PAPER_MEAN_SUPPRESSION_DB = {2.0: 100.125, 1.0: 97.26, 0.1: 82.18}
 _SEPARATIONS_M = sorted(PAPER_MEAN_SUPPRESSION_DB, reverse=True)  # compare_prototype.csv's order
+PROTOTYPE_CARRIER_HZ = 28e9
 
 # Lens antennas used on the prototype.
 PROTOTYPE_PATTERN = AntennaPattern(
@@ -36,7 +37,7 @@ def simulate_suppression_db(separation_m, relative_azimuths_deg, seed):
     az = np.radians(relative_azimuths_deg)
     rx_dirs = np.stack([np.cos(az), np.sin(az), np.zeros_like(az)], axis=-1)
     geom = SiGeometry(separation_m, (1.0, 0.0, 0.0), rx_dirs)
-    taps = direct_si_taps(geom, PROTOTYPE_PATTERN, PROTOTYPE_PATTERN)
+    taps = direct_si_taps(geom, PROTOTYPE_PATTERN, PROTOTYPE_PATTERN, PROTOTYPE_CARRIER_HZ)
     out = []
     for azimuth, tap in zip(relative_azimuths_deg, taps):
         draw_seed = substream(seed, "proto", separation_m, azimuth).integers(2**63)
@@ -45,7 +46,7 @@ def simulate_suppression_db(separation_m, relative_azimuths_deg, seed):
     return np.array(out)
 
 
-def compare_prototype(seed=0):
+def compare_prototype(seed):
     """Simulated suppression per azimuth, and measured against simulated per separation.
 
     Returns the columns of compare_prototype.csv, separation_m,

@@ -25,8 +25,8 @@ class PaModel:
     compression input comes out exactly 1 dB below linear gain.
     """
 
-    gain_db: float = 20.0
-    p1db_dbm: float = 43.0
+    gain_db: float = bounded(20.0, ">= 0, <= 100")  # an amplifier: no loss
+    p1db_dbm: float = bounded(43.0, ">= -100, <= 100")
     rapp_smoothness: float = bounded(2.0, "> 0")
     vsat_dbm: float = field(init=False)
 
@@ -74,9 +74,10 @@ class AdcModel:
     """
 
     bits: int = bounded(14, ">= 1")
-    full_scale_dbm: float = 0.0
-    agc_backoff_db: float = 15.0
-    effective_range_db: float = EFFECTIVE_ADC_RANGE_14BIT_DB
+    full_scale_dbm: float = bounded(0.0, ">= -100, <= 100")
+    agc_backoff_db: float = bounded(15.0, ">= 0, <= 100")
+    # Above a 32-bit ADC's ideal SQNR, 6.02 * 32 + 1.76 = 194.4 dB, no range is physical.
+    effective_range_db: float = bounded(EFFECTIVE_ADC_RANGE_14BIT_DB, ">= 0, <= 200")
 
     __post_init__ = check_bounds
 

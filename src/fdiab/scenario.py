@@ -52,8 +52,6 @@ def _read(tp, value, path):
     args = typing.get_args(tp)
     if type(None) in args:  # X | None
         return None if value is None else _read(args[0], value, path)
-    if typing.get_origin(tp) is not tuple:
-        return value  # a string, which its dataclass checks
     if args[-1] is Ellipsis:
         if not isinstance(value, list):
             raise ScenarioError(path, "expected a list")
@@ -137,55 +135,72 @@ def save_scenario(scenario, path):
         fh.write("\n")
 
 
-def apply_overrides(data, overrides):
-    """Apply CLI key=value overrides to a scenario dict.
+def parse_setting(spec, what, form):
+    """(key, value text) of spec, a command-line "key=value" of kind what
+    ("override" or "grid"), whose errors name it so; form is the shape
+    expected. The key is a dotted path with no empty segment."""
+    if "=" not in spec:
+        raise ScenarioError(f"{what} {spec!r}", f"expected {form}")
+    key, raw = spec.split("=", 1)
+    if "" in key.split("."):
+        raise ScenarioError(f"{what} {key!r}", "empty path segment")
+    return key, raw
 
-    Keys are dotted paths into the JSON structure; list elements are indexed
-    numerically and '*' addresses every element. Values parse as JSON with a
-    bare-string fallback. Unknown paths, an empty path segment, and a '*'
-    that matches no element are rejected.
-    """
+
+def parse_value(raw):
+    """A setting's value text as JSON, else as the text itself."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def apply_overrides(data, overrides):
+    """Apply CLI key=value overrides to a scenario dict: each value parses
+    as JSON, else as its text, and goes to its key's path (set_value)."""
     for item in overrides:
-        if "=" not in item:
-            raise ScenarioError(f"override {item!r}", "expected key=value")
-        key, raw = item.split("=", 1)
-        parts = key.split(".")
-        if "" in parts:
-            raise ScenarioError(f"override {key!r}", "empty path segment")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        _set_path(data, parts, value, key, Scenario)
+        key, raw = parse_setting(item, "override", "key=value")
+        set_value(data, key, parse_value(raw), "override")
     return data
 
 
-def _set_path(node, parts, value, full_key, tp):
+def set_value(data, key, value, what):
+    """Set the dotted path key of the scenario dict data to value; errors
+    name the setting as what key.
+
+    List elements are indexed numerically and '*' addresses every element.
+    Unknown paths and a '*' that matches no element are rejected.
+    """
+    _set_path(data, key.split("."), value, key, Scenario, what)
+
+
+def _set_path(node, parts, value, full_key, tp, what):
     """Set parts' path below node, of annotated type tp, to value. A null
     section that loads as its defaults is descended into as if empty; one
     whose null turns it off is rejected."""
     head, rest = parts[0], parts[1:]
+    where = f"{what} {full_key!r}"
     if isinstance(node, list):
         if head == "*":
             if not node:
-                raise ScenarioError(f"override {full_key!r}", "'*' matches no list element")
+                raise ScenarioError(where, "'*' matches no list element")
             targets = range(len(node))
         else:
             try:
                 i = int(head)
             except ValueError:
-                raise ScenarioError(f"override {full_key!r}", f"{head!r} is not a list index")
+                raise ScenarioError(where, f"{head!r} is not a list index")
             if not (0 <= i < len(node)):
-                raise ScenarioError(f"override {full_key!r}", f"index {i} out of range")
+                raise ScenarioError(where, f"index {i} out of range")
             targets = [i]
         for i in targets:
             if rest:
-                _set_path(node[i], rest, value, full_key, (typing.get_args(tp) or (None,))[0])
+                _set_path(node[i], rest, value, full_key, (typing.get_args(tp) or (None,))[0], what)
             else:
                 node[i] = value
         return
     if not isinstance(node, dict):
-        raise ScenarioError(f"override {full_key!r}", "path descends into a scalar")
+        raise ScenarioError(where, "path descends into a scalar")
     tp = {f.name: f.type for f in fields(tp)}.get(head) if is_dataclass(tp) else None
     if rest and head in node and node[head] is None:
         if is_dataclass(tp):  # null loads as the section's defaults
@@ -193,14 +208,13 @@ def _set_path(node, parts, value, full_key, tp):
         elif any(map(is_dataclass, typing.get_args(tp))):  # null turns the section off
             section = ".".join(full_key.split(".")[: -len(rest)])
             raise ScenarioError(
-                f"override {full_key!r}",
-                f"{section} is null, which turns that section off; set it to an object first",
+                where, f"{section} is null, which turns that section off; set it to an object first"
             )
     if rest:
         if head not in node:
             # Allow descending into sections that are optional in the file,
             # as long as validation knows them.
             node[head] = {} if not rest[0].isdigit() and rest[0] != "*" else []
-        _set_path(node[head], rest, value, full_key, tp)
+        _set_path(node[head], rest, value, full_key, tp, what)
     else:
         node[head] = value

@@ -69,8 +69,7 @@ def tune_two_tap(si_freq_response, delays_s, cfg):
     """Closed-form LS gains for the two-tap canceller.
 
     Solves min over (a1, a2) of sum_k |H_k - a1 e^{-j2pi f_k t1}
-    - a2 e^{-j2pi f_k t2}|^2 on the active subcarriers via the normal
-    equations.
+    - a2 e^{-j2pi f_k t2}|^2 on the active subcarriers with np.linalg.lstsq.
     """
     t1, t2 = delays_s
     if t1 == t2:
@@ -402,6 +401,11 @@ FRAME_FIELDS = (
 )
 
 
+# validate()'s tolerances on the per-domain dB sum and on a stage's rise.
+SUM_TOL_DB = 0.01
+MONOTONE_EPS_DB = 0.02
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     """Per-domain SI reduction for one link realization.
@@ -424,12 +428,12 @@ class ReductionReport:
     holdout_residual_dbm: float
     antenna_separation_m: float
 
-    def validate(self, tol_db=0.01, monotone_eps_db=0.02):
+    def validate(self):
         # Every comparison below is false for NaN, so it would pass them all.
         for f in fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} is not finite: {getattr(self, f.name)}")
-        if abs(sum(self.per_domain_db) - (self.tx_power_dbm - self.after_digital_dbm)) > tol_db:
+        if abs(sum(self.per_domain_db) - (self.tx_power_dbm - self.after_digital_dbm)) > SUM_TOL_DB:
             raise ValueError("per-domain contributions do not sum to the total")
         chain = (
             self.tx_power_dbm,
@@ -438,7 +442,7 @@ class ReductionReport:
             self.after_digital_dbm,
         )
         for a, b in zip(chain, chain[1:]):
-            if b > a + monotone_eps_db:
+            if b > a + MONOTONE_EPS_DB:
                 # A rise to within the scatter of a frame's noise power (0.5 dB: 15
                 # standard deviations over the default 18,288 fit samples) is the noise's.
                 if b > self.noise_floor_dbm + 0.5:

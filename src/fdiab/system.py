@@ -18,8 +18,7 @@ from .geometry import (
 )
 from .rf import NoiseModel
 from .util import (
-    SPEED_OF_LIGHT, FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, under,
-    watt_to_dbm,
+    SPEED_OF_LIGHT, FieldError, bounded, check_bounds, dbm_to_watt, same_as, substream, watt_to_dbm,
 )
 
 
@@ -98,7 +97,7 @@ class Donor:
     position: tuple[float, float, float]
     tx_power_dbm: float = bounded(43.0, "<= 100")
     pattern: AntennaPattern = field(default_factory=AntennaPattern)
-    sector_center_az_deg: float | None = None  # None: aim at the region center
+    sector_center_az_deg: float | None = bounded(None, "> -inf, < inf")  # None: the region center
 
     __post_init__ = check_bounds
 
@@ -350,8 +349,10 @@ def node_direct_taps(scenario, node_idx, du_dirs):
     direct_si_taps pass, whose errors name the node."""
     node = scenario.iab_nodes[node_idx]
     geom = SiGeometry(node.antenna_separation_m, du_dirs, scenario.mt_boresight(node))
-    f = scenario.carrier_freq_hz
-    return under(f"iab_nodes[{node_idx}]", direct_si_taps, geom, node.pattern, node.pattern, f)
+    try:
+        return direct_si_taps(geom, node.pattern, node.pattern, scenario.carrier_freq_hz)
+    except FieldError as e:
+        raise FieldError(f"iab_nodes[{node_idx}].{e.path}", e.message) from None
 
 
 def node_si_taps(scenario, node_idx, du_dirs, rng):
@@ -433,11 +434,9 @@ def run_drop(scenario, seed, modes=ALL_MODES):
     access_sinr_db, backhaul_sinr_db, NaN for donor-served UEs and in the
     fibered mode, and throughput_bps. The DLI enters the FD modes only.
 
-    Modes share work, not results: each distinct SINR array, compared bit for
-    bit, goes through capacity_bps once. The access SNR serves hd and
-    fibered, the SINR with DLI the FD modes, and each backhaul SINR table per
-    (cell, beam) the modes that give it; ideal_fd's noise_plus_dbm(floor,
-    -inf) need not round back to hd's floor.
+    Modes share work, not results: the capacities of the access SNR serve hd
+    and fibered, and those of the SINR with DLI the FD modes. Each mode's
+    backhaul capacities come from its own (cell, beam) SINR table.
     """
     modes = [Mode(m) for m in modes]
     serving, beam, access_rx, beam_dirs, shadows, ues = schedule_drop(scenario, seed)
@@ -467,7 +466,6 @@ def run_drop(scenario, seed, modes=ALL_MODES):
     sinr_bps = snr_bps.copy()
     sinr_bps[idx] = capacity_bps(sinr[idx], bw)
 
-    backhaul_bps = {}  # the capacities of each distinct backhaul SINR table, by its bytes
     shape = (len(modes), serving.size)  # three arrays, so each can be let go on its own
     thr, access_sinr, backhaul_sinr = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
     for k, mode in enumerate(modes):
@@ -478,11 +476,10 @@ def run_drop(scenario, seed, modes=ALL_MODES):
             if mode in FD_MODES:
                 noise = noise_plus_dbm(floor, residual_si_dbm(scenario, mode, floor, prop_residual))
             table = backhaul_rx - noise
-            if (key := table.tobytes()) not in backhaul_bps:
-                backhaul_bps[key] = np.zeros(table.shape)  # the donor's row is never read
-                backhaul_bps[key][1:] = capacity_bps(table[1:], bw)
+            bps = np.zeros(table.shape)  # the donor's row is never read
+            bps[1:] = capacity_bps(table[1:], bw)
             backhaul_sinr[k] = table.take(cell_beam)
-            cb = backhaul_bps[key].take(cell_beam)
+            cb = bps.take(cell_beam)
         thr[k] = ue_throughput(mode, relayed, ca, cb, scenario.guard_overhead)
     return {
         "serving_cell": serving,

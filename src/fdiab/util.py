@@ -19,14 +19,6 @@ class FieldError(ValueError):
         self.path, self.message = path, message
 
 
-def under(path, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a FieldError it raises put under path."""
-    try:
-        return fn(*args, **kwargs)
-    except FieldError as e:
-        raise FieldError(f"{path}.{e.path}" if e.path else path, e.message) from None
-
-
 def bounded(default, bounds):
     """A dataclass field with a default and bounds such as ">= 0, < 1",
     which check_bounds enforces; a default of dataclasses.MISSING makes the
@@ -89,13 +81,6 @@ def mean_power_dbm(samples):
     return float(watt_to_dbm(mean_power_watt(samples)))
 
 
-@functools.lru_cache(maxsize=256)
-def _str_token_to_int(token):
-    # Substream paths reuse a handful of names ("access-shadow", "si", ...),
-    # so each is hashed once per process.
-    return int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
-
-
 def _token_to_int(token):
     if isinstance(token, (bool, np.bool_)):
         return int(token)
@@ -104,7 +89,7 @@ def _token_to_int(token):
     if isinstance(token, (float, np.floating)):
         return int(np.float64(token).view(np.uint64))
     if isinstance(token, str):
-        return _str_token_to_int(token)
+        return int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
     raise TypeError(f"unsupported substream token: {token!r}")
 
 

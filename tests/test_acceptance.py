@@ -142,7 +142,7 @@ def test_criterion_4_hammerstein_sic():
     geom = SiGeometry(antenna_separation_m=1.0)
     chan_rng = substream(substream(2024, "c4-chan").integers(2**63), "si-reflections")
     pattern = AntennaPattern()
-    (direct,) = direct_si_taps(geom, pattern, pattern)
+    (direct,) = direct_si_taps(geom, pattern, pattern, 28e9)
     delays, gains = si_channel(direct, ReflectorConfig(), chan_rng)
     h_bins = np.exp(-2j * np.pi * np.outer(CFG.bin_freqs_hz(), delays)) @ gains
     rx = apply_frequency_response(symbol_spectra(pa_out, CFG), h_bins, CFG) + thermal_noise(

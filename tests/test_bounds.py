@@ -1,5 +1,6 @@
 """Every bounded field of every dataclass in fdiab's modules rejects what its
-bounds exclude, by name, and takes its default.
+bounds exclude, by name, and takes its default; every numeric field is
+bounded or exempt for a stated reason.
 
 The classes are found by walking the package, so a new class or field is
 covered as it is written. A class with required fields is built from its
@@ -11,6 +12,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import types
 
 import pytest
 
@@ -28,9 +30,8 @@ REQUIRED = {
 }
 
 
-def bounded_classes():
-    """'module.Class' -> class, for every dataclass written in an fdiab module
-    with at least one bounded field."""
+def dataclasses_of_fdiab():
+    """'module.Class' -> class, for every dataclass written in an fdiab module."""
     found = {}
     for info in pkgutil.iter_modules(fdiab.__path__):
         module = importlib.import_module(f"fdiab.{info.name}")
@@ -38,13 +39,37 @@ def bounded_classes():
             if (
                 isinstance(obj, type) and dataclasses.is_dataclass(obj)
                 and obj.__module__ == module.__name__
-                and any("bounds" in f.metadata for f in dataclasses.fields(obj))
             ):
                 found[f"{info.name}.{name}"] = obj
     return found
 
 
-CLASSES = bounded_classes()
+ALL_CLASSES = dataclasses_of_fdiab()
+# The classes with at least one bounded field.
+CLASSES = {
+    q: cls for q, cls in ALL_CLASSES.items()
+    if any("bounds" in f.metadata for f in dataclasses.fields(cls))
+}
+
+def numeric(tp):
+    """Whether the annotation tp is an int or a float, or one or None."""
+    if isinstance(tp, types.UnionType):
+        return any(map(numeric, tp.__args__))
+    return tp in (int, float)
+
+
+# Numeric fields with no bounds of their own, and why.
+EXEMPT = {
+    "ofdm.OfdmConfig.fft_size": "held against active_subcarriers by OfdmConfig's own rule",
+    "ofdm.OfdmConfig.active_subcarriers": "must be even and < fft_size, OfdmConfig's own rule",
+    "ofdm.OfdmConfig.cp_len": "must lie in [0, fft_size), OfdmConfig's own rule",
+    "rf.PaModel.vsat_dbm": "derived from the other fields, never set",
+    **{
+        f"sic.ReductionReport.{f.name}": "a chain's output, which validate() checks"
+        for f in dataclasses.fields(ALL_CLASSES["sic.ReductionReport"])
+        if numeric(f.type)
+    },
+}
 
 
 def required_fields(cls):
@@ -87,6 +112,18 @@ def test_every_class_that_needs_base_values_has_them():
 
 def test_walk_finds_the_known_classes():
     assert {"rf.PaModel", "rf.NoiseModel", "sic.LinkChainParams", "system.Scenario"} <= set(CLASSES)
+
+
+def test_every_numeric_field_is_bounded_or_exempt():
+    numeric_fields = {
+        f"{q}.{f.name}": f
+        for q, cls in ALL_CLASSES.items()
+        for f in dataclasses.fields(cls)
+        if numeric(f.type)
+    }
+    unbounded = {name for name, f in numeric_fields.items() if "bounds" not in f.metadata}
+    assert sorted(unbounded - EXEMPT.keys()) == []
+    assert sorted(EXEMPT.keys() - unbounded) == []  # an exemption goes with its need
 
 
 @pytest.mark.parametrize("qualname, f", CASES)

@@ -865,12 +865,36 @@ class TestArgumentBounds:
         ],
     )
     def test_empty_override_path_segment_is_1(self, scenario_path, tmp_path, capsys, flags, key):
+        # The error names the flag's kind of setting: an override or a grid.
         rc = main(
             ["sweep", "--scenario", scenario_path, "--seed", "0", "--out", str(tmp_path / "o")]
             + flags
         )
         assert rc == 1
-        assert f"override {key!r}: empty path segment" in capsys.readouterr().err
+        what = {"--set": "override", "--grid": "grid"}[flags[0]]
+        assert f"{what} {key!r}: empty path segment" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("a..b=1", "grid 'a..b': empty path segment"),
+            ("noise_figure_db", "grid 'noise_figure_db': expected key=v1,v2,..."),
+            ("iab_nodes.*.tx_power_dbm=30,40", "grid 'iab_nodes.*.tx_power_dbm': '*' matches no"),
+            ("iab_nodes.x.tx_power_dbm=30", "grid 'iab_nodes.x.tx_power_dbm': 'x' is not a list"),
+        ],
+    )
+    def test_grid_errors_name_the_grid(self, tmp_path, capsys, grid, message):
+        # Not an override: the user gave no --set.
+        path = tmp_path / "no-nodes.json"
+        path.write_text(json.dumps({"donor": {"position": [0, 0, 100]}, "iab_nodes": []}))
+        rc = main(
+            ["sweep", "--scenario", str(path), "--seed", "0", "--out", str(tmp_path / "o"),
+             "--grid", grid]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fdiab: {message}") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("drops", ["0", "-3"])

@@ -75,8 +75,6 @@ class TestAntennaPattern:
             AntennaPattern(boresight_gain_dbi=-20.0, sidelobe_floor_dbi=-10.0)
         with pytest.raises(ValueError):
             AntennaPattern(beamwidth_3db_deg=0.0)
-        with pytest.raises(ValueError):
-            AntennaPattern(polarization="X")
 
 
 reflector_configs = st.integers(0, 8).flatmap(
@@ -97,8 +95,8 @@ directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.n
 
 
 def channel(geom, cfg=None, rng=None):
-    """The SI channel of geom's one direct tap, with PAT at both ends."""
-    (tap,) = direct_si_taps(geom, PAT, PAT)
+    """The SI channel of geom's one direct tap at 28 GHz, with PAT at both ends."""
+    (tap,) = direct_si_taps(geom, PAT, PAT, 28e9)
     return si_channel(tap, cfg, rng)
 
 
@@ -150,7 +148,7 @@ class TestSiChannelOutput:
                 ReflectorConfig(delay_offset_range_s=bad)
         deaf = AntennaPattern(beamwidth_3db_deg=0.01, sidelobe_floor_dbi=-10000.0)
         with pytest.raises(FieldError, match="^pattern: .*carries no power"):
-            direct_si_taps(SiGeometry(1.0), deaf, deaf)
+            direct_si_taps(SiGeometry(1.0), deaf, deaf, 28e9)
 
 
 def direct_tap_gain_db(gains):
@@ -183,12 +181,6 @@ class TestSiChannel:
         c = channel(geom, ReflectorConfig(), np.random.default_rng(43))
         assert not all(map(np.array_equal, a, c))
 
-    def test_cross_pol_adds_exactly(self):
-        _, base = channel(SiGeometry(1.0))
-        _, iso = channel(SiGeometry(1.0, cross_pol_isolation_db=17.0))
-        delta = direct_tap_gain_db(base) - direct_tap_gain_db(iso)
-        assert delta == pytest.approx(17.0, abs=1e-9)
-
     def test_suppression_monotone_in_separation(self):
         seps = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0]
         cirs = [
@@ -217,15 +209,13 @@ class TestSiChannel:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             SiGeometry(0.0)
-        with pytest.raises(ValueError):
-            SiGeometry(1.0, cross_pol_isolation_db=-1.0)
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("antenna_separation_m", float("nan")),
             ("antenna_separation_m", float("inf")),
-            ("cross_pol_isolation_db", float("nan")),
+            ("antenna_separation_m", float("-inf")),
             ("tx_orientation", (float("nan"), 0.0, 0.0)),
             ("rx_orientation", (1.0, float("inf"), 0.0)),
             ("tx_orientation", ((1.0, 0.0, 0.0), (0.0, float("nan"), 1.0))),
@@ -236,11 +226,11 @@ class TestSiChannel:
             SiGeometry(**{"antenna_separation_m": 1.0, field: value})
 
 
-def per_pair_si_channel(d, tx_dir, rx_dir, tx_pat, rx_pat, xpol_db, f, cfg, rng):
+def per_pair_si_channel(d, tx_dir, rx_dir, tx_pat, rx_pat, f, cfg, rng):
     """The SI channel of one (DU, MT) orientation pair, written out as the
     model states it: off-boresight angles toward the other antenna from
-    component-wise dot products in Python floats, amplitude -Friis - cross-pol
-    + tx gain + rx gain in that order through Python's pow, and then the
+    component-wise dot products in Python floats, amplitude -Friis + tx gain
+    + rx gain in that order through Python's pow, and then the
     reflections' count, delays, powers and phases drawn from rng."""
 
     def off_deg(u, axis):
@@ -257,7 +247,6 @@ def per_pair_si_channel(d, tx_dir, rx_dir, tx_pat, rx_pat, xpol_db, f, cfg, rng)
     delay = d / SPEED_OF_LIGHT
     amp_db = (
         -fspl_db(d, f)
-        - xpol_db
         + gain_dbi(tx_pat, off_deg(tx_dir, (0.0, 0.0, -1.0)))
         + gain_dbi(rx_pat, off_deg(rx_dir, (0.0, 0.0, 1.0)))
     )
@@ -275,7 +264,7 @@ def per_pair_si_channel(d, tx_dir, rx_dir, tx_pat, rx_pat, xpol_db, f, cfg, rng)
 
 # Narrow and wide mainlobes; the wide ones leave most offsets unclamped.
 node_patterns = st.sampled_from(
-    [PAT, AntennaPattern(19.86, 13.4), AntennaPattern(15.0, 170.0, -60.0, "H"),
+    [PAT, AntennaPattern(19.86, 13.4), AntennaPattern(15.0, 170.0, -60.0),
      AntennaPattern(8.0, 120.0, -20.0)]
 )
 
@@ -292,7 +281,6 @@ class TestNodePass:
         rx_dir=directions,
         rx_per_beam=st.booleans(),
         pats=st.tuples(node_patterns, node_patterns),
-        xpol_db=st.sampled_from([0.0, 17.0]) | st.floats(0.0, 40.0),
         f=st.sampled_from([3.5e9, 28e9]) | st.floats(1e9, 100e9),
         cfg=st.sampled_from(
             [None, ReflectorConfig(max_taps=0), ReflectorConfig(min_taps=6, max_taps=6),
@@ -304,15 +292,15 @@ class TestNodePass:
     @example(
         d=1.0, tx_dirs=[(1.0, 0.0, -0.3), (0.2, 0.1, -1.0), (1.0, 0.0, 0.0)],
         rx_dir=(1.0, 0.0, 0.5), rx_per_beam=False,
-        pats=(AntennaPattern(15.0, 170.0, -60.0, "H"),) * 2, xpol_db=0.0, f=28e9,
+        pats=(AntennaPattern(15.0, 170.0, -60.0),) * 2, f=28e9,
         cfg=ReflectorConfig(min_taps=9, max_taps=12), seed=7,
     )
     def test_beams_match_the_per_pair_formula(
-        self, d, tx_dirs, rx_dir, rx_per_beam, pats, xpol_db, f, cfg, seed
+        self, d, tx_dirs, rx_dir, rx_per_beam, pats, f, cfg, seed
     ):
         rx_dirs = [tuple(-c if i % 2 else c for c in rx_dir) for i in range(len(tx_dirs))]
         rx = np.array(rx_dirs) if rx_per_beam else rx_dir
-        geom = SiGeometry(d, np.array(tx_dirs), rx, cross_pol_isolation_db=xpol_db)
+        geom = SiGeometry(d, np.array(tx_dirs), rx)
         rng = np.random.default_rng(seed)
         got = [si_channel(tap, cfg, rng) for tap in direct_si_taps(geom, *pats, f)]
         assert len(got) == len(tx_dirs)
@@ -321,22 +309,23 @@ class TestNodePass:
         oracle_rng = np.random.default_rng(seed)
         for b, tx_dir in enumerate(tx_dirs):
             rx_b = rx_dirs[b] if rx_per_beam else rx_dir
-            want = per_pair_si_channel(d, tx_dir, rx_b, *pats, xpol_db, f, cfg, oracle_rng)
+            want = per_pair_si_channel(d, tx_dir, rx_b, *pats, f, cfg, oracle_rng)
             for got_part, want_part in zip(got[b], want):
                 assert got_part.dtype == want_part.dtype
                 assert np.array_equal(got_part.view(np.uint64), want_part.view(np.uint64)), b
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_rejections_name_their_fields(self):
-        (tap,) = direct_si_taps(SiGeometry(1.0), PAT, PAT)
+        (tap,) = direct_si_taps(SiGeometry(1.0), PAT, PAT, 28e9)
         with pytest.raises(ValueError, match=r"\brng\b"):
             si_channel(tap, ReflectorConfig())
         # One deaf row of several fails the pass at "pattern".
         wide = AntennaPattern(20.0, 1.0, -10000.0)
         rows = np.array([(0.0, 0.0, -1.0), (1.0, 0.0, 0.0)])
         with pytest.raises(FieldError, match="^pattern: gives the direct SI path .* no power"):
-            direct_si_taps(SiGeometry(1.0, rows, (0.0, 0.0, 1.0)), wide, wide)
-        assert len(direct_si_taps(SiGeometry(1.0, rows[:1], (0.0, 0.0, 1.0)), wide, wide)) == 1
+            direct_si_taps(SiGeometry(1.0, rows, (0.0, 0.0, 1.0)), wide, wide, 28e9)
+        one_row = SiGeometry(1.0, rows[:1], (0.0, 0.0, 1.0))
+        assert len(direct_si_taps(one_row, wide, wide, 28e9)) == 1
 
 
 def per_pair_rx_dbm(tx_pos, tx_power_dbm, pat, beam_dir, rx_pos, rx_gain_dbi, shadow_db):
@@ -398,7 +387,7 @@ def bit_patterns(values):
 
 direction = vec3.filter(lambda d: math.hypot(*d) > 1e-3)
 # Wide enough that random angles land on the quadratic mainlobe too.
-patterns = st.sampled_from([PAT, AntennaPattern(15.0, 150.0, -20.0, "H")])
+patterns = st.sampled_from([PAT, AntennaPattern(15.0, 150.0, -20.0)])
 
 
 class TestArrayFormsMatchScalarEvaluation:

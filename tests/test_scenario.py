@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from fdiab.scenario import (
 )
 from fdiab.system import MAX_UES, Donor, IabNode, Scenario, UeGrid, default_scenario
 from fdiab.util import SPEED_OF_LIGHT, FieldError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_minimal_file_gets_defaults(tmp_path):
@@ -86,11 +89,10 @@ def ordered_pair(values):
 
 
 patterns = st.builds(
-    lambda floor, above, width, pol: AntennaPattern(floor + above, width, floor, pol),
+    lambda floor, above, width: AntennaPattern(floor + above, width, floor),
     st.floats(-1e6, 0.0),
     st.floats(1e-3, 100.0),
     positive,
-    st.sampled_from(["V", "H"]),
 )
 positions = st.tuples(finite, finite, finite)
 azimuths = st.none() | finite
@@ -162,9 +164,24 @@ def test_round_trip_generated_scenarios(sc):
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc)))) == sc
 
 
-def test_shipped_default_scenario_file():
-    sc = load_scenario("scenarios/default.json")
-    assert sc == default_scenario()
+def test_shipped_default_scenario_file(tmp_path):
+    # The file is, byte for byte, what save_scenario writes for the default.
+    saved = tmp_path / "default.json"
+    save_scenario(default_scenario(), saved)
+    assert (SCENARIOS / "default.json").read_bytes() == saved.read_bytes()
+    assert load_scenario(SCENARIOS / "default.json") == default_scenario()
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_scenario_files_load(path):
+    load_scenario(path)
+
+
+def test_removed_polarization_key_is_rejected_by_name():
+    data = scenario_to_dict(default_scenario())
+    data["iab_nodes"][1]["pattern"]["polarization"] = "V"
+    with pytest.raises(ScenarioError, match=r"^iab_nodes\[1\]\.pattern\.polarization: unknown key$"):
+        scenario_from_dict(data)
 
 
 def test_overrides_applied_and_validated():

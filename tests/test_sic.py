@@ -557,13 +557,13 @@ def test_circular_route_matches_explicit_fit(seed, orders, layout, n_symbols, ri
 
 def chain(geometry, seed, reflectors=ReflectorConfig(), ideal_fd=False, **params):
     """(LinkChainParams, SI taps) of a chain at seed whose channel has the SI
-    geometry geometry, default antenna patterns and the default carrier. Its
+    geometry geometry, default antenna patterns and a 28 GHz carrier. Its
     reflectors come from a stream of this helper's own, which the fixed-seed
     tests below read: substream(substream(seed, "si-channel").integers(2**63),
     "si-reflections"). cli.chain_for_node draws from the drop's stream
     instead. No taps (ideal FD) if ideal_fd."""
     rng = substream(substream(seed, "si-channel").integers(2**63), "si-reflections")
-    (direct,) = direct_si_taps(geometry, AntennaPattern(), AntennaPattern())
+    (direct,) = direct_si_taps(geometry, AntennaPattern(), AntennaPattern(), 28e9)
     taps = None if ideal_fd else si_channel(direct, reflectors, rng)
     return LinkChainParams(geometry.antenna_separation_m, **params), taps
 
