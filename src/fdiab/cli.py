@@ -166,7 +166,7 @@ def cmd_system_sim(args):
         # once, with int32 rows (half an int64's bytes). A relayed UE's FD rows share its DLI
         # and SINR with DLI (np.argmax(fd): the first FD row); other rows a NaN DLI, the SNR.
         k, n = drop["throughput_bps"].shape
-        sorted_bps, probs = zip(*map(cdf, drop["throughput_bps"]))  # a curve per mode
+        sorted_bps = [(curve := cdf(bps))[0] for bps in drop["throughput_bps"]]  # n points each
         mode = np.array(values), np.repeat(np.arange(k, dtype=np.int32), n)
         ue = np.tile(np.arange(n, dtype=np.int32), k)
         fd = [m in FD_MODES for m in modes]
@@ -187,7 +187,7 @@ def cmd_system_sim(args):
         }
         del drop, level, rank  # so the writer frees each column once it is read
         yield "throughput.csv", cols
-        yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, np.concatenate(sorted_bps), (probs[0], ue))))
+        yield "cdf.csv", dict(zip(CDF_COLUMNS, (mode, np.concatenate(sorted_bps), (curve[1], ue))))
 
     _write_outputs(args, scenario_to_dict(scenario), tables(), modes=values)
     return 0

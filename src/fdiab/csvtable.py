@@ -277,7 +277,8 @@ def write_columns(path, columns):
         cells[(cells[:, 2:-1] == PAD).all(axis=1), :2] = ord('"')
         table[0] = cells, *table[0][1:]
     widths = [cells.shape[1] for cells, _, _ in table]
-    block = np.empty((min(CSV_CHUNK_ROWS, n_rows), sum(widths)), np.uint8)
+    buf = bytearray(min(CSV_CHUNK_ROWS, n_rows) * sum(widths))  # translate reads it uncopied
+    block = np.frombuffer(buf, np.uint8).reshape(-1, sum(widths))
     # Each cell as one void item, so a gather copies whole cells.
     slots = [block[:, e - w : e].view(f"V{w}")[:, 0] for w, e in zip(widths, np.cumsum(widths))]
     table = [(cells.view(f"V{w}")[:, 0], *rest) for w, (cells, *rest) in zip(widths, table)]
@@ -288,4 +289,5 @@ def write_columns(path, columns):
             for slot, (cells, inner, rows) in zip(slots, table):
                 index = inner[lo:hi] if rows is None else inner[rows[lo:hi]]
                 slot[: hi - lo] = cells.take(index.astype(np.intp))
-            fh.write(block[: hi - lo].tobytes().translate(None, _PADS))
+            chunk = buf if hi - lo == len(block) else buf[: (hi - lo) * block.shape[1]]
+            fh.write(chunk.translate(None, _PADS))

@@ -177,8 +177,8 @@ def direct_si_taps(geom, tx_pat, rx_pat, carrier_freq_hz):
         + antenna_gain_dbi(tx_pat, theta_tx)
         + antenna_gain_dbi(rx_pat, theta_rx)
     )
-    # Python's pow per row: numpy's SIMD power can round the last bit differently.
-    amps = [10.0 ** x for x in (amp_db / 20.0).tolist()]
+    # libm's pow (np.float_power): numpy's SIMD np.power can round the last bit differently.
+    amps = np.float_power(10.0, amp_db / 20.0).tolist()
     for amp, db in zip(amps, amp_db.tolist()):
         if amp**2 == 0.0:  # every tap's gain is a fraction of the direct tap's
             msg = f"gives the direct SI path {db:.4g} dB, which carries no power"

@@ -22,9 +22,9 @@ class OfdmConfig:
     (120 MHz) is a noise-bandwidth figure, not the occupied width.
     """
 
-    fft_size: int = 1024
-    active_subcarriers: int = 792
-    cp_len: int = 140
+    fft_size: int = bounded(1024, ">= 3")  # past the fewest active subcarriers
+    active_subcarriers: int = bounded(792, ">= 2")
+    cp_len: int = bounded(140, ">= 0")
     subcarrier_spacing_hz: float = bounded(120e3, "> 0, < inf")
 
     def __post_init__(self):
@@ -32,8 +32,8 @@ class OfdmConfig:
         n, active = self.fft_size, self.active_subcarriers
         if active >= n or active % 2 != 0:  # centered around DC, which stays unused
             raise FieldError("active_subcarriers", f"must be even and < fft_size {n}, got {active}")
-        if not (0 <= self.cp_len < n):
-            raise FieldError("cp_len", f"must lie in [0, fft_size {n}), got {self.cp_len}")
+        if self.cp_len >= n:
+            raise FieldError("cp_len", f"must be < fft_size {n}, got {self.cp_len}")
 
     @property
     def sample_rate_hz(self):

@@ -9,7 +9,6 @@ propagation-domain suppression only, and half duplex.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -239,20 +238,19 @@ def default_scenario():
 # Each value must round exactly as the per-UE formula it stands for, so that
 # throughput.csv keeps its bytes: access and DLI powers come from
 # geometry.rx_dbm, whose dot products are summed component by component,
-# u0*v0 + u1*v1 + u2*v2, and dBm levels reach watts through libm's pow, as a
-# Python float does.
+# u0*v0 + u1*v1 + u2*v2, and dBm levels reach watts through libm's pow
+# (np.float_power), as a Python float does.
 # ---------------------------------------------------------------------------
 
 
 def noise_plus_dbm(floor_dbm, levels_dbm):
     """Power sum of the noise floor and each level, in dBm; -inf adds nothing.
 
-    The levels are converted one by one: numpy's SIMD power rounds some of
-    them differently from libm in the last bit.
+    The levels reach watts through np.float_power, which calls libm's pow:
+    numpy's SIMD np.power rounds some of them differently in the last bit.
     """
-    exponents = (np.asarray(levels_dbm, float) - 30.0) / 10.0
-    watts = np.fromiter(map(pow, repeat(10.0), exponents.ravel().tolist()), float, exponents.size)
-    return watt_to_dbm(dbm_to_watt(floor_dbm) + watts.reshape(exponents.shape))
+    watts = np.float_power(10.0, (np.asarray(levels_dbm, float) - 30.0) / 10.0)
+    return watt_to_dbm(dbm_to_watt(floor_dbm) + watts)
 
 
 def _access_shadows_db(scenario, seed, n_cells, n_ue):

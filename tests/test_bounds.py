@@ -60,9 +60,6 @@ def numeric(tp):
 
 # Numeric fields with no bounds of their own, and why.
 EXEMPT = {
-    "ofdm.OfdmConfig.fft_size": "held against active_subcarriers by OfdmConfig's own rule",
-    "ofdm.OfdmConfig.active_subcarriers": "must be even and < fft_size, OfdmConfig's own rule",
-    "ofdm.OfdmConfig.cp_len": "must lie in [0, fft_size), OfdmConfig's own rule",
     "rf.PaModel.vsat_dbm": "derived from the other fields, never set",
     **{
         f"sic.ReductionReport.{f.name}": "a chain's output, which validate() checks"

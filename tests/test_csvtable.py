@@ -163,6 +163,29 @@ class TestWriteColumns:
             write_columns(tmp_path / "t.csv", columns)
         assert not (tmp_path / "t.csv").exists()
 
+    def test_chunk_loop_holds_one_block_and_one_text(self, tmp_path):
+        # Four lookups of 4 values, every cell 14 characters, so the padded
+        # block of a chunk is exactly its text, 491,520 B, and the chunk loop
+        # sets the traced peak. The block's padding is dropped in place: the
+        # peak measured 2.09 chunk texts, where a copy of each block before the
+        # padding pass took it to 3.09. The slack, a quarter block, covers a
+        # gather's temporaries and the writer's small tables.
+        values = np.array([0.123456789012, 0.234567890123, 0.345678901234, 0.456789012345])
+        n = 3 * csvtable.CSV_CHUNK_ROWS + 100
+        rng = np.random.default_rng(0)
+        columns = {f"c{i}": (values, rng.integers(0, 4, n).astype(np.int32)) for i in range(4)}
+        chunk_text = csvtable.CSV_CHUNK_ROWS * 4 * 15  # and the block's size
+        tracemalloc.start()
+        try:
+            at_call = tracemalloc.get_traced_memory()[0]
+            write_columns(tmp_path / "t.csv", dict(columns))
+            peak = tracemalloc.get_traced_memory()[1] - at_call
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk_text + chunk_text / 4  # block, text and slack
+        lines = read(tmp_path / "t.csv").splitlines()
+        assert len(lines) == n + 1 and {len(line) for line in lines[1:]} == {4 * 15 - 1}
+
     def test_drop_sized_table_is_written_in_bounded_memory(self, tmp_path):
         # A 101x101 drop over 5 modes: 51,005 rows of throughput.csv's kinds.
         # Its text is about 4 MiB; the writer holds one chunk of rows at a
@@ -216,8 +239,9 @@ class TestWriteColumns:
         # system-sim hands the drop over as lookups and keeps none of its
         # arrays while it writes. Each write of a 101x101 call peaks below what
         # plain mode-major columns took: 7.21 MiB traced for throughput.csv and
-        # 5.12 MiB for cdf.csv. Now 5.17 and 2.80 at seed 0; holding the drop's
-        # arrays through the writes took them to 6.88 and 5.10.
+        # 5.12 MiB for cdf.csv. Now 5.17 and 2.99 at seed 0, and 5.78 and 3.41
+        # with a padded copy of each chunk and five CDF probability columns;
+        # holding the drop's arrays through the writes took them to 6.88 and 5.10.
         peaks, write = {}, csvtable.write_columns
 
         def traced_write(path, columns):

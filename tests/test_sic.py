@@ -22,7 +22,7 @@ from fdiab.ofdm import (
     OfdmConfig, apply_frequency_response, build_frame, symbol_rows, symbol_spectra,
 )
 from fdiab.rf import NoiseModel
-from fdiab.scenario import apply_overrides, read_scenario_file, scenario_from_dict
+from fdiab.scenario import _read, apply_overrides, read_scenario_file, scenario_from_dict
 from fdiab.sic import (
     HammersteinRegressors,
     LinkChainParams,
@@ -477,11 +477,18 @@ class TestFrameLayoutRejections:
             fit(x, y, (1,), memory_len=20, alignment=15, cfg=cfg)
 
 
+CHAIN_OF_NO_SUBCARRIERS = {"antenna_separation_m": 1.0, "ofdm": {"active_subcarriers": 0}}
+
+
 @pytest.mark.parametrize(
     "build, path",
     [
         (lambda: OfdmConfig(active_subcarriers=1024), "active_subcarriers"),
         (lambda: OfdmConfig(active_subcarriers=791), "active_subcarriers"),
+        (lambda: OfdmConfig(active_subcarriers=0), "active_subcarriers"),
+        (lambda: OfdmConfig(active_subcarriers=-2), "active_subcarriers"),
+        # A chain read from JSON names the field by its path from LinkChainParams.
+        (lambda: _read(LinkChainParams, CHAIN_OF_NO_SUBCARRIERS, ""), "ofdm.active_subcarriers"),
         (lambda: OfdmConfig(cp_len=1024), "cp_len"),
         (lambda: OfdmConfig(cp_len=-1), "cp_len"),
         (lambda: TwoTapConfig((2e-9, 1e-9), (0j, 0j)), "delays_s"),
@@ -490,8 +497,9 @@ class TestFrameLayoutRejections:
         (lambda: hammerstein_basis(np.ones(64), (1,), 4, 4, [32]), "alignment"),
         (lambda: HammersteinRegressors(np.ones(1164), (1,), 4, -1, CFG), "alignment"),
     ],
-    ids=["active-fills-fft", "active-odd", "cp-fills-fft", "cp-negative", "delays-reversed",
-         "delay-negative", "memory-0", "alignment-at-memory", "regressors-alignment-negative"],
+    ids=["active-fills-fft", "active-odd", "active-0", "active-negative", "chain-active-0",
+         "cp-fills-fft", "cp-negative", "delays-reversed", "delay-negative", "memory-0",
+         "alignment-at-memory", "regressors-alignment-negative"],
 )
 def test_chain_config_errors_name_their_field(build, path):
     with pytest.raises(FieldError) as excinfo:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fdiab.geometry import (
     AntennaPattern,
     ReflectorConfig,
     SiGeometry,
+    angle_between_deg,
     antenna_gain_dbi,
     direct_si_taps,
     fspl_db,
@@ -43,7 +45,7 @@ from fdiab.system import (
     ue_throughput,
 )
 from fdiab.system import _first_max
-from fdiab.util import SPEED_OF_LIGHT, FieldError, substream
+from fdiab.util import SPEED_OF_LIGHT, FieldError, dbm_to_watt, substream, watt_to_dbm
 
 BW = 120e6
 
@@ -628,6 +630,40 @@ class TestUeThroughput:
         assert outs == [self.C] * len(ALL_MODES)
         # Fibered UEs, relayed or not, get their access capacity too.
         assert ue_throughput(Mode.FIBERED, True, self.C, 0.0, 0.1) == self.C
+
+
+# 1 to 16 nonzero direction vectors, one per row.
+DIRECTION_ROWS = arrays(
+    float, st.tuples(st.integers(1, 16), st.just(3)), elements=st.floats(-1.0, 1.0)
+).filter(lambda r: (np.linalg.norm(r, axis=1) > 1e-3).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    floor=st.floats(-200.0, 0.0),
+    levels=st.lists(st.floats(-400.0, 300.0) | st.just(-math.inf), min_size=1, max_size=64),
+    d=st.floats(0.01, 10.0),
+    rows=DIRECTION_ROWS,
+)
+def test_levels_and_si_amplitudes_take_libm_pow(floor, levels, d, rows):
+    # dB reaches linear through libm's pow, as a Python float's ** does, one
+    # value at a time: numpy's SIMD np.power rounds some exponents differently
+    # in the last bit, and a CSV cell can show it.
+    watts = np.array([pow(10.0, (level - 30.0) / 10.0) for level in levels])
+    want = watt_to_dbm(dbm_to_watt(floor) + watts)
+    assert noise_plus_dbm(floor, levels).tobytes() == want.tobytes()
+    # Over no floor and read before the log, which rounds most last-bit differences away.
+    with mock.patch("fdiab.system.watt_to_dbm", lambda w: w):
+        assert noise_plus_dbm(-math.inf, levels).tobytes() == watts.tobytes()
+    # Each row of orientations gets the direct SI amplitude 10 ** (dB / 20) of its own dB.
+    pat = AntennaPattern()
+    taps = direct_si_taps(SiGeometry(d, rows, rows[::-1]), pat, pat, 28e9)
+    db = (
+        -fspl_db(d, 28e9)
+        + antenna_gain_dbi(pat, angle_between_deg(rows, (0.0, 0.0, -1.0)))
+        + antenna_gain_dbi(pat, angle_between_deg(rows[::-1], (0.0, 0.0, 1.0)))
+    )
+    assert [amp for _, amp, _ in taps] == [10.0 ** x for x in (db / 20.0).tolist()]
 
 
 class TestRunDrop:
